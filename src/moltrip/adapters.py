@@ -11,7 +11,7 @@ loop verifiable.
 from __future__ import annotations
 
 import bisect
-import copy
+import itertools
 import math
 import os
 import random
@@ -23,7 +23,7 @@ from typing import Protocol, runtime_checkable
 import requests
 
 from .chem import canonical_smiles, check_validity, parse_smiles
-from .fingerprints import stable_hash
+from .fingerprints import extend_hash, stable_hash
 from .grpo import Completion, GrpoConfig, RolloutGroup, group_objective
 
 API_KEY_VAR = "RTMOL_API_KEY"
@@ -133,6 +133,22 @@ def _log_softmax(row: list[float]) -> list[float]:
     return [v - log_norm for v in row]
 
 
+def _argmax(row: list[float]) -> int:
+    """Index of the largest entry; ties go to the lowest index."""
+    return max(range(len(row)), key=lambda j: (row[j], -j))
+
+
+def _cumulative(log_probs: list[float], temperature: float) -> list[float]:
+    """Running sums of the tempered probabilities, for bisecting a uniform draw."""
+    if temperature != 1.0:
+        log_probs = _log_softmax([lp / temperature for lp in log_probs])
+    return list(itertools.accumulate(math.exp(lp) for lp in log_probs))
+
+
+def _copy_rows(table: list[list[float]]) -> list[list[float]]:
+    return [row[:] for row in table]
+
+
 @dataclass
 class TabularPolicy:
     """Softmax-over-logits policy on finite states and actions.
@@ -154,9 +170,9 @@ class TabularPolicy:
         if (len(self.logits), len(self.logits[0])) != expected:
             raise ValueError("logits shape must be states x actions")
         if self.old_logits is None:
-            self.old_logits = copy.deepcopy(self.logits)
+            self.old_logits = _copy_rows(self.logits)
         if self.ref_logits is None:
-            self.ref_logits = copy.deepcopy(self.logits)
+            self.ref_logits = _copy_rows(self.logits)
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._action_index = {a: i for i, a in enumerate(self.actions)}
 
@@ -183,19 +199,9 @@ class TabularPolicy:
 
     def snapshot_old(self) -> int:
         """Freeze the live table as the new old policy; returns its id."""
-        self.old_logits = copy.deepcopy(self.logits)
+        self.old_logits = _copy_rows(self.logits)
         self.old_snapshot_id += 1
         return self.old_snapshot_id
-
-    def clone(self) -> "TabularPolicy":
-        return TabularPolicy(
-            states=self.states,
-            actions=self.actions,
-            logits=copy.deepcopy(self.logits),
-            old_logits=copy.deepcopy(self.old_logits),
-            ref_logits=copy.deepcopy(self.ref_logits),
-            old_snapshot_id=self.old_snapshot_id,
-        )
 
 
 def tabular_sample(
@@ -217,24 +223,18 @@ def tabular_sample(
         raise ValueError("n must be >= 1")
     log_probs = policy.log_probs(state, table)
     if temperature == 0.0:
-        best = max(range(len(log_probs)), key=lambda i: (log_probs[i], -i))
+        best = _argmax(log_probs)
         return [
             Sampled(policy.actions[best], (log_probs[best],)) for _ in range(n)
         ]
-    if temperature != 1.0:
-        scaled = _log_softmax([lp / temperature for lp in log_probs])
-    else:
-        scaled = log_probs
-    cumulative = []
-    acc = 0.0
-    for lp in scaled:
-        acc += math.exp(lp)
-        cumulative.append(acc)
+    cumulative = _cumulative(log_probs, temperature)
     last = len(cumulative) - 1
+    # process-independent per-draw stream: python's tuple hash is salted.
+    # Draw i is seeded by stable_hash("draw", seed, state, i).
+    base = stable_hash("draw", seed, state)
     out = []
     for i in range(n):
-        # process-independent per-draw stream: python's tuple hash is salted
-        u = random.Random(stable_hash("draw", seed, state, i)).random()
+        u = random.Random(extend_hash(base, i)).random()
         chosen = min(bisect.bisect_right(cumulative, u), last)
         out.append(Sampled(policy.actions[chosen], (log_probs[chosen],)))
     return out
@@ -421,32 +421,34 @@ class TokenSequencePolicy:
         temperature: float = 1.0,
         table: str = "cur",
     ) -> list[Sampled]:
-        """n independent rollouts; draw (i, t) depends only on (seed, prompt, i, t)."""
+        """n independent rollouts; draw (i, t) depends only on (seed, prompt, i, t).
+
+        Draw (i, t) is seeded by stable_hash("draw", seed, prompt, i, t),
+        continued from the hash of the shared head.  The tables cannot change
+        during a call, so each prefix's rows are computed once and shared by
+        all n rollouts.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
+        base = stable_hash("draw", seed, prompt)
+        last = len(self.table.actions) - 1
+        memo: dict[str, tuple[list[float], list[float] | None]] = {}
         out = []
         for i in range(n):
+            head = extend_hash(base, i)
             prefix = ""
             logps = []
             for t in range(self.max_tokens):
-                row = self.table.log_probs(self._encode(prompt, prefix), table)
-                if temperature == 0.0:
-                    chosen = max(range(len(row)), key=lambda j: (row[j], -j))
+                if prefix not in memo:
+                    row = self.table.log_probs(self._encode(prompt, prefix), table)
+                    memo[prefix] = (row, None if temperature == 0.0
+                                    else _cumulative(row, temperature))
+                row, cumulative = memo[prefix]
+                if cumulative is None:
+                    chosen = _argmax(row)
                 else:
-                    scaled = row if temperature == 1.0 else _log_softmax(
-                        [lp / temperature for lp in row]
-                    )
-                    cumulative = []
-                    acc = 0.0
-                    for lp in scaled:
-                        acc += math.exp(lp)
-                        cumulative.append(acc)
-                    u = random.Random(
-                        stable_hash("draw", seed, prompt, i, t)
-                    ).random()
-                    chosen = min(
-                        bisect.bisect_right(cumulative, u), len(row) - 1
-                    )
+                    u = random.Random(extend_hash(head, t)).random()
+                    chosen = min(bisect.bisect_right(cumulative, u), last)
                 logps.append(row[chosen])
                 token = self.table.actions[chosen]
                 if token == self.eos:

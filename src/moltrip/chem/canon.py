@@ -111,8 +111,16 @@ def _write_fragment(
 
     digits = _DigitPool()
     out: list[str] = []
-
-    def emit(idx: int, parent: int | None) -> None:
+    # depth-first over the tree with an explicit stack of pending atoms
+    # (idx, parent) and literal branch parentheses, so long chains cannot
+    # exhaust the interpreter's recursion limit
+    stack: list[tuple[int, int | None] | str] = [(start, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        idx, parent = item
         if parent is not None:
             out.append(_bond_token(mol, parent, idx))
         out.append(_atom_token(mol, idx))
@@ -124,14 +132,10 @@ def _write_fragment(
             else:
                 out.append(opened)
         kids = children[idx]
-        for kid in kids[:-1]:
-            out.append("(")
-            emit(kid, idx)
-            out.append(")")
         if kids:
-            emit(kids[-1], idx)
-
-    emit(start, None)
+            stack.append((kids[-1], idx))
+        for kid in reversed(kids[:-1]):
+            stack.extend((")", (kid, idx), "("))
     return "".join(out)
 
 
@@ -148,22 +152,27 @@ def _spanning_tree(
     visited: set[int] = set()
     ring_pairs: set[tuple[int, int]] = set()
 
-    def visit(idx: int, parent: int | None) -> None:
+    def enter(idx: int, parent: int | None):
         visited.add(idx)
         children[idx] = []
         ring_partners[idx] = []
-        for nbr in sorted(mol.neighbors(idx), key=lambda j: ranks[j]):
+        return idx, parent, iter(sorted(mol.neighbors(idx), key=lambda j: ranks[j]))
+
+    # each frame resumes its neighbor iterator after a child's subtree is done
+    stack = [enter(start, None)]
+    while stack:
+        idx, parent, nbrs = stack[-1]
+        for nbr in nbrs:
             if nbr == parent:
                 continue
             if nbr in visited:
-                pair = (idx, nbr) if idx < nbr else (nbr, idx)
-                if pair not in ring_pairs:
-                    ring_pairs.add(pair)
+                ring_pairs.add((idx, nbr) if idx < nbr else (nbr, idx))
                 continue
-            visit(nbr, idx)
             children[idx].append(nbr)
-
-    visit(start, None)
+            stack.append(enter(nbr, idx))
+            break
+        else:
+            stack.pop()
     for a, b in sorted(ring_pairs):
         ring_partners[a].append(b)
         ring_partners[b].append(a)

@@ -8,6 +8,7 @@ type-framed tokens, so values are stable across platforms and releases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .chem import BondOrder, Molecule
@@ -24,8 +25,12 @@ class FamilyMismatch(ValueError):
     """Tanimoto requested between feature sets of different family/params."""
 
 
-def stable_hash(*parts: int | str) -> int:
-    """FNV-1a over a type-framed byte encoding of the parts."""
+def extend_hash(h: int, *parts: int | str) -> int:
+    """Continue FNV-1a from state h over more parts.
+
+    FNV-1a has no finalisation step, so its state after a prefix is the hash
+    of that prefix: extend_hash(stable_hash(*a), *b) == stable_hash(*a, *b).
+    """
     data = bytearray()
     for part in parts:
         if isinstance(part, bool):
@@ -36,11 +41,16 @@ def stable_hash(*parts: int | str) -> int:
             data += b"s" + part.encode() + b";"
         else:
             raise TypeError(f"unhashable token type {type(part).__name__}")
-    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+# stable_hash(*parts): FNV-1a over a type-framed byte encoding of the parts.
+# A partial, not a wrapper function, because it is the innermost call of
+# every fingerprint and a second Python frame per call would show there.
+stable_hash = functools.partial(extend_hash, _FNV_OFFSET)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from moltrip.adapters import (
     tabular_sample,
 )
 from moltrip.chem import canonical_smiles, parse_smiles
+from moltrip.fingerprints import stable_hash
 from moltrip.grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
 
 
@@ -85,6 +86,34 @@ def test_snapshot_refresh_bumps_id_and_freezes():
     assert policy.old_logits[0][0] == 2.0
     policy.logits[0][0] = 5.0
     assert policy.old_logits[0][0] == 2.0  # frozen copy, not a view
+
+
+def test_old_and_ref_tables_never_share_rows_with_the_live_table():
+    rows = [[0.0, 1.0], [2.0, 3.0]]
+    policy = TabularPolicy(states=("s0", "s1"), actions=("a", "b"), logits=rows)
+    for row in policy.logits:
+        row[0] = 9.0
+    assert policy.old_logits == [[0.0, 1.0], [2.0, 3.0]]
+    assert policy.ref_logits == [[0.0, 1.0], [2.0, 3.0]]
+    policy.snapshot_old()
+    for row in policy.logits:
+        row[1] = -9.0
+    assert policy.old_logits == [[9.0, 1.0], [9.0, 3.0]]
+    assert policy.ref_logits == [[0.0, 1.0], [2.0, 3.0]]
+
+
+def test_sequence_snapshots_never_share_rows_with_the_live_table():
+    policy = TokenSequencePolicy(prompts=("p",), vocab=("a", "b"), max_tokens=2)
+    table = policy.table
+    flat = [[0.0, 0.0] for _ in table.states]
+    for row in table.logits:
+        row[0] = 1.0
+    assert table.old_logits == flat and table.ref_logits == flat
+    policy.snapshot_old()
+    for row in table.logits:
+        row[1] = 2.0
+    assert table.old_logits == [[1.0, 0.0] for _ in table.states]
+    assert table.ref_logits == flat
 
 
 # ---------------------------------------------------------------------------
@@ -632,3 +661,95 @@ def test_sequence_snapshot_discipline():
     ))
     with pytest.raises(StaleSnapshot):
         policy.objective([stale], GrpoConfig())
+
+
+# ---------------------------------------------------------------------------
+# the draw stream, pinned against a longhand reference
+
+def _reference_log_softmax(row):
+    peak = max(row)
+    log_norm = peak + math.log(sum(math.exp(v - peak) for v in row))
+    return [v - log_norm for v in row]
+
+
+def _reference_pick(log_probs, temperature, key):
+    """Index drawn from a log-prob row by one freshly seeded Random per draw."""
+    if temperature == 0.0:
+        return max(range(len(log_probs)), key=lambda j: (log_probs[j], -j))
+    scaled = log_probs if temperature == 1.0 else _reference_log_softmax(
+        [lp / temperature for lp in log_probs]
+    )
+    cumulative, acc = [], 0.0
+    for lp in scaled:
+        acc += math.exp(lp)
+        cumulative.append(acc)
+    u = random.Random(stable_hash(*key)).random()
+    for j, edge in enumerate(cumulative):
+        if u < edge:
+            return j
+    return len(cumulative) - 1
+
+
+def _reference_sequence_sample(policy, prompt, n, seed, temperature, table):
+    out = []
+    for i in range(n):
+        prefix, logps = "", []
+        for t in range(policy.max_tokens):
+            row = policy.table.log_probs(f"{prompt}\x1f{prefix}", table)
+            chosen = _reference_pick(
+                row, temperature, ("draw", seed, prompt, i, t)
+            )
+            logps.append(row[chosen])
+            token = policy.table.actions[chosen]
+            if token == policy.eos:
+                break
+            prefix += token
+        out.append(Sampled(prefix, tuple(logps)))
+    return out
+
+
+def _scrambled(policy, rng):
+    """Random live and old tables that differ from each other."""
+    for row in policy.table.logits:
+        for a in range(len(row)):
+            row[a] = rng.uniform(-2.0, 2.0)
+    policy.snapshot_old()
+    for row in policy.table.logits:
+        for a in range(len(row)):
+            row[a] += rng.uniform(-1.0, 1.0)
+    return policy
+
+
+@pytest.mark.parametrize("eos", [None, "$"])
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("table", ["cur", "old"])
+def test_sequence_draws_match_reference_stream(eos, temperature, table):
+    policy = _scrambled(_sequence_policy(eos=eos), random.Random(17))
+    for prompt, seed in (("left", 0), ("right", 123456789)):
+        got = policy.sample(prompt, 40, seed, temperature=temperature, table=table)
+        want = _reference_sequence_sample(
+            policy, prompt, 40, seed, temperature, table
+        )
+        assert got == want
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("table", ["cur", "old"])
+def test_tabular_draws_match_reference_stream(temperature, table):
+    rng = random.Random(5)
+    policy = TabularPolicy(
+        states=("s0", "s1"), actions=("a", "b", "c", "d"),
+        logits=[[rng.uniform(-2, 2) for _ in range(4)] for _ in range(2)],
+    )
+    policy.snapshot_old()
+    policy.logits[0][2] += 1.5
+    for state, seed in (("s0", 3), ("s1", 98765)):
+        row = policy.log_probs(state, table)
+        want = []
+        for i in range(60):
+            chosen = _reference_pick(row, temperature, ("draw", seed, state, i))
+            want.append(Sampled(policy.actions[chosen], (row[chosen],)))
+        got = tabular_sample(
+            policy, state, 60, seed, temperature=temperature, table=table
+        )
+        assert got == want

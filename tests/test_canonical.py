@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -116,3 +117,16 @@ def test_aromatic_single_bond_written_explicitly():
 
 def test_fragment_ordering_is_canonical():
     assert canonicalize("[Na+].[Cl-]") == canonicalize("[Cl-].[Na+]")
+
+
+def test_chains_longer_than_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        chain = canonical_smiles(parse_smiles("C" * 200))
+        comb = canonicalize("CC(O)" * 70)
+        again = canonicalize(comb)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chain == "C" * 200
+    assert again == comb

@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moltrip.chem import parse_smiles, render_random
 from moltrip.fingerprints import (
@@ -14,6 +16,7 @@ from moltrip.fingerprints import (
     FamilyMismatch,
     FeatureSet,
     dump_features,
+    extend_hash,
     morgan_features,
     path_features,
     stable_hash,
@@ -55,6 +58,17 @@ def test_stable_hash_type_framing_distinguishes():
 def test_stable_hash_rejects_other_types():
     with pytest.raises(TypeError):
         stable_hash(1.5)
+
+
+_HASH_PARTS = st.lists(
+    st.one_of(st.booleans(), st.integers(), st.text(st.characters(codec="utf-8"))),
+    max_size=5,
+)
+
+
+@given(_HASH_PARTS, _HASH_PARTS)
+def test_extend_hash_continues_stable_hash(head, tail):
+    assert extend_hash(stable_hash(*head), *tail) == stable_hash(*head, *tail)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from moltrip.chem import canonicalize
@@ -14,6 +18,7 @@ from moltrip.toy import (
     build_toy_task,
     run_toy,
 )
+from moltrip.harness import run_training
 
 
 def test_toy_corpus_geometry():
@@ -60,3 +65,23 @@ def test_toy_is_deterministic():
     a = run_toy(seed=0, max_steps=2)
     b = run_toy(seed=0, max_steps=2)
     assert a.log == b.log
+
+
+def test_toy_training_log_matches_golden_digest():
+    """A short run through both phases reproduces a pinned log byte for byte.
+
+    The digest was recorded before the sampler and snapshots were optimised,
+    so any change to the draw stream, the updates or the scoring shows here.
+    """
+    task = build_toy_task()
+    cfg = dataclasses.replace(
+        build_toy_config(seed=0), steps_per_phase=3, max_steps=12, rollout_n=16,
+    )
+    log = run_training(task.captioner, task.generator, list(task.pairs), cfg)
+    assert [r.phase for r in log.records] == (
+        ["generator"] * 3 + ["captioner"] * 3
+    ) * 2
+    body = json.dumps(log.to_records(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == (
+        "0c0693e0d07020fbe1db284b61547d33ec01c27d5677fba5cd6ea2c54d4db8e9"
+    )
