@@ -35,6 +35,9 @@ class PairRecord:
     caption: str
     id: str | None = None
     provenance: str = ""
+    # 1-based line of the file the record was loaded from; None when built
+    # in memory.  Not part of the record's identity.
+    line_no: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.smiles:
@@ -93,13 +96,13 @@ def load_pairs(path: str) -> LoadResult:
         if not line.strip():
             continue
         try:
-            records.append(reader(line))
+            records.append(reader(line, number))
         except (ValueError, KeyError) as exc:
             sidecar.append(SidecarEntry(number, line, str(exc)))
     return LoadResult(records=tuple(records), sidecar=tuple(sidecar))
 
 
-def _read_json_line(line: str) -> PairRecord:
+def _read_json_line(line: str, line_no: int) -> PairRecord:
     body = json.loads(line)
     if not isinstance(body, dict):
         raise ValueError("record is not an object")
@@ -108,14 +111,17 @@ def _read_json_line(line: str) -> PairRecord:
         caption=body.get("caption", ""),
         id=body.get("id"),
         provenance=body.get("provenance", ""),
+        line_no=line_no,
     )
 
 
-def _read_tsv_line(line: str) -> PairRecord:
+def _read_tsv_line(line: str, line_no: int) -> PairRecord:
     parts = line.split("\t")
     if len(parts) != 2:
         raise ValueError(f"expected 2 tab-separated columns, found {len(parts)}")
-    return PairRecord(smiles=parts[0].strip(), caption=parts[1].strip())
+    return PairRecord(
+        smiles=parts[0].strip(), caption=parts[1].strip(), line_no=line_no
+    )
 
 
 def write_pairs(records: list[PairRecord], path: str, fmt: str = "jsonl") -> None:
@@ -178,7 +184,11 @@ def dedupe_overlap(
     reference: list[PairRecord],
     on_parse_error: str = "drop",
 ) -> DedupeResult:
-    """Drop target records whose canonical SMILES occurs in the reference."""
+    """Drop target records whose canonical SMILES occurs in the reference.
+
+    Sidecar entries carry each record's file line, or its 1-based position
+    in its list when it was built in memory.
+    """
     if on_parse_error not in ("drop", "keep"):
         raise ValueError("on_parse_error must be 'drop' or 'keep'")
     reference_keys: set[str] = set()
@@ -187,7 +197,9 @@ def dedupe_overlap(
         try:
             reference_keys.add(canonical_smiles(parse_smiles(record.smiles)))
         except SmilesError as exc:
-            sidecar.append(SidecarEntry(i, record.smiles, f"reference: {exc}"))
+            sidecar.append(SidecarEntry(
+                record.line_no or i + 1, record.smiles, f"reference: {exc}"
+            ))
     kept: list[PairRecord] = []
     removed: list[PairRecord] = []
     overlap = 0
@@ -195,7 +207,9 @@ def dedupe_overlap(
         try:
             key = canonical_smiles(parse_smiles(record.smiles))
         except SmilesError as exc:
-            sidecar.append(SidecarEntry(i, record.smiles, f"target: {exc}"))
+            sidecar.append(SidecarEntry(
+                record.line_no or i + 1, record.smiles, f"target: {exc}"
+            ))
             if on_parse_error == "keep":
                 kept.append(record)
             else:

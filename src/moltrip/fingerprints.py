@@ -11,10 +11,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .chem import BondOrder, Molecule
+from .chem import BondOrder, Molecule, SmilesError
 
 DEFAULT_MORGAN_RADIUS = 2
 DEFAULT_PATH_LENGTH = 7
+# The most paths path_features reads before giving up on a molecule; drug-like
+# molecules of up to 45 heavy atoms have at most about 1,100 of 1..7 bonds.
+MAX_PATHS = 100_000
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -23,6 +26,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 class FamilyMismatch(ValueError):
     """Tanimoto requested between feature sets of different family/params."""
+
+
+class MoleculeTooLarge(SmilesError):
+    """The molecule has more than MAX_PATHS paths to fingerprint."""
 
 
 def extend_hash(h: int, *parts: int | str) -> int:
@@ -127,37 +134,67 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
     """Identifiers for all simple paths of 1..max_len bonds.
 
     A path reads as the (element, bond order) token sequence; the
-    lexicographically smaller of the forward and reverse readings is hashed,
-    so direction never matters.
+    lexicographically smaller of the forward and reverse readings is hashed
+    as stable_hash("path", *tokens), so direction never matters.  The walk
+    extends both readings by one bond per step and counts and hashes each
+    path once, from its lower-indexed end.  More than MAX_PATHS paths raise
+    MoleculeTooLarge, so a dense graph fails in bounded time instead of
+    walking its exponentially many paths.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    elements = [atom.element for atom in mol.atoms]
+    steps: list[list[tuple[int, str]]] = [[] for _ in elements]
+    for bond in mol.bonds:
+        steps[bond.a].append((bond.b, bond.order.value))
+        steps[bond.b].append((bond.a, bond.order.value))
+    # FNV-1a state after ("path", *tokens) for every reading hashed so far
+    # and its prefixes, so a new reading hashes only the bonds it adds
+    head = stable_hash("path")
+    states = {(element,): extend_hash(head, element) for element in set(elements)}
     features: set[int] = set()
-
-    def reading(path: list[int]) -> tuple[str, ...]:
-        tokens = [mol.atoms[path[0]].element]
-        for a, b in zip(path, path[1:]):
-            tokens.append(mol.bond_between(a, b).order.value)
-            tokens.append(mol.atoms[b].element)
-        return tuple(tokens)
-
-    def walk(path: list[int], member: set[int]) -> None:
-        if len(path) > 1:
-            tokens = min(reading(path), reading(path[::-1]))
-            features.add(stable_hash("path", *tokens))
-        if len(path) == max_len + 1:
-            return
-        for nbr in mol.neighbors(path[-1]):
-            if nbr not in member:
-                member.add(nbr)
-                path.append(nbr)
-                walk(path, member)
-                path.pop()
-                member.discard(nbr)
-
-    for start in range(len(mol.atoms)):
-        walk([start], {start})
+    on_path = [False] * len(elements)
+    emitted = 0
+    for start, element in enumerate(elements):
+        on_path[start] = True
+        # one frame per atom on the path: the atom, its untried bonds, and
+        # the forward and reverse readings of the path ending there
+        stack = [(start, iter(steps[start]), (element,), (element,))]
+        while stack:
+            atom, bonds, forward, reverse = stack[-1]
+            for nbr, order in bonds:
+                if on_path[nbr]:
+                    continue
+                fwd = forward + (order, elements[nbr])
+                rev = (elements[nbr], order) + reverse
+                if nbr > start:
+                    emitted += 1
+                    if emitted > MAX_PATHS:
+                        raise MoleculeTooLarge(
+                            f"more than {MAX_PATHS} paths of up to {max_len} bonds"
+                        )
+                    tokens = fwd if fwd <= rev else rev
+                    features.add(states.get(tokens) or _path_state(states, tokens))
+                if len(stack) < max_len:
+                    on_path[nbr] = True
+                    stack.append((nbr, iter(steps[nbr]), fwd, rev))
+                    break
+            else:
+                stack.pop()
+                on_path[atom] = False
     return FeatureSet(frozenset(features), "path", (max_len,))
+
+
+def _path_state(states: dict[tuple[str, ...], int], tokens: tuple[str, ...]) -> int:
+    """Hash state of a reading, extended from its longest memoised prefix."""
+    pending = []
+    while tokens not in states:
+        pending.append(tokens)
+        tokens = tokens[:-2]
+    state = states[tokens]
+    for prefix in reversed(pending):
+        state = states[prefix] = extend_hash(state, prefix[-2], prefix[-1])
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 from .chem import SmilesError, canonical_smiles, check_validity, parse_smiles
 from .errors import EmptyCollection, LengthMismatch
-from .fingerprints import morgan_features, path_features, structural_keys, tanimoto
+from .fingerprints import (
+    MoleculeTooLarge,
+    morgan_features,
+    path_features,
+    structural_keys,
+    tanimoto,
+)
 
 _BLEU_EPSILON = 1e-9
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -58,7 +64,10 @@ def reconstruction_score(x: str, x_prime: str) -> ScoreBreakdown:
 
     Invalid candidates gate the whole score to zero.  Otherwise the total is
     the sum of the three Tanimoto similarities plus 1 for an exact canonical
-    match, so the identity case scores exactly 4.0.
+    match, so the identity case scores exactly 4.0.  A molecule with too many
+    paths to fingerprint (MoleculeTooLarge) scores zero as a candidate and
+    raises InvalidReference as the reference; the reference's fingerprints
+    are computed only once the candidate passes the validity gate.
     """
     try:
         reference = parse_smiles(x)
@@ -74,7 +83,15 @@ def reconstruction_score(x: str, x_prime: str) -> ScoreBreakdown:
 
     exact = canonical_smiles(reference) == canonical_smiles(candidate)
     t_keys = tanimoto(structural_keys(reference), structural_keys(candidate))
-    t_path = tanimoto(path_features(reference), path_features(candidate))
+    try:
+        reference_paths = path_features(reference)
+    except MoleculeTooLarge as exc:
+        raise InvalidReference(f"reference is too large: {exc}") from exc
+    try:
+        candidate_paths = path_features(candidate)
+    except MoleculeTooLarge:
+        return _ZERO_SCORE
+    t_path = tanimoto(reference_paths, candidate_paths)
     t_morgan = tanimoto(morgan_features(reference), morgan_features(candidate))
     s_sim = t_keys + t_path + t_morgan
     return ScoreBreakdown(

@@ -111,6 +111,11 @@ def _canonical_ball(mol: Molecule, center: int, radius: int) -> str:
 
 def count_distinct_paths(mol: Molecule, max_len: int) -> int:
     """Distinct canonical (element, bond-order) path readings of 1..max_len bonds."""
+    return len(path_readings(mol, max_len))
+
+
+def path_readings(mol: Molecule, max_len: int) -> set[tuple]:
+    """Canonical readings of every simple path of 1..max_len bonds."""
     seen: set[tuple] = set()
 
     def walk(path: list[int]) -> None:
@@ -124,7 +129,7 @@ def count_distinct_paths(mol: Molecule, max_len: int) -> int:
 
     for start in range(len(mol.atoms)):
         walk([start])
-    return len(seen)
+    return seen
 
 
 def _path_reading(mol: Molecule, path: list[int]) -> tuple:

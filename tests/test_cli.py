@@ -105,6 +105,13 @@ def test_fp_dump_is_stable_and_parameterized(capsys):
     assert capsys.readouterr().out != first
 
 
+def test_dense_molecule_scores_zero_and_fp_fails_typed(dense_k10, capsys):
+    assert main(["score", "--ref", "C", "--hyp", dense_k10]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["total 0.0", "valid false"]
+    assert main(["fp", "--family", "path", dense_k10]) == 1
+    assert capsys.readouterr().err.startswith("MoleculeTooLarge:")
+
+
 # ---------------------------------------------------------------------------
 # batch commands
 
@@ -160,6 +167,27 @@ def test_dedupe_reports_overlap(tmp_path, capsys):
     assert "kept 1" in stdout and "removed 1" in stdout
     assert "overlap_fraction 0.5" in stdout
     assert out.read_text().count("\n") == 1
+
+
+def test_dedupe_sidecar_names_file_lines(tmp_path, capsys):
+    target = tmp_path / "t.jsonl"
+    target.write_text("\n".join([
+        json.dumps({"smiles": "CCO", "caption": "a"}),
+        "",
+        "",
+        json.dumps({"smiles": "C1CC", "caption": "b"}),
+        json.dumps({"smiles": "CCN", "caption": "c"}),
+    ]) + "\n")
+    reference = tmp_path / "r.jsonl"
+    reference.write_text("\n" + json.dumps({"smiles": "C(", "caption": "d"}) + "\n")
+    sidecar = tmp_path / "sidecar.tsv"
+    assert main([
+        "dedupe", "--target", str(target), "--reference", str(reference),
+        "--out", str(tmp_path / "kept.jsonl"), "--sidecar", str(sidecar),
+    ]) == 0
+    lines = sidecar.read_text().splitlines()
+    assert [line.split("\t")[:2] for line in lines] == [["2", "C("], ["4", "C1CC"]]
+    assert "kept 2" in capsys.readouterr().out
 
 
 def test_filter_separates_scrambled_pairs(tmp_path, capsys):

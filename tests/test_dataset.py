@@ -213,6 +213,23 @@ def test_dedupe_reference_parse_error_recorded_not_fatal():
     assert len(result.sidecar) == 1
 
 
+def test_dedupe_sidecar_falls_back_to_record_position():
+    target = [
+        PairRecord(smiles="CCO", caption="a"),
+        PairRecord(smiles="C(", caption="b"),
+    ]
+    result = dedupe_overlap(target, [PairRecord(smiles="CCN", caption="z")])
+    assert [e.line_no for e in result.sidecar] == [2]
+
+
+def test_loaded_records_keep_their_file_line(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_text("CCO\ta\n\n\nCCN\tb\n")
+    records = load_pairs(str(path)).records
+    assert [r.line_no for r in records] == [1, 4]
+    assert records[1] == PairRecord(smiles="CCN", caption="b")
+
+
 # ---------------------------------------------------------------------------
 # diagnostic filter
 

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moltrip.chem import parse_smiles, render_random
+from moltrip import fingerprints
+from moltrip.chem import SmilesError, check_validity, parse_smiles, render_random
 from moltrip.fingerprints import (
+    DEFAULT_PATH_LENGTH,
     KEY_CATALOG,
     KEY_NAMES,
     FamilyMismatch,
     FeatureSet,
+    MoleculeTooLarge,
     dump_features,
     extend_hash,
     morgan_features,
@@ -23,7 +28,7 @@ from moltrip.fingerprints import (
     structural_keys,
     tanimoto,
 )
-from oracles import count_distinct_paths, count_morgan_environments
+from oracles import count_distinct_paths, count_morgan_environments, path_readings
 
 SMALL = ["C", "CCO", "CC(C)C", "C1CC1", "c1ccccc1", "CC=O", "C#N", "CCCl"]
 
@@ -131,6 +136,96 @@ def test_path_distinguishes_bond_orders():
 def test_path_rejects_zero_length():
     with pytest.raises(ValueError):
         path_features(parse_smiles("CC"), max_len=0)
+
+
+# sha256 of dump_features(path_features(...)) for drug-like molecules of 15 to
+# 45 heavy atoms, computed with the path walk that recursed from both ends and
+# rebuilt both readings at every step.
+PINNED_PATH_DIGESTS = {
+    "FCc1c(OCc2ccnnc2)nco1":
+        "89bbacc44d2d2d4e0ec5afd6e1652697924ec7caced3487f68b9d06ef963acf0",
+    "c1c(c[nH]c1)CNC1C(C#N)CC(CC1CC(C)C)F":
+        "a121b9bd5088f517fbdb90ad991fc4971465dfb048e6731b62e9d6e966faf164",
+    "c1c(coc1)-c1c2c(cc(C(Nc3c(O)cccn3)=O)c1)cc(nc2)C":
+        "4fa7252ddccf623acfe201f3700902ed0016cd8bd56c78967dfc4df1a22e30e4",
+    "c1ncnc(C(NCc2c(ccc3c2ccs3)S(=O)(N(C2CCOCC2)Br)=O)=O)c1":
+        "ff01c7e12d3ea9ffbca3ec852ded342f0efe50e53e2f8d42b5b5821797b60dd8",
+    "c12ccccc1c(N1CCCC1)nc(n2)-c1ccc(c2cc(C)ccc21)-c1cnc2c(cccc2SC)n1":
+        "dce4c8fcbb135482eee736806f53edf79ee477f6c4f34aa4a426152cf6eaeb6c",
+    "C(=O)(O)C1C(C(C(S(=O)(=O)C)CN1S(=O)(C)=O)CC(c1ccc(nn1)CNCc1c(-c2scnc2)"
+    "c(Br)c2ccsc2c1)Cl)O":
+        "7e448cb392edba00a9b02184590901727fce7786c738575634bb92e687114f78",
+}
+
+# sha256 over the dumps of every valid corpus molecule in file order, each
+# followed by a blank line; computed with the same earlier walk.
+PINNED_CORPUS_PATH_DIGEST = (
+    "986c1caa2994c439e9f8cd463886b2f9818fabfad898ce0eb0af80bc4c569ac0"
+)
+
+
+@pytest.mark.parametrize("smiles", sorted(PINNED_PATH_DIGESTS))
+def test_path_ids_pinned_on_druglike_molecules(smiles):
+    dump = dump_features(path_features(parse_smiles(smiles)))
+    assert hashlib.sha256(dump.encode()).hexdigest() == PINNED_PATH_DIGESTS[smiles]
+
+
+def test_path_ids_pinned_on_corpus(corpus):
+    digest = hashlib.sha256()
+    valid = [s for s in corpus if check_validity(s).is_valid]
+    assert len(valid) == 200
+    for smiles in valid:
+        digest.update(dump_features(path_features(parse_smiles(smiles))).encode())
+        digest.update(b"\n\n")
+    assert digest.hexdigest() == PINNED_CORPUS_PATH_DIGEST
+
+
+@given(
+    index=st.integers(0, 199),
+    max_len=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_ids_match_longhand_walk_in_any_atom_order(corpus, index, max_len, seed):
+    mol = parse_smiles(corpus[index])
+    respelled = parse_smiles(render_random(mol, random.Random(seed)))
+    expected = {
+        stable_hash("path", *reading) for reading in path_readings(respelled, max_len)
+    }
+    assert path_features(respelled, max_len).features == expected
+    assert path_features(respelled, max_len) == path_features(mol, max_len)
+
+
+def test_dense_k10_passes_the_validity_gate(dense_k10):
+    assert len(dense_k10) == 256
+    assert check_validity(dense_k10).is_valid
+    mol = parse_smiles(dense_k10)
+    assert len(mol.atoms) == 10 and len(mol.bonds) == 45
+
+
+def test_path_cap_raises_typed_error_in_bounded_time(dense_k10):
+    mol = parse_smiles(dense_k10)
+    start = time.process_time()
+    with pytest.raises(MoleculeTooLarge) as err:
+        path_features(mol)
+    assert time.process_time() - start < 2.0
+    assert isinstance(err.value, SmilesError)
+    assert str(fingerprints.MAX_PATHS) in str(err.value)
+
+
+def test_path_cap_counts_each_path_once(monkeypatch):
+    # CCCC has 3 + 2 + 1 paths of 1, 2 and 3 bonds
+    mol = parse_smiles("CCCC")
+    monkeypatch.setattr(fingerprints, "MAX_PATHS", 6)
+    assert len(path_features(mol)) == 3
+    monkeypatch.setattr(fingerprints, "MAX_PATHS", 5)
+    with pytest.raises(MoleculeTooLarge):
+        path_features(mol)
+    assert len(path_features(mol, max_len=2)) == 2
+
+
+def test_path_features_answer_on_a_long_chain():
+    fs = path_features(parse_smiles("C" * 1200))
+    assert len(fs) == DEFAULT_PATH_LENGTH
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -56,6 +57,21 @@ def test_invalid_reference_raises():
         reconstruction_score("C(", "CCO")
     with pytest.raises(InvalidReference):
         reconstruction_score("N(C)(C)(C)C", "CCO")
+
+
+def test_too_large_candidate_scores_zero_in_bounded_time(dense_k10):
+    start = time.process_time()
+    score = reconstruction_score("C", dense_k10)
+    assert time.process_time() - start < 2.0
+    assert score == ScoreBreakdown(
+        valid=False, exact=False, t_keys=0.0, t_path=0.0, t_morgan=0.0,
+        s_sim=0.0, total=0.0,
+    )
+
+
+def test_too_large_reference_raises(dense_k10):
+    with pytest.raises(InvalidReference, match="too large"):
+        reconstruction_score(dense_k10, "C")
 
 
 def test_cco_ccn_components_match_oracles():
