@@ -56,7 +56,7 @@ print(f"  current moved down     -> {kl_estimate(drift_up, cur_down):.6f}")
 
 print()
 print("= assembling a group objective =")
-cfg = GrpoConfig(epsilon=0.2, beta=1e-3, group_size=4)
+cfg = GrpoConfig(epsilon=0.2, beta=1e-3)
 
 
 def completion(text: str, reward: float, cur: float, old: float, ref: float) -> Completion:
@@ -94,5 +94,5 @@ print(f"  group objective J = {objective:+.6f}")
 print()
 print("= the beta knob trades reward chasing against reference drift =")
 for beta in (0.0, 1e-3, 1.0, 10.0):
-    value = group_objective(group, GrpoConfig(epsilon=0.2, beta=beta, group_size=4))
+    value = group_objective(group, GrpoConfig(epsilon=0.2, beta=beta))
     print(f"  beta {beta:6.3f}  ->  J = {value:+.6f}")

@@ -1,11 +1,13 @@
 """Captioner/generator adapters: scripted mocks, tabular policies, remote LLM.
 
-One contract covers all three backends: caption() maps a molecule string to
-sampled caption texts, generate() maps a caption to sampled molecule
-strings, and each sample carries exact per-token log-probabilities when the
-backend can provide them.  Tabular softmax policies additionally support
-exact-gradient GRPO updates, which is what makes the desk-scale training
-loop verifiable.
+Mocks and the remote backend share two duck-typed methods: caption() maps a
+molecule string to sampled caption texts, and generate() maps a caption to
+sampled molecule strings.  The two softmax policies share another:
+sample() draws completions with exact per-token log-probabilities, and
+grpo_step() ascends the exact GRPO objective.  Both policies reduce a
+completion to a walk of (context row, action) steps over one logit table,
+so one objective and one gradient serve them both; that exactness is what
+makes the desk-scale training loop verifiable.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass, field, replace
 
 import requests
 
 from .chem import canonical_smiles, check_validity, parse_smiles
 from .fingerprints import extend_hash, stable_hash
-from .grpo import Completion, GrpoConfig, RolloutGroup, group_objective
+from .grpo import GrpoConfig, RolloutGroup, group_objective
 
 API_KEY_VAR = "RTMOL_API_KEY"
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -68,26 +69,11 @@ class Sampled:
     logps: tuple[float, ...] | None = None
 
 
-@runtime_checkable
-class AdapterContract(Protocol):
-    supports_training: bool
-
-    def caption(
-        self, molecule: str, n: int, temperature: float = 1.0
-    ) -> list[Sampled]: ...
-
-    def generate(
-        self, caption: str, n: int, temperature: float = 1.0
-    ) -> list[Sampled]: ...
-
-
 # ---------------------------------------------------------------------------
 # scripted mocks
 
 class ScriptedAdapter:
     """Deterministic lookup-table adapter for tests and demos."""
-
-    supports_training = False
 
     def __init__(self, caption_map: dict[str, str], generate_map: dict[str, str]):
         self._captions = {
@@ -113,8 +99,6 @@ class EchoAdapter:
     The degenerate but perfectly aligned system: every round trip is exact
     by construction, which pins the top line of the evaluation report.
     """
-
-    supports_training = False
 
     def caption(self, molecule, n, temperature=1.0):
         text = canonical_smiles(parse_smiles(molecule))
@@ -203,6 +187,19 @@ class TabularPolicy:
         self.old_snapshot_id += 1
         return self.old_snapshot_id
 
+    def walk(self, prompt: str, text: str) -> Walk:
+        """The single (state row, action) step a whole-string completion took."""
+        return [(self.state_index(prompt), self.action_index(text))]
+
+    def sample(self, prompt: str, n: int, seed: int, temperature: float = 1.0,
+               table: str = "cur") -> list[Sampled]:
+        return tabular_sample(self, prompt, n, seed, temperature, table)
+
+    def grpo_step(
+        self, groups: list[RolloutGroup], cfg: GrpoConfig, lr: float
+    ) -> "TabularPolicy":
+        return tabular_grpo_step(self, groups, cfg, lr)
+
 
 def tabular_sample(
     policy: TabularPolicy,
@@ -240,6 +237,13 @@ def tabular_sample(
     return out
 
 
+# ---------------------------------------------------------------------------
+# the GRPO core, written once over walks: the (row, action) index pairs a
+# completion took through a logit table, one per token (stop included)
+
+Walk = list[tuple[int, int]]
+
+
 def _clip_slope(ratio: float, advantage: float, epsilon: float) -> float:
     """d/dr of min{r*A, clamp(r)*A} away from the kink points."""
     clamped = max(min(ratio, 1.0 + epsilon), 1.0 - epsilon)
@@ -250,81 +254,99 @@ def _clip_slope(ratio: float, advantage: float, epsilon: float) -> float:
     return 0.0
 
 
+def _check_group(table: TabularPolicy, group: RolloutGroup) -> None:
+    if group.advantages is None:
+        raise ValueError("group advantages not filled")
+    if group.snapshot_id is not None and group.snapshot_id != table.old_snapshot_id:
+        raise StaleSnapshot(
+            f"group snapshot {group.snapshot_id} != "
+            f"policy old snapshot {table.old_snapshot_id}"
+        )
+
+
+def _objective(
+    table: TabularPolicy, groups: list[RolloutGroup], walk, cfg: GrpoConfig
+) -> float:
+    """Total J over groups, each walk's log-probs read from the three tables."""
+    total = 0.0
+    for group in groups:
+        _check_group(table, group)
+        completions = []
+        for c in group.completions:
+            steps = walk(group.prompt_id, c.text)
+            cur, old, ref = (
+                tuple(_log_softmax(rows[s])[a] for s, a in steps)
+                for rows in (table.logits, table.old_logits, table.ref_logits)
+            )
+            completions.append(replace(c, logp_cur=cur, logp_old=old, logp_ref=ref))
+        total += group_objective(replace(group, completions=tuple(completions)), cfg)
+    return total
+
+
+def _gradient(
+    table: TabularPolicy, groups: list[RolloutGroup], walk, cfg: GrpoConfig
+) -> dict[int, list[float]]:
+    """Exact gradient of the total objective, sparse over touched rows.
+
+    One step over a softmax row admits the closed form
+    dJ/dz[s,a'] = coeff * (1[a'=a] - pi_cur(a'|s)) with
+    coeff = clip_slope * ratio + beta * (exp(d) - 1), scaled by the
+    completion's 1/|walk| length normalizer.
+    """
+    width = len(table.actions)
+    grad: dict[int, list[float]] = {}
+    rows: dict[int, tuple[list[float], ...]] = {}
+    for group in groups:
+        _check_group(table, group)
+        for completion, advantage in zip(group.completions, group.advantages):
+            steps = walk(group.prompt_id, completion.text)
+            scale = 1.0 / len(steps)
+            for s, a in steps:
+                if s not in rows:
+                    cur = _log_softmax(table.logits[s])
+                    rows[s] = (
+                        cur,
+                        _log_softmax(table.old_logits[s]),
+                        _log_softmax(table.ref_logits[s]),
+                        [math.exp(lp) for lp in cur],
+                    )
+                cur, old, ref, probs = rows[s]
+                ratio = math.exp(cur[a] - old[a])
+                d = ref[a] - cur[a]
+                coeff = scale * (
+                    _clip_slope(ratio, advantage, cfg.epsilon) * ratio
+                    + cfg.beta * (math.exp(d) - 1.0)
+                )
+                if coeff == 0.0:
+                    continue
+                row = grad.setdefault(s, [0.0] * width)
+                for ap in range(width):
+                    row[ap] += coeff * ((1.0 if ap == a else 0.0) - probs[ap])
+    return grad
+
+
+def _ascend(table: TabularPolicy, grad_rows, lr: float) -> None:
+    """Add lr times each (row index, gradient row) pair to the live logits."""
+    for s, row in grad_rows:
+        live = table.logits[s]
+        for a in range(len(row)):
+            live[a] += lr * row[a]
+
+
 def tabular_objective(
     policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> float:
     """Total J over groups with log-probs taken from the policy tables."""
-    total = 0.0
-    for group in groups:
-        _check_group(policy, group)
-        state = group.prompt_id
-        cur = policy.log_probs(state, "cur")
-        old = policy.log_probs(state, "old")
-        ref = policy.log_probs(state, "ref")
-        completions = tuple(
-            Completion(
-                text=c.text,
-                reward=c.reward,
-                logp_cur=(cur[policy.action_index(c.text)],),
-                logp_old=(old[policy.action_index(c.text)],),
-                logp_ref=(ref[policy.action_index(c.text)],),
-            )
-            for c in group.completions
-        )
-        total += group_objective(
-            RolloutGroup(
-                prompt_id=group.prompt_id,
-                completions=completions,
-                advantages=group.advantages,
-                degenerate=group.degenerate,
-                snapshot_id=group.snapshot_id,
-            ),
-            cfg,
-        )
-    return total
-
-
-def _check_group(policy: TabularPolicy, group: RolloutGroup) -> None:
-    if group.advantages is None:
-        raise ValueError("group advantages not filled")
-    if group.snapshot_id is not None and group.snapshot_id != policy.old_snapshot_id:
-        raise StaleSnapshot(
-            f"group snapshot {group.snapshot_id} != "
-            f"policy old snapshot {policy.old_snapshot_id}"
-        )
+    return _objective(policy, groups, policy.walk, cfg)
 
 
 def tabular_gradient(
     policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> list[list[float]]:
-    """Exact gradient of the total objective with respect to the live logits.
-
-    Single-token completions over a softmax row admit the closed form
-    dJ/dz[s,a'] = sum_i coeff_i * (1[a'=a_i] - pi_cur(a'|s)) with
-    coeff_i = clip_slope * ratio_i + beta * (exp(d_i) - 1).
-    """
-    grad = [[0.0] * len(policy.actions) for _ in policy.states]
-    for group in groups:
-        _check_group(policy, group)
-        s = policy.state_index(group.prompt_id)
-        cur = _log_softmax(policy.logits[s])
-        old = _log_softmax(policy.old_logits[s])
-        ref = _log_softmax(policy.ref_logits[s])
-        probs = [math.exp(lp) for lp in cur]
-        for completion, advantage in zip(group.completions, group.advantages):
-            a = policy.action_index(completion.text)
-            ratio = math.exp(cur[a] - old[a])
-            d = ref[a] - cur[a]
-            coeff = (
-                _clip_slope(ratio, advantage, cfg.epsilon) * ratio
-                + cfg.beta * (math.exp(d) - 1.0)
-            )
-            if coeff == 0.0:
-                continue
-            row = grad[s]
-            for ap in range(len(policy.actions)):
-                row[ap] += coeff * ((1.0 if ap == a else 0.0) - probs[ap])
-    return grad
+    """Exact gradient of the total objective, dense over every state row."""
+    sparse = _gradient(policy, groups, policy.walk, cfg)
+    width = len(policy.actions)
+    return [sparse.get(s, [0.0] * width) for s in range(len(policy.states))]
 
 
 def tabular_grpo_step(
@@ -334,11 +356,7 @@ def tabular_grpo_step(
     lr: float,
 ) -> TabularPolicy:
     """Ascend the exact objective gradient in place; returns the policy."""
-    grad = tabular_gradient(policy, groups, cfg)
-    for s in range(len(policy.states)):
-        row = policy.logits[s]
-        for a in range(len(policy.actions)):
-            row[a] += lr * grad[s][a]
+    _ascend(policy, enumerate(tabular_gradient(policy, groups, cfg)), lr)
     return policy
 
 
@@ -399,8 +417,8 @@ class TokenSequencePolicy:
     def snapshot_old(self) -> int:
         return self.table.snapshot_old()
 
-    def _tokens(self, text: str) -> list[str]:
-        """Token walk a completion text took, including the stop if drawn."""
+    def walk(self, prompt: str, text: str) -> Walk:
+        """(context row, token) steps a completion took, the stop included if drawn."""
         toks = list(text)
         for tok in toks:
             if tok not in self.vocab:
@@ -411,7 +429,11 @@ class TokenSequencePolicy:
             if self.eos is None:
                 raise UnknownState(f"text shorter than {self.max_tokens} tokens")
             toks.append(self.eos)
-        return toks
+        return [
+            (self.table.state_index(self._encode(prompt, text[:t])),
+             self.table.action_index(tok))
+            for t, tok in enumerate(toks)
+        ]
 
     def sample(
         self,
@@ -457,95 +479,20 @@ class TokenSequencePolicy:
             out.append(Sampled(prefix, tuple(logps)))
         return out
 
-    def _rebuilt(self, group: RolloutGroup) -> RolloutGroup:
-        completions = []
-        for c in group.completions:
-            logps = {"cur": [], "old": [], "ref": []}
-            prefix = ""
-            for tok in self._tokens(c.text):
-                ctx = self._encode(group.prompt_id, prefix)
-                a = self.table.action_index(tok)
-                for name in logps:
-                    logps[name].append(self.table.log_probs(ctx, name)[a])
-                if tok != self.eos:
-                    prefix += tok
-            completions.append(Completion(
-                text=c.text,
-                reward=c.reward,
-                logp_cur=tuple(logps["cur"]),
-                logp_old=tuple(logps["old"]),
-                logp_ref=tuple(logps["ref"]),
-            ))
-        return RolloutGroup(
-            prompt_id=group.prompt_id,
-            completions=tuple(completions),
-            advantages=group.advantages,
-            degenerate=group.degenerate,
-            snapshot_id=group.snapshot_id,
-        )
-
     def objective(self, groups: list[RolloutGroup], cfg: GrpoConfig) -> float:
         """Total J over groups with per-token log-probs from the tables."""
-        total = 0.0
-        for group in groups:
-            _check_group(self.table, group)
-            total += group_objective(self._rebuilt(group), cfg)
-        return total
+        return _objective(self.table, groups, self.walk, cfg)
 
     def gradient(
         self, groups: list[RolloutGroup], cfg: GrpoConfig
     ) -> dict[int, list[float]]:
-        """Exact objective gradient, sparse over touched context rows.
-
-        The single-token closed form applies per drawn token, scaled by the
-        completion's 1/|y| length normalizer.
-        """
-        width = len(self.table.actions)
-        grad: dict[int, list[float]] = {}
-        rows: dict[int, tuple[list[float], ...]] = {}
-        for group in groups:
-            _check_group(self.table, group)
-            for completion, advantage in zip(group.completions, group.advantages):
-                toks = self._tokens(completion.text)
-                scale = 1.0 / len(toks)
-                prefix = ""
-                for tok in toks:
-                    s = self.table.state_index(
-                        self._encode(group.prompt_id, prefix)
-                    )
-                    if s not in rows:
-                        cur = _log_softmax(self.table.logits[s])
-                        rows[s] = (
-                            cur,
-                            _log_softmax(self.table.old_logits[s]),
-                            _log_softmax(self.table.ref_logits[s]),
-                            [math.exp(lp) for lp in cur],
-                        )
-                    cur, old, ref, probs = rows[s]
-                    a = self.table.action_index(tok)
-                    ratio = math.exp(cur[a] - old[a])
-                    d = ref[a] - cur[a]
-                    coeff = scale * (
-                        _clip_slope(ratio, advantage, cfg.epsilon) * ratio
-                        + cfg.beta * (math.exp(d) - 1.0)
-                    )
-                    if tok != self.eos:
-                        prefix += tok
-                    if coeff == 0.0:
-                        continue
-                    row = grad.setdefault(s, [0.0] * width)
-                    for ap in range(width):
-                        row[ap] += coeff * ((1.0 if ap == a else 0.0) - probs[ap])
-        return grad
+        """Exact objective gradient, sparse over touched context rows."""
+        return _gradient(self.table, groups, self.walk, cfg)
 
     def grpo_step(
         self, groups: list[RolloutGroup], cfg: GrpoConfig, lr: float
     ) -> "TokenSequencePolicy":
-        grad = self.gradient(groups, cfg)
-        for s, row in grad.items():
-            live = self.table.logits[s]
-            for a in range(len(row)):
-                live[a] += lr * row[a]
+        _ascend(self.table, self.gradient(groups, cfg).items(), lr)
         return self
 
 
@@ -676,9 +623,7 @@ def load_prompts(path: str | None = None) -> dict[str, str]:
 
 
 class RemoteAdapter:
-    """AdapterContract over a RemoteClient plus prompt templates."""
-
-    supports_training = False
+    """caption() and generate() over a RemoteClient plus prompt templates."""
 
     def __init__(self, client: RemoteClient, prompts: dict[str, str] | None = None):
         self._client = client

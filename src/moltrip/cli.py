@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
 # plumbing
 
 def _pool_map(fn, items, workers: int) -> list:
-    """Order-preserving map over a bounded worker pool."""
+    """Order-preserving map over a bounded thread pool, for calls that wait on I/O."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -178,7 +178,7 @@ def _add_remote_flags(sub) -> None:
 # subcommands
 
 def cmd_canon(args) -> int:
-    lines = _pool_map(canonicalize, args.smiles, args.workers)
+    lines = [canonicalize(text) for text in args.smiles]
     _emit(args, "\n".join(lines))
     return 0
 
@@ -194,7 +194,7 @@ def cmd_validate(args) -> int:
         )
         return False, f"INVALID\t{text}\t{reasons}"
 
-    results = _pool_map(verdict, args.smiles, args.workers)
+    results = [verdict(text) for text in args.smiles]
     _emit(args, "\n".join(line for _, line in results))
     return 0 if all(ok for ok, _ in results) else 1
 
@@ -210,7 +210,7 @@ def cmd_fp(args) -> int:
             fs = morgan_features(mol, radius=args.radius)
         return dump_features(fs)
 
-    blocks = _pool_map(one, args.smiles, args.workers)
+    blocks = [one(text) for text in args.smiles]
     _emit(args, "\n\n".join(blocks))
     return 0
 
@@ -229,17 +229,19 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     pairs = _load(args.pairs)
     adapter = _generator_adapter(args)
-
-    def one(pair: PairRecord) -> RoundTripSample:
-        text = adapter.generate(pair.caption, 1, args.temperature)[0].text
-        return RoundTripSample(
+    texts = _pool_map(
+        lambda pair: adapter.generate(pair.caption, 1, args.temperature)[0].text,
+        pairs, args.workers,
+    )
+    samples = [
+        RoundTripSample(
             original=pair.smiles,
             caption=pair.caption,
             reconstruction=text,
             score=reconstruction_score(pair.smiles, text),
         )
-
-    samples = _pool_map(one, pairs, args.workers)
+        for pair, text in zip(pairs, texts)
+    ]
     report = aggregate_report(samples)
     rate = round_trip_rate(samples)
     lines = [f"samples {report.samples}"]
@@ -318,30 +320,27 @@ def cmd_train_toy(args) -> int:
 def cmd_annotate(args) -> int:
     pairs = _load(args.pairs)
     adapter = _remote_adapter(args)
+    draws = _pool_map(
+        lambda pair: adapter.generate(pair.caption, args.n, args.temperature),
+        pairs, args.workers,
+    )
     tagged: list[TaggedGroup] = []
-    completions_total = 0
-
-    def one(indexed: tuple[int, PairRecord]) -> TaggedGroup:
-        j, pair = indexed
-        draws = adapter.generate(pair.caption, args.n, args.temperature)
+    for j, (pair, group_draws) in enumerate(zip(pairs, draws)):
         completions = tuple(
             Completion(
                 text=d.text,
                 reward=reconstruction_score(pair.smiles, d.text).total,
             )
-            for d in draws
+            for d in group_draws
         )
-        group = fill_advantages(RolloutGroup(
-            prompt_id=pair.caption, completions=completions,
-        ))
-        return TaggedGroup(
+        tagged.append(TaggedGroup(
             group_id=f"annotate-{args.seed}-{pair.id or j}",
             phase="generator",
             reference=pair.smiles,
-            group=group,
-        )
-
-    tagged = _pool_map(one, enumerate(pairs), args.workers)
+            group=fill_advantages(RolloutGroup(
+                prompt_id=pair.caption, completions=completions,
+            )),
+        ))
     completions_total = sum(len(t.group.completions) for t in tagged)
     export_rollouts(tagged, args.out)
     print(f"groups {len(tagged)}")
@@ -378,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, command=name)
         p.add_argument("--config", default=None,
                        help="key = value file; its [section] overrides flags")
-        p.add_argument("--workers", type=int, default=1)
         return p
 
     p = sub("canon", cmd_canon, help="canonicalize SMILES strings")
@@ -405,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--generator", choices=("echo", "remote"), default="echo")
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+    p.add_argument("--workers", type=int, default=1)
     _add_remote_flags(p)
 
     p = sub("split", cmd_split, help="seeded train/val/test split")
@@ -430,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--generator", choices=("echo", "remote"), default="echo")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--rejected", default=None)
     p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
@@ -449,6 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.add_argument("--workers", type=int, default=1)
     _add_remote_flags(p)
 
     theory = subs.add_parser("theory", help="bound verification")
@@ -456,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = theory_subs.add_parser("check", help="verify the bound chain on random systems")
     p.set_defaults(func=cmd_theory_check, command="theory-check")
     p.add_argument("--config", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--systems", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--max-size", type=int, default=6)

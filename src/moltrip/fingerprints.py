@@ -303,25 +303,12 @@ def _methyl(mol: Molecule) -> bool:
     )
 
 
-def _has_bond(elem_a: str, order: BondOrder, elem_b: str):
+def _has_bond(elem_a: str, order: BondOrder | None, elem_b: str):
+    """A bond of the given order (any order when None) joins the two elements."""
     def predicate(mol: Molecule) -> bool:
         for bond in mol.bonds:
-            if bond.order is not order:
+            if order is not None and bond.order is not order:
                 continue
-            pair = {mol.atoms[bond.a].element, mol.atoms[bond.b].element}
-            if elem_a == elem_b:
-                if pair == {elem_a}:
-                    return True
-            elif pair == {elem_a, elem_b}:
-                return True
-        return False
-
-    return predicate
-
-
-def _adjacent(elem_a: str, elem_b: str):
-    def predicate(mol: Molecule) -> bool:
-        for bond in mol.bonds:
             pair = {mol.atoms[bond.a].element, mol.atoms[bond.b].element}
             if elem_a == elem_b:
                 if pair == {elem_a}:
@@ -436,7 +423,7 @@ KEY_CATALOG: tuple[tuple[str, object], ...] = (
     ("alkyne C#C", _has_bond("C", BondOrder.TRIPLE, "C")),
     ("nitrile C#N", _has_bond("C", BondOrder.TRIPLE, "N")),
     ("imine C=N", _has_bond("C", BondOrder.DOUBLE, "N")),
-    ("N bonded to O", _adjacent("N", "O")),
+    ("N bonded to O", _has_bond("N", None, "O")),
     ("S=O", _has_bond("S", BondOrder.DOUBLE, "O")),
     ("P=O", _has_bond("P", BondOrder.DOUBLE, "O")),
     ("hydroxyl O-H", _element_with_h("O")),

@@ -15,7 +15,6 @@ from .errors import LengthMismatch
 
 DEFAULT_EPSILON = 0.2
 DEFAULT_BETA = 1e-3
-DEFAULT_GROUP_SIZE = 32
 
 
 class GroupTooSmall(ValueError):
@@ -56,18 +55,12 @@ class RolloutGroup:
 class GrpoConfig:
     epsilon: float = DEFAULT_EPSILON
     beta: float = DEFAULT_BETA
-    group_size: int = DEFAULT_GROUP_SIZE
-    std_mode: str = "population"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if self.std_mode != "population":
-            raise ValueError("only population std is implemented")
 
 
 def group_advantages(rewards: list[float]) -> tuple[list[float], bool]:

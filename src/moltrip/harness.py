@@ -15,14 +15,7 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 
-from .adapters import (
-    AdapterFailure,
-    Sampled,
-    TabularPolicy,
-    TokenSequencePolicy,
-    tabular_grpo_step,
-    tabular_sample,
-)
+from .adapters import AdapterFailure, TabularPolicy, TokenSequencePolicy
 from .dataset import IoFailure, PairRecord
 from .fingerprints import stable_hash
 from .grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
@@ -159,20 +152,8 @@ def _stats(
     )
 
 
+# Both expose sample(), snapshot_old(), old_snapshot_id and grpo_step().
 Policy = TabularPolicy | TokenSequencePolicy
-
-
-def _sample(
-    policy: Policy,
-    state: str,
-    n: int,
-    seed: int,
-    temperature: float = 1.0,
-    table: str = "cur",
-) -> list[Sampled]:
-    if isinstance(policy, TokenSequencePolicy):
-        return policy.sample(state, n, seed, temperature=temperature, table=table)
-    return tabular_sample(policy, state, n, seed, temperature=temperature, table=table)
 
 
 def _apply_updates(
@@ -182,11 +163,7 @@ def _apply_updates(
 ) -> None:
     for _ in range(cfg.update_epochs):
         for start in range(0, len(groups), cfg.mini_batch):
-            chunk = groups[start:start + cfg.mini_batch]
-            if isinstance(policy, TokenSequencePolicy):
-                policy.grpo_step(chunk, cfg.grpo, cfg.lr)
-            else:
-                tabular_grpo_step(policy, chunk, cfg.grpo, cfg.lr)
+            policy.grpo_step(groups[start:start + cfg.mini_batch], cfg.grpo, cfg.lr)
 
 
 def generator_phase(
@@ -204,8 +181,8 @@ def generator_phase(
     breakdowns: list[ScoreBreakdown] = []
     for j, pair in enumerate(batch):
         try:
-            draws = _sample(
-                generator, pair.caption, cfg.rollout_n,
+            draws = generator.sample(
+                pair.caption, cfg.rollout_n,
                 seed=stable_hash("gen", seed, j), table="old",
             )
             completions = []
@@ -261,12 +238,12 @@ def captioner_phase(
     for j, pair in enumerate(batch):
         try:
             if cfg.literal_n_grouping:
-                caption = _sample(
-                    captioner, pair.smiles, 1,
+                caption = captioner.sample(
+                    pair.smiles, 1,
                     seed=stable_hash("cap", seed, j), table="old",
                 )[0].text
-                recon = _sample(
-                    generator, caption, cfg.rollout_n,
+                recon = generator.sample(
+                    caption, cfg.rollout_n,
                     seed=stable_hash("recon", seed, j), table="old",
                 )
                 completions = []
@@ -278,14 +255,14 @@ def captioner_phase(
                         reward=_reward(breakdown, cfg.reward_mode),
                     ))
             else:
-                captions = _sample(
-                    captioner, pair.smiles, cfg.group_size_g,
+                captions = captioner.sample(
+                    pair.smiles, cfg.group_size_g,
                     seed=stable_hash("cap", seed, j), table="old",
                 )
                 completions = []
                 for g, caption in enumerate(captions):
-                    recon = _sample(
-                        generator, caption.text, cfg.recon_samples_m,
+                    recon = generator.sample(
+                        caption.text, cfg.recon_samples_m,
                         seed=stable_hash("recon", seed, j, g), table="old",
                     )
                     total = 0.0
@@ -331,13 +308,13 @@ def evaluate_round_trip(
     cache = cache if cache is not None else ScoreCache()
     samples = []
     for j, pair in enumerate(pairs):
-        caption = _sample(
-            captioner, pair.smiles, 1,
+        caption = captioner.sample(
+            pair.smiles, 1,
             seed=stable_hash("eval-cap", cfg.seed, j),
             temperature=cfg.eval_temperature,
         )[0].text
-        reconstruction = _sample(
-            generator, caption, 1,
+        reconstruction = generator.sample(
+            caption, 1,
             seed=stable_hash("eval-gen", cfg.seed, j),
             temperature=cfg.eval_temperature,
         )[0].text

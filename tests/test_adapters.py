@@ -60,7 +60,6 @@ def test_echo_adapter_round_trips_exactly():
     assert caption == canonical_smiles(parse_smiles("c1ccccc1"))
     back = adapter.generate(caption, 1)[0].text
     assert canonical_smiles(parse_smiles(back)) == caption
-    assert not adapter.supports_training
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def _toy_policy_and_groups(beta: float = 0.05):
     for row in policy.logits:  # move current off the old snapshot
         for a in range(len(row)):
             row[a] += rng.uniform(-0.15, 0.15)
-    cfg = GrpoConfig(epsilon=0.2, beta=beta, group_size=4)
+    cfg = GrpoConfig(epsilon=0.2, beta=beta)
     groups = []
     for state in states:
         completions = tuple(

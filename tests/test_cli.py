@@ -7,7 +7,7 @@ import json
 import pytest
 
 from moltrip.chem import canonicalize
-from moltrip.cli import main
+from moltrip.cli import _build_parser, main
 
 SUBCOMMANDS = (
     ["canon"], ["validate"], ["fp"], ["score"], ["eval"], ["split"],
@@ -61,6 +61,33 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+# --workers runs I/O-bound generator calls on threads, so only eval and
+# annotate take it; --seed is taken only where something reads it.
+UNREAD_FLAGS = (
+    (["canon", "CCO"], "--workers"),
+    (["validate", "CCO"], "--workers"),
+    (["fp", "CCO", "--family", "keys"], "--workers"),
+    (["score", "--ref", "CCO", "--hyp", "CCO"], "--workers"),
+    (["split", "--pairs", "p", "--out-dir", "d"], "--workers"),
+    (["dedupe", "--target", "t", "--reference", "r", "--out", "o"], "--workers"),
+    (["filter", "--pairs", "p", "--tau", "1", "--out", "o"], "--workers"),
+    (["train-toy"], "--workers"),
+    (["theory", "check"], "--workers"),
+    (["eval", "--pairs", "p"], "--seed"),
+    (["filter", "--pairs", "p", "--tau", "1", "--out", "o"], "--seed"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, flag", UNREAD_FLAGS, ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_unread_flags_are_usage_errors(argv, flag):
+    _build_parser().parse_args(argv)  # the command line is fine without it
+    with pytest.raises(SystemExit) as err:
+        main([*argv, flag, "2"])
+    assert err.value.code == 2
 
 
 def test_domain_error_exits_one_with_error_name(capsys):
@@ -265,6 +292,36 @@ def test_annotate_exports_rollouts(tmp_path, capsys, monkeypatch):
     exact = [r for r in rows if r["completion"] == r["reference"]]
     assert all(r["reward"] == 4.0 for r in exact)
     assert {r["group"] for r in rows} == {"annotate-0-p0", "annotate-0-p1"}
+
+
+class CaptionEchoSession:
+    """Answers from the request itself, so any thread order gives one reply."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        caption = json["messages"][0]["content"].rsplit(": ", 1)[-1]
+        return FakeResponse(_ok_body([caption, caption + "C", "xx"][:json["n"]]))
+
+
+def test_annotate_worker_count_does_not_change_rollouts(tmp_path, capsys, monkeypatch):
+    import moltrip.adapters as adapters
+
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    monkeypatch.setattr(adapters.requests, "Session", CaptionEchoSession)
+    pairs = write_pairs_file(
+        tmp_path / "pairs.jsonl", ["CCO", "CCC", "CCN", "CC(=O)O", "c1ccccc1"],
+    )
+    exports = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"rollouts-{workers}.jsonl"
+        assert main([
+            "annotate", "--pairs", pairs, "--n", "3", "--out", str(out),
+            "--workers", workers,
+            "--base-url", "https://api.example.test/v1", "--model", "toy",
+        ]) == 0
+        exports.append(out.read_bytes())
+    capsys.readouterr()
+    assert exports[0] == exports[1]
+    assert exports[0].count(b"\n") == 15
 
 
 def test_annotate_without_key_fails_cleanly(tmp_path, capsys, monkeypatch):

@@ -264,8 +264,6 @@ def test_filter_scrambled_half_recovered_exactly():
 
 def test_filter_failing_adapter_rejects_with_reason():
     class Exploding:
-        supports_training = False
-
         def generate(self, caption, n, temperature=1.0):
             raise RuntimeError("backend offline")
 

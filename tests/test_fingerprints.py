@@ -267,6 +267,24 @@ def test_aspirin_golden_keys():
     }
 
 
+# sha256 over the structural-key dumps of every valid corpus molecule in file
+# order, then the drug-like molecules above in sorted order, each followed by
+# a blank line; computed before the any-order "N bonded to O" predicate was
+# folded into _has_bond.
+PINNED_KEYS_DIGEST = (
+    "be0d78c4514b893c3ff7882d5ad306a314259c77b99a892711162146d08db28b"
+)
+
+
+def test_structural_keys_pinned_on_corpus_and_druglike(corpus):
+    digest = hashlib.sha256()
+    valid = [s for s in corpus if check_validity(s).is_valid]
+    for smiles in valid + sorted(PINNED_PATH_DIGESTS):
+        digest.update(dump_features(structural_keys(parse_smiles(smiles))).encode())
+        digest.update(b"\n\n")
+    assert digest.hexdigest() == PINNED_KEYS_DIGEST
+
+
 def test_key_identifiers_are_catalog_indices():
     fired = structural_keys(parse_smiles("[NH4+].[Cl-]")).features
     assert fired <= set(range(64))

@@ -250,7 +250,3 @@ def test_config_validation():
         GrpoConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         GrpoConfig(beta=-0.1)
-    with pytest.raises(ValueError):
-        GrpoConfig(group_size=1)
-    with pytest.raises(ValueError):
-        GrpoConfig(std_mode="sample")
