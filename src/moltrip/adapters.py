@@ -654,13 +654,9 @@ def extract_smiles(text: str, pattern=None) -> str | None:
     else:
         candidates = sorted(set(text.split()), key=len, reverse=True)
     for candidate in candidates:
-        if _is_valid(candidate):
+        if check_validity(candidate).is_valid:
             return candidate
     whole = text.strip()
-    if pattern is None and whole and _is_valid(whole):
+    if pattern is None and whole and check_validity(whole).is_valid:
         return whole
     return None
-
-
-def _is_valid(text: str) -> bool:
-    return check_validity(text).is_valid

@@ -133,13 +133,6 @@ class Bond:
     def endpoints(self) -> tuple[int, int]:
         return (self.a, self.b)
 
-    def other(self, idx: int) -> int:
-        if idx == self.a:
-            return self.b
-        if idx == self.b:
-            return self.a
-        raise ValueError(f"atom {idx} is not an endpoint of this bond")
-
     @property
     def key(self) -> tuple[int, int]:
         """Order-independent endpoint pair."""
@@ -153,7 +146,9 @@ class Molecule:
     ``rings`` holds the smallest set of smallest rings as ordered atom-index
     cycles; ``fragments`` holds one sorted atom-index tuple per connected
     component; ``parse_notes`` records information discarded during parsing
-    (stereo markers, atom maps).
+    (stereo markers, atom maps).  ``failures`` holds the valence and
+    kekulization failures the parser found (empty for a valid molecule); it
+    takes no part in equality or hashing, which compare the graph alone.
     """
 
     atoms: tuple[Atom, ...]
@@ -161,6 +156,7 @@ class Molecule:
     rings: tuple[tuple[int, ...], ...] = ()
     fragments: tuple[tuple[int, ...], ...] = ()
     parse_notes: tuple[str, ...] = ()
+    failures: tuple[ValidityFailure, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         seen: set[tuple[int, int]] = set()
@@ -212,9 +208,6 @@ class Molecule:
             self._bond_lookup[(idx, j) if idx < j else (j, idx)]
             for j in self._adjacency[idx]
         )
-
-    def in_ring(self, idx: int) -> bool:
-        return idx in self.ring_atoms
 
 
 def _find_bridges(n: int, bonds: tuple[Bond, ...]) -> set[tuple[int, int]]:

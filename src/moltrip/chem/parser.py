@@ -90,6 +90,8 @@ _BRACKET_RE = re.compile(
 
 @dataclasses.dataclass
 class _DraftAtom:
+    """An Atom's fields less the index and hydrogens parse_smiles adds."""
+
     element: str
     is_aromatic: bool = False
     formal_charge: int = 0
@@ -100,50 +102,40 @@ class _DraftAtom:
 def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into an immutable Molecule.
 
-    Aromatic normalization (Kekule rings rewritten to aromatic form) and
-    implicit-hydrogen assignment happen here, so the returned graph is the
-    one every downstream comparison sees.
+    Aromatic normalization (Kekule rings rewritten to aromatic form),
+    implicit-hydrogen assignment and the valence check happen here, once, so
+    the returned graph is the one every downstream comparison sees and its
+    ``failures`` are its validity verdict.
     """
-    atoms, bonds, notes = _scan(text)
-    n = len(atoms)
+    drafts, bonds, notes = _scan(text)
+    n = len(drafts)
     bond_tuple = tuple(bonds)
     rings = sssr(n, bond_tuple)
     fragments = connected_components(n, bond_tuple)
-
-    draft = tuple(
-        Atom(
-            element=a.element,
-            index=i,
-            is_aromatic=a.is_aromatic,
-            formal_charge=a.formal_charge,
-            explicit_h=a.explicit_h,
-            isotope=a.isotope,
-        )
-        for i, a in enumerate(atoms)
-    )
-    draft, bond_tuple = aromatize(draft, bond_tuple, rings)
-    analysis = analyze(draft, bond_tuple)
-    final_atoms = tuple(
-        dataclasses.replace(atom, hydrogens=analysis.hydrogens[i])
-        for i, atom in enumerate(draft)
+    aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings)
+    analysis = analyze(aromatic, bond_tuple)
+    atoms = tuple(
+        Atom(index=i, hydrogens=h, **vars(a))
+        for i, (a, h) in enumerate(zip(aromatic, analysis.hydrogens))
     )
     return Molecule(
-        atoms=final_atoms,
+        atoms=atoms,
         bonds=bond_tuple,
         rings=rings,
         fragments=fragments,
         parse_notes=tuple(notes),
+        failures=analysis.failures,
     )
 
 
 def check_validity(text: str) -> ValidityReport:
-    """Grammar plus valence check; parse failures become report failures."""
+    """Grammar plus valence check from one parse: a grammar error becomes a
+    whole-string failure, else the report carries the molecule's failures."""
     try:
-        mol = parse_smiles(text)
+        failures = parse_smiles(text).failures
     except SmilesError as exc:
         reason = f"{type(exc).__name__}: {exc}"
         return ValidityReport(False, (ValidityFailure(None, reason),))
-    failures = analyze(mol.atoms, mol.bonds).failures
     return ValidityReport(not failures, failures)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Protocol, TypeVar
 
 from .model import (
-    Atom,
     Bond,
     BondOrder,
     ValidityFailure,
@@ -22,6 +22,22 @@ from .model import (
 
 # Elements eligible for Kekule-ring normalization to aromatic form.
 _AROMATIZABLE = frozenset({"C", "N", "O", "S"})
+
+
+class AtomFields(Protocol):
+    """What aromatize and analyze read of an atom; parser drafts have it."""
+
+    @property
+    def element(self) -> str: ...
+    @property
+    def is_aromatic(self) -> bool: ...
+    @property
+    def formal_charge(self) -> int: ...
+    @property
+    def explicit_h(self) -> int | None: ...
+
+
+_A = TypeVar("_A", bound=AtomFields)
 
 
 def _prefers_pi(element: str, sigma: int) -> bool:
@@ -90,7 +106,9 @@ class AtomAnalysis:
     failures: tuple[ValidityFailure, ...]
 
 
-def analyze(atoms: tuple[Atom, ...], bonds: tuple[Bond, ...]) -> AtomAnalysis:
+def analyze(
+    atoms: tuple[AtomFields, ...], bonds: tuple[Bond, ...]
+) -> AtomAnalysis:
     """Assign hydrogens, plan pi donation, and collect valence failures."""
     n = len(atoms)
     sigma = [0] * n
@@ -200,10 +218,10 @@ def _kekulize(n: int, bonds: tuple[Bond, ...], pi: list[int]) -> set[int]:
 
 
 def aromatize(
-    atoms: tuple[Atom, ...],
+    atoms: tuple[_A, ...],
     bonds: tuple[Bond, ...],
     rings: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[Atom, ...], tuple[Bond, ...]]:
+) -> tuple[tuple[_A, ...], tuple[Bond, ...]]:
     """Normalize Kekule-spelled rings to aromatic form.
 
     A ring converts when every atom is C/N/O/S, the ring bonds alternate
@@ -238,7 +256,7 @@ def aromatize(
 
 
 def _ring_qualifies(
-    atoms: tuple[Atom, ...],
+    atoms: tuple[AtomFields, ...],
     lookup: dict[tuple[int, int], Bond],
     ring: tuple[int, ...],
 ) -> set[tuple[int, int]] | None:

@@ -50,7 +50,6 @@ class HarnessConfig:
     convergence_window: int = 10
     convergence_tol: float = 1e-3
     reward_mode: str = "shaped"
-    eval_temperature: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "mini_batch", "steps_per_phase",
@@ -66,19 +65,16 @@ class HarnessConfig:
             raise ValueError(f"reward_mode must be one of {REWARD_MODES}")
 
 
-@dataclass(frozen=True)
+EVAL_TEMPERATURE = 0.0  # evaluation is greedy: each policy's likeliest output
+
+
+@dataclass(frozen=True, kw_only=True)
 class StepRecord:
+    """One step's statistics.  The phase functions return it with step 0;
+    run_training numbers it as it appends it to the log."""
+
     phase: str
-    step: int
-    mean_reward: float
-    validity_rate: float
-    exact_rate: float
-    degenerate_fraction: float
-    snapshot_id: int
-
-
-@dataclass(frozen=True)
-class PhaseStats:
+    step: int = 0
     mean_reward: float
     validity_rate: float
     exact_rate: float
@@ -138,12 +134,14 @@ class TaggedGroup:
 
 
 def _stats(
+    phase: str,
     groups: list[RolloutGroup],
     breakdowns: list[ScoreBreakdown],
     snapshot_id: int,
-) -> PhaseStats:
+) -> StepRecord:
     rewards = [c.reward for g in groups for c in g.completions]
-    return PhaseStats(
+    return StepRecord(
+        phase=phase,
         mean_reward=sum(rewards) / len(rewards),
         validity_rate=sum(1 for b in breakdowns if b.valid) / len(breakdowns),
         exact_rate=sum(1 for b in breakdowns if b.exact) / len(breakdowns),
@@ -173,7 +171,7 @@ def generator_phase(
     seed: int,
     cache: ScoreCache | None = None,
     export: list[TaggedGroup] | None = None,
-) -> PhaseStats:
+) -> StepRecord:
     """One generator step: n reconstructions per pair, grouped per pair."""
     cache = cache if cache is not None else ScoreCache()
     generator.snapshot_old()
@@ -212,7 +210,7 @@ def generator_phase(
             ))
     else:
         _apply_updates(generator, groups, cfg)
-    return _stats(groups, breakdowns, generator.old_snapshot_id)
+    return _stats("generator", groups, breakdowns, generator.old_snapshot_id)
 
 
 def captioner_phase(
@@ -223,7 +221,7 @@ def captioner_phase(
     seed: int,
     cache: ScoreCache | None = None,
     export: list[TaggedGroup] | None = None,
-) -> PhaseStats:
+) -> StepRecord:
     """One captioner step against the frozen generator snapshot.
 
     G captions per molecule form the group, each scored by the mean
@@ -294,7 +292,7 @@ def captioner_phase(
     else:
         _apply_updates(captioner, groups, cfg)
     generator.snapshot_old()  # the frozen copy tracks the live model
-    return _stats(groups, breakdowns, frozen_id)
+    return _stats("captioner", groups, breakdowns, frozen_id)
 
 
 def evaluate_round_trip(
@@ -304,19 +302,19 @@ def evaluate_round_trip(
     cfg: HarnessConfig,
     cache: ScoreCache | None = None,
 ) -> tuple[float, EvalReport, list[RoundTripSample]]:
-    """Greedy (by default) caption -> reconstruct -> score over a pair set."""
+    """Greedy caption -> reconstruct -> score over a pair set."""
     cache = cache if cache is not None else ScoreCache()
     samples = []
     for j, pair in enumerate(pairs):
         caption = captioner.sample(
             pair.smiles, 1,
             seed=stable_hash("eval-cap", cfg.seed, j),
-            temperature=cfg.eval_temperature,
+            temperature=EVAL_TEMPERATURE,
         )[0].text
         reconstruction = generator.sample(
             caption, 1,
             seed=stable_hash("eval-gen", cfg.seed, j),
-            temperature=cfg.eval_temperature,
+            temperature=EVAL_TEMPERATURE,
         )[0].text
         samples.append(RoundTripSample(
             original=pair.smiles,
@@ -389,15 +387,7 @@ def run_training(
                     stats = captioner_phase(
                         captioner, generator, batch, cfg, phase_seed, cache
                     )
-                records.append(StepRecord(
-                    phase=phase,
-                    step=step,
-                    mean_reward=stats.mean_reward,
-                    validity_rate=stats.validity_rate,
-                    exact_rate=stats.exact_rate,
-                    degenerate_fraction=stats.degenerate_fraction,
-                    snapshot_id=stats.snapshot_id,
-                ))
+                records.append(replace(stats, step=step))
                 history.append(stats.mean_reward)
                 converged = plateaued()
                 step += 1

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .chem import SmilesError, canonical_smiles, check_validity, parse_smiles
+from .chem import SmilesError, canonical_smiles, parse_smiles
 from .errors import EmptyCollection, LengthMismatch
 from .fingerprints import (
     MoleculeTooLarge,
@@ -62,6 +62,7 @@ _ZERO_SCORE = ScoreBreakdown(
 def reconstruction_score(x: str, x_prime: str) -> ScoreBreakdown:
     """Score a candidate string against a valid reference SMILES.
 
+    Each side is parsed once; its validity is the parse's ``failures``.
     Invalid candidates gate the whole score to zero.  Otherwise the total is
     the sum of the three Tanimoto similarities plus 1 for an exact canonical
     match, so the identity case scores exactly 4.0.  A molecule with too many
@@ -73,13 +74,15 @@ def reconstruction_score(x: str, x_prime: str) -> ScoreBreakdown:
         reference = parse_smiles(x)
     except SmilesError as exc:
         raise InvalidReference(f"reference does not parse: {exc}") from exc
-    report = check_validity(x)
-    if not report.is_valid:
-        raise InvalidReference(f"reference is not valid: {report.failures[0].reason}")
+    if reference.failures:
+        raise InvalidReference(f"reference is not valid: {reference.failures[0].reason}")
 
-    if not check_validity(x_prime).is_valid:
+    try:
+        candidate = parse_smiles(x_prime)
+    except SmilesError:
         return _ZERO_SCORE
-    candidate = parse_smiles(x_prime)
+    if candidate.failures:
+        return _ZERO_SCORE
 
     exact = canonical_smiles(reference) == canonical_smiles(candidate)
     t_keys = tanimoto(structural_keys(reference), structural_keys(candidate))

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
 import pytest
 
-from moltrip.chem import parse_smiles, render_random
+from moltrip.chem import check_validity, parse_smiles, render_random
 from moltrip.errors import EmptyCollection, LengthMismatch
 from moltrip.metrics import (
     EvalReport,
@@ -72,6 +73,46 @@ def test_too_large_candidate_scores_zero_in_bounded_time(dense_k10):
 def test_too_large_reference_raises(dense_k10):
     with pytest.raises(InvalidReference, match="too large"):
         reconstruction_score(dense_k10, "C")
+
+
+# Strings that fail each gate in turn: the grammar, the valence table,
+# kekulization, several of these at once, and (dense_k10, appended in the
+# test) the path cap.
+_GATE_CASES = [
+    "C(", "", "  ", "C1CC", "CC)C", "C==C", "[Xx]", "c1ccccc1.", "C%1",
+    "CCO", "C(C)(C)(C)(C)C", "FC(F)(F)(F)F", "O=O=O", "[NH4]",
+    "C[N+](C)(C)(C)C", "c1ccnc1", "c1cccc1", "c1ccccc1c", "o1cccc1", "CC",
+    "C(C)(C)(C)(C)C(C)(C)(C)(C)C", "FC(F)(F)(F)c1cccc1", "c1cccc1.c1ccnc1",
+]
+
+# sha256 over check_validity(s) and reconstruction_score(s, s) and
+# (s, next string) for every corpus and gate string, each as its repr or as
+# "ExceptionType: message"; recorded while the score still parsed each side
+# twice and ran the valence analysis four times.
+PINNED_SCORE_DIGEST = (
+    "2eccc46b14ade033b1df13005fded18a50337336df9bbaa4406ec52cb76522d3"
+)
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_scores_and_validity_reports_pinned(corpus, dense_k10):
+    strings = corpus + _GATE_CASES + [dense_k10, "c1ccccc1"]
+    digest = hashlib.sha256()
+    for i, x in enumerate(strings):
+        following = strings[(i + 1) % len(strings)]
+        for outcome in (
+            _outcome(check_validity, x),
+            _outcome(reconstruction_score, x, x),
+            _outcome(reconstruction_score, x, following),
+        ):
+            digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_SCORE_DIGEST
 
 
 def test_cco_ccn_components_match_oracles():

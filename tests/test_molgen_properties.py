@@ -1,0 +1,75 @@
+"""Validity and scoring checked against an independent molecule generator.
+
+``perfbench/molgen.py`` builds drug-like molecules of 15 to 45 heavy atoms
+as graphs with its own valence bookkeeping and its own SMILES writer, and
+never imports moltrip, so what it calls valid, over-valent or malformed is
+known before moltrip reads a single string.  The module is loaded read-only
+from its file.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moltrip.chem import check_validity, parse_smiles
+from moltrip.chem.valence import analyze
+from moltrip.metrics import reconstruction_score
+
+_MOLGEN = Path(__file__).parent.parent / "perfbench" / "molgen.py"
+_spec = importlib.util.spec_from_file_location("perfbench_molgen", _MOLGEN)
+molgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(molgen)
+
+_SETTINGS = settings(max_examples=12, deadline=None)
+_ATOMS = st.integers(15, 45)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _molecule(atoms: int, seed: int):
+    rng = random.Random(seed)
+    graph = molgen.build(molgen.blueprint(atoms, rng), rng)
+    return graph, molgen.write_smiles(graph, rng), rng
+
+
+def _failures_match_reference_analysis(smiles: str) -> None:
+    mol = parse_smiles(smiles)
+    assert mol.failures == analyze(mol.atoms, mol.bonds).failures
+
+
+@_SETTINGS
+@given(_ATOMS, _SEEDS)
+def test_generated_molecule_is_valid_and_scores_four(atoms, seed):
+    _, smiles, _ = _molecule(atoms, seed)
+    assert check_validity(smiles).is_valid, smiles
+    assert reconstruction_score(smiles, smiles).total == 4.0
+    _failures_match_reference_analysis(smiles)
+
+
+@_SETTINGS
+@given(_ATOMS, _SEEDS)
+def test_over_valent_variant_fails_at_atoms_and_scores_zero(atoms, seed):
+    graph, smiles, rng = _molecule(atoms, seed)
+    # two edits, so a report may list one failed atom or two
+    twice = molgen.over_valent(molgen.over_valent(graph, rng), rng)
+    bad = molgen.write_smiles(twice, rng)
+    report = check_validity(bad)
+    assert not report.is_valid, bad
+    assert all(f.atom_index is not None for f in report.failures)
+    assert reconstruction_score(smiles, bad).total == 0.0
+    _failures_match_reference_analysis(bad)
+
+
+@_SETTINGS
+@given(_ATOMS, _SEEDS)
+def test_malformed_variant_fails_as_a_whole_string(atoms, seed):
+    _, smiles, rng = _molecule(atoms, seed)
+    bad = molgen.malformed(smiles, rng)
+    report = check_validity(bad)
+    assert len(report.failures) == 1, bad
+    assert report.failures[0].atom_index is None
+    assert reconstruction_score(smiles, bad).total == 0.0

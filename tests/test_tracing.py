@@ -1,9 +1,11 @@
-"""The benchmark tracer's targets still name real moltrip callables.
+"""The benchmark's hooks still name real moltrip callables.
 
 ``perfbench/tracing.py`` wraps functions and methods by name, so a rename
-in moltrip would silently drop a layer from ``perfbench/run.py --trace 1``.
-The module is imported read-only; ``Tracer.install`` is never called,
-because it rebinds moltrip's globals for the rest of the process.
+in moltrip would silently drop a layer from ``perfbench/run.py --trace 1``;
+``perfbench/child.py`` marks each workload's first item by rebinding a
+named function, so a rename there fails every benchmark probe.  Both
+modules are imported read-only; ``Tracer.install`` is never called, because
+it rebinds moltrip's globals for the rest of the process.
 """
 
 from __future__ import annotations
@@ -14,10 +16,20 @@ from pathlib import Path
 
 import pytest
 
-_TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+_PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", _PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+child = _load("child")
 
 
 TARGETS = tracing.TIMED + tracing.COUNTED
@@ -34,3 +46,13 @@ def test_traced_target_resolves(module, attr, name):
     else:
         target = getattr(owner, attr, None)
     assert callable(target), f"{module}.{attr} ({name}) no longer resolves"
+
+
+@pytest.mark.parametrize(
+    "workload, module, name",
+    [(w, m, n) for w, (m, n) in child.FIRST_ITEM.items()],
+    ids=list(child.FIRST_ITEM),
+)
+def test_first_item_target_resolves(workload, module, name):
+    target = getattr(importlib.import_module(module), name, None)
+    assert callable(target), f"{module}.{name} ({workload}) no longer resolves"
