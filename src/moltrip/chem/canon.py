@@ -44,8 +44,13 @@ def canonical_ranks(mol: Molecule) -> tuple[int, ...]:
     """Unique rank per atom, invariant under input atom reordering."""
     n = len(mol)
     seeds = [_seed_invariant(mol, i) for i in range(n)]
+    # per atom, (bond order key, neighbour) for every neighbour
+    bonded = [
+        [(_ORDER_KEY[mol.bonds[k].order], j) for j, k in pairs]
+        for pairs in mol.neighbor_view
+    ]
     ranks = _dense_ranks(seeds)
-    ranks = _refine(mol, ranks)
+    ranks = _refine(bonded, ranks)
     while len(set(ranks)) < n:
         counts = Counter(ranks)
         target = min(rank for rank, count in counts.items() if count > 1)
@@ -53,7 +58,7 @@ def canonical_ranks(mol: Molecule) -> tuple[int, ...]:
         ranks = _dense_ranks(
             [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
         )
-        ranks = _refine(mol, ranks)
+        ranks = _refine(bonded, ranks)
     return tuple(ranks)
 
 
@@ -75,15 +80,12 @@ def _dense_ranks(keys: list) -> list[int]:
     return [order[key] for key in keys]
 
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
+def _refine(bonded: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
     while True:
-        keys = []
-        for i in range(len(mol)):
-            neighborhood = sorted(
-                (_ORDER_KEY[mol.bond_between(i, j).order], ranks[j])
-                for j in mol.neighbors(i)
-            )
-            keys.append((ranks[i], tuple(neighborhood)))
+        keys = [
+            (ranks[i], tuple(sorted((order, ranks[j]) for order, j in pairs)))
+            for i, pairs in enumerate(bonded)
+        ]
         refined = _dense_ranks(keys)
         if len(set(refined)) == len(set(ranks)):
             return refined

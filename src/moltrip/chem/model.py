@@ -171,83 +171,48 @@ class Molecule:
         return len(self.atoms)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            nbrs[bond.a].append(bond.b)
-            nbrs[bond.b].append(bond.a)
-        return tuple(tuple(n) for n in nbrs)
-
-    @cached_property
-    def _bond_lookup(self) -> dict[tuple[int, int], Bond]:
-        return {bond.key: bond for bond in self.bonds}
+    def neighbor_view(self) -> NeighborView:
+        """``neighbor_view`` of this molecule's bonds, built on first use."""
+        return neighbor_view(len(self.atoms), self.bonds)
 
     @cached_property
     def ring_atoms(self) -> frozenset[int]:
-        """Atoms lying on at least one cycle (via bridge detection, so the
-        flag is exact even where the SSSR is ambiguous)."""
-        bridges = _find_bridges(len(self.atoms), self.bonds)
-        cyclic: set[int] = set()
-        for bond in self.bonds:
-            if bond.key not in bridges:
-                cyclic.add(bond.a)
-                cyclic.add(bond.b)
-        return frozenset(cyclic)
+        """Atoms lying on at least one cycle: the atoms of the SSSR rings.
+
+        Every bond that is not a bridge lies on a cycle of the SSSR basis,
+        so this is exactly the set of atoms on a non-bridge bond, even where
+        the choice of SSSR rings is ambiguous.
+        """
+        return frozenset(idx for ring in self.rings for idx in ring)
 
     def neighbors(self, idx: int) -> tuple[int, ...]:
-        return self._adjacency[idx]
+        return tuple(j for j, _ in self.neighbor_view[idx])
 
     def degree(self, idx: int) -> int:
-        return len(self._adjacency[idx])
+        return len(self.neighbor_view[idx])
 
     def bond_between(self, i: int, j: int) -> Bond | None:
-        return self._bond_lookup.get((i, j) if i < j else (j, i))
+        pairs = self.neighbor_view[i]
+        return next((self.bonds[k] for nbr, k in pairs if nbr == j), None)
 
     def bonds_of(self, idx: int) -> tuple[Bond, ...]:
-        return tuple(
-            self._bond_lookup[(idx, j) if idx < j else (j, idx)]
-            for j in self._adjacency[idx]
-        )
+        return tuple(self.bonds[k] for _, k in self.neighbor_view[idx])
 
 
-def _find_bridges(n: int, bonds: tuple[Bond, ...]) -> set[tuple[int, int]]:
-    """Bridge edges via iterative Tarjan lowlink traversal."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for b_idx, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, b_idx))
-        adj[bond.b].append((bond.a, b_idx))
+NeighborView = tuple[tuple[tuple[int, int], ...], ...]
 
-    disc = [-1] * n
-    low = [0] * n
-    bridges: set[tuple[int, int]] = set()
-    timer = 0
 
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            node, in_edge, ptr = stack.pop()
-            if ptr == 0:
-                disc[node] = low[node] = timer
-                timer += 1
-            if ptr < len(adj[node]):
-                stack.append((node, in_edge, ptr + 1))
-                nbr, edge_idx = adj[node][ptr]
-                if edge_idx == in_edge:
-                    continue
-                if disc[nbr] == -1:
-                    stack.append((nbr, edge_idx, 0))
-                else:
-                    low[node] = min(low[node], disc[nbr])
-            else:
-                if in_edge != -1:
-                    bond = bonds[in_edge]
-                    parent = bond.a if bond.b == node else bond.b
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        bridges.add(bond.key)
-    return bridges
+def neighbor_view(n_atoms: int, bonds: tuple[Bond, ...]) -> NeighborView:
+    """Per atom, its (neighbour, bond index) pairs in bond order.
+
+    The bond index rather than the Bond keeps a view valid after aromatize,
+    which rewrites bond orders but keeps each bond at its position.
+    """
+    view: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
+    for k, bond in enumerate(bonds):
+        view[bond.a].append((bond.b, k))
+        view[bond.b].append((bond.a, k))
+    return tuple(tuple(pairs) for pairs in view)
 
 
 @dataclass(frozen=True)

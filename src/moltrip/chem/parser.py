@@ -22,8 +22,9 @@ from .model import (
     Molecule,
     ValidityFailure,
     ValidityReport,
+    neighbor_view,
 )
-from .rings import connected_components, sssr
+from .rings import components, sssr
 from .valence import analyze, aromatize
 
 
@@ -108,11 +109,11 @@ def parse_smiles(text: str) -> Molecule:
     ``failures`` are its validity verdict.
     """
     drafts, bonds, notes = _scan(text)
-    n = len(drafts)
     bond_tuple = tuple(bonds)
-    rings = sssr(n, bond_tuple)
-    fragments = connected_components(n, bond_tuple)
-    aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings)
+    view = neighbor_view(len(drafts), bond_tuple)
+    fragments = components(view)
+    rings = sssr(bond_tuple, view, fragments)
+    aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings, view)
     analysis = analyze(aromatic, bond_tuple)
     atoms = tuple(
         Atom(index=i, hydrogens=h, **vars(a))

@@ -1,28 +1,30 @@
 """Ring perception: connected components and a smallest-set-of-smallest-rings.
 
-The SSSR is assembled greedily: for every non-bridge bond the shortest cycle
-through that bond is a candidate; candidates are taken shortest-first while
-linearly independent over GF(2) on the bond set, until the cyclomatic number
-(bonds - atoms + components) is reached.  Fundamental cycles from a spanning
-forest are appended as fallback candidates so the count is always exact.
+Both read the molecule's neighbour view.  The SSSR is assembled greedily:
+for every non-bridge bond the shortest cycle through that bond is a
+candidate; candidates are taken shortest-first while linearly independent
+over GF(2) on the bond set, until the cyclomatic number (bonds - atoms +
+components) is reached.  Fundamental cycles from a spanning forest are
+appended as fallback candidates so the count is always exact.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .model import Bond
+from .model import Bond, NeighborView, neighbor_view
 
 
 def connected_components(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted atom-index tuples, ordered by first atom."""
-    adj: list[list[int]] = [[] for _ in range(n_atoms)]
-    for bond in bonds:
-        adj[bond.a].append(bond.b)
-        adj[bond.b].append(bond.a)
-    seen = [False] * n_atoms
+    return components(neighbor_view(n_atoms, bonds))
+
+
+def components(view: NeighborView) -> tuple[tuple[int, ...], ...]:
+    """connected_components over an already built neighbour view."""
+    seen = [False] * len(view)
     comps: list[tuple[int, ...]] = []
-    for root in range(n_atoms):
+    for root in range(len(view)):
         if seen[root]:
             continue
         queue = deque([root])
@@ -30,7 +32,7 @@ def connected_components(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[tuple[i
         comp = [root]
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for y, _ in view[x]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
@@ -43,35 +45,33 @@ def cyclomatic_number(n_atoms: int, bonds: tuple[Bond, ...]) -> int:
     return len(bonds) - n_atoms + len(connected_components(n_atoms, bonds))
 
 
-def sssr(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[tuple[int, ...], ...]:
+def sssr(
+    bonds: tuple[Bond, ...], view: NeighborView, fragments: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
     """Smallest set of smallest rings as normalized atom cycles.
 
-    Returns exactly ``cyclomatic_number`` rings, sorted by (length, atoms).
+    ``view`` is ``neighbor_view`` of the bonds and ``fragments`` their
+    ``components``.  Returns exactly the cyclomatic number of rings, sorted
+    by (length, atoms).
     """
-    mu = cyclomatic_number(n_atoms, bonds)
+    mu = len(bonds) - len(view) + len(fragments)
     if mu == 0:
         return ()
 
-    adj: list[list[int]] = [[] for _ in range(n_atoms)]
-    for bond in bonds:
-        adj[bond.a].append(bond.b)
-        adj[bond.b].append(bond.a)
-    for nbrs in adj:
-        nbrs.sort()
-
+    adj = [sorted(pairs) for pairs in view]  # by neighbour index
+    bridges = _find_bridges(view)
     candidates: dict[tuple[int, ...], None] = {}
-    for bond in bonds:
-        cycle = _shortest_cycle_through(adj, bond.a, bond.b)
-        if cycle is not None:
+    for k, bond in enumerate(bonds):
+        if k not in bridges:
+            cycle = _shortest_cycle_through(adj, bond.a, bond.b, k)
             candidates.setdefault(_normalize_cycle(cycle))
-    for cycle in _fundamental_cycles(n_atoms, adj):
+    for cycle in _fundamental_cycles(adj):
         candidates.setdefault(_normalize_cycle(cycle))
 
-    bond_index = {bond.key: i for i, bond in enumerate(bonds)}
     basis: dict[int, int] = {}  # highest set bit -> reduced mask
     chosen: list[tuple[int, ...]] = []
     for cycle in sorted(candidates, key=lambda c: (len(c), c)):
-        mask = _cycle_mask(cycle, bond_index)
+        mask = _cycle_mask(cycle, view)
         while mask:
             high = mask.bit_length() - 1
             if high not in basis:
@@ -84,33 +84,65 @@ def sssr(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(chosen, key=lambda c: (len(c), c)))
 
 
-def _shortest_cycle_through(adj: list[list[int]], u: int, v: int) -> list[int] | None:
-    """Shortest path u..v avoiding the (u, v) edge itself; None across a bridge."""
+def _find_bridges(view: NeighborView) -> set[int]:
+    """Indices of the bridge bonds, via iterative Tarjan lowlink traversal."""
+    n = len(view)
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[int] = set()
+    timer = 0
+
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int, int, int]] = [(root, -1, -1, 0)]
+        while stack:
+            node, parent, in_edge, ptr = stack.pop()
+            if ptr == 0:
+                disc[node] = low[node] = timer
+                timer += 1
+            if ptr < len(view[node]):
+                stack.append((node, parent, in_edge, ptr + 1))
+                nbr, edge_idx = view[node][ptr]
+                if edge_idx == in_edge:
+                    continue
+                if disc[nbr] == -1:
+                    stack.append((nbr, node, edge_idx, 0))
+                else:
+                    low[node] = min(low[node], disc[nbr])
+            elif parent != -1:
+                low[parent] = min(low[parent], low[node])
+                if low[node] > disc[parent]:
+                    bridges.add(in_edge)
+    return bridges
+
+
+def _shortest_cycle_through(
+    adj: list[list[tuple[int, int]]], u: int, v: int, edge: int
+) -> list[int]:
+    """Shortest path u..v avoiding their bond ``edge``, a non-bridge bond."""
     prev: dict[int, int | None] = {u: None}
     queue = deque([u])
-    while queue:
+    while True:
         x = queue.popleft()
-        for y in adj[x]:
-            if (x == u and y == v) or (x == v and y == u):
-                continue
-            if y in prev:
+        for y, k in adj[x]:
+            if k == edge or y in prev:
                 continue
             prev[y] = x
             if y == v:
                 path = [v]
-                while path[-1] is not None and prev[path[-1]] is not None:
+                while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
-                path.reverse()
-                return path
+                return path  # v back to u; normalising ignores direction
             queue.append(y)
-    return None
 
 
-def _fundamental_cycles(n_atoms: int, adj: list[list[int]]) -> list[list[int]]:
+def _fundamental_cycles(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    n_atoms = len(adj)
     parent = [-1] * n_atoms
     depth = [-1] * n_atoms
     cycles: list[list[int]] = []
-    tree_edges: set[tuple[int, int]] = set()
+    used: set[int] = set()  # tree bonds, then back bonds already closed
     for root in range(n_atoms):
         if depth[root] != -1:
             continue
@@ -118,19 +150,17 @@ def _fundamental_cycles(n_atoms: int, adj: list[list[int]]) -> list[list[int]]:
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for y, k in adj[x]:
                 if depth[y] == -1:
                     depth[y] = depth[x] + 1
                     parent[y] = x
-                    tree_edges.add((x, y) if x < y else (y, x))
+                    used.add(k)
                     queue.append(y)
-    seen_back: set[tuple[int, int]] = set()
     for x in range(n_atoms):
-        for y in adj[x]:
-            key = (x, y) if x < y else (y, x)
-            if key in tree_edges or key in seen_back:
+        for y, k in adj[x]:
+            if k in used:
                 continue
-            seen_back.add(key)
+            used.add(k)
             cycles.append(_tree_cycle(parent, depth, x, y))
     return cycles
 
@@ -148,20 +178,18 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> list[int
 
 
 def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
-    k = len(cycle)
-    best: tuple[int, ...] | None = None
-    for i in range(k):
-        for step in (1, -1):
-            cand = tuple(cycle[(i + step * j) % k] for j in range(k))
-            if best is None or cand < best:
-                best = cand
-    return best
+    """The least rotation or reflection: the one from the lowest atom
+    towards its lower ring neighbour."""
+    i = cycle.index(min(cycle))
+    forward = tuple(cycle[i:] + cycle[:i])
+    backward = forward[:1] + forward[:0:-1]
+    return min(forward, backward)
 
 
-def _cycle_mask(cycle: tuple[int, ...], bond_index: dict[tuple[int, int], int]) -> int:
+def _cycle_mask(cycle: tuple[int, ...], view: NeighborView) -> int:
     mask = 0
-    k = len(cycle)
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        mask |= 1 << bond_index[(a, b) if a < b else (b, a)]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        for j, k in view[a]:
+            if j == b:
+                mask |= 1 << k
     return mask

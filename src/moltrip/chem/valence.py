@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Protocol, TypeVar
+from typing import Iterator, Protocol, TypeVar
 
 from .model import (
     Bond,
     BondOrder,
+    NeighborView,
     ValidityFailure,
+    neighbor_view,
     permitted_valences,
 )
 
@@ -113,11 +115,9 @@ def analyze(
     n = len(atoms)
     sigma = [0] * n
     multiple = [False] * n
-    incident: list[list[Bond]] = [[] for _ in range(n)]
     for bond in bonds:
         for end in bond.endpoints:
             sigma[end] += bond.order.bond_electrons
-            incident[end].append(bond)
             if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
                 multiple[end] = True
 
@@ -173,39 +173,13 @@ def _kekulize(n: int, bonds: tuple[Bond, ...], pi: list[int]) -> set[int]:
     need = [i for i in range(n) if pi[i] == 1]
     if not need:
         return set()
-    need_set = set(need)
-    adj: dict[int, list[int]] = {i: [] for i in need}
-    for bond in bonds:
-        if bond.order is not BondOrder.AROMATIC:
-            continue
-        if bond.a in need_set and bond.b in need_set:
-            adj[bond.a].append(bond.b)
-            adj[bond.b].append(bond.a)
-
-    matched: dict[int, int] = {}
-
-    def extend(remaining: list[int]) -> bool:
-        while remaining and remaining[-1] in matched:
-            remaining = remaining[:-1]
-        if not remaining:
-            return True
-        atom = remaining[-1]
-        rest = remaining[:-1]
-        for nbr in adj[atom]:
-            if nbr in matched:
-                continue
-            matched[atom] = nbr
-            matched[nbr] = atom
-            if extend(rest):
-                return True
-            del matched[atom]
-            del matched[nbr]
-        return False
-
-    if extend(sorted(need, reverse=True)):
+    view = neighbor_view(n, bonds)
+    aromatic = [bond.order is BondOrder.AROMATIC for bond in bonds]
+    adj = {i: [j for j, k in view[i] if aromatic[k] and pi[j]] for i in need}
+    if _perfect_matching(sorted(need, reverse=True), adj):
         return set()
     # No perfect matching: report atoms a maximum greedy matching leaves over.
-    matched.clear()
+    matched: dict[int, int] = {}
     for atom in need:
         if atom in matched:
             continue
@@ -217,10 +191,43 @@ def _kekulize(n: int, bonds: tuple[Bond, ...], pi: list[int]) -> set[int]:
     return {i for i in need if i not in matched}
 
 
+def _perfect_matching(order: list[int], adj: dict[int, list[int]]) -> bool:
+    """Backtracking search matching every atom of ``order``, last first.
+
+    One stack frame per matched pair, so a long aromatic system cannot
+    exhaust the interpreter's recursion limit.
+    """
+    matched: dict[int, int] = {}
+    # (position in order of an atom being matched, its untried neighbours)
+    stack: list[tuple[int, Iterator[int]]] = []
+    rest = len(order)  # order[:rest] may hold unmatched atoms
+    while True:
+        while rest and order[rest - 1] in matched:
+            rest -= 1
+        if not rest:
+            return True
+        rest -= 1
+        stack.append((rest, iter(adj[order[rest]])))
+        while stack:
+            rest, nbrs = stack[-1]
+            atom = order[rest]
+            if atom in matched:  # the search under this choice failed
+                del matched[matched.pop(atom)]
+            nbr = next((j for j in nbrs if j not in matched), None)
+            if nbr is not None:
+                matched[atom] = nbr
+                matched[nbr] = atom
+                break
+            stack.pop()
+        else:
+            return False
+
+
 def aromatize(
     atoms: tuple[_A, ...],
     bonds: tuple[Bond, ...],
     rings: tuple[tuple[int, ...], ...],
+    view: NeighborView,
 ) -> tuple[tuple[_A, ...], tuple[Bond, ...]]:
     """Normalize Kekule-spelled rings to aromatic form.
 
@@ -229,16 +236,21 @@ def aromatize(
     slot, so fused rings convert across passes), and no ring atom carries
     a double or triple bond pointing off the ring.  Passes repeat until no
     further ring qualifies, so all Kekule rings of a fused system agree.
+    ``view`` is ``neighbor_view`` of the bonds; it holds bond indices, so it
+    stays valid as the passes rewrite bond orders.
     """
+    # per ring, the index of the bond from ring[i] to the next ring atom
+    cycles = [
+        [k for a, b in zip(ring, ring[1:] + ring[:1]) for j, k in view[a] if j == b]
+        for ring in rings
+    ]
     while True:
-        lookup = {bond.key: bond for bond in bonds}
         flip_atoms: set[int] = set()
-        flip_bonds: set[tuple[int, int]] = set()
-        for ring in rings:
-            result = _ring_qualifies(atoms, lookup, ring)
-            if result is not None:
+        flip_bonds: set[int] = set()
+        for ring, cycle in zip(rings, cycles):
+            if _ring_qualifies(atoms, bonds, view, ring, cycle):
                 flip_atoms.update(ring)
-                flip_bonds.update(result)
+                flip_bonds.update(cycle)
         if not flip_bonds:
             return atoms, bonds
         atoms = tuple(
@@ -249,51 +261,44 @@ def aromatize(
         )
         bonds = tuple(
             dataclasses.replace(bond, order=BondOrder.AROMATIC)
-            if bond.key in flip_bonds
+            if k in flip_bonds
             else bond
-            for bond in bonds
+            for k, bond in enumerate(bonds)
         )
 
 
 def _ring_qualifies(
     atoms: tuple[AtomFields, ...],
-    lookup: dict[tuple[int, int], Bond],
+    bonds: tuple[Bond, ...],
+    view: NeighborView,
     ring: tuple[int, ...],
-) -> set[tuple[int, int]] | None:
-    """Bond keys to flip aromatic, or None when the ring does not qualify."""
-    k = len(ring)
-    if k % 2 != 0:
-        return None
-    cycle: list[Bond] = []
-    for i in range(k):
-        a, b = ring[i], ring[(i + 1) % k]
-        bond = lookup.get((a, b) if a < b else (b, a))
-        if bond is None:
-            return None
-        cycle.append(bond)
-    orders = [bond.order for bond in cycle]
+    cycle: list[int],
+) -> bool:
+    """Whether the ring, whose bond indices in ring order are ``cycle``,
+    converts to aromatic form."""
+    if len(ring) % 2 != 0:
+        return False
+    orders = [bonds[k].order for k in cycle]
     if BondOrder.TRIPLE in orders:
-        return None
+        return False
     if all(order is BondOrder.AROMATIC for order in orders):
-        return None
+        return False
     # Alternation feasibility: singles on one parity, doubles on the other,
     # aromatic bonds fitting either slot.
-    feasible = False
-    for parity in (0, 1):
-        if all(
+    if not any(
+        all(
             (order is BondOrder.AROMATIC)
             or (order is BondOrder.SINGLE and i % 2 == parity)
             or (order is BondOrder.DOUBLE and i % 2 != parity)
             for i, order in enumerate(orders)
-        ):
-            feasible = True
-            break
-    if not feasible:
-        return None
+        )
+        for parity in (0, 1)
+    ):
+        return False
     for i, idx in enumerate(ring):
         atom = atoms[idx]
         if atom.element not in _AROMATIZABLE:
-            return None
+            return False
         # Neutral O/S cannot hold a ring double bond; refuse to launder the
         # valence error into an aromatic flag.
         if (
@@ -304,17 +309,12 @@ def _ring_qualifies(
                 or orders[i - 1] is BondOrder.DOUBLE
             )
         ):
-            return None
-    ring_set = set(ring)
-    ring_keys = {bond.key for bond in cycle}
+            return False
     # Exocyclic multiple bonds block conversion (quinoid forms stay as written).
-    for key, bond in lookup.items():
-        if key in ring_keys:
-            continue
-        if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE) and (
-            bond.a in ring_set or bond.b in ring_set
-        ):
-            return None
-    return {
-        bond.key for bond in cycle if bond.order is not BondOrder.AROMATIC
-    }
+    on_ring = set(cycle)
+    return not any(
+        bonds[k].order in (BondOrder.DOUBLE, BondOrder.TRIPLE)
+        for idx in ring
+        for _, k in view[idx]
+        if k not in on_ring
+    )

@@ -86,6 +86,14 @@ def tanimoto(a: FeatureSet, b: FeatureSet) -> float:
     return len(a.features & b.features) / len(union)
 
 
+def _bonded(mol: Molecule) -> list[list[tuple[int, str]]]:
+    """Per atom, (neighbour, bond order value) in neighbour-view order."""
+    bonds = mol.bonds
+    return [
+        [(j, bonds[k].order.value) for j, k in pairs] for pairs in mol.neighbor_view
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Morgan circular environments
 
@@ -110,13 +118,11 @@ def morgan_features(mol: Molecule, radius: int = DEFAULT_MORGAN_RADIUS) -> Featu
         for i, atom in enumerate(mol.atoms)
     ]
     features = set(ids)
+    bonded = _bonded(mol)
     for _ in range(radius):
         next_ids = []
-        for i in range(len(mol.atoms)):
-            env = sorted(
-                (mol.bond_between(i, j).order.value, ids[j])
-                for j in mol.neighbors(i)
-            )
+        for i, pairs in enumerate(bonded):
+            env = sorted((order_value, ids[j]) for j, order_value in pairs)
             tokens: list[int | str] = ["env", ids[i]]
             for order_value, neighbor_id in env:
                 tokens.append(order_value)
@@ -144,10 +150,7 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     elements = [atom.element for atom in mol.atoms]
-    steps: list[list[tuple[int, str]]] = [[] for _ in elements]
-    for bond in mol.bonds:
-        steps[bond.a].append((bond.b, bond.order.value))
-        steps[bond.b].append((bond.a, bond.order.value))
+    steps = _bonded(mol)
     # FNV-1a state after ("path", *tokens) for every reading hashed so far
     # and its prefixes, so a new reading hashes only the bonds it adds
     head = stable_hash("path")
@@ -349,7 +352,7 @@ def _hetero_pair_within(elem_a: str, elem_b: str, limit: int = 4):
             for d in range(1, limit + 1):
                 nxt = []
                 for x in frontier:
-                    for y in mol.neighbors(x):
+                    for y, _ in mol.neighbor_view[x]:
                         if y not in dist:
                             dist[y] = d
                             nxt.append(y)

@@ -54,6 +54,30 @@ def molecules_isomorphic(m1: Molecule, m2: Molecule) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# ring membership from the definition of a bridge
+
+def non_bridge_atoms(mol: Molecule) -> frozenset[int]:
+    """Atoms on a bond that is not a bridge: a bond whose endpoints stay
+    connected once the bond itself is removed."""
+    atoms: set[int] = set()
+    for bond in mol.bonds:
+        reached = {bond.a}
+        frontier = [bond.a]
+        while frontier:
+            x = frontier.pop()
+            for other in mol.bonds:
+                if other is bond or x not in (other.a, other.b):
+                    continue
+                y = other.b if x == other.a else other.a
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        if bond.b in reached:
+            atoms.update((bond.a, bond.b))
+    return frozenset(atoms)
+
+
+# ---------------------------------------------------------------------------
 # brute-force Morgan environment counting
 
 def count_morgan_environments(mol: Molecule, radius: int) -> int:

@@ -12,7 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moltrip import fingerprints
-from moltrip.chem import SmilesError, check_validity, parse_smiles, render_random
+from moltrip.chem import (
+    SmilesError,
+    canonical_smiles,
+    check_validity,
+    parse_smiles,
+    render_random,
+)
 from moltrip.fingerprints import (
     DEFAULT_PATH_LENGTH,
     KEY_CATALOG,
@@ -283,6 +289,31 @@ def test_structural_keys_pinned_on_corpus_and_druglike(corpus):
         digest.update(dump_features(structural_keys(parse_smiles(smiles))).encode())
         digest.update(b"\n\n")
     assert digest.hexdigest() == PINNED_KEYS_DIGEST
+
+
+# sha256 over the same molecules in the same order as PINNED_KEYS_DIGEST, of
+# the perceived rings, of the canonical form and of the Morgan dump; computed
+# when every layer still built its own neighbour lists from the bond tuple.
+PINNED_GRAPH_DIGESTS = {
+    "rings": "865896620f28b5e18a8cf3dc0824817599a7f26bee4a37754c55bb6dca8248c8",
+    "canonical": "924e33aa1aa30a24ce15a904f1eaa6b4ffe7f41f61cea1207cae5704dab164c4",
+    "morgan": "91ffdc9ca2a9e1bd154e014e15418fb69602ce3b8653f8159e6d547a886d82c6",
+}
+_GRAPH_DUMPS = {
+    "rings": lambda mol: repr((mol.rings, mol.fragments, sorted(mol.ring_atoms))),
+    "canonical": canonical_smiles,
+    "morgan": lambda mol: dump_features(morgan_features(mol)),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(PINNED_GRAPH_DIGESTS))
+def test_graph_layers_pinned_on_corpus_and_druglike(corpus, layer):
+    digest = hashlib.sha256()
+    valid = [s for s in corpus if check_validity(s).is_valid]
+    for smiles in valid + sorted(PINNED_PATH_DIGESTS):
+        digest.update(_GRAPH_DUMPS[layer](parse_smiles(smiles)).encode())
+        digest.update(b"\n\n")
+    assert digest.hexdigest() == PINNED_GRAPH_DIGESTS[layer]
 
 
 def test_key_identifiers_are_catalog_indices():

@@ -1,4 +1,4 @@
-"""Validity and scoring checked against an independent molecule generator.
+"""Every chemistry layer checked against an independent molecule generator.
 
 ``perfbench/molgen.py`` builds drug-like molecules of 15 to 45 heavy atoms
 as graphs with its own valence bookkeeping and its own SMILES writer, and
@@ -16,9 +16,17 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moltrip.chem import check_validity, parse_smiles
+from moltrip.chem import (
+    canonical_smiles,
+    canonicalize,
+    check_validity,
+    parse_smiles,
+    render_random,
+)
 from moltrip.chem.valence import analyze
+from moltrip.fingerprints import morgan_features, path_features, structural_keys
 from moltrip.metrics import reconstruction_score
+from oracles import non_bridge_atoms
 
 _MOLGEN = Path(__file__).parent.parent / "perfbench" / "molgen.py"
 _spec = importlib.util.spec_from_file_location("perfbench_molgen", _MOLGEN)
@@ -48,6 +56,40 @@ def test_generated_molecule_is_valid_and_scores_four(atoms, seed):
     assert check_validity(smiles).is_valid, smiles
     assert reconstruction_score(smiles, smiles).total == 4.0
     _failures_match_reference_analysis(smiles)
+    mol = parse_smiles(smiles)
+    assert mol.ring_atoms == non_bridge_atoms(mol), smiles
+
+
+def _layers(smiles: str):
+    mol = parse_smiles(smiles)
+    return (
+        canonical_smiles(mol),
+        structural_keys(mol),
+        path_features(mol),
+        morgan_features(mol),
+    )
+
+
+@_SETTINGS
+@given(_ATOMS, _SEEDS)
+def test_respelling_changes_no_layer_and_scores_four(atoms, seed):
+    graph, smiles, rng = _molecule(atoms, seed)
+    original = _layers(smiles)
+    for other in (
+        molgen.respell(graph, rng, smiles),
+        render_random(parse_smiles(smiles), rng),
+    ):
+        assert _layers(other) == original, (smiles, other)
+        assert reconstruction_score(smiles, other).total == 4.0, (smiles, other)
+
+
+@_SETTINGS
+@given(_ATOMS, _SEEDS)
+def test_one_atom_edit_changes_the_canonical_form(atoms, seed):
+    graph, smiles, rng = _molecule(atoms, seed)
+    edited = molgen.write_smiles(molgen.edit_one_atom(graph, rng), rng)
+    assert check_validity(edited).is_valid, edited
+    assert canonicalize(edited) != canonicalize(smiles), (smiles, edited)
 
 
 @_SETTINGS

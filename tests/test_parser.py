@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from moltrip.chem import (
@@ -15,7 +17,7 @@ from moltrip.chem import (
     UnknownToken,
     parse_smiles,
 )
-from oracles import scan_structure
+from oracles import non_bridge_atoms, scan_structure
 
 
 def test_minimal_chain():
@@ -171,3 +173,19 @@ def test_ring_count_equals_cyclomatic_number(corpus):
     for text in corpus:
         mol = parse_smiles(text)
         assert len(mol.rings) == cyclomatic_number(len(mol.atoms), mol.bonds), text
+
+
+def test_ring_atoms_are_the_atoms_on_non_bridge_bonds(corpus):
+    for text in corpus + ["C1CC2CCC1CC2", "C12C3C4C1C5C2C3C45", "C1CC1CC.C1CC1"]:
+        mol = parse_smiles(text)
+        assert mol.ring_atoms == non_bridge_atoms(mol), text
+
+
+@pytest.mark.parametrize("atom", ["C", "c"])
+def test_macrocycle_parses_in_bounded_time(atom):
+    start = time.process_time()
+    mol = parse_smiles(f"{atom}1" + atom * 598 + f"{atom}1")
+    elapsed = time.process_time() - start
+    assert not mol.failures
+    assert [len(ring) for ring in mol.rings] == [600]
+    assert elapsed < 2.0, f"{elapsed:.2f} s"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from moltrip.chem import check_validity
@@ -93,3 +95,13 @@ def test_all_corpus_molecules_valid(corpus):
     for text in corpus:
         report = check_validity(text)
         assert report.is_valid, (text, report.failures)
+
+
+def test_aromatic_rings_longer_than_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        report = check_validity("c1" + "c" * 398 + "c1")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.is_valid, report.failures
