@@ -8,7 +8,7 @@ fingerprints, reconstruction scoring) operates on these types.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 # Recognized element symbols (periodic table, H through Og).
@@ -149,6 +149,8 @@ class Molecule:
     (stereo markers, atom maps).  ``failures`` holds the valence and
     kekulization failures the parser found (empty for a valid molecule); it
     takes no part in equality or hashing, which compare the graph alone.
+    ``view``, when given, must be ``neighbor_view`` of these bonds; the
+    parser passes the one it built so the molecule does not build another.
     """
 
     atoms: tuple[Atom, ...]
@@ -157,8 +159,9 @@ class Molecule:
     fragments: tuple[tuple[int, ...], ...] = ()
     parse_notes: tuple[str, ...] = ()
     failures: tuple[ValidityFailure, ...] = field(default=(), compare=False)
+    view: InitVar[NeighborView | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, view: NeighborView | None) -> None:
         seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
             if not (0 <= bond.a < len(self.atoms) and 0 <= bond.b < len(self.atoms)):
@@ -166,13 +169,16 @@ class Molecule:
             if bond.key in seen:
                 raise ValueError(f"duplicate bond between atoms {bond.key}")
             seen.add(bond.key)
+        if view is not None:  # fills the neighbor_view cache
+            object.__setattr__(self, "neighbor_view", view)
 
     def __len__(self) -> int:
         return len(self.atoms)
 
     @cached_property
     def neighbor_view(self) -> NeighborView:
-        """``neighbor_view`` of this molecule's bonds, built on first use."""
+        """``neighbor_view`` of this molecule's bonds, built on first use
+        unless the constructor was given it."""
         return neighbor_view(len(self.atoms), self.bonds)
 
     @cached_property

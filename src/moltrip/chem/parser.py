@@ -114,7 +114,7 @@ def parse_smiles(text: str) -> Molecule:
     fragments = components(view)
     rings = sssr(bond_tuple, view, fragments)
     aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings, view)
-    analysis = analyze(aromatic, bond_tuple)
+    analysis = analyze(aromatic, bond_tuple, view)
     atoms = tuple(
         Atom(index=i, hydrogens=h, **vars(a))
         for i, (a, h) in enumerate(zip(aromatic, analysis.hydrogens))
@@ -126,6 +126,7 @@ def parse_smiles(text: str) -> Molecule:
         fragments=fragments,
         parse_notes=tuple(notes),
         failures=analysis.failures,
+        view=view,
     )
 
 

@@ -18,7 +18,6 @@ from .model import (
     BondOrder,
     NeighborView,
     ValidityFailure,
-    neighbor_view,
     permitted_valences,
 )
 
@@ -109,9 +108,12 @@ class AtomAnalysis:
 
 
 def analyze(
-    atoms: tuple[AtomFields, ...], bonds: tuple[Bond, ...]
+    atoms: tuple[AtomFields, ...], bonds: tuple[Bond, ...], view: NeighborView
 ) -> AtomAnalysis:
-    """Assign hydrogens, plan pi donation, and collect valence failures."""
+    """Assign hydrogens, plan pi donation, and collect valence failures.
+
+    ``view`` is ``neighbor_view`` of the bonds.
+    """
     n = len(atoms)
     sigma = [0] * n
     multiple = [False] * n
@@ -155,7 +157,7 @@ def analyze(
             reason = f"valence {total} not in permitted {{{shape}}} for {atom.element}"
         failures.append(ValidityFailure(i, reason))
 
-    unmatched = _kekulize(n, bonds, pi)
+    unmatched = _kekulize(bonds, view, pi)
     for i in sorted(unmatched):
         failures.append(
             ValidityFailure(i, "aromatic system cannot be kekulized")
@@ -164,16 +166,17 @@ def analyze(
     return AtomAnalysis(tuple(hydrogens), tuple(pi), tuple(failures))
 
 
-def _kekulize(n: int, bonds: tuple[Bond, ...], pi: list[int]) -> set[int]:
+def _kekulize(
+    bonds: tuple[Bond, ...], view: NeighborView, pi: list[int]
+) -> set[int]:
     """Atoms left unmatched by the best pi-bond matching (empty = kekulizable).
 
     Matching runs over aromatic bonds between pi-donating atoms, via
     backtracking; aromatic systems in practice are small.
     """
-    need = [i for i in range(n) if pi[i] == 1]
+    need = [i for i, p in enumerate(pi) if p == 1]
     if not need:
         return set()
-    view = neighbor_view(n, bonds)
     aromatic = [bond.order is BondOrder.AROMATIC for bond in bonds]
     adj = {i: [j for j, k in view[i] if aromatic[k] and pi[j]] for i in need}
     if _perfect_matching(sorted(need, reverse=True), adj):

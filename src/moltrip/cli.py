@@ -34,6 +34,7 @@ from .chem import canonicalize, check_validity, parse_smiles
 from .dataset import (
     PairRecord,
     SplitSpec,
+    atomic_writer,
     dedupe_overlap,
     diagnostic_filter,
     load_pairs,
@@ -92,16 +93,8 @@ def _emit(args, text: str) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         handle.write(text)
-    os.replace(tmp, path)
-
-
-def _write_records(path: str, pairs, fmt: str) -> None:
-    tmp = f"{path}.tmp"
-    write_pairs(list(pairs), tmp, fmt=fmt)
-    os.replace(tmp, path)
 
 
 def _load(path: str) -> list[PairRecord]:
@@ -264,7 +257,7 @@ def cmd_split(args) -> int:
     lines = []
     for name, part in zip(("train", "val", "test"), parts):
         path = os.path.join(args.out_dir, f"{name}.{args.fmt}")
-        _write_records(path, part, args.fmt)
+        write_pairs(list(part), path, fmt=args.fmt)
         lines.append(f"{name} {len(part)} {path}")
     print("\n".join(lines))
     return 0
@@ -274,7 +267,7 @@ def cmd_dedupe(args) -> int:
     target = _load(args.target)
     reference = _load(args.reference)
     result = dedupe_overlap(target, reference, on_parse_error=args.on_parse_error)
-    _write_records(args.out, result.kept, args.fmt)
+    write_pairs(list(result.kept), args.out, fmt=args.fmt)
     if args.sidecar:
         _write_text(args.sidecar, "".join(
             f"{e.line_no}\t{e.content}\t{e.reason}\n" for e in result.sidecar
@@ -291,9 +284,9 @@ def cmd_filter(args) -> int:
     result = diagnostic_filter(
         pairs, adapter, tau=args.tau, m=args.m, temperature=args.temperature,
     )
-    _write_records(args.out, result.kept, args.fmt)
+    write_pairs(list(result.kept), args.out, fmt=args.fmt)
     if args.rejected:
-        _write_records(args.rejected, result.rejected, args.fmt)
+        write_pairs(list(result.rejected), args.rejected, fmt=args.fmt)
     print(f"kept {len(result.kept)}")
     print(f"rejected {len(result.rejected)}")
     return 0

@@ -8,10 +8,13 @@ and the reason it was set aside.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
+from typing import Iterator, TextIO
 
 from .chem import SmilesError, canonical_smiles, parse_smiles
 from .metrics import reconstruction_score
@@ -40,6 +43,9 @@ class PairRecord:
     line_no: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("smiles", "caption"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if not self.smiles:
             raise ValueError("smiles must be non-empty")
 
@@ -50,6 +56,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.ratios) != 3:
+            raise ValueError(
+                f"ratios needs 3 values (train, val, test), got {len(self.ratios)}"
+            )
         if any(r < 0 for r in self.ratios):
             raise ValueError("ratios must be non-negative")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
@@ -71,6 +81,22 @@ class LoadResult:
 
 # ---------------------------------------------------------------------------
 # loading and writing
+
+@contextlib.contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """Text handle on a temporary sibling of ``path``, renamed into place
+    when the block completes and removed when it raises, so a failed write
+    leaves neither a partial file nor the temporary one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
 
 def load_pairs(path: str) -> LoadResult:
     """Parse a pair file; malformed lines land in the sidecar with numbers."""
@@ -125,10 +151,11 @@ def _read_tsv_line(line: str, line_no: int) -> PairRecord:
 
 
 def write_pairs(records: list[PairRecord], path: str, fmt: str = "jsonl") -> None:
+    """Write records as JSON lines or two-column TSV, atomically."""
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_writer(path) as handle:
             for record in records:
                 if fmt == "jsonl":
                     body = {"smiles": record.smiles, "caption": record.caption}

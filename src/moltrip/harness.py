@@ -3,20 +3,19 @@
 The loop alternates phases: the generator is trained to reconstruct
 molecules from reference captions, then the captioner is trained against a
 frozen generator snapshot that scores its candidate captions by round-trip
-reconstruction.  Tabular policies get exact GRPO steps; remote backends get
-the same groups appended to an export stream instead.  Every sample is
-seeded, so a (config, seed) pair reproduces the full log bit for bit.
+reconstruction.  Each phase samples, scores, groups and takes exact GRPO
+steps on the policy.  Every sample is seeded, so a (config, seed) pair
+reproduces the full log bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field, replace
 
 from .adapters import AdapterFailure, TabularPolicy, TokenSequencePolicy
-from .dataset import IoFailure, PairRecord
+from .dataset import IoFailure, PairRecord, atomic_writer
 from .fingerprints import stable_hash
 from .grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
 from .metrics import (
@@ -41,7 +40,6 @@ class HarnessConfig:
     rollout_n: int = 32         # n: generator reconstructions per pair
     group_size_g: int = 32      # G: captions per molecule in captioner groups
     recon_samples_m: int = 1    # m: frozen-generator samples per caption
-    literal_n_grouping: bool = False
     update_epochs: int = 1  # passes over a step's groups; clip caps movement
     grpo: GrpoConfig = field(default_factory=GrpoConfig)
     lr: float = 1e-6
@@ -170,7 +168,6 @@ def generator_phase(
     cfg: HarnessConfig,
     seed: int,
     cache: ScoreCache | None = None,
-    export: list[TaggedGroup] | None = None,
 ) -> StepRecord:
     """One generator step: n reconstructions per pair, grouped per pair."""
     cache = cache if cache is not None else ScoreCache()
@@ -200,16 +197,7 @@ def generator_phase(
             completions=tuple(completions),
             snapshot_id=generator.old_snapshot_id,
         )))
-    if export is not None:
-        for pair, group in zip(batch, groups):
-            export.append(TaggedGroup(
-                group_id=f"gen-{seed}-{pair.id or group.prompt_id}",
-                phase="generator",
-                reference=pair.smiles,
-                group=group,
-            ))
-    else:
-        _apply_updates(generator, groups, cfg)
+    _apply_updates(generator, groups, cfg)
     return _stats("generator", groups, breakdowns, generator.old_snapshot_id)
 
 
@@ -220,7 +208,6 @@ def captioner_phase(
     cfg: HarnessConfig,
     seed: int,
     cache: ScoreCache | None = None,
-    export: list[TaggedGroup] | None = None,
 ) -> StepRecord:
     """One captioner step against the frozen generator snapshot.
 
@@ -235,43 +222,25 @@ def captioner_phase(
     breakdowns: list[ScoreBreakdown] = []
     for j, pair in enumerate(batch):
         try:
-            if cfg.literal_n_grouping:
-                caption = captioner.sample(
-                    pair.smiles, 1,
-                    seed=stable_hash("cap", seed, j), table="old",
-                )[0].text
+            captions = captioner.sample(
+                pair.smiles, cfg.group_size_g,
+                seed=stable_hash("cap", seed, j), table="old",
+            )
+            completions = []
+            for g, caption in enumerate(captions):
                 recon = generator.sample(
-                    caption, cfg.rollout_n,
-                    seed=stable_hash("recon", seed, j), table="old",
+                    caption.text, cfg.recon_samples_m,
+                    seed=stable_hash("recon", seed, j, g), table="old",
                 )
-                completions = []
+                total = 0.0
                 for draw in recon:
                     breakdown = cache.score(pair.smiles, draw.text)
                     breakdowns.append(breakdown)
-                    completions.append(Completion(
-                        text=caption,
-                        reward=_reward(breakdown, cfg.reward_mode),
-                    ))
-            else:
-                captions = captioner.sample(
-                    pair.smiles, cfg.group_size_g,
-                    seed=stable_hash("cap", seed, j), table="old",
-                )
-                completions = []
-                for g, caption in enumerate(captions):
-                    recon = generator.sample(
-                        caption.text, cfg.recon_samples_m,
-                        seed=stable_hash("recon", seed, j, g), table="old",
-                    )
-                    total = 0.0
-                    for draw in recon:
-                        breakdown = cache.score(pair.smiles, draw.text)
-                        breakdowns.append(breakdown)
-                        total += _reward(breakdown, cfg.reward_mode)
-                    completions.append(Completion(
-                        text=caption.text,
-                        reward=total / cfg.recon_samples_m,
-                    ))
+                    total += _reward(breakdown, cfg.reward_mode)
+                completions.append(Completion(
+                    text=caption.text,
+                    reward=total / cfg.recon_samples_m,
+                ))
         except Exception as exc:
             raise AdapterFailure(
                 f"captioner phase, pair {pair.id or j}: {exc}"
@@ -281,16 +250,7 @@ def captioner_phase(
             completions=tuple(completions),
             snapshot_id=captioner.old_snapshot_id,
         )))
-    if export is not None:
-        for pair, group in zip(batch, groups):
-            export.append(TaggedGroup(
-                group_id=f"cap-{seed}-{pair.id or group.prompt_id}",
-                phase="captioner",
-                reference=pair.smiles,
-                group=group,
-            ))
-    else:
-        _apply_updates(captioner, groups, cfg)
+    _apply_updates(captioner, groups, cfg)
     generator.snapshot_old()  # the frozen copy tracks the live model
     return _stats("captioner", groups, breakdowns, frozen_id)
 
@@ -406,13 +366,12 @@ def run_training(
 # rollout export
 
 def export_rollouts(tagged: list[TaggedGroup], path: str) -> None:
-    """Write line-delimited rollout records; atomic via write-then-rename."""
+    """Write line-delimited rollout records atomically."""
     for item in tagged:
         if item.group.advantages is None:
             raise ValueError(f"group {item.group_id} has no advantages")
-    tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_writer(path) as handle:
             for item in tagged:
                 for completion, advantage in zip(
                     item.group.completions, item.group.advantages
@@ -427,7 +386,6 @@ def export_rollouts(tagged: list[TaggedGroup], path: str) -> None:
                         "advantage": advantage,
                         "snapshot": item.group.snapshot_id,
                     }) + "\n")
-        os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write rollouts to {path}: {exc}") from exc
 
@@ -439,18 +397,12 @@ def read_rollouts(path: str) -> list[TaggedGroup]:
             lines = [line for line in handle.read().splitlines() if line.strip()]
     except OSError as exc:
         raise IoFailure(f"cannot read rollouts from {path}: {exc}") from exc
-    order: list[str] = []
-    buckets: dict[str, list[dict]] = {}
+    buckets: dict[str, list[dict]] = {}  # insertion order is file order
     for line in lines:
         row = json.loads(line)
-        gid = row["group"]
-        if gid not in buckets:
-            buckets[gid] = []
-            order.append(gid)
-        buckets[gid].append(row)
+        buckets.setdefault(row["group"], []).append(row)
     out: list[TaggedGroup] = []
-    for gid in order:
-        rows = buckets[gid]
+    for gid, rows in buckets.items():
         completions = tuple(
             Completion(text=r["completion"], reward=r["reward"]) for r in rows
         )
@@ -470,9 +422,3 @@ def read_rollouts(path: str) -> list[TaggedGroup]:
         ))
     return out
 
-
-def strip_logps(group: RolloutGroup) -> RolloutGroup:
-    """Drop per-token log-probs (the export format does not carry them)."""
-    return replace(group, completions=tuple(
-        Completion(text=c.text, reward=c.reward) for c in group.completions
-    ))

@@ -156,6 +156,22 @@ def test_eval_echo_on_canonical_captions(tmp_path, capsys):
     assert body["report"]["sim_keys"] == 1.0
 
 
+@pytest.mark.parametrize("bad", [
+    {"smiles": 5, "caption": "x"},
+    {"smiles": "CCO", "caption": 7},
+])
+def test_eval_sets_aside_non_string_fields(tmp_path, capsys, bad):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(body) + "\n" for body in (
+        {"smiles": "CCO", "caption": "CCO"}, bad, {"smiles": "CCC", "caption": "CCC"},
+    )), encoding="utf-8")
+    assert main(["eval", "--pairs", str(pairs)]) == 0
+    captured = capsys.readouterr()
+    assert "1 malformed lines set aside" in captured.err
+    assert "samples 2" in captured.out
+    assert "exact_pct 100.0" in captured.out
+
+
 def test_eval_worker_count_does_not_change_output(tmp_path, capsys):
     pairs = write_pairs_file(
         tmp_path / "pairs.jsonl", ["CCO", "CCC", "CCN", "CC(=O)O", "c1ccccc1"],
@@ -242,6 +258,20 @@ def test_no_partial_output_on_failure(tmp_path, capsys):
     ]) == 1
     assert not bad_dir.exists()
     assert not bad_dir.with_suffix(".jsonl.tmp").exists()
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(  # a lone surrogate cannot be encoded to the TSV file
+        json.dumps({"smiles": "CCO", "caption": "\udc80"}) + "\n", encoding="utf-8",
+    )
+    out_dir = tmp_path / "parts"
+    assert main([
+        "split", "--pairs", str(pairs), "--out-dir", str(out_dir),
+        "--fmt", "tsv", "--ratios", "1", "0", "0",
+    ]) == 1
+    assert not (out_dir / "train.tsv").exists()
+    assert not (out_dir / "train.tsv.tmp").exists()
 
 
 # ---------------------------------------------------------------------------

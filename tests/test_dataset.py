@@ -69,6 +69,22 @@ def test_load_malformed_lines_go_to_sidecar(tmp_path):
     assert all(e.reason for e in result.sidecar)
 
 
+@pytest.mark.parametrize("body", [
+    {"smiles": 5, "caption": "x"},
+    {"smiles": "CCO", "caption": 7},
+])
+def test_non_string_pair_fields_go_to_sidecar(tmp_path, body):
+    with pytest.raises(ValueError, match="must be a string"):
+        PairRecord(**body)
+    path = _write(tmp_path / "pairs.jsonl", [
+        json.dumps({"smiles": "CCO", "caption": "ethanol"}),
+        json.dumps(body),
+    ])
+    result = load_pairs(path)
+    assert [r.smiles for r in result.records] == ["CCO"]
+    assert [e.line_no for e in result.sidecar] == [2]
+
+
 def test_load_format_unknown(tmp_path):
     path = _write(tmp_path / "pairs.txt", ["CCO ethanol", "CC=O acetaldehyde"])
     with pytest.raises(FormatUnknown):
@@ -146,10 +162,11 @@ def test_split_empty_raises():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(ratios=(0.5, 0.4, 0.2))
-    with pytest.raises(ValueError):
-        SplitSpec(ratios=(-0.1, 1.0, 0.1))
+    for ratios in (
+        (0.5, 0.4, 0.2), (-0.1, 1.0, 0.1), (0.5, 0.3, 0.1, 0.1), (0.7, 0.3),
+    ):
+        with pytest.raises(ValueError):
+            SplitSpec(ratios=ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from moltrip.harness import (
     generator_phase,
     read_rollouts,
     run_training,
-    strip_logps,
 )
 from moltrip.grpo import Completion, RolloutGroup
 from moltrip.metrics import reconstruction_score
@@ -48,6 +47,27 @@ def micro_config(**overrides):
     )
     base.update(overrides)
     return HarnessConfig(**base)
+
+
+def record_updates(policy) -> list[RolloutGroup]:
+    """Stub the policy's grpo_step with one that only records its groups."""
+    seen: list[RolloutGroup] = []
+    policy.grpo_step = lambda groups, cfg, lr: seen.extend(groups)
+    return seen
+
+
+def generator_rollouts(generator, seed) -> list[TaggedGroup]:
+    """One generator phase over micro_pairs, its groups tagged for export."""
+    groups = record_updates(generator)
+    pairs = micro_pairs()
+    generator_phase(generator, pairs, micro_config(), seed=seed)
+    return [
+        TaggedGroup(
+            group_id=f"gen-{seed}-{pair.id}", phase="generator",
+            reference=pair.smiles, group=group,
+        )
+        for pair, group in zip(pairs, groups)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -81,27 +101,19 @@ def test_generator_phase_moves_probability_toward_reward():
 
 def test_generator_phase_rewards_lie_in_score_range():
     _, generator = micro_policies()
-    cfg = micro_config()
-    export: list[TaggedGroup] = []
-    generator_phase(generator, micro_pairs(), cfg, seed=1, export=export)
-    rewards = [c.reward for t in export for c in t.group.completions]
+    groups = record_updates(generator)
+    generator_phase(generator, micro_pairs(), micro_config(), seed=1)
+    rewards = [c.reward for g in groups for c in g.completions]
     assert rewards and all(0.0 <= r <= 4.0 for r in rewards)
 
 
 def test_exact_only_rewards_are_binary():
     _, generator = micro_policies()
     cfg = micro_config(reward_mode="exact_only")
-    export: list[TaggedGroup] = []
-    generator_phase(generator, micro_pairs(), cfg, seed=1, export=export)
-    rewards = {c.reward for t in export for c in t.group.completions}
+    groups = record_updates(generator)
+    generator_phase(generator, micro_pairs(), cfg, seed=1)
+    rewards = {c.reward for g in groups for c in g.completions}
     assert rewards <= {0.0, 1.0}
-
-
-def test_export_mode_skips_the_update():
-    _, generator = micro_policies()
-    frozen = copy.deepcopy(generator.logits)
-    generator_phase(generator, micro_pairs(), micro_config(), seed=1, export=[])
-    assert generator.logits == frozen
 
 
 def test_degenerate_groups_freeze_learning_without_kl():
@@ -131,14 +143,11 @@ def test_captioner_phase_scores_against_frozen_generator():
     row[generator.action_index("CCO")] = 25.0  # old copy will be certain
     generator.snapshot_old()
     row[generator.action_index("CCO")] = -25.0  # live copy now favors xx
-    export: list[TaggedGroup] = []
+    groups = record_updates(captioner)
     pair = [PairRecord(smiles="CCO", caption="good")]
-    captioner_phase(
-        captioner, generator, pair, micro_config(), seed=0, export=export,
-    )
+    captioner_phase(captioner, generator, pair, micro_config(), seed=0)
     good_rewards = [
-        c.reward for t in export for c in t.group.completions
-        if c.text == "good"
+        c.reward for g in groups for c in g.completions if c.text == "good"
     ]
     assert good_rewards and all(r == 4.0 for r in good_rewards)
 
@@ -154,25 +163,10 @@ def test_captioner_phase_refreshes_generator_snapshot_after_update():
 def test_captioner_group_size_is_g():
     captioner, generator = micro_policies()
     cfg = micro_config(group_size_g=6)
-    export: list[TaggedGroup] = []
-    captioner_phase(
-        captioner, generator, micro_pairs(), cfg, seed=0, export=export,
-    )
-    assert all(len(t.group.completions) == 6 for t in export)
-    assert all(t.phase == "captioner" for t in export)
-
-
-def test_literal_n_grouping_repeats_one_caption():
-    captioner, generator = micro_policies()
-    cfg = micro_config(literal_n_grouping=True, rollout_n=10)
-    export: list[TaggedGroup] = []
-    captioner_phase(
-        captioner, generator, micro_pairs(), cfg, seed=0, export=export,
-    )
-    for tagged in export:
-        texts = {c.text for c in tagged.group.completions}
-        assert len(texts) == 1
-        assert len(tagged.group.completions) == 10
+    groups = record_updates(captioner)
+    captioner_phase(captioner, generator, micro_pairs(), cfg, seed=0)
+    assert len(groups) == len(micro_pairs())
+    assert all(len(g.completions) == 6 for g in groups)
 
 
 def test_recon_mean_over_m_matches_deterministic_generator():
@@ -180,13 +174,13 @@ def test_recon_mean_over_m_matches_deterministic_generator():
     generator = TabularPolicy.uniform(("good",), ("CCO", "xx"))
     generator.logits[0][0] = 30.0  # old table certain after snapshot
     generator.snapshot_old()
-    export: list[TaggedGroup] = []
+    groups = record_updates(captioner)
     cfg = micro_config(recon_samples_m=5, group_size_g=4)
     captioner_phase(
         captioner, generator,
-        [PairRecord(smiles="CCO", caption="good")], cfg, seed=0, export=export,
+        [PairRecord(smiles="CCO", caption="good")], cfg, seed=0,
     )
-    rewards = [c.reward for t in export for c in t.group.completions]
+    rewards = [c.reward for g in groups for c in g.completions]
     assert all(r == pytest.approx(4.0) for r in rewards)
 
 
@@ -301,23 +295,19 @@ def test_training_log_round_trips_to_records():
 
 def test_export_read_round_trip(tmp_path):
     _, generator = micro_policies()
-    export: list[TaggedGroup] = []
-    generator_phase(generator, micro_pairs(), micro_config(), seed=4,
-                    export=export)
+    export = generator_rollouts(generator, seed=4)
     path = str(tmp_path / "rollouts.jsonl")
     export_rollouts(export, path)
     back = read_rollouts(path)
     assert [t.group_id for t in back] == [t.group_id for t in export]
     assert [t.reference for t in back] == [t.reference for t in export]
     for original, loaded in zip(export, back):
-        assert strip_logps(original.group) == loaded.group
+        assert original.group == loaded.group
 
 
 def test_export_rewards_audit_against_fresh_scoring(tmp_path):
     _, generator = micro_policies()
-    export: list[TaggedGroup] = []
-    generator_phase(generator, micro_pairs(), micro_config(), seed=4,
-                    export=export)
+    export = generator_rollouts(generator, seed=4)
     path = str(tmp_path / "rollouts.jsonl")
     export_rollouts(export, path)
     for tagged in read_rollouts(path):
@@ -341,9 +331,7 @@ def test_export_requires_filled_advantages(tmp_path):
 
 def test_read_rollouts_marks_degenerate_groups(tmp_path):
     generator = TabularPolicy.uniform(CAPTIONS, ("xx", "yy"))
-    export: list[TaggedGroup] = []
-    generator_phase(generator, micro_pairs(), micro_config(), seed=0,
-                    export=export)
+    export = generator_rollouts(generator, seed=0)
     path = str(tmp_path / "rollouts.jsonl")
     export_rollouts(export, path)
     assert all(t.group.degenerate for t in read_rollouts(path))
@@ -351,9 +339,7 @@ def test_read_rollouts_marks_degenerate_groups(tmp_path):
 
 def test_export_write_is_atomic(tmp_path):
     _, generator = micro_policies()
-    export: list[TaggedGroup] = []
-    generator_phase(generator, micro_pairs(), micro_config(), seed=4,
-                    export=export)
+    export = generator_rollouts(generator, seed=4)
     path = tmp_path / "rollouts.jsonl"
     export_rollouts(export, str(path))
     assert path.exists()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from moltrip.chem import model, parser, rings, valence
 from moltrip.chem import (
     AromaticBondMismatch,
     BondOrder,
@@ -15,8 +16,11 @@ from moltrip.chem import (
     UnbalancedParenthesis,
     UnclosedRing,
     UnknownToken,
+    canonical_smiles,
     parse_smiles,
 )
+from moltrip.chem.model import Molecule
+from moltrip.fingerprints import morgan_features, path_features
 from oracles import non_bridge_atoms, scan_structure
 
 
@@ -189,3 +193,24 @@ def test_macrocycle_parses_in_bounded_time(atom):
     assert not mol.failures
     assert [len(ring) for ring in mol.rings] == [600]
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_parse_builds_the_neighbour_view_once(monkeypatch):
+    built = []
+    original = model.neighbor_view
+
+    def counting(n_atoms, bonds):
+        built.append(n_atoms)
+        return original(n_atoms, bonds)
+
+    for module in (model, parser, rings, valence):
+        if hasattr(module, "neighbor_view"):
+            monkeypatch.setattr(module, "neighbor_view", counting)
+    mol = parse_smiles("c1ccccc1C(=O)Nc1ccncc1")  # has pi donors
+    canonical_smiles(mol)
+    morgan_features(mol)
+    path_features(mol)
+    assert len(built) == 1
+    direct = Molecule(atoms=mol.atoms, bonds=mol.bonds)  # builds its own
+    assert direct.neighbor_view == mol.neighbor_view
+    assert len(built) == 2
