@@ -8,20 +8,27 @@ grpo_step() ascends the exact GRPO objective.  Both policies reduce a
 completion to a walk of (context row, action) steps over one logit table,
 so one objective and one gradient serve them both; that exactness is what
 makes the desk-scale training loop verifiable.
+
+The remote backend posts each chat-completions call through UrllibTransport,
+a standard-library HTTP transport (urllib.request and json), so the package
+has no third-party runtime dependency.
 """
 
 from __future__ import annotations
 
 import bisect
+import http.client
 import itertools
+import json as jsonlib
 import math
 import os
 import random
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field, replace
-
-import requests
 
 from .chem import canonical_smiles, check_validity, parse_smiles
 from .fingerprints import extend_hash, stable_hash
@@ -515,6 +522,55 @@ class RemoteEndpointConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        # urllib would also open file: and ftp: URLs, and a bad port would
+        # only surface as a retried connection error
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base_url must be an http(s) URL: {self.base_url!r}")
+        parts.port  # raises ValueError for a port that is not a number in range
+
+
+@dataclass(frozen=True)
+class HttpReply:
+    status_code: int
+    body: bytes
+
+    def json(self):
+        return jsonlib.loads(self.body)
+
+
+class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+    """Leave a 3xx as an HTTPError: following it would resend the bearer
+    header to whatever host the Location names, over http too."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+class UrllibTransport:
+    """POST a JSON payload with urllib; every HTTP status comes back as a reply.
+
+    An error status is a reply like any other, redirects included (none is
+    followed), so RemoteClient alone decides what to retry.  Network failures
+    propagate as OSError (URLError, TimeoutError) or http.client.HTTPException.
+    """
+
+    def __init__(self) -> None:
+        self._opener = urllib.request.build_opener(_RefuseRedirect)
+
+    def post(self, url, json=None, headers=None, timeout=None) -> HttpReply:
+        request = urllib.request.Request(
+            url,
+            data=jsonlib.dumps(json).encode("utf-8"),
+            headers={"Content-Type": "application/json", **(headers or {})},
+            method="POST",
+        )
+        try:
+            with self._opener.open(request, timeout=timeout) as reply:
+                return HttpReply(reply.status, reply.read())
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return HttpReply(exc.code, exc.read())
 
 
 class RemoteClient:
@@ -522,7 +578,7 @@ class RemoteClient:
 
     def __init__(self, cfg: RemoteEndpointConfig, session=None, sleep=time.sleep):
         self.cfg = cfg
-        self._session = session if session is not None else requests.Session()
+        self._session = session if session is not None else UrllibTransport()
         self._sleep = sleep
         self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
 
@@ -548,11 +604,15 @@ class RemoteClient:
                         url, json=payload, headers=headers,
                         timeout=self.cfg.timeout,
                     )
-                except requests.Timeout as exc:
-                    last_error = Timeout(str(exc))
-                    continue
-                except requests.ConnectionError as exc:
-                    last_error = HttpStatus(0, f"connection error: {exc}")
+                except (OSError, http.client.HTTPException) as exc:
+                    # urllib wraps a connect timeout in URLError; a read
+                    # timeout arrives bare
+                    if isinstance(exc, TimeoutError) or isinstance(
+                        getattr(exc, "reason", None), TimeoutError
+                    ):
+                        last_error = Timeout(str(exc))
+                    else:
+                        last_error = HttpStatus(0, f"connection error: {exc}")
                     continue
             if response.status_code in _RETRYABLE_STATUS:
                 last_error = HttpStatus(response.status_code, "retryable")
@@ -581,19 +641,6 @@ class RemoteClient:
             except (TypeError, KeyError) as exc:
                 raise MalformedResponse(f"bad choice shape: {choice!r:.80}") from exc
         return out
-
-
-def remote_complete(
-    cfg: RemoteEndpointConfig,
-    prompt: str,
-    n: int = 1,
-    temperature: float = 1.0,
-    session=None,
-    sleep=time.sleep,
-) -> list[Sampled]:
-    return RemoteClient(cfg, session=session, sleep=sleep).complete(
-        prompt, n, temperature
-    )
 
 
 # ---------------------------------------------------------------------------

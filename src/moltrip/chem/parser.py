@@ -15,7 +15,6 @@ import re
 from .model import (
     AROMATIC_ELEMENTS,
     ELEMENT_SYMBOLS,
-    ORGANIC_SUBSET,
     Atom,
     Bond,
     BondOrder,

@@ -18,15 +18,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .adapters import (
-    AdapterFailure,
-    AuthMissing,
     EchoAdapter,
-    HttpStatus,
-    MalformedResponse,
     RemoteAdapter,
     RemoteClient,
     RemoteEndpointConfig,
-    Timeout,
     UnknownState,
     load_prompts,
 )
@@ -35,6 +30,7 @@ from .dataset import (
     PairRecord,
     SplitSpec,
     atomic_writer,
+    check_readable,
     dedupe_overlap,
     diagnostic_filter,
     load_pairs,
@@ -253,6 +249,7 @@ def cmd_split(args) -> int:
     pairs = _load(args.pairs)
     spec = SplitSpec(ratios=tuple(args.ratios), seed=args.seed)
     parts = split(pairs, spec)
+    check_readable(pairs, args.fmt)  # before any of the three files is written
     os.makedirs(args.out_dir, exist_ok=True)
     lines = []
     for name, part in zip(("train", "val", "test"), parts):

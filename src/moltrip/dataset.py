@@ -150,10 +150,35 @@ def _read_tsv_line(line: str, line_no: int) -> PairRecord:
     )
 
 
-def write_pairs(records: list[PairRecord], path: str, fmt: str = "jsonl") -> None:
-    """Write records as JSON lines or two-column TSV, atomically."""
+def check_readable(records: list[PairRecord], fmt: str) -> None:
+    """Raise ValueError naming the first record that load_pairs could not
+    read back from a ``fmt`` file.
+
+    JSON lines escape every character.  A TSV line cannot hold a tab or a
+    line break in a field, the reader strips whitespace around each field,
+    and a file whose first line starts with '{' reads as JSON lines.
+    """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
+    if fmt == "jsonl":
+        return
+    for position, record in enumerate(records, start=1):
+        # any str.splitlines boundary inside text splits "text."
+        if record.smiles.startswith("{") or any(
+            "\t" in text or len(f"{text}.".splitlines()) > 1 or text != text.strip()
+            for text in (record.smiles, record.caption)
+        ):
+            raise ValueError(
+                f"record {position} (id={record.id!r}, line={record.line_no})"
+                " would not read back from TSV: a field holds a tab, a line"
+                " break or surrounding whitespace, or the smiles starts with '{'"
+            )
+
+
+def write_pairs(records: list[PairRecord], path: str, fmt: str = "jsonl") -> None:
+    """Write records as JSON lines or two-column TSV, atomically; raise
+    ValueError before writing anything if a record would not read back."""
+    check_readable(records, fmt)
     try:
         with atomic_writer(path) as handle:
             for record in records:

@@ -1,14 +1,19 @@
-"""Scripted, tabular, and remote adapters.  Remote tests use a fake session."""
+"""Scripted, tabular, and remote adapters.  Remote tests use a fake session,
+or the real transport against a local HTTP server on 127.0.0.1."""
 
 from __future__ import annotations
 
+import contextlib
+import http.server
+import json
 import math
 import random
 import re
+import socket
 import threading
+import urllib.error
 
 import pytest
-import requests
 
 from moltrip.adapters import (
     AuthMissing,
@@ -27,7 +32,6 @@ from moltrip.adapters import (
     UnknownState,
     extract_smiles,
     load_prompts,
-    remote_complete,
     tabular_gradient,
     tabular_grpo_step,
     tabular_objective,
@@ -312,8 +316,8 @@ def test_remote_requires_api_key(monkeypatch):
 def test_remote_success_payload_and_headers(monkeypatch):
     monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
     session = FakeSession([FakeResponse(body=_ok_body(["CCO", "CCN"]))])
-    out = remote_complete(CFG, "make ethanol", n=2, temperature=0.3,
-                          session=session, sleep=lambda s: None)
+    client = RemoteClient(CFG, session=session, sleep=lambda s: None)
+    out = client.complete("make ethanol", n=2, temperature=0.3)
     assert [s.text for s in out] == ["CCO", "CCN"]
     call = session.calls[0]
     assert call["url"] == "https://api.example.test/v1/chat/completions"
@@ -358,15 +362,23 @@ def test_remote_non_retryable_status_is_immediate(monkeypatch):
 
 def test_remote_timeout_raised_after_retries(monkeypatch):
     monkeypatch.setenv("RTMOL_API_KEY", "k")
-    session = FakeSession([requests.Timeout("slow")] * 3)
+    session = FakeSession([TimeoutError("slow")] * 3)
     with pytest.raises(Timeout):
         RemoteClient(CFG, session=session, sleep=lambda s: None).complete("p", 1)
+
+
+def test_remote_connect_timeout_is_a_timeout(monkeypatch):
+    monkeypatch.setenv("RTMOL_API_KEY", "k")
+    session = FakeSession([urllib.error.URLError(TimeoutError("slow"))] * 3)
+    with pytest.raises(Timeout):
+        RemoteClient(CFG, session=session, sleep=lambda s: None).complete("p", 1)
+    assert len(session.calls) == 3
 
 
 def test_remote_connection_error_retries(monkeypatch):
     monkeypatch.setenv("RTMOL_API_KEY", "k")
     session = FakeSession([
-        requests.ConnectionError("refused"),
+        urllib.error.URLError(ConnectionRefusedError("refused")),
         FakeResponse(body=_ok_body(["O"])),
     ])
     out = RemoteClient(CFG, session=session, sleep=lambda s: None).complete("p", 1)
@@ -418,13 +430,141 @@ def test_remote_in_flight_cap(monkeypatch):
     assert session.peak <= CFG.max_in_flight
 
 
+class ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each request with the next (status, body[, headers]) of the
+    server's script; a None status stalls until the server's release event
+    is set."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = self.rfile.read(length)
+        self.server.seen.append((self.headers, json.loads(body) if body else None))
+        status, reply, *extra = self.server.script.pop(0)
+        if status is None:
+            self.server.release.wait(5.0)
+            return
+        data = json.dumps(reply).encode()
+        self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST  # a followed 301/302/303 arrives as a GET
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serving():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.script, server.seen, server.release = [], [], threading.Event()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def local_server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # keep any proxy off loopback
+    with _serving() as server:
+        yield server
+
+
+def _local_client(port, **overrides):
+    cfg = RemoteEndpointConfig(
+        base_url=f"http://127.0.0.1:{port}/v1", model="toy-model",
+        **{"timeout": 2.0, "max_retries": 2, **overrides},
+    )
+    return RemoteClient(cfg, sleep=lambda s: None)
+
+
+def test_transport_retries_503_then_parses_200(monkeypatch, local_server):
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    local_server.script = [(503, {}), (200, _ok_body(["CCO", "CCN"]))]
+    client = _local_client(local_server.server_port)
+    out = client.complete("make ethanol", n=2, temperature=0.3)
+    assert [s.text for s in out] == ["CCO", "CCN"]
+    assert len(local_server.seen) == 2
+    headers, payload = local_server.seen[-1]
+    assert headers["Authorization"] == "Bearer sekrit"
+    assert headers["Content-Type"] == "application/json"
+    assert payload == {
+        "model": "toy-model",
+        "messages": [{"role": "user", "content": "make ethanol"}],
+        "n": 2,
+        "temperature": 0.3,
+    }
+
+
+def test_transport_404_raises_at_once(monkeypatch, local_server):
+    monkeypatch.setenv("RTMOL_API_KEY", "k")
+    local_server.script = [(404, {"error": "no such model"})]
+    with pytest.raises(HttpStatus) as info:
+        _local_client(local_server.server_port).complete("p", 1)
+    assert info.value.status == 404
+    assert len(local_server.seen) == 1
+
+
+def test_transport_stalled_server_times_out(monkeypatch, local_server):
+    monkeypatch.setenv("RTMOL_API_KEY", "k")
+    local_server.script = [(None, None)]
+    client = _local_client(local_server.server_port, timeout=0.2, max_retries=0)
+    with pytest.raises(Timeout):
+        client.complete("p", 1)
+
+
+def test_transport_refused_connection_is_status_zero(monkeypatch):
+    monkeypatch.setenv("RTMOL_API_KEY", "k")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with socket.socket() as probe:  # a port nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(HttpStatus) as info:
+        _local_client(port).complete("p", 1)
+    assert info.value.status == 0
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_transport_does_not_follow_redirects(monkeypatch, local_server, status):
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    with _serving() as elsewhere:
+        elsewhere.script = [(200, _ok_body(["CCO"]))]
+        target = f"http://127.0.0.1:{elsewhere.server_port}/v1/chat/completions"
+        local_server.script = [(status, {}, {"Location": target})]
+        with pytest.raises(HttpStatus) as info:
+            _local_client(local_server.server_port).complete("p", 1)
+        assert elsewhere.seen == []  # the bearer header never left for it
+    assert info.value.status == status
+    assert len(local_server.seen) == 1
+
+
 def test_remote_config_validation():
-    with pytest.raises(ValueError):
-        RemoteEndpointConfig(base_url="u", model="m", timeout=0)
-    with pytest.raises(ValueError):
-        RemoteEndpointConfig(base_url="u", model="m", max_retries=-1)
-    with pytest.raises(ValueError):
-        RemoteEndpointConfig(base_url="u", model="m", max_in_flight=0)
+    ok = "https://api.example.test/v1"
+    for bad in (
+        {"timeout": 0},
+        {"max_retries": -1},
+        {"max_in_flight": 0},
+        {"base_url": "u"},
+        {"base_url": "file:///tmp/v1"},
+        {"base_url": "ftp://host/v1"},
+        {"base_url": "http:///v1"},
+        {"base_url": "http://host:abc/v1"},
+        {"base_url": "http://host:99999/v1"},
+    ):
+        with pytest.raises(ValueError):
+            RemoteEndpointConfig(**{"base_url": ok, "model": "m", **bad})
+    RemoteEndpointConfig(base_url="http://127.0.0.1:8000/v1/", model="m")
 
 
 # ---------------------------------------------------------------------------

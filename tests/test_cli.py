@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +278,20 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     assert not (out_dir / "train.tsv.tmp").exists()
 
 
+def test_split_refuses_tsv_that_would_not_read_back(tmp_path, capsys):
+    pairs = write_pairs_file(
+        tmp_path / "pairs.jsonl", ["CCO", "CCN", "CCC"],
+        captions=["fine", "a\tb", "line\nbreak"],
+    )
+    out_dir = tmp_path / "parts"
+    assert main([
+        "split", "--pairs", pairs, "--out-dir", str(out_dir), "--fmt", "tsv",
+        "--ratios", "0", "0", "1",  # train and val would be written first
+    ]) == 1
+    assert "would not read back" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # training and theory
 
@@ -300,6 +318,30 @@ def test_theory_check_seeded_and_exact_text(capsys):
 # ---------------------------------------------------------------------------
 # remote annotation (fake transport, no network)
 
+HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"}
+
+
+def test_cli_import_loads_no_third_party_http_library():
+    # compared against the modules already loaded, not against absence: a
+    # site hook may preload one of these into every interpreter
+    code = (
+        "import sys; before = set(sys.modules); import moltrip.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH"),
+    ]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded = set(done.stdout.split())
+    assert "moltrip.cli" in loaded
+    assert not {name.partition(".")[0] for name in loaded} & HTTP_LIBRARIES
+
+
 def test_annotate_exports_rollouts(tmp_path, capsys, monkeypatch):
     import moltrip.adapters as adapters
 
@@ -308,7 +350,7 @@ def test_annotate_exports_rollouts(tmp_path, capsys, monkeypatch):
         FakeResponse(_ok_body(["CCO", "CCN", "xx"])),
         FakeResponse(_ok_body(["CCC", "CCC", "CCO"])),
     ]
-    monkeypatch.setattr(adapters.requests, "Session", lambda: FakeSession(script))
+    monkeypatch.setattr(adapters, "UrllibTransport", lambda: FakeSession(script))
     pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCC"])
     out = tmp_path / "rollouts.jsonl"
     assert main([
@@ -336,7 +378,7 @@ def test_annotate_worker_count_does_not_change_rollouts(tmp_path, capsys, monkey
     import moltrip.adapters as adapters
 
     monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
-    monkeypatch.setattr(adapters.requests, "Session", CaptionEchoSession)
+    monkeypatch.setattr(adapters, "UrllibTransport", CaptionEchoSession)
     pairs = write_pairs_file(
         tmp_path / "pairs.jsonl", ["CCO", "CCC", "CCN", "CC(=O)O", "c1ccccc1"],
     )

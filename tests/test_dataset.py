@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moltrip.adapters import EchoAdapter
 from moltrip.chem import canonicalize
@@ -119,6 +123,57 @@ def test_write_load_round_trip(tmp_path, fmt):
     assert [r.caption for r in back.records] == [r.caption for r in records]
     if fmt == "jsonl":
         assert list(back.records) == records
+
+
+@pytest.mark.parametrize("smiles, caption", [
+    ("CCO", "a\tb"),
+    ("CCO", "line\nbreak"),
+    ("CCO", "carriage\rreturn"),
+    ("CCO", "para\u2029graph"),
+    ("CCO", " padded"),
+    ("CCO ", "padded smiles"),
+    ("{CCO", "reads as JSON"),
+])
+def test_tsv_write_refuses_records_that_would_not_read_back(tmp_path, smiles, caption):
+    path = tmp_path / "out.tsv"
+    path.write_text("CC\told\n", encoding="utf-8")
+    records = [PairRecord(smiles="CCN", caption="fine"),
+               PairRecord(smiles=smiles, caption=caption, id="bad")]
+    with pytest.raises(ValueError, match="record 2 \\(id='bad'"):
+        write_pairs(records, str(path), fmt="tsv")
+    assert path.read_text(encoding="utf-8") == "CC\told\n"
+    assert not (tmp_path / "out.tsv.tmp").exists()
+    write_pairs(records, str(path), fmt="jsonl")
+    assert load_pairs(str(path)).records == tuple(records)
+
+
+_records = st.lists(st.builds(
+    PairRecord,
+    smiles=st.text(min_size=1) | st.text().map("{".__add__),
+    caption=st.text(),
+    id=st.none() | st.text(),
+    provenance=st.text(),
+), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_records)
+def test_written_pairs_read_back(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pairs.jsonl")
+        write_pairs(records, path, fmt="jsonl")
+        back = load_pairs(path)
+        assert back.sidecar == ()
+        assert back.records == tuple(records)
+        path = os.path.join(tmp, "pairs.tsv")
+        try:
+            write_pairs(records, path, fmt="tsv")
+        except ValueError:
+            return
+        back = load_pairs(path)
+        assert back.sidecar == ()
+        assert ([(r.smiles, r.caption) for r in back.records]
+                == [(r.smiles, r.caption) for r in records])
 
 
 # ---------------------------------------------------------------------------
