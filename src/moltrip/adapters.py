@@ -136,10 +136,6 @@ def _cumulative(log_probs: list[float], temperature: float) -> list[float]:
     return list(itertools.accumulate(math.exp(lp) for lp in log_probs))
 
 
-def _copy_rows(table: list[list[float]]) -> list[list[float]]:
-    return [row[:] for row in table]
-
-
 @dataclass
 class TabularPolicy:
     """Softmax-over-logits policy on finite states and actions.
@@ -147,29 +143,33 @@ class TabularPolicy:
     Keeps three logit tables: the live one, a frozen "old" snapshot that
     sampling ratios are measured against, and a fixed reference for the KL
     penalty.  Snapshot ids let rollouts prove which table produced them.
+    Each row is an immutable tuple, so the three tables share the rows they
+    agree on: a snapshot copies only the list of rows, and an update
+    replaces the rows it touches.
     """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
-    logits: list[list[float]]
-    old_logits: list[list[float]] = field(default=None)  # type: ignore[assignment]
-    ref_logits: list[list[float]] = field(default=None)  # type: ignore[assignment]
+    logits: list[tuple[float, ...]]
+    old_logits: list[tuple[float, ...]] = field(default=None)  # type: ignore[assignment]
+    ref_logits: list[tuple[float, ...]] = field(default=None)  # type: ignore[assignment]
     old_snapshot_id: int = 0
 
     def __post_init__(self) -> None:
         expected = (len(self.states), len(self.actions))
         if (len(self.logits), len(self.logits[0])) != expected:
             raise ValueError("logits shape must be states x actions")
+        self.logits = [tuple(row) for row in self.logits]
         if self.old_logits is None:
-            self.old_logits = _copy_rows(self.logits)
+            self.old_logits = list(self.logits)
         if self.ref_logits is None:
-            self.ref_logits = _copy_rows(self.logits)
+            self.ref_logits = list(self.logits)
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._action_index = {a: i for i, a in enumerate(self.actions)}
 
     @classmethod
     def uniform(cls, states, actions) -> "TabularPolicy":
-        rows = [[0.0] * len(actions) for _ in states]
+        rows = [(0.0,) * len(actions)] * len(states)
         return cls(states=tuple(states), actions=tuple(actions), logits=rows)
 
     def state_index(self, state: str) -> int:
@@ -190,7 +190,7 @@ class TabularPolicy:
 
     def snapshot_old(self) -> int:
         """Freeze the live table as the new old policy; returns its id."""
-        self.old_logits = _copy_rows(self.logits)
+        self.old_logits = list(self.logits)
         self.old_snapshot_id += 1
         return self.old_snapshot_id
 
@@ -333,11 +333,11 @@ def _gradient(
 
 
 def _ascend(table: TabularPolicy, grad_rows, lr: float) -> None:
-    """Add lr times each (row index, gradient row) pair to the live logits."""
+    """Replace each (row index, gradient row) pair's live row with the row
+    plus lr times the gradient; untouched rows stay shared with snapshots."""
+    logits = table.logits
     for s, row in grad_rows:
-        live = table.logits[s]
-        for a in range(len(row)):
-            live[a] += lr * row[a]
+        logits[s] = tuple([v + lr * g for v, g in zip(logits[s], row)])
 
 
 def tabular_objective(
@@ -362,8 +362,9 @@ def tabular_grpo_step(
     cfg: GrpoConfig,
     lr: float,
 ) -> TabularPolicy:
-    """Ascend the exact objective gradient in place; returns the policy."""
-    _ascend(policy, enumerate(tabular_gradient(policy, groups, cfg)), lr)
+    """Ascend the exact objective gradient over the touched rows; returns
+    the policy."""
+    _ascend(policy, _gradient(policy, groups, policy.walk, cfg).items(), lr)
     return policy
 
 
@@ -376,6 +377,9 @@ class TokenSequencePolicy:
     Each (prompt, prefix) context is a state in an ordinary tabular table,
     so snapshots, ratios, and the KL reference behave exactly as in the
     single-shot case; completions just carry one log-prob per drawn token.
+    The table's rows are immutable and shared with its snapshots, so a
+    snapshot costs one list copy however many contexts there are, and a
+    step replaces only the rows of the contexts its completions passed.
     With a stop token the string may end early; without one every rollout
     is exactly max_tokens long, which keeps sampling odds flat across
     competing strings.  Exact strings are exponentially rare under the
@@ -629,6 +633,8 @@ class RemoteClient:
             body = response.json()
         except ValueError as exc:
             raise MalformedResponse(f"not JSON: {exc}") from exc
+        if not isinstance(body, dict):
+            raise MalformedResponse(f"not a JSON object: {body!r:.80}")
         choices = body.get("choices")
         if not isinstance(choices, list) or len(choices) != n:
             raise MalformedResponse(
@@ -637,9 +643,12 @@ class RemoteClient:
         out = []
         for choice in choices:
             try:
-                out.append(Sampled(choice["message"]["content"]))
+                content = choice["message"]["content"]
             except (TypeError, KeyError) as exc:
                 raise MalformedResponse(f"bad choice shape: {choice!r:.80}") from exc
+            if not isinstance(content, str):
+                raise MalformedResponse(f"content is not a string: {content!r:.80}")
+            out.append(Sampled(content))
         return out
 
 

@@ -42,6 +42,7 @@ from .grpo import Completion, RolloutGroup, fill_advantages
 from .harness import REWARD_MODES, TaggedGroup, export_rollouts
 from .metrics import (
     RoundTripSample,
+    ScoreCache,
     aggregate_report,
     reconstruction_score,
     round_trip_rate,
@@ -314,12 +315,13 @@ def cmd_annotate(args) -> int:
         lambda pair: adapter.generate(pair.caption, args.n, args.temperature),
         pairs, args.workers,
     )
+    cache = ScoreCache()
     tagged: list[TaggedGroup] = []
     for j, (pair, group_draws) in enumerate(zip(pairs, draws)):
         completions = tuple(
             Completion(
                 text=d.text,
-                reward=reconstruction_score(pair.smiles, d.text).total,
+                reward=cache.score(pair.smiles, d.text).total,
             )
             for d in group_draws
         )

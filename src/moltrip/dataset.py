@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, TextIO
 
 from .chem import SmilesError, canonical_smiles, parse_smiles
-from .metrics import reconstruction_score
+from .metrics import ScoreCache
 
 
 class IoFailure(OSError):
@@ -316,6 +316,7 @@ def diagnostic_filter(
         raise ValueError("tau must lie in [0, 4]")
     if m < 1:
         raise ValueError("m must be >= 1")
+    cache = ScoreCache()
     kept: list[PairRecord] = []
     rejected: list[PairRecord] = []
     scores: list[PairScore] = []
@@ -324,7 +325,7 @@ def diagnostic_filter(
             samples = generator.generate(record.caption, m, temperature)
             total = 0.0
             for sample in samples:
-                total += reconstruction_score(record.smiles, sample.text).total
+                total += cache.score(record.smiles, sample.text).total
             mean_score = total / m
         except Exception as exc:  # adapter failures reject, never raise
             rejected.append(record)

@@ -4,8 +4,9 @@ The loop alternates phases: the generator is trained to reconstruct
 molecules from reference captions, then the captioner is trained against a
 frozen generator snapshot that scores its candidate captions by round-trip
 reconstruction.  Each phase samples, scores, groups and takes exact GRPO
-steps on the policy.  Every sample is seeded, so a (config, seed) pair
-reproduces the full log bit for bit.
+steps on the policy.  One ScoreCache per run prepares each distinct
+string once while it stays cached.  Every sample is seeded, so a (config,
+seed) pair reproduces the full log bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .metrics import (
     EvalReport,
     RoundTripSample,
     ScoreBreakdown,
+    ScoreCache,
     aggregate_report,
-    reconstruction_score,
     round_trip_rate,
 )
 
@@ -97,22 +98,6 @@ class TrainingLog:
         if self.final_report is not None:
             body["final_report"] = self.final_report.to_record()
         return body
-
-
-class ScoreCache:
-    """Memoizes reconstruction_score over (reference, candidate) pairs."""
-
-    def __init__(self) -> None:
-        self._table: dict[tuple[str, str], ScoreBreakdown] = {}
-
-    def score(self, reference: str, candidate: str) -> ScoreBreakdown:
-        key = (reference, candidate)
-        if key not in self._table:
-            self._table[key] = reconstruction_score(reference, candidate)
-        return self._table[key]
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 def _reward(breakdown: ScoreBreakdown, mode: str) -> float:

@@ -1,14 +1,15 @@
 """Acceptance criteria, one verdict line per criterion on the terminal.
 
-Each test prints exactly one PASS/FAIL line (with the measured numbers)
-through the capture-disabled channel, then asserts.  Criteria run in
-numeric order; the training-loop criterion is the long pole at roughly a
-minute of wall time.
+Each criterion test prints exactly one PASS/FAIL line (with the measured
+numbers) through the capture-disabled channel, then asserts.  Criteria run
+in numeric order; the training-loop criterion is the long pole, and the
+full-log pins beside it reuse its two runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -27,6 +28,7 @@ from moltrip.theory import check_mi_bound, random_system
 from moltrip.toy import run_toy
 
 from oracles import bleu_reference
+from rows import set_logit
 
 
 @pytest.fixture
@@ -142,9 +144,9 @@ def test_criterion_05_tabular_gradient(verdict):
         logits=[[rng.uniform(-0.5, 0.5) for _ in actions] for _ in states],
     )
     policy.snapshot_old()
-    for row in policy.logits:
+    for s, row in enumerate(policy.logits):
         for a in range(len(row)):
-            row[a] += rng.uniform(-0.15, 0.15)
+            set_logit(policy, s, a, row[a] + rng.uniform(-0.15, 0.15))
     cfg = GrpoConfig(epsilon=0.2, beta=0.05)
     groups = []
     for state in states:
@@ -162,11 +164,11 @@ def test_criterion_05_tabular_gradient(verdict):
     for s in range(len(states)):
         for a in range(len(actions)):
             kept = policy.logits[s][a]
-            policy.logits[s][a] = kept + h
+            set_logit(policy, s, a, kept + h)
             up = tabular_objective(policy, groups, cfg)
-            policy.logits[s][a] = kept - h
+            set_logit(policy, s, a, kept - h)
             down = tabular_objective(policy, groups, cfg)
-            policy.logits[s][a] = kept
+            set_logit(policy, s, a, kept)
             worst = max(worst, abs((up - down) / (2 * h) - grad[s][a]))
     ok = worst < 1e-6
     verdict(5, ok, (
@@ -201,12 +203,22 @@ def test_criterion_06_mi_bound(verdict):
     assert ok
 
 
-def test_criterion_07_toy_training(verdict):
+@pytest.fixture(scope="module")
+def toy_runs():
+    """The two 200-step toy runs, shared by criterion 7 and the log pins;
+    the wall time covers the shaped run alone."""
     started = time.perf_counter()
     shaped = run_toy(seed=0, max_steps=200, reward_mode="shaped")
     elapsed = time.perf_counter() - started
-    shaped_rate = shaped.log.final_round_trip
     sparse = run_toy(seed=0, max_steps=200, reward_mode="exact_only")
+    return {"shaped": shaped, "exact_only": sparse, "elapsed": elapsed}
+
+
+def test_criterion_07_toy_training(toy_runs, verdict):
+    shaped, sparse, elapsed = (
+        toy_runs["shaped"], toy_runs["exact_only"], toy_runs["elapsed"]
+    )
+    shaped_rate = shaped.log.final_round_trip
     sparse_rate = sparse.log.final_round_trip
     ok = (
         shaped_rate >= 0.9
@@ -220,6 +232,20 @@ def test_criterion_07_toy_training(verdict):
         f"exact-match-only ablation reaches {sparse_rate:.3f} (< 0.5)"
     ))
     assert ok
+
+
+# sha256 of json.dumps(log.to_records(), sort_keys=True) for each full run,
+# recorded before snapshots shared rows and scoring cached prepared strings
+PINNED_TOY_LOG_DIGESTS = {
+    "shaped": "b14442eb3926de39a300410ab961c2f42fc0f35ec5bf257eedb26132fca1cfb0",
+    "exact_only": "d94f163308eca55348b9c60f0fbb58af4529d052a27d2d64b78ab748e45017c7",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_TOY_LOG_DIGESTS))
+def test_criterion_07_full_training_log_is_pinned(toy_runs, mode):
+    body = json.dumps(toy_runs[mode].log.to_records(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == PINNED_TOY_LOG_DIGESTS[mode]
 
 
 def test_criterion_08_echo_eval(corpus, tmp_path, capsys, verdict):

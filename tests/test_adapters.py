@@ -41,6 +41,8 @@ from moltrip.chem import canonical_smiles, parse_smiles
 from moltrip.fingerprints import stable_hash
 from moltrip.grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
 
+from rows import set_logit
+
 
 # ---------------------------------------------------------------------------
 # scripted adapters
@@ -83,40 +85,79 @@ def test_tabular_policy_shapes_and_rows():
 def test_snapshot_refresh_bumps_id_and_freezes():
     policy = TabularPolicy.uniform(("s",), ("a", "b"))
     assert policy.old_snapshot_id == 0
-    policy.logits[0][0] = 2.0
+    set_logit(policy, 0, 0, 2.0)
     sid = policy.snapshot_old()
     assert sid == 1
     assert policy.old_logits[0][0] == 2.0
-    policy.logits[0][0] = 5.0
+    set_logit(policy, 0, 0, 5.0)
     assert policy.old_logits[0][0] == 2.0  # frozen copy, not a view
 
 
-def test_old_and_ref_tables_never_share_rows_with_the_live_table():
+def test_old_and_ref_tables_never_change_when_the_live_table_does():
     rows = [[0.0, 1.0], [2.0, 3.0]]
     policy = TabularPolicy(states=("s0", "s1"), actions=("a", "b"), logits=rows)
-    for row in policy.logits:
-        row[0] = 9.0
-    assert policy.old_logits == [[0.0, 1.0], [2.0, 3.0]]
-    assert policy.ref_logits == [[0.0, 1.0], [2.0, 3.0]]
+    rows[0][0] = 9.0  # the caller's lists are not the policy's rows
+    assert policy.logits == [(0.0, 1.0), (2.0, 3.0)]
+    with pytest.raises(TypeError):
+        policy.logits[0][0] = 9.0
+    for s in range(2):
+        set_logit(policy, s, 0, 9.0)
+    assert policy.old_logits == [(0.0, 1.0), (2.0, 3.0)]
+    assert policy.ref_logits == [(0.0, 1.0), (2.0, 3.0)]
     policy.snapshot_old()
-    for row in policy.logits:
-        row[1] = -9.0
-    assert policy.old_logits == [[9.0, 1.0], [9.0, 3.0]]
-    assert policy.ref_logits == [[0.0, 1.0], [2.0, 3.0]]
+    for s in range(2):
+        set_logit(policy, s, 1, -9.0)
+    assert policy.old_logits == [(9.0, 1.0), (9.0, 3.0)]
+    assert policy.ref_logits == [(0.0, 1.0), (2.0, 3.0)]
 
 
-def test_sequence_snapshots_never_share_rows_with_the_live_table():
+def test_sequence_snapshots_never_change_when_the_live_table_does():
     policy = TokenSequencePolicy(prompts=("p",), vocab=("a", "b"), max_tokens=2)
     table = policy.table
-    flat = [[0.0, 0.0] for _ in table.states]
-    for row in table.logits:
-        row[0] = 1.0
+    flat = [(0.0, 0.0) for _ in table.states]
+    with pytest.raises(TypeError):
+        table.logits[0][0] = 1.0
+    for s in range(len(table.states)):
+        set_logit(table, s, 0, 1.0)
     assert table.old_logits == flat and table.ref_logits == flat
     policy.snapshot_old()
-    for row in table.logits:
-        row[1] = 2.0
-    assert table.old_logits == [[1.0, 0.0] for _ in table.states]
+    for s in range(len(table.states)):
+        set_logit(table, s, 1, 2.0)
+    assert table.old_logits == [(1.0, 0.0) for _ in table.states]
     assert table.ref_logits == flat
+
+
+@pytest.mark.parametrize("kind", ["tabular", "sequence"])
+def test_snapshots_share_rows_and_a_step_replaces_only_touched_rows(kind):
+    if kind == "tabular":
+        policy = TabularPolicy.uniform(("s0", "s1", "s2"), ("a", "b"))
+        table, prompt, texts = policy, "s1", ("b", "a")
+    else:
+        policy = TokenSequencePolicy(
+            prompts=("p", "q"), vocab=("a", "b"), max_tokens=2,
+        )
+        table, prompt, texts = policy.table, "q", ("ba", "ab")
+    policy.snapshot_old()
+    assert all(old is live for old, live in zip(table.old_logits, table.logits))
+    assert all(ref is live for ref, live in zip(table.ref_logits, table.logits))
+    with pytest.raises(TypeError):
+        table.logits[0][0] = 1.0
+
+    before = list(table.logits)
+    touched = {s for text in texts for s, _ in policy.walk(prompt, text)}
+    group = fill_advantages(RolloutGroup(
+        prompt_id=prompt,
+        completions=tuple(Completion(text=text, reward=r)
+                          for text, r in zip(texts, (1.0, 0.0))),
+        snapshot_id=policy.old_snapshot_id,
+    ))
+    policy.grpo_step([group], GrpoConfig(epsilon=0.2, beta=0.0), lr=0.5)
+    for s, row in enumerate(table.logits):
+        if s in touched:
+            assert row is not before[s] and row != before[s]
+        else:
+            assert row is before[s]
+    assert table.old_logits == before  # the snapshot did not move
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +227,9 @@ def _toy_policy_and_groups(beta: float = 0.05):
         logits=[[rng.uniform(-0.5, 0.5) for _ in actions] for _ in states],
     )
     policy.snapshot_old()
-    for row in policy.logits:  # move current off the old snapshot
+    for s, row in enumerate(policy.logits):  # move current off the old snapshot
         for a in range(len(row)):
-            row[a] += rng.uniform(-0.15, 0.15)
+            set_logit(policy, s, a, row[a] + rng.uniform(-0.15, 0.15))
     cfg = GrpoConfig(epsilon=0.2, beta=beta)
     groups = []
     for state in states:
@@ -211,11 +252,11 @@ def test_gradient_matches_central_finite_differences():
     for s in range(len(policy.states)):
         for a in range(len(policy.actions)):
             kept = policy.logits[s][a]
-            policy.logits[s][a] = kept + h
+            set_logit(policy, s, a, kept + h)
             up = tabular_objective(policy, groups, cfg)
-            policy.logits[s][a] = kept - h
+            set_logit(policy, s, a, kept - h)
             down = tabular_objective(policy, groups, cfg)
-            policy.logits[s][a] = kept
+            set_logit(policy, s, a, kept)
             numeric = (up - down) / (2 * h)
             worst = max(worst, abs(numeric - grad[s][a]))
     assert worst < 1e-6
@@ -392,6 +433,10 @@ def test_remote_malformed_responses(monkeypatch):
         FakeResponse(body=_ok_body(["only one"])),  # asked for two below
         FakeResponse(body={"choices": [{"wrong": 1}, {"wrong": 2}]}),
         FakeResponse(invalid_json=True),
+        FakeResponse(body=["x"]),  # JSON, but not an object
+        FakeResponse(body="x"),
+        FakeResponse(body={"choices": [{"message": {"content": None}}] * 2}),
+        FakeResponse(body={"choices": [{"message": {"content": 7}}] * 2}),
     ]:
         client = RemoteClient(CFG, session=FakeSession([response]),
                               sleep=lambda s: None)
@@ -681,7 +726,7 @@ def test_sequence_temperature_zero_walks_argmax_path():
     # carve a deterministic greedy path: b, then c, then a
     for prefix, tok in (("", "b"), ("b", "c"), ("bc", "a")):
         state = table.state_index(f"left\x1f{prefix}")
-        table.logits[state][table.action_index(tok)] = 5.0
+        set_logit(table, state, table.action_index(tok), 5.0)
     out = policy.sample("left", 4, seed=0, temperature=0.0)
     assert [s.text for s in out] == ["bca"] * 4
 
@@ -689,7 +734,7 @@ def test_sequence_temperature_zero_walks_argmax_path():
 def test_sequence_logps_follow_requested_table():
     policy = _sequence_policy()
     state = policy.table.state_index("left\x1f")
-    policy.table.logits[state][0] += 1.0  # cur now differs from old
+    set_logit(policy.table, state, 0, policy.table.logits[state][0] + 1.0)
     cur = policy.sample("left", 4, seed=3, table="cur")
     old = policy.sample("left", 4, seed=3, table="old")
     flat = math.log(1 / 3)
@@ -717,9 +762,9 @@ def test_sequence_gradient_matches_central_finite_differences():
     rng = random.Random(271)
     policy = _sequence_policy(max_tokens=2)
     policy.snapshot_old()
-    for row in policy.table.logits:  # move current off the old snapshot
+    for s, row in enumerate(policy.table.logits):  # move current off the old snapshot
         for a in range(len(row)):
-            row[a] += rng.uniform(-0.15, 0.15)
+            set_logit(policy.table, s, a, row[a] + rng.uniform(-0.15, 0.15))
     cfg = GrpoConfig(epsilon=0.2, beta=0.05)
     groups = _sequence_groups(policy, rng, cfg)
     grad = policy.gradient(groups, cfg)
@@ -729,11 +774,11 @@ def test_sequence_gradient_matches_central_finite_differences():
         dense = grad.get(s, [0.0] * len(policy.table.actions))
         for a in range(len(policy.table.actions)):
             kept = policy.table.logits[s][a]
-            policy.table.logits[s][a] = kept + h
+            set_logit(policy.table, s, a, kept + h)
             up = policy.objective(groups, cfg)
-            policy.table.logits[s][a] = kept - h
+            set_logit(policy.table, s, a, kept - h)
             down = policy.objective(groups, cfg)
-            policy.table.logits[s][a] = kept
+            set_logit(policy.table, s, a, kept)
             numeric = (up - down) / (2 * h)
             worst = max(worst, abs(numeric - dense[a]))
     assert worst < 1e-6
@@ -849,13 +894,14 @@ def _reference_sequence_sample(policy, prompt, n, seed, temperature, table):
 
 def _scrambled(policy, rng):
     """Random live and old tables that differ from each other."""
-    for row in policy.table.logits:
+    table = policy.table
+    for s, row in enumerate(table.logits):
         for a in range(len(row)):
-            row[a] = rng.uniform(-2.0, 2.0)
+            set_logit(table, s, a, rng.uniform(-2.0, 2.0))
     policy.snapshot_old()
-    for row in policy.table.logits:
+    for s, row in enumerate(table.logits):
         for a in range(len(row)):
-            row[a] += rng.uniform(-1.0, 1.0)
+            set_logit(table, s, a, row[a] + rng.uniform(-1.0, 1.0))
     return policy
 
 
@@ -881,7 +927,7 @@ def test_tabular_draws_match_reference_stream(temperature, table):
         logits=[[rng.uniform(-2, 2) for _ in range(4)] for _ in range(2)],
     )
     policy.snapshot_old()
-    policy.logits[0][2] += 1.5
+    set_logit(policy, 0, 2, policy.logits[0][2] + 1.5)
     for state, seed in (("s0", 3), ("s1", 98765)):
         row = policy.log_probs(state, table)
         want = []

@@ -6,6 +6,7 @@ import copy
 
 import pytest
 
+from moltrip import metrics
 from moltrip.adapters import AdapterFailure, GrpoConfig, TabularPolicy
 from moltrip.dataset import PairRecord
 from moltrip.harness import (
@@ -21,6 +22,8 @@ from moltrip.harness import (
 )
 from moltrip.grpo import Completion, RolloutGroup
 from moltrip.metrics import reconstruction_score
+
+from rows import set_logit
 
 
 MOLECULES = ("CCO", "CCC")
@@ -139,10 +142,10 @@ def test_adapter_failure_names_the_pair():
 def test_captioner_phase_scores_against_frozen_generator():
     captioner = TabularPolicy.uniform(("CCO",), ("good", "bad"))
     generator = TabularPolicy.uniform(("good", "bad"), ("CCO", "xx"))
-    row = generator.logits[generator.state_index("good")]
-    row[generator.action_index("CCO")] = 25.0  # old copy will be certain
+    good, cco = generator.state_index("good"), generator.action_index("CCO")
+    set_logit(generator, good, cco, 25.0)  # old copy will be certain
     generator.snapshot_old()
-    row[generator.action_index("CCO")] = -25.0  # live copy now favors xx
+    set_logit(generator, good, cco, -25.0)  # live copy now favors xx
     groups = record_updates(captioner)
     pair = [PairRecord(smiles="CCO", caption="good")]
     captioner_phase(captioner, generator, pair, micro_config(), seed=0)
@@ -154,7 +157,8 @@ def test_captioner_phase_scores_against_frozen_generator():
 
 def test_captioner_phase_refreshes_generator_snapshot_after_update():
     captioner, generator = micro_policies()
-    generator.logits[0][0] += 1.0  # live differs from the frozen copy
+    # live differs from the frozen copy
+    set_logit(generator, 0, 0, generator.logits[0][0] + 1.0)
     assert generator.logits != generator.old_logits
     captioner_phase(captioner, generator, micro_pairs(), micro_config(), seed=0)
     assert generator.logits == generator.old_logits
@@ -172,7 +176,7 @@ def test_captioner_group_size_is_g():
 def test_recon_mean_over_m_matches_deterministic_generator():
     captioner = TabularPolicy.uniform(("CCO",), ("good",))
     generator = TabularPolicy.uniform(("good",), ("CCO", "xx"))
-    generator.logits[0][0] = 30.0  # old table certain after snapshot
+    set_logit(generator, 0, 0, 30.0)  # old table certain after snapshot
     generator.snapshot_old()
     groups = record_updates(captioner)
     cfg = micro_config(recon_samples_m=5, group_size_g=4)
@@ -190,10 +194,10 @@ def test_recon_mean_over_m_matches_deterministic_generator():
 def test_evaluate_round_trip_on_aligned_tables():
     captioner, generator = micro_policies()
     for molecule, caption in zip(MOLECULES, CAPTIONS):
-        captioner.logits[captioner.state_index(molecule)][
-            captioner.action_index(caption)] = 30.0
-        generator.logits[generator.state_index(caption)][
-            generator.action_index(molecule)] = 30.0
+        set_logit(captioner, captioner.state_index(molecule),
+                  captioner.action_index(caption), 30.0)
+        set_logit(generator, generator.state_index(caption),
+                  generator.action_index(molecule), 30.0)
     rate, report, samples = evaluate_round_trip(
         captioner, generator, micro_pairs(), micro_config(),
     )
@@ -267,15 +271,20 @@ def test_update_epochs_amplify_the_step():
     assert once != twice
 
 
-def test_score_cache_deduplicates():
+def test_score_cache_deduplicates(monkeypatch):
+    want = reconstruction_score("CCO", "CCO")
+    parsed = []
+    real = metrics.parse_smiles
+    monkeypatch.setattr(
+        metrics, "parse_smiles", lambda s: parsed.append(s) or real(s)
+    )
     cache = ScoreCache()
     a = cache.score("CCO", "CCO")
     b = cache.score("CCO", "CCO")
-    assert a is b
-    assert len(cache) == 1
+    assert a == b == want
+    assert parsed == ["CCO"]  # one preparation per distinct string
     cache.score("CCO", "CCN")
-    assert len(cache) == 2
-    assert a.total == reconstruction_score("CCO", "CCO").total
+    assert parsed == ["CCO", "CCN"]
 
 
 def test_training_log_round_trips_to_records():

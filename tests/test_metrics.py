@@ -5,9 +5,15 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moltrip import metrics
 from moltrip.chem import check_validity, parse_smiles, render_random
 from moltrip.errors import EmptyCollection, LengthMismatch
 from moltrip.metrics import (
@@ -15,6 +21,7 @@ from moltrip.metrics import (
     InvalidReference,
     RoundTripSample,
     ScoreBreakdown,
+    ScoreCache,
     aggregate_report,
     bleu,
     meteor_lite,
@@ -113,6 +120,85 @@ def test_scores_and_validity_reports_pinned(corpus, dense_k10):
         ):
             digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == PINNED_SCORE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# score cache
+
+_CORPUS = [
+    line.strip()
+    for line in (Path(metrics.__file__).parent / "data" / "corpus_200.smi")
+    .read_text().splitlines()
+    if line.strip()
+]
+_TOY_CHARACTERS = "CNOSF=#()12"  # the toy generator's vocabulary
+
+_candidates = st.one_of(
+    st.text(alphabet=_TOY_CHARACTERS, max_size=10),
+    st.sampled_from(_CORPUS),
+)
+
+
+@pytest.mark.parametrize("size", [metrics.PREPARED_CACHE_SIZE, 2])
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(
+    st.tuples(st.sampled_from(_CORPUS), _candidates), min_size=1, max_size=10,
+))
+def test_score_cache_matches_uncached_score(size, pairs):
+    """One cache over many pairs, repeats and (at size 2) evictions included."""
+    with mock.patch.object(metrics, "PREPARED_CACHE_SIZE", size):
+        cache = ScoreCache()
+    for reference, candidate in pairs + pairs[::-1]:
+        assert _outcome(cache.score, reference, candidate) == \
+            _outcome(reconstruction_score, reference, candidate)
+
+
+def _count_parses(monkeypatch) -> Counter:
+    parsed: Counter = Counter()
+    real = metrics.parse_smiles
+
+    def counting(smiles):
+        parsed[smiles] += 1
+        return real(smiles)
+
+    monkeypatch.setattr(metrics, "parse_smiles", counting)
+    return parsed
+
+
+def test_score_cache_parses_each_distinct_string_once(monkeypatch):
+    pairs = [("CCO", c) for c in ("CCN", "C(", "CCO", "xx", "c1ccnc1")] * 3
+    pairs += [("c1ccccc1", c) for c in ("CCN", "Oc1ccccc1", "C(")] * 2
+    parsed = _count_parses(monkeypatch)
+    cache = ScoreCache()
+    for reference, candidate in pairs:
+        cache.score(reference, candidate)
+    assert set(parsed) == {s for pair in pairs for s in pair}
+    assert set(parsed.values()) == {1}
+
+
+def test_score_cache_prepares_again_only_after_eviction(monkeypatch):
+    parsed = _count_parses(monkeypatch)
+    monkeypatch.setattr(metrics, "PREPARED_CACHE_SIZE", 2)
+    cache = ScoreCache()
+    cache.score("CCO", "CCN")
+    cache.score("CCO", "CCN")
+    assert parsed == {"CCO": 1, "CCN": 1}
+    cache.score("CCC", "CCCl")  # evicts both
+    cache.score("CCO", "CCN")
+    assert parsed == {"CCO": 2, "CCN": 2, "CCC": 1, "CCCl": 1}
+
+
+def test_prepared_keeps_the_verdict_and_no_molecule_when_invalid(dense_k10):
+    bad = metrics.prepare("C(")
+    assert not bad.valid and bad.mol is None
+    assert bad.reason.startswith("does not parse")
+    over = metrics.prepare("N(C)(C)(C)C")
+    assert not over.valid and over.mol is None
+    assert over.reason.startswith("is not valid")
+    dense = metrics.prepare(dense_k10)
+    assert dense.valid
+    with pytest.raises(metrics.MoleculeTooLarge):
+        dense.path
 
 
 def test_cco_ccn_components_match_oracles():
