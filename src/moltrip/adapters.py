@@ -23,6 +23,7 @@ import json as jsonlib
 import math
 import os
 import random
+import string
 import threading
 import time
 import urllib.error
@@ -661,6 +662,7 @@ DEFAULT_PROMPTS = {
         "Answer with a single SMILES string and nothing else: {caption}"
     ),
 }
+_TEMPLATE_FIELDS = {"caption_template": "smiles", "generate_template": "caption"}
 
 
 def load_prompts(path: str | None = None) -> dict[str, str]:
@@ -669,13 +671,40 @@ def load_prompts(path: str | None = None) -> dict[str, str]:
     if path is None:
         return prompts
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, _, value = line.partition("=")
-            prompts[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in DEFAULT_PROMPTS:
+                raise ValueError(f"{path}:{line_no}: unknown prompt key {key!r}")
+            prompts[key] = value.strip()
     return prompts
+
+
+def _check_templates(prompts: dict[str, str]) -> None:
+    """Each template names its own field, and no other, and formats."""
+    if set(prompts) != set(_TEMPLATE_FIELDS):
+        raise ValueError(
+            f"prompt keys must be {sorted(_TEMPLATE_FIELDS)}, not {sorted(prompts)}"
+        )
+    for key, field in _TEMPLATE_FIELDS.items():
+        template = prompts[key]
+        try:
+            names = {
+                name for _, name, _, _ in string.Formatter().parse(template)
+                if name is not None
+            }
+            if names == {field}:
+                template.format(**{field: "C"})
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"prompt {key} does not format: {exc!r}") from None
+        if names != {field}:
+            shown = ", ".join(f"{{{name}}}" for name in sorted(names)) or "none"
+            raise ValueError(
+                f"prompt {key} must name {{{field}}} and no other field, not {shown}"
+            )
 
 
 class RemoteAdapter:
@@ -684,6 +713,7 @@ class RemoteAdapter:
     def __init__(self, client: RemoteClient, prompts: dict[str, str] | None = None):
         self._client = client
         self._prompts = prompts if prompts is not None else dict(DEFAULT_PROMPTS)
+        _check_templates(self._prompts)  # before any call
 
     def caption(self, molecule, n, temperature=1.0):
         prompt = self._prompts["caption_template"].format(smiles=molecule)
@@ -708,7 +738,8 @@ def extract_smiles(text: str, pattern=None) -> str | None:
     if pattern is not None:
         candidates = sorted(pattern.findall(text), key=len, reverse=True)
     else:
-        candidates = sorted(set(text.split()), key=len, reverse=True)
+        # a stable sort over first occurrences: the first longest token wins
+        candidates = sorted(dict.fromkeys(text.split()), key=len, reverse=True)
     for candidate in candidates:
         if check_validity(candidate).is_valid:
             return candidate

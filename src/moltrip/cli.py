@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on domain errors (bad molecules, unusable
 files, failing bounds), 2 on usage errors.  Output files are written to a
 temporary sibling and renamed into place, so a failure never leaves a
 partial file.  An optional config file in key = value format, with one
-section per subcommand, overrides the parsed flags.
+section per subcommand, overrides the flags and is parsed like them.
 """
 
 from __future__ import annotations
@@ -59,10 +59,14 @@ _DOMAIN_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands: dict[str, argparse.ArgumentParser] = {}
+    parser = _build_parser(commands)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        tokens = _config_tokens(args.config, args.command, commands[args.command])
+        if tokens:  # argparse keeps the later value, so the config wins
+            args = parser.parse_args(argv + tokens)
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -104,37 +108,29 @@ def _load(path: str) -> list[PairRecord]:
     return list(result.records)
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Config file sections override flags, per the key = value contract."""
-    path = getattr(args, "config", None)
+def _config_tokens(path: str | None, section: str, command) -> list[str]:
+    """The config file's [section] as flag tokens for the command's parser."""
     if not path:
-        return
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path, encoding="utf-8"):
-        raise OSError(f"cannot read config {path}")
-    section = getattr(args, "command", None)
-    if section not in parser:
-        return
-    for key, raw in parser[section].items():
-        name = key.replace("-", "_")
-        if not hasattr(args, name) or name in ("func", "command", "config"):
+        return []
+    # values reach the parser as written: no %-interpolation
+    config = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        if not config.read(path, encoding="utf-8"):
+            raise OSError(f"cannot read config {path}")
+        items = config.items(section) if config.has_section(section) else []
+    except configparser.Error as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
+    tokens: list[str] = []
+    for key, value in items:
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None or action.dest in ("config", "help"):
             raise ValueError(f"config key {key!r} unknown for [{section}]")
-        setattr(args, name, _coerce(raw, getattr(args, name)))
-
-
-def _coerce(raw: str, template):
-    raw = raw.strip()
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
-    if isinstance(template, (tuple, list)):
-        parts = raw.replace(",", " ").split()
-        inner = type(template[0]) if template else str
-        return type(template)(inner(p) for p in parts)
-    return raw
+        if action.nargs is None:
+            tokens.append(f"{flag}={value}")  # one token, so spaces survive
+        else:
+            tokens += [flag, *value.replace(",", " ").split()]
+    return tokens
 
 
 def _generator_adapter(args):
@@ -315,9 +311,9 @@ def cmd_annotate(args) -> int:
         lambda pair: adapter.generate(pair.caption, args.n, args.temperature),
         pairs, args.workers,
     )
-    cache = ScoreCache()
     tagged: list[TaggedGroup] = []
     for j, (pair, group_draws) in enumerate(zip(pairs, draws)):
+        cache = ScoreCache()  # per pair, so memory stays flat over the file
         completions = tuple(
             Completion(
                 text=d.text,
@@ -357,18 +353,22 @@ def cmd_theory_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """The moltrip parser; each command's own parser is filed in `commands`."""
     parser = argparse.ArgumentParser(
         prog="moltrip",
         description="Round-trip molecule-text alignment toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name: str, func, **kwargs):
-        p = subs.add_parser(name, **kwargs)
-        p.set_defaults(func=func, command=name)
+    def sub(name: str, func, group=subs, command: str | None = None, **kwargs):
+        command = command or name
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(func=func, command=command)
         p.add_argument("--config", default=None,
-                       help="key = value file; its [section] overrides flags")
+                       help=f"key = value file; its [{command}] section overrides flags")
+        if commands is not None:
+            commands[command] = p
         return p
 
     p = sub("canon", cmd_canon, help="canonicalize SMILES strings")
@@ -443,9 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     theory = subs.add_parser("theory", help="bound verification")
     theory_subs = theory.add_subparsers(dest="theory_command", required=True)
-    p = theory_subs.add_parser("check", help="verify the bound chain on random systems")
-    p.set_defaults(func=cmd_theory_check, command="theory-check")
-    p.add_argument("--config", default=None)
+    p = sub("check", cmd_theory_check, group=theory_subs, command="theory-check",
+            help="verify the bound chain on random systems")
     p.add_argument("--systems", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--max-size", type=int, default=6)

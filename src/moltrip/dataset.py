@@ -316,11 +316,11 @@ def diagnostic_filter(
         raise ValueError("tau must lie in [0, 4]")
     if m < 1:
         raise ValueError("m must be >= 1")
-    cache = ScoreCache()
     kept: list[PairRecord] = []
     rejected: list[PairRecord] = []
     scores: list[PairScore] = []
     for record in pairs:
+        cache = ScoreCache()  # per record, so memory stays flat over the file
         try:
             samples = generator.generate(record.caption, m, temperature)
             total = 0.0

@@ -80,10 +80,7 @@ def tanimoto(a: FeatureSet, b: FeatureSet) -> float:
         )
     if not a.features and not b.features:
         return 1.0
-    union = a.features | b.features
-    if not union:
-        return 1.0
-    return len(a.features & b.features) / len(union)
+    return len(a.features & b.features) / len(a.features | b.features)
 
 
 def _bonded(mol: Molecule) -> list[list[tuple[int, str]]]:
@@ -308,15 +305,13 @@ def _methyl(mol: Molecule) -> bool:
 
 def _has_bond(elem_a: str, order: BondOrder | None, elem_b: str):
     """A bond of the given order (any order when None) joins the two elements."""
+    want = {elem_a, elem_b}
+
     def predicate(mol: Molecule) -> bool:
         for bond in mol.bonds:
             if order is not None and bond.order is not order:
                 continue
-            pair = {mol.atoms[bond.a].element, mol.atoms[bond.b].element}
-            if elem_a == elem_b:
-                if pair == {elem_a}:
-                    return True
-            elif pair == {elem_a, elem_b}:
+            if {mol.atoms[bond.a].element, mol.atoms[bond.b].element} == want:
                 return True
         return False
 
@@ -327,18 +322,6 @@ def _element_with_h(symbol: str):
     return lambda mol: any(
         a.element == symbol and a.hydrogens >= 1 for a in mol.atoms
     )
-
-
-def _nonaromatic_cc_double(mol: Molecule) -> bool:
-    for bond in mol.bonds:
-        if bond.order is not BondOrder.DOUBLE:
-            continue
-        if (
-            mol.atoms[bond.a].element == "C"
-            and mol.atoms[bond.b].element == "C"
-        ):
-            return True
-    return False
 
 
 def _hetero_pair_within(elem_a: str, elem_b: str, limit: int = 4):
@@ -422,7 +405,7 @@ KEY_CATALOG: tuple[tuple[str, object], ...] = (
     )),
     ("multiple fragments", lambda mol: len(mol.fragments) >= 2),
     ("carbonyl C=O", _has_bond("C", BondOrder.DOUBLE, "O")),
-    ("alkene C=C", _nonaromatic_cc_double),
+    ("alkene C=C", _has_bond("C", BondOrder.DOUBLE, "C")),
     ("alkyne C#C", _has_bond("C", BondOrder.TRIPLE, "C")),
     ("nitrile C#N", _has_bond("C", BondOrder.TRIPLE, "N")),
     ("imine C=N", _has_bond("C", BondOrder.DOUBLE, "N")),

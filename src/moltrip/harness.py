@@ -85,19 +85,16 @@ class StepRecord:
 class TrainingLog:
     records: tuple[StepRecord, ...]
     converged: bool
-    final_round_trip: float | None
-    final_report: EvalReport | None
+    final_round_trip: float
+    final_report: EvalReport
 
     def to_records(self) -> dict:
-        body: dict = {
+        return {
             "steps": [vars(r) for r in self.records],
             "converged": self.converged,
+            "final_round_trip": self.final_round_trip,
+            "final_report": self.final_report.to_record(),
         }
-        if self.final_round_trip is not None:
-            body["final_round_trip"] = self.final_round_trip
-        if self.final_report is not None:
-            body["final_report"] = self.final_report.to_record()
-        return body
 
 
 def _reward(breakdown: ScoreBreakdown, mode: str) -> float:
@@ -279,10 +276,7 @@ def _batches(pairs: list[PairRecord], size: int, seed: int):
             refill = list(pairs)
             rng.shuffle(refill)
             pool.extend(refill)
-        if size >= len(pool):
-            batch, pool = pool, []
-        else:
-            batch, pool = pool[:size], pool[size:]
+        batch, pool = pool[:size], pool[size:]
         yield batch
 
 

@@ -13,10 +13,13 @@ are computed on first read and kept on the Prepared record.
 score_prepared() compares two records, and reconstruction_score() is the
 two steps together.  ScoreCache prepares each distinct string once while
 it stays among its PREPARED_CACHE_SIZE most recently used strings, so a
-training run stops re-parsing the same candidates.  A fully fingerprinted
-drug-like molecule of 15 to 45 atoms holds about 42 KiB and an invalid
-string about 0.2 KiB (tracemalloc), so a full cache of drug-like molecules
-can hold about 340 MiB; the toy task's short strings hold far less.
+training run stops re-parsing the same candidates.  Only the training run
+keeps one cache across groups; the filter and annotate commands take a
+fresh cache per pair, so their memory stays flat over a file.  A fully
+fingerprinted drug-like molecule of 15 to 45 atoms holds about 42 KiB and
+an invalid string about 0.2 KiB (tracemalloc), so a full cache of
+drug-like molecules could hold about 340 MiB; the toy task's short strings
+hold far less.
 """
 
 from __future__ import annotations

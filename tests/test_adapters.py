@@ -627,6 +627,36 @@ def test_load_prompts_defaults_and_override(tmp_path):
     assert merged["generate_template"] == defaults["generate_template"]
 
 
+def test_load_prompts_refuses_unknown_keys(tmp_path):
+    custom = tmp_path / "prompts.cfg"
+    custom.write_text("generate_templat = Make {caption}\n")
+    with pytest.raises(ValueError, match="generate_templat"):
+        load_prompts(str(custom))
+
+
+@pytest.mark.parametrize("key, template", [
+    ("generate_template", "Make {smiles}"),
+    ("generate_template", "Make a molecule"),
+    ("caption_template", "Describe {smiles} as {}"),
+    ("caption_template", "Describe {smiles"),
+    ("caption_template", "Describe {smiles:d}"),
+    ("caption_template", "Describe {smiles.upper}"),
+])
+def test_remote_adapter_refuses_bad_templates_before_any_call(key, template):
+    session = FakeSession([])
+    client = RemoteClient(CFG, session=session, sleep=lambda s: None)
+    with pytest.raises(ValueError, match=key):
+        RemoteAdapter(client, {**load_prompts(), key: template})
+    assert session.calls == []
+
+
+def test_remote_adapter_refuses_missing_or_unknown_prompt_keys():
+    client = RemoteClient(CFG, session=FakeSession([]), sleep=lambda s: None)
+    for prompts in ({"caption_template": "{smiles}"}, {**load_prompts(), "x": "y"}):
+        with pytest.raises(ValueError, match="prompt keys"):
+            RemoteAdapter(client, prompts)
+
+
 def test_remote_adapter_renders_templates(monkeypatch):
     monkeypatch.setenv("RTMOL_API_KEY", "k")
     session = FakeSession([
@@ -648,6 +678,11 @@ def test_extract_smiles_longest_valid_token():
     assert extract_smiles("CC CCO") == "CCO"
     assert extract_smiles("c1ccccc1") == "c1ccccc1"
     assert extract_smiles("nothing chemical here") is None
+
+
+def test_extract_smiles_tie_goes_to_the_first_token():
+    assert extract_smiles("Either CCO or OCC or CCN works") == "CCO"
+    assert extract_smiles("Either OCC or CCO or OCC works") == "OCC"
 
 
 def test_extract_smiles_full_text_fallback():

@@ -414,6 +414,39 @@ def test_annotate_requires_endpoint(tmp_path, capsys):
     assert "base-url" in capsys.readouterr().err
 
 
+class RecordingSession:
+    def __init__(self):
+        self.calls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append(json)
+        return FakeResponse(_ok_body(["CCO"] * json["n"]))
+
+
+@pytest.mark.parametrize("command", [
+    ["annotate", "--n", "2"],
+    ["filter", "--tau", "1", "--generator", "remote"],
+], ids=lambda c: c[0])
+def test_bad_prompt_template_fails_before_any_call(command, tmp_path, capsys, monkeypatch):
+    import moltrip.adapters as adapters
+
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    session = RecordingSession()
+    monkeypatch.setattr(adapters, "UrllibTransport", lambda: session)
+    prompts = tmp_path / "prompts.cfg"
+    prompts.write_text("generate_template = Make {smiles}\n", encoding="utf-8")
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
+    out = tmp_path / "out.jsonl"
+    assert main([
+        *command, "--pairs", pairs, "--out", str(out), "--prompts", str(prompts),
+        "--base-url", "https://api.example.test/v1", "--model", "toy",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "generate_template" in err and "{smiles}" in err
+    assert not out.exists()
+    assert session.calls == []
+
+
 # ---------------------------------------------------------------------------
 # config file
 
@@ -448,3 +481,77 @@ def test_config_other_sections_are_ignored(tmp_path, capsys):
     config.write_text("[split]\nseed = 9\n", encoding="utf-8")
     assert main(["canon", "OCC", "--config", str(config)]) == 0
     assert capsys.readouterr().out.strip() == "CCO"
+
+
+# each choices-bearing flag, given a value its choices refuse
+BAD_CHOICES = (
+    (["fp", "CCO", "--family", "keys"], "family", "bogus"),
+    (["split", "--pairs", "p", "--out-dir", "d"], "fmt", "xml"),
+    (["dedupe", "--target", "t", "--reference", "r", "--out", "o"],
+     "on_parse_error", "maybe"),
+    (["eval", "--pairs", "p"], "generator", "bogus"),
+    (["train-toy"], "reward_mode", "dense"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, key, value", BAD_CHOICES, ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_config_values_are_checked_like_flags(argv, key, value, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as err:
+        main([*argv, flag, value])
+    assert err.value.code == 2
+    config = tmp_path / "moltrip.cfg"
+    config.write_text(f"[{argv[0]}]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", str(config)])
+    assert err.value.code == 2
+    assert f"invalid choice: '{value}'" in capsys.readouterr().err
+
+
+def test_config_type_errors_are_usage_errors(tmp_path):
+    config = tmp_path / "moltrip.cfg"
+    config.write_text("[eval]\nworkers = x\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--pairs", "p", "--config", str(config)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["smiles", "config", "help", "func", "command"])
+def test_config_keys_that_are_not_flags_are_unknown(key, tmp_path, capsys):
+    config = tmp_path / "moltrip.cfg"
+    config.write_text(f"[canon]\n{key} = CCC\n", encoding="utf-8")
+    assert main(["canon", "CCO", "--config", str(config)]) == 1
+    assert f"config key '{key}' unknown for [canon]" in capsys.readouterr().err
+
+
+def test_config_list_and_spaced_path_values(tmp_path, capsys):
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCC", "CCN"])
+    out_dir = tmp_path / "dir with spaces, 100%"
+    config = tmp_path / "moltrip.cfg"
+    config.write_text(
+        f"[split]\nratios = 0, 0,1\nout-dir = {out_dir}\n", encoding="utf-8",
+    )
+    assert main([
+        "split", "--pairs", pairs, "--out-dir", str(tmp_path / "flagged"),
+        "--config", str(config),
+    ]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        f"test 3 {out_dir / 'test.jsonl'}"
+    )
+    assert not (tmp_path / "flagged").exists()
+
+
+def test_config_reaches_the_nested_theory_check(tmp_path, capsys):
+    config = tmp_path / "moltrip.cfg"
+    config.write_text("[theory-check]\nsystems = 3\n", encoding="utf-8")
+    assert main(["theory", "check", "--systems", "5", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.strip() == "3/3 bounds hold"
+
+
+def test_malformed_config_is_a_domain_error(tmp_path, capsys):
+    config = tmp_path / "moltrip.cfg"
+    config.write_text("seed = 9\n", encoding="utf-8")  # no section header
+    assert main(["canon", "CCO", "--config", str(config)]) == 1
+    assert str(config) in capsys.readouterr().err

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltrip.adapters import EchoAdapter
-from moltrip.chem import canonicalize
+from moltrip.chem import canonicalize, parse_smiles
 from moltrip.dataset import (
     EmptyInput,
     FormatUnknown,
@@ -358,6 +359,27 @@ def test_filter_tau_zero_keeps_valid_reconstructions():
     pairs = [_clean_pair("CCO")]
     result = diagnostic_filter(pairs, EchoAdapter(), tau=0.0)
     assert result.kept == tuple(pairs)
+
+
+def test_filter_working_memory_stays_flat_over_the_pair_count(corpus):
+    # largest molecules first, so both runs meet the same largest
+    # single-pair working set and only the number of pairs differs
+    ordered = sorted(corpus, key=lambda s: -len(parse_smiles(s).atoms))
+    pairs = [_clean_pair(s) for s in ordered]
+
+    def working_peak(records):
+        """Peak traced bytes above what the returned result still holds."""
+        tracemalloc.start()
+        try:
+            result = diagnostic_filter(records, EchoAdapter(), tau=4.0, m=2)
+            held, peak = tracemalloc.get_traced_memory()
+            assert len(result.kept) == len(records)
+            return peak - held
+        finally:
+            tracemalloc.stop()
+
+    fifty = working_peak(pairs[:50])
+    assert working_peak(pairs) < 1.5 * fifty
 
 
 def test_filter_validates_arguments():
