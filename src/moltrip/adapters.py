@@ -2,12 +2,14 @@
 
 Mocks and the remote backend share two duck-typed methods: caption() maps a
 molecule string to sampled caption texts, and generate() maps a caption to
-sampled molecule strings.  The two softmax policies share another:
-sample() draws completions with exact per-token log-probabilities, and
-grpo_step() ascends the exact GRPO objective.  Both policies reduce a
-completion to a walk of (context row, action) steps over one logit table,
-so one objective and one gradient serve them both; that exactness is what
-makes the desk-scale training loop verifiable.
+sampled molecule strings.  Training has one policy type, the tabular
+softmax TabularPolicy: sample() draws completions with exact
+log-probabilities, and grpo_step() ascends the exact GRPO objective.  The
+token policy, TokenSequencePolicy, is a TabularPolicy whose states are its
+(prompt, prefix) contexts; it overrides walk(), which reduces a completion
+to its (context row, token) steps, and sample().  So one objective, one
+gradient and one draw rule serve both; that exactness is what makes the
+desk-scale training loop verifiable.
 
 The remote backend posts each chat-completions call through UrllibTransport,
 a standard-library HTTP transport (urllib.request and json), so the package
@@ -24,7 +26,6 @@ import math
 import os
 import random
 import string
-import threading
 import time
 import urllib.error
 import urllib.parse
@@ -130,11 +131,23 @@ def _argmax(row: list[float]) -> int:
     return max(range(len(row)), key=lambda j: (row[j], -j))
 
 
-def _cumulative(log_probs: list[float], temperature: float) -> list[float]:
-    """Running sums of the tempered probabilities, for bisecting a uniform draw."""
+def _cumulative(log_probs: list[float], temperature: float) -> list[float] | None:
+    """Running sums of the tempered probabilities, for bisecting a uniform
+    draw; None at temperature 0, where the draw is the argmax."""
+    if temperature == 0.0:
+        return None
     if temperature != 1.0:
         log_probs = _log_softmax([lp / temperature for lp in log_probs])
     return list(itertools.accumulate(math.exp(lp) for lp in log_probs))
+
+
+def _draw(log_probs: list[float], cumulative: list[float] | None, h: int) -> int:
+    """The action index one draw picks: the argmax when cumulative is None,
+    else the bisected position of a uniform seeded by the stream hash h."""
+    if cumulative is None:
+        return _argmax(log_probs)
+    u = random.Random(h).random()
+    return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
 
 
 @dataclass
@@ -227,20 +240,13 @@ def tabular_sample(
     if n < 1:
         raise ValueError("n must be >= 1")
     log_probs = policy.log_probs(state, table)
-    if temperature == 0.0:
-        best = _argmax(log_probs)
-        return [
-            Sampled(policy.actions[best], (log_probs[best],)) for _ in range(n)
-        ]
     cumulative = _cumulative(log_probs, temperature)
-    last = len(cumulative) - 1
     # process-independent per-draw stream: python's tuple hash is salted.
     # Draw i is seeded by stable_hash("draw", seed, state, i).
     base = stable_hash("draw", seed, state)
     out = []
     for i in range(n):
-        u = random.Random(extend_hash(base, i)).random()
-        chosen = min(bisect.bisect_right(cumulative, u), last)
+        chosen = _draw(log_probs, cumulative, extend_hash(base, i))
         out.append(Sampled(policy.actions[chosen], (log_probs[chosen],)))
     return out
 
@@ -262,29 +268,29 @@ def _clip_slope(ratio: float, advantage: float, epsilon: float) -> float:
     return 0.0
 
 
-def _check_group(table: TabularPolicy, group: RolloutGroup) -> None:
+def _check_group(policy: TabularPolicy, group: RolloutGroup) -> None:
     if group.advantages is None:
         raise ValueError("group advantages not filled")
-    if group.snapshot_id is not None and group.snapshot_id != table.old_snapshot_id:
+    if group.snapshot_id is not None and group.snapshot_id != policy.old_snapshot_id:
         raise StaleSnapshot(
             f"group snapshot {group.snapshot_id} != "
-            f"policy old snapshot {table.old_snapshot_id}"
+            f"policy old snapshot {policy.old_snapshot_id}"
         )
 
 
 def _objective(
-    table: TabularPolicy, groups: list[RolloutGroup], walk, cfg: GrpoConfig
+    policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> float:
     """Total J over groups, each walk's log-probs read from the three tables."""
     total = 0.0
     for group in groups:
-        _check_group(table, group)
+        _check_group(policy, group)
         completions = []
         for c in group.completions:
-            steps = walk(group.prompt_id, c.text)
+            steps = policy.walk(group.prompt_id, c.text)
             cur, old, ref = (
                 tuple(_log_softmax(rows[s])[a] for s, a in steps)
-                for rows in (table.logits, table.old_logits, table.ref_logits)
+                for rows in (policy.logits, policy.old_logits, policy.ref_logits)
             )
             completions.append(replace(c, logp_cur=cur, logp_old=old, logp_ref=ref))
         total += group_objective(replace(group, completions=tuple(completions)), cfg)
@@ -292,7 +298,7 @@ def _objective(
 
 
 def _gradient(
-    table: TabularPolicy, groups: list[RolloutGroup], walk, cfg: GrpoConfig
+    policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> dict[int, list[float]]:
     """Exact gradient of the total objective, sparse over touched rows.
 
@@ -301,21 +307,21 @@ def _gradient(
     coeff = clip_slope * ratio + beta * (exp(d) - 1), scaled by the
     completion's 1/|walk| length normalizer.
     """
-    width = len(table.actions)
+    width = len(policy.actions)
     grad: dict[int, list[float]] = {}
     rows: dict[int, tuple[list[float], ...]] = {}
     for group in groups:
-        _check_group(table, group)
+        _check_group(policy, group)
         for completion, advantage in zip(group.completions, group.advantages):
-            steps = walk(group.prompt_id, completion.text)
+            steps = policy.walk(group.prompt_id, completion.text)
             scale = 1.0 / len(steps)
             for s, a in steps:
                 if s not in rows:
-                    cur = _log_softmax(table.logits[s])
+                    cur = _log_softmax(policy.logits[s])
                     rows[s] = (
                         cur,
-                        _log_softmax(table.old_logits[s]),
-                        _log_softmax(table.ref_logits[s]),
+                        _log_softmax(policy.old_logits[s]),
+                        _log_softmax(policy.ref_logits[s]),
                         [math.exp(lp) for lp in cur],
                     )
                 cur, old, ref, probs = rows[s]
@@ -333,10 +339,10 @@ def _gradient(
     return grad
 
 
-def _ascend(table: TabularPolicy, grad_rows, lr: float) -> None:
+def _ascend(policy: TabularPolicy, grad_rows, lr: float) -> None:
     """Replace each (row index, gradient row) pair's live row with the row
     plus lr times the gradient; untouched rows stay shared with snapshots."""
-    logits = table.logits
+    logits = policy.logits
     for s, row in grad_rows:
         logits[s] = tuple([v + lr * g for v, g in zip(logits[s], row)])
 
@@ -345,14 +351,14 @@ def tabular_objective(
     policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> float:
     """Total J over groups with log-probs taken from the policy tables."""
-    return _objective(policy, groups, policy.walk, cfg)
+    return _objective(policy, groups, cfg)
 
 
 def tabular_gradient(
     policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> list[list[float]]:
     """Exact gradient of the total objective, dense over every state row."""
-    sparse = _gradient(policy, groups, policy.walk, cfg)
+    sparse = _gradient(policy, groups, cfg)
     width = len(policy.actions)
     return [sparse.get(s, [0.0] * width) for s in range(len(policy.states))]
 
@@ -365,27 +371,27 @@ def tabular_grpo_step(
 ) -> TabularPolicy:
     """Ascend the exact objective gradient over the touched rows; returns
     the policy."""
-    _ascend(policy, _gradient(policy, groups, policy.walk, cfg).items(), lr)
+    _ascend(policy, _gradient(policy, groups, cfg).items(), lr)
     return policy
 
 
 # ---------------------------------------------------------------------------
 # token-level sequence policy
 
-class TokenSequencePolicy:
+class TokenSequencePolicy(TabularPolicy):
     """Autoregressive token policy over a finite single-character vocabulary.
 
-    Each (prompt, prefix) context is a state in an ordinary tabular table,
-    so snapshots, ratios, and the KL reference behave exactly as in the
-    single-shot case; completions just carry one log-prob per drawn token.
-    The table's rows are immutable and shared with its snapshots, so a
-    snapshot costs one list copy however many contexts there are, and a
-    step replaces only the rows of the contexts its completions passed.
-    With a stop token the string may end early; without one every rollout
-    is exactly max_tokens long, which keeps sampling odds flat across
-    competing strings.  Exact strings are exponentially rare under the
-    uniform start, which is what makes reward shaping observable at desk
-    scale.
+    A TabularPolicy whose states are its (prompt, prefix) contexts and whose
+    actions are the tokens (the stop included), so snapshots, ratios, the KL
+    reference and the GRPO core are the tabular ones; only walk() and
+    sample() differ, and completions carry one log-prob per drawn token.
+    Rows are immutable and shared with the snapshots, so a snapshot costs
+    one list copy however many contexts there are, and a step replaces only
+    the rows of the contexts its completions passed.  With a stop token the
+    string may end early; without one every rollout is exactly max_tokens
+    long, which keeps sampling odds flat across competing strings.  Exact
+    strings are exponentially rare under the uniform start, which is what
+    makes reward shaping observable at desk scale.
     """
 
     def __init__(
@@ -416,18 +422,18 @@ class TokenSequencePolicy:
             states.extend(self._encode(p, pre) for p in prompts for pre in prefixes)
             prefixes = [pre + tok for pre in prefixes for tok in vocab]
         actions = self.vocab if eos is None else self.vocab + (eos,)
-        self.table = TabularPolicy.uniform(tuple(states), actions)
+        super().__init__(
+            states=tuple(states), actions=actions,
+            logits=[(0.0,) * len(actions)] * len(states),
+        )
 
     @staticmethod
     def _encode(prompt: str, prefix: str) -> str:
         return f"{prompt}\x1f{prefix}"
 
-    @property
-    def old_snapshot_id(self) -> int:
-        return self.table.old_snapshot_id
-
     def snapshot_old(self) -> int:
-        return self.table.snapshot_old()
+        # its own method, so a trace can count sequence snapshots apart
+        return super().snapshot_old()
 
     def walk(self, prompt: str, text: str) -> Walk:
         """(context row, token) steps a completion took, the stop included if drawn."""
@@ -442,8 +448,8 @@ class TokenSequencePolicy:
                 raise UnknownState(f"text shorter than {self.max_tokens} tokens")
             toks.append(self.eos)
         return [
-            (self.table.state_index(self._encode(prompt, text[:t])),
-             self.table.action_index(tok))
+            (self.state_index(self._encode(prompt, text[:t])),
+             self.action_index(tok))
             for t, tok in enumerate(toks)
         ]
 
@@ -465,7 +471,6 @@ class TokenSequencePolicy:
         if n < 1:
             raise ValueError("n must be >= 1")
         base = stable_hash("draw", seed, prompt)
-        last = len(self.table.actions) - 1
         memo: dict[str, tuple[list[float], list[float] | None]] = {}
         out = []
         for i in range(n):
@@ -474,37 +479,28 @@ class TokenSequencePolicy:
             logps = []
             for t in range(self.max_tokens):
                 if prefix not in memo:
-                    row = self.table.log_probs(self._encode(prompt, prefix), table)
-                    memo[prefix] = (row, None if temperature == 0.0
-                                    else _cumulative(row, temperature))
+                    row = self.log_probs(self._encode(prompt, prefix), table)
+                    memo[prefix] = (row, _cumulative(row, temperature))
                 row, cumulative = memo[prefix]
-                if cumulative is None:
-                    chosen = _argmax(row)
-                else:
-                    u = random.Random(extend_hash(head, t)).random()
-                    chosen = min(bisect.bisect_right(cumulative, u), last)
+                chosen = _draw(row, cumulative, extend_hash(head, t))
                 logps.append(row[chosen])
-                token = self.table.actions[chosen]
+                token = self.actions[chosen]
                 if token == self.eos:
                     break
                 prefix += token
             out.append(Sampled(prefix, tuple(logps)))
         return out
 
-    def objective(self, groups: list[RolloutGroup], cfg: GrpoConfig) -> float:
-        """Total J over groups with per-token log-probs from the tables."""
-        return _objective(self.table, groups, self.walk, cfg)
-
     def gradient(
         self, groups: list[RolloutGroup], cfg: GrpoConfig
     ) -> dict[int, list[float]]:
         """Exact objective gradient, sparse over touched context rows."""
-        return _gradient(self.table, groups, self.walk, cfg)
+        return _gradient(self, groups, cfg)
 
     def grpo_step(
         self, groups: list[RolloutGroup], cfg: GrpoConfig, lr: float
     ) -> "TokenSequencePolicy":
-        _ascend(self.table, self.gradient(groups, cfg).items(), lr)
+        _ascend(self, self.gradient(groups, cfg).items(), lr)
         return self
 
 
@@ -517,7 +513,6 @@ class RemoteEndpointConfig:
     model: str
     timeout: float = 30.0
     max_retries: int = 3
-    max_in_flight: int = 4
     api_key_var: str = API_KEY_VAR
 
     def __post_init__(self) -> None:
@@ -525,8 +520,6 @@ class RemoteEndpointConfig:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         # urllib would also open file: and ftp: URLs, and a bad port would
         # only surface as a retried connection error
         parts = urllib.parse.urlsplit(self.base_url)
@@ -579,13 +572,13 @@ class UrllibTransport:
 
 
 class RemoteClient:
-    """Minimal chat-completions client with retries and an in-flight cap."""
+    """Minimal chat-completions client with retries; the caller's thread
+    pool alone decides how many calls are in flight."""
 
     def __init__(self, cfg: RemoteEndpointConfig, session=None, sleep=time.sleep):
         self.cfg = cfg
         self._session = session if session is not None else UrllibTransport()
         self._sleep = sleep
-        self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
 
     def complete(self, prompt: str, n: int = 1, temperature: float = 1.0) -> list[Sampled]:
         key = os.environ.get(self.cfg.api_key_var)
@@ -603,22 +596,20 @@ class RemoteClient:
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
                 self._sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
-            with self._gate:
-                try:
-                    response = self._session.post(
-                        url, json=payload, headers=headers,
-                        timeout=self.cfg.timeout,
-                    )
-                except (OSError, http.client.HTTPException) as exc:
-                    # urllib wraps a connect timeout in URLError; a read
-                    # timeout arrives bare
-                    if isinstance(exc, TimeoutError) or isinstance(
-                        getattr(exc, "reason", None), TimeoutError
-                    ):
-                        last_error = Timeout(str(exc))
-                    else:
-                        last_error = HttpStatus(0, f"connection error: {exc}")
-                    continue
+            try:
+                response = self._session.post(
+                    url, json=payload, headers=headers, timeout=self.cfg.timeout,
+                )
+            except (OSError, http.client.HTTPException) as exc:
+                # urllib wraps a connect timeout in URLError; a read timeout
+                # arrives bare
+                if isinstance(exc, TimeoutError) or isinstance(
+                    getattr(exc, "reason", None), TimeoutError
+                ):
+                    last_error = Timeout(str(exc))
+                else:
+                    last_error = HttpStatus(0, f"connection error: {exc}")
+                continue
             if response.status_code in _RETRYABLE_STATUS:
                 last_error = HttpStatus(response.status_code, "retryable")
                 continue
@@ -666,15 +657,18 @@ _TEMPLATE_FIELDS = {"caption_template": "smiles", "generate_template": "caption"
 
 
 def load_prompts(path: str | None = None) -> dict[str, str]:
-    """key = value template file; missing keys fall back to the defaults."""
+    """key = value template file; missing keys fall back to the defaults.
+    Lines other than blanks, # comments and known key = value pairs fail."""
     prompts = dict(DEFAULT_PROMPTS)
     if path is None:
         return prompts
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{line_no}: not a key = value line")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in DEFAULT_PROMPTS:

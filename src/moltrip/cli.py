@@ -120,6 +120,9 @@ def _config_tokens(path: str | None, section: str, command) -> list[str]:
         items = config.items(section) if config.has_section(section) else []
     except configparser.Error as exc:
         raise ValueError(f"config {path}: {exc}") from exc
+    # configparser would copy [DEFAULT] keys into every section
+    if config.defaults():
+        raise ValueError(f"config {path}: a [DEFAULT] section is not allowed")
     tokens: list[str] = []
     for key, value in items:
         flag = "--" + key.replace("_", "-")
@@ -305,6 +308,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    if args.n < 2:  # a group of one has no advantage; refuse before any call
+        raise ValueError(f"--n must be >= 2, not {args.n}")
     pairs = _load(args.pairs)
     adapter = _remote_adapter(args)
     draws = _pool_map(

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from .adapters import AdapterFailure, TabularPolicy, TokenSequencePolicy
+from .adapters import AdapterFailure, TabularPolicy
 from .dataset import IoFailure, PairRecord, atomic_writer
 from .fingerprints import stable_hash
 from .grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
@@ -130,12 +130,8 @@ def _stats(
     )
 
 
-# Both expose sample(), snapshot_old(), old_snapshot_id and grpo_step().
-Policy = TabularPolicy | TokenSequencePolicy
-
-
 def _apply_updates(
-    policy: Policy,
+    policy: TabularPolicy,
     groups: list[RolloutGroup],
     cfg: HarnessConfig,
 ) -> None:
@@ -145,7 +141,7 @@ def _apply_updates(
 
 
 def generator_phase(
-    generator: Policy,
+    generator: TabularPolicy,
     batch: list[PairRecord],
     cfg: HarnessConfig,
     seed: int,
@@ -184,8 +180,8 @@ def generator_phase(
 
 
 def captioner_phase(
-    captioner: Policy,
-    generator: Policy,
+    captioner: TabularPolicy,
+    generator: TabularPolicy,
     batch: list[PairRecord],
     cfg: HarnessConfig,
     seed: int,
@@ -238,8 +234,8 @@ def captioner_phase(
 
 
 def evaluate_round_trip(
-    captioner: Policy,
-    generator: Policy,
+    captioner: TabularPolicy,
+    generator: TabularPolicy,
     pairs: list[PairRecord],
     cfg: HarnessConfig,
     cache: ScoreCache | None = None,
@@ -281,14 +277,15 @@ def _batches(pairs: list[PairRecord], size: int, seed: int):
 
 
 def run_training(
-    captioner: Policy,
-    generator: Policy,
+    captioner: TabularPolicy,
+    generator: TabularPolicy,
     pairs: list[PairRecord],
     cfg: HarnessConfig,
     holdout: list[PairRecord] | None = None,
 ) -> TrainingLog:
     """Alternate k generator steps and k captioner steps until done.
 
+    Step s trains the generator when s // k is even, else the captioner.
     Convergence: the mean reward over the latest window improves on the
     previous window by less than the tolerance (needs two full windows).
     """
@@ -299,37 +296,26 @@ def run_training(
     batch_stream = _batches(pairs, min(cfg.batch_size, len(pairs)), cfg.seed)
     records: list[StepRecord] = []
     history: list[float] = []
+    w = cfg.convergence_window
     converged = False
-    step = 0
     generator.snapshot_old()  # initial frozen copy for the first captioner step
-
-    def plateaued() -> bool:
-        w = cfg.convergence_window
-        if len(history) < 2 * w:
-            return False
-        recent = sum(history[-w:]) / w
-        previous = sum(history[-2 * w:-w]) / w
-        return recent - previous < cfg.convergence_tol
-
-    while step < cfg.max_steps and not converged:
-        for phase in ("generator", "captioner"):
-            for _ in range(cfg.steps_per_phase):
-                if step >= cfg.max_steps or converged:
-                    break
-                batch = next(batch_stream)
-                phase_seed = stable_hash("step", cfg.seed, step)
-                if phase == "generator":
-                    stats = generator_phase(
-                        generator, batch, cfg, phase_seed, cache
-                    )
-                else:
-                    stats = captioner_phase(
-                        captioner, generator, batch, cfg, phase_seed, cache
-                    )
-                records.append(replace(stats, step=step))
-                history.append(stats.mean_reward)
-                converged = plateaued()
-                step += 1
+    for step in range(cfg.max_steps):
+        batch = next(batch_stream)
+        phase_seed = stable_hash("step", cfg.seed, step)
+        if step // cfg.steps_per_phase % 2 == 0:
+            stats = generator_phase(generator, batch, cfg, phase_seed, cache)
+        else:
+            stats = captioner_phase(
+                captioner, generator, batch, cfg, phase_seed, cache
+            )
+        records.append(replace(stats, step=step))
+        history.append(stats.mean_reward)
+        if len(history) >= 2 * w and (
+            sum(history[-w:]) / w - sum(history[-2 * w:-w]) / w
+            < cfg.convergence_tol
+        ):
+            converged = True
+            break
     rate, report, _ = evaluate_round_trip(
         captioner, generator, holdout, cfg, cache
     )

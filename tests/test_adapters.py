@@ -113,37 +113,36 @@ def test_old_and_ref_tables_never_change_when_the_live_table_does():
 
 def test_sequence_snapshots_never_change_when_the_live_table_does():
     policy = TokenSequencePolicy(prompts=("p",), vocab=("a", "b"), max_tokens=2)
-    table = policy.table
-    flat = [(0.0, 0.0) for _ in table.states]
+    flat = [(0.0, 0.0) for _ in policy.states]
     with pytest.raises(TypeError):
-        table.logits[0][0] = 1.0
-    for s in range(len(table.states)):
-        set_logit(table, s, 0, 1.0)
-    assert table.old_logits == flat and table.ref_logits == flat
+        policy.logits[0][0] = 1.0
+    for s in range(len(policy.states)):
+        set_logit(policy, s, 0, 1.0)
+    assert policy.old_logits == flat and policy.ref_logits == flat
     policy.snapshot_old()
-    for s in range(len(table.states)):
-        set_logit(table, s, 1, 2.0)
-    assert table.old_logits == [(1.0, 0.0) for _ in table.states]
-    assert table.ref_logits == flat
+    for s in range(len(policy.states)):
+        set_logit(policy, s, 1, 2.0)
+    assert policy.old_logits == [(1.0, 0.0) for _ in policy.states]
+    assert policy.ref_logits == flat
 
 
 @pytest.mark.parametrize("kind", ["tabular", "sequence"])
 def test_snapshots_share_rows_and_a_step_replaces_only_touched_rows(kind):
     if kind == "tabular":
         policy = TabularPolicy.uniform(("s0", "s1", "s2"), ("a", "b"))
-        table, prompt, texts = policy, "s1", ("b", "a")
+        prompt, texts = "s1", ("b", "a")
     else:
         policy = TokenSequencePolicy(
             prompts=("p", "q"), vocab=("a", "b"), max_tokens=2,
         )
-        table, prompt, texts = policy.table, "q", ("ba", "ab")
+        prompt, texts = "q", ("ba", "ab")
     policy.snapshot_old()
-    assert all(old is live for old, live in zip(table.old_logits, table.logits))
-    assert all(ref is live for ref, live in zip(table.ref_logits, table.logits))
+    assert all(old is live for old, live in zip(policy.old_logits, policy.logits))
+    assert all(ref is live for ref, live in zip(policy.ref_logits, policy.logits))
     with pytest.raises(TypeError):
-        table.logits[0][0] = 1.0
+        policy.logits[0][0] = 1.0
 
-    before = list(table.logits)
+    before = list(policy.logits)
     touched = {s for text in texts for s, _ in policy.walk(prompt, text)}
     group = fill_advantages(RolloutGroup(
         prompt_id=prompt,
@@ -152,12 +151,12 @@ def test_snapshots_share_rows_and_a_step_replaces_only_touched_rows(kind):
         snapshot_id=policy.old_snapshot_id,
     ))
     policy.grpo_step([group], GrpoConfig(epsilon=0.2, beta=0.0), lr=0.5)
-    for s, row in enumerate(table.logits):
+    for s, row in enumerate(policy.logits):
         if s in touched:
             assert row is not before[s] and row != before[s]
         else:
             assert row is before[s]
-    assert table.old_logits == before  # the snapshot did not move
+    assert policy.old_logits == before  # the snapshot did not move
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def _ok_body(texts):
 
 CFG = RemoteEndpointConfig(
     base_url="https://api.example.test/v1", model="toy-model",
-    timeout=5.0, max_retries=2, max_in_flight=2,
+    timeout=5.0, max_retries=2,
 )
 
 
@@ -444,7 +443,8 @@ def test_remote_malformed_responses(monkeypatch):
             client.complete("p", 2)
 
 
-def test_remote_in_flight_cap(monkeypatch):
+def test_remote_client_sets_no_cap_on_calls_in_flight(monkeypatch):
+    """The caller's threads alone decide how many calls are in flight."""
     monkeypatch.setenv("RTMOL_API_KEY", "k")
 
     class CountingSession:
@@ -452,12 +452,16 @@ def test_remote_in_flight_cap(monkeypatch):
             self.lock = threading.Lock()
             self.live = 0
             self.peak = 0
+            self.all_in = threading.Barrier(8, timeout=5.0)
 
         def post(self, url, json=None, headers=None, timeout=None):
             with self.lock:
                 self.live += 1
                 self.peak = max(self.peak, self.live)
-            threading.Event().wait(0.01)
+            try:  # hold every call open until all eight are in flight
+                self.all_in.wait()
+            except threading.BrokenBarrierError:
+                pass
             with self.lock:
                 self.live -= 1
             return FakeResponse(body=_ok_body(["C"]))
@@ -471,8 +475,9 @@ def test_remote_in_flight_cap(monkeypatch):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert session.peak <= CFG.max_in_flight
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert session.peak == 8
 
 
 class ScriptedHandler(http.server.BaseHTTPRequestHandler):
@@ -599,7 +604,6 @@ def test_remote_config_validation():
     for bad in (
         {"timeout": 0},
         {"max_retries": -1},
-        {"max_in_flight": 0},
         {"base_url": "u"},
         {"base_url": "file:///tmp/v1"},
         {"base_url": "ftp://host/v1"},
@@ -631,6 +635,13 @@ def test_load_prompts_refuses_unknown_keys(tmp_path):
     custom = tmp_path / "prompts.cfg"
     custom.write_text("generate_templat = Make {caption}\n")
     with pytest.raises(ValueError, match="generate_templat"):
+        load_prompts(str(custom))
+
+
+def test_load_prompts_refuses_a_line_without_equals(tmp_path):
+    custom = tmp_path / "prompts.cfg"
+    custom.write_text("\n# comment\ncaption_template: Describe {smiles} briefly.\n")
+    with pytest.raises(ValueError, match=r"prompts\.cfg:3: not a key = value line"):
         load_prompts(str(custom))
 
 
@@ -757,19 +768,18 @@ def test_sequence_sampling_deterministic_with_stable_prefix():
 
 def test_sequence_temperature_zero_walks_argmax_path():
     policy = _sequence_policy()
-    table = policy.table
     # carve a deterministic greedy path: b, then c, then a
     for prefix, tok in (("", "b"), ("b", "c"), ("bc", "a")):
-        state = table.state_index(f"left\x1f{prefix}")
-        set_logit(table, state, table.action_index(tok), 5.0)
+        state = policy.state_index(f"left\x1f{prefix}")
+        set_logit(policy, state, policy.action_index(tok), 5.0)
     out = policy.sample("left", 4, seed=0, temperature=0.0)
     assert [s.text for s in out] == ["bca"] * 4
 
 
 def test_sequence_logps_follow_requested_table():
     policy = _sequence_policy()
-    state = policy.table.state_index("left\x1f")
-    set_logit(policy.table, state, 0, policy.table.logits[state][0] + 1.0)
+    state = policy.state_index("left\x1f")
+    set_logit(policy, state, 0, policy.logits[state][0] + 1.0)
     cur = policy.sample("left", 4, seed=3, table="cur")
     old = policy.sample("left", 4, seed=3, table="old")
     flat = math.log(1 / 3)
@@ -797,26 +807,60 @@ def test_sequence_gradient_matches_central_finite_differences():
     rng = random.Random(271)
     policy = _sequence_policy(max_tokens=2)
     policy.snapshot_old()
-    for s, row in enumerate(policy.table.logits):  # move current off the old snapshot
+    for s, row in enumerate(policy.logits):  # move current off the old snapshot
         for a in range(len(row)):
-            set_logit(policy.table, s, a, row[a] + rng.uniform(-0.15, 0.15))
+            set_logit(policy, s, a, row[a] + rng.uniform(-0.15, 0.15))
     cfg = GrpoConfig(epsilon=0.2, beta=0.05)
     groups = _sequence_groups(policy, rng, cfg)
     grad = policy.gradient(groups, cfg)
     h = 1e-5
     worst = 0.0
-    for s in range(len(policy.table.states)):
-        dense = grad.get(s, [0.0] * len(policy.table.actions))
-        for a in range(len(policy.table.actions)):
-            kept = policy.table.logits[s][a]
-            set_logit(policy.table, s, a, kept + h)
-            up = policy.objective(groups, cfg)
-            set_logit(policy.table, s, a, kept - h)
-            down = policy.objective(groups, cfg)
-            set_logit(policy.table, s, a, kept)
+    for s in range(len(policy.states)):
+        dense = grad.get(s, [0.0] * len(policy.actions))
+        for a in range(len(policy.actions)):
+            kept = policy.logits[s][a]
+            set_logit(policy, s, a, kept + h)
+            up = tabular_objective(policy, groups, cfg)
+            set_logit(policy, s, a, kept - h)
+            down = tabular_objective(policy, groups, cfg)
+            set_logit(policy, s, a, kept)
             numeric = (up - down) / (2 * h)
             worst = max(worst, abs(numeric - dense[a]))
     assert worst < 1e-6
+
+
+def test_sequence_tabular_gradient_is_the_dense_gradient():
+    rng = random.Random(31)
+    policy = _scrambled(_sequence_policy(eos="$", max_tokens=2), rng)
+    cfg = GrpoConfig(epsilon=0.2, beta=0.05)
+    groups = _sequence_groups(policy, rng, cfg)
+    sparse = policy.gradient(groups, cfg)
+    width = len(policy.actions)
+    assert sparse and len(sparse) < len(policy.states)
+    assert tabular_gradient(policy, groups, cfg) == [
+        sparse.get(s, [0.0] * width) for s in range(len(policy.states))
+    ]
+
+
+def test_sequence_tabular_objective_slope_matches_the_gradient_with_eos():
+    # walks of unequal length, so the 1/|walk| normalizer varies
+    rng = random.Random(43)
+    policy = _scrambled(_sequence_policy(eos="$", max_tokens=2), rng)
+    cfg = GrpoConfig(epsilon=0.2, beta=0.05)
+    groups = _sequence_groups(policy, rng, cfg)
+    walks = [policy.walk(g.prompt_id, c.text) for g in groups for c in g.completions]
+    assert len({len(w) for w in walks}) > 1
+    dense = tabular_gradient(policy, groups, cfg)
+    h = 1e-5
+    for s in {s for w in walks for s, _ in w}:
+        for a in range(len(policy.actions)):
+            kept = policy.logits[s][a]
+            set_logit(policy, s, a, kept + h)
+            up = tabular_objective(policy, groups, cfg)
+            set_logit(policy, s, a, kept - h)
+            down = tabular_objective(policy, groups, cfg)
+            set_logit(policy, s, a, kept)
+            assert (up - down) / (2 * h) == pytest.approx(dense[s][a], abs=1e-6)
 
 
 def test_sequence_step_raises_drawn_token_probability():
@@ -831,12 +875,11 @@ def test_sequence_step_raises_drawn_token_probability():
         prompt_id="left", completions=completions,
         snapshot_id=policy.old_snapshot_id,
     ))
-    table = policy.table
-    before_root = table.log_probs("left\x1f")[table.action_index("a")]
-    before_next = table.log_probs("left\x1fa")[table.action_index("b")]
+    before_root = policy.log_probs("left\x1f")[policy.action_index("a")]
+    before_next = policy.log_probs("left\x1fa")[policy.action_index("b")]
     policy.grpo_step([group], GrpoConfig(beta=0.0), lr=0.5)
-    assert table.log_probs("left\x1f")[table.action_index("a")] > before_root
-    assert table.log_probs("left\x1fa")[table.action_index("b")] > before_next
+    assert policy.log_probs("left\x1f")[policy.action_index("a")] > before_root
+    assert policy.log_probs("left\x1fa")[policy.action_index("b")] > before_next
 
 
 def test_sequence_rejects_foreign_completions():
@@ -856,7 +899,7 @@ def test_sequence_rejects_foreign_completions():
 
     for bad in ("xz", "abc", "a"):
         with pytest.raises(UnknownState):
-            policy.objective([group_for(bad)], cfg)
+            tabular_objective(policy, [group_for(bad)], cfg)
     with_eos = _sequence_policy(eos="$", max_tokens=2)
     with_eos.snapshot_old()
     short = fill_advantages(RolloutGroup(
@@ -865,7 +908,7 @@ def test_sequence_rejects_foreign_completions():
                      Completion(text="ab", reward=0.0)),
         snapshot_id=with_eos.old_snapshot_id,
     ))
-    assert math.isfinite(with_eos.objective([short], cfg))
+    assert math.isfinite(tabular_objective(with_eos, [short], cfg))
 
 
 def test_sequence_snapshot_discipline():
@@ -879,7 +922,7 @@ def test_sequence_snapshot_discipline():
         snapshot_id=first,
     ))
     with pytest.raises(StaleSnapshot):
-        policy.objective([stale], GrpoConfig())
+        tabular_objective(policy, [stale], GrpoConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +957,12 @@ def _reference_sequence_sample(policy, prompt, n, seed, temperature, table):
     for i in range(n):
         prefix, logps = "", []
         for t in range(policy.max_tokens):
-            row = policy.table.log_probs(f"{prompt}\x1f{prefix}", table)
+            row = policy.log_probs(f"{prompt}\x1f{prefix}", table)
             chosen = _reference_pick(
                 row, temperature, ("draw", seed, prompt, i, t)
             )
             logps.append(row[chosen])
-            token = policy.table.actions[chosen]
+            token = policy.actions[chosen]
             if token == policy.eos:
                 break
             prefix += token
@@ -929,14 +972,13 @@ def _reference_sequence_sample(policy, prompt, n, seed, temperature, table):
 
 def _scrambled(policy, rng):
     """Random live and old tables that differ from each other."""
-    table = policy.table
-    for s, row in enumerate(table.logits):
+    for s, row in enumerate(policy.logits):
         for a in range(len(row)):
-            set_logit(table, s, a, rng.uniform(-2.0, 2.0))
+            set_logit(policy, s, a, rng.uniform(-2.0, 2.0))
     policy.snapshot_old()
-    for s, row in enumerate(table.logits):
+    for s, row in enumerate(policy.logits):
         for a in range(len(row)):
-            set_logit(table, s, a, row[a] + rng.uniform(-1.0, 1.0))
+            set_logit(policy, s, a, row[a] + rng.uniform(-1.0, 1.0))
     return policy
 
 

@@ -423,6 +423,24 @@ class RecordingSession:
         return FakeResponse(_ok_body(["CCO"] * json["n"]))
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_annotate_refuses_a_group_below_two_before_any_call(n, tmp_path, capsys, monkeypatch):
+    import moltrip.adapters as adapters
+
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    session = RecordingSession()
+    monkeypatch.setattr(adapters, "UrllibTransport", lambda: session)
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCC"])
+    out = tmp_path / "out.jsonl"
+    assert main([
+        "annotate", "--pairs", pairs, "--out", str(out), "--n", n,
+        "--base-url", "https://api.example.test/v1", "--model", "toy",
+    ]) == 1
+    assert f"--n must be >= 2, not {n}" in capsys.readouterr().err
+    assert not out.exists()
+    assert session.calls == []
+
+
 @pytest.mark.parametrize("command", [
     ["annotate", "--n", "2"],
     ["filter", "--tau", "1", "--generator", "remote"],
@@ -555,3 +573,21 @@ def test_malformed_config_is_a_domain_error(tmp_path, capsys):
     config.write_text("seed = 9\n", encoding="utf-8")  # no section header
     assert main(["canon", "CCO", "--config", str(config)]) == 1
     assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["train-toy", "--max-steps", "1"], ""),
+    (["canon", "CCO"], "\n[canon]\n"),
+], ids=["train-toy", "canon-with-own-section"])
+def test_config_default_section_is_refused(argv, extra, tmp_path, capsys):
+    # configparser would copy [DEFAULT] keys into every section, or silently
+    # drop them for a command with no section of its own
+    config = tmp_path / "moltrip.cfg"
+    config.write_text(
+        "[DEFAULT]\nseed = 3\n\n[split]\nfmt = jsonl\n" + extra, encoding="utf-8",
+    )
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "[DEFAULT]" in err
+    assert not out.exists()

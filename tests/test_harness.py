@@ -260,6 +260,30 @@ def test_run_training_converges_on_flat_rewards():
     assert log.final_round_trip == 0.0
 
 
+def test_run_training_schedule_when_k_does_not_divide_max_steps():
+    captioner, generator = micro_policies()
+    cfg = micro_config(max_steps=5, steps_per_phase=2)
+    log = run_training(captioner, generator, micro_pairs(), cfg)
+    assert [r.phase for r in log.records] == [
+        "generator", "generator", "captioner", "captioner", "generator",
+    ]
+    assert [r.step for r in log.records] == list(range(5))
+    assert not log.converged
+
+
+def test_run_training_convergence_breaks_mid_phase():
+    captioner = TabularPolicy.uniform(MOLECULES, CAPTIONS)
+    generator = TabularPolicy.uniform(CAPTIONS, ("xx", "yy"))  # rewards stay 0
+    cfg = micro_config(
+        max_steps=50, steps_per_phase=4, convergence_window=3,
+        convergence_tol=1e-3, grpo=GrpoConfig(beta=0.0),
+    )
+    log = run_training(captioner, generator, micro_pairs(), cfg)
+    assert log.converged
+    # the plateau trips after step 5, two steps into the captioner phase
+    assert [r.phase for r in log.records] == ["generator"] * 4 + ["captioner"] * 2
+
+
 def test_update_epochs_amplify_the_step():
     def stepped(epochs):
         _, generator = micro_policies()
