@@ -11,6 +11,13 @@ to its (context row, token) steps, and sample().  So one objective, one
 gradient and one draw rule serve both; that exactness is what makes the
 desk-scale training loop verifiable.
 
+Draws come from a counter-based stream: each uniform is the splitmix64
+finaliser of a 64-bit key plus (counter + 1) times the golden-ratio
+increment, so a draw is a fixed function of (key, counter) and nothing is
+seeded.  A tabular draw i is keyed by stable_hash("draw", seed, state, i) at
+counter 0; a rollout i of the token policy is keyed once by
+stable_hash("draw", seed, prompt, i) and its token t reads counter t.
+
 The remote backend posts each chat-completions call through UrllibTransport,
 a standard-library HTTP transport (urllib.request and json), so the package
 has no third-party runtime dependency.
@@ -19,12 +26,12 @@ has no third-party runtime dependency.
 from __future__ import annotations
 
 import bisect
+import collections
 import http.client
 import itertools
 import json as jsonlib
 import math
 import os
-import random
 import string
 import time
 import urllib.error
@@ -120,9 +127,14 @@ class EchoAdapter:
 # ---------------------------------------------------------------------------
 # tabular softmax policies
 
-def _log_softmax(row: list[float]) -> list[float]:
+def _log_norm(row: list[float]) -> float:
+    """log sum exp of the row, shifted by its peak."""
     peak = max(row)
-    log_norm = peak + math.log(sum(math.exp(v - peak) for v in row))
+    return peak + math.log(sum(math.exp(v - peak) for v in row))
+
+
+def _log_softmax(row: list[float]) -> list[float]:
+    log_norm = _log_norm(row)
     return [v - log_norm for v in row]
 
 
@@ -141,12 +153,27 @@ def _cumulative(log_probs: list[float], temperature: float) -> list[float] | Non
     return list(itertools.accumulate(math.exp(lp) for lp in log_probs))
 
 
-def _draw(log_probs: list[float], cumulative: list[float] | None, h: int) -> int:
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _uniform(key: int, t: int) -> float:
+    """Uniform in [0, 1) at counter t of the stream keyed by key: the
+    splitmix64 finaliser of key + (t + 1) * gamma, top 53 bits."""
+    z = (key + (t + 1) * _GOLDEN_GAMMA) & _MASK64
+    z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ z >> 31) >> 11) * 2.0 ** -53
+
+
+def _draw(
+    log_probs: list[float], cumulative: list[float] | None, key: int, t: int = 0
+) -> int:
     """The action index one draw picks: the argmax when cumulative is None,
-    else the bisected position of a uniform seeded by the stream hash h."""
+    else the bisected position of the uniform at counter t of stream key."""
     if cumulative is None:
         return _argmax(log_probs)
-    u = random.Random(h).random()
+    u = _uniform(key, t)
     return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
 
 
@@ -232,8 +259,11 @@ def tabular_sample(
 ) -> list[Sampled]:
     """n independent draws from the softmax row, reproducible per draw.
 
-    Draw i depends only on (seed, state, i), so extending n preserves the
-    prefix.  Temperature 0 degenerates to the argmax action.  Attached
+    Draw i bisects the uniform at counter 0 of the stream keyed by
+    stable_hash("draw", seed, state, i), so it depends only on
+    (seed, state, i) and extending n preserves the prefix.  The key is a
+    process-independent FNV hash: python's tuple hash is salted.
+    Temperature 0 degenerates to the argmax action.  Attached
     log-probabilities are always the exact temperature-1 values from the
     requested table.
     """
@@ -241,8 +271,6 @@ def tabular_sample(
         raise ValueError("n must be >= 1")
     log_probs = policy.log_probs(state, table)
     cumulative = _cumulative(log_probs, temperature)
-    # process-independent per-draw stream: python's tuple hash is salted.
-    # Draw i is seeded by stable_hash("draw", seed, state, i).
     base = stable_hash("draw", seed, state)
     out = []
     for i in range(n):
@@ -302,40 +330,56 @@ def _gradient(
 ) -> dict[int, list[float]]:
     """Exact gradient of the total objective, sparse over touched rows.
 
-    One step over a softmax row admits the closed form
-    dJ/dz[s,a'] = coeff * (1[a'=a] - pi_cur(a'|s)) with
-    coeff = clip_slope * ratio + beta * (exp(d) - 1), scaled by the
-    completion's 1/|walk| length normalizer.
+    One step (s, a) over a softmax row adds coeff * (1[a'=a] - pi_cur(a'|s))
+    to dJ/dz[s, a'], with coeff = clip_slope * ratio + beta * (exp(d) - 1)
+    scaled by the completion's 1/|walk| length normalizer.  So the steps
+    are summed first into per-row coefficients C[s][a], identical
+    (text, advantage) completions of a group walked once and weighted by
+    their count, and each touched row then costs one O(width) pass:
+    dJ/dz[s, j] = C[s][j] - sum(C[s]) * pi_cur(j|s).
     """
     width = len(policy.actions)
-    grad: dict[int, list[float]] = {}
-    rows: dict[int, tuple[list[float], ...]] = {}
+    live, old_rows, ref_rows = policy.logits, policy.old_logits, policy.ref_logits
+    # rows are immutable tuples the tables share, so one normaliser per
+    # distinct row object serves every table holding it during this call
+    norms: dict[int, float] = {}
+
+    def log_norm(row: tuple[float, ...]) -> float:
+        key = id(row)
+        if key not in norms:
+            norms[key] = _log_norm(row)
+        return norms[key]
+
+    coeffs: dict[int, list[float]] = {}
     for group in groups:
         _check_group(policy, group)
-        for completion, advantage in zip(group.completions, group.advantages):
-            steps = policy.walk(group.prompt_id, completion.text)
-            scale = 1.0 / len(steps)
+        counts = collections.Counter(  # in first-seen order
+            zip((c.text for c in group.completions), group.advantages)
+        )
+        for (text, advantage), count in counts.items():
+            steps = policy.walk(group.prompt_id, text)
+            scale = count / len(steps)
             for s, a in steps:
-                if s not in rows:
-                    cur = _log_softmax(policy.logits[s])
-                    rows[s] = (
-                        cur,
-                        _log_softmax(policy.old_logits[s]),
-                        _log_softmax(policy.ref_logits[s]),
-                        [math.exp(lp) for lp in cur],
-                    )
-                cur, old, ref, probs = rows[s]
-                ratio = math.exp(cur[a] - old[a])
-                d = ref[a] - cur[a]
+                z = live[s]
+                cur = z[a] - log_norm(z)
+                ratio = math.exp(cur - (old_rows[s][a] - log_norm(old_rows[s])))
+                d = ref_rows[s][a] - log_norm(ref_rows[s]) - cur
                 coeff = scale * (
                     _clip_slope(ratio, advantage, cfg.epsilon) * ratio
                     + cfg.beta * (math.exp(d) - 1.0)
                 )
                 if coeff == 0.0:
                     continue
-                row = grad.setdefault(s, [0.0] * width)
-                for ap in range(width):
-                    row[ap] += coeff * ((1.0 if ap == a else 0.0) - probs[ap])
+                row = coeffs.get(s)
+                if row is None:
+                    row = coeffs[s] = [0.0] * width
+                row[a] += coeff
+    grad: dict[int, list[float]] = {}
+    for s, c in coeffs.items():
+        z = live[s]
+        total = sum(c)
+        shift = log_norm(z)
+        grad[s] = [cj - total * math.exp(zj - shift) for cj, zj in zip(c, z)]
     return grad
 
 
@@ -463,10 +507,11 @@ class TokenSequencePolicy(TabularPolicy):
     ) -> list[Sampled]:
         """n independent rollouts; draw (i, t) depends only on (seed, prompt, i, t).
 
-        Draw (i, t) is seeded by stable_hash("draw", seed, prompt, i, t),
-        continued from the hash of the shared head.  The tables cannot change
-        during a call, so each prefix's rows are computed once and shared by
-        all n rollouts.
+        Rollout i is keyed once by stable_hash("draw", seed, prompt, i),
+        continued from the hash of the shared head, and its token t bisects
+        the uniform at counter t of that stream, so no token hashes.  The
+        tables cannot change during a call, so each prefix's rows are
+        computed once and shared by all n rollouts.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -474,15 +519,16 @@ class TokenSequencePolicy(TabularPolicy):
         memo: dict[str, tuple[list[float], list[float] | None]] = {}
         out = []
         for i in range(n):
-            head = extend_hash(base, i)
+            key = extend_hash(base, i)
             prefix = ""
             logps = []
             for t in range(self.max_tokens):
-                if prefix not in memo:
+                entry = memo.get(prefix)
+                if entry is None:
                     row = self.log_probs(self._encode(prompt, prefix), table)
-                    memo[prefix] = (row, _cumulative(row, temperature))
-                row, cumulative = memo[prefix]
-                chosen = _draw(row, cumulative, extend_hash(head, t))
+                    entry = memo[prefix] = (row, _cumulative(row, temperature))
+                row, cumulative = entry
+                chosen = _draw(row, cumulative, key, t)
                 logps.append(row[chosen])
                 token = self.actions[chosen]
                 if token == self.eos:

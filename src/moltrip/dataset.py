@@ -129,7 +129,10 @@ def load_pairs(path: str) -> LoadResult:
 
 
 def _read_json_line(line: str, line_no: int) -> PairRecord:
-    body = json.loads(line)
+    try:
+        body = json.loads(line)
+    except RecursionError:
+        raise ValueError("record nests too deeply to decode") from None
     if not isinstance(body, dict):
         raise ValueError("record is not an object")
     return PairRecord(

@@ -53,7 +53,7 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         for name in ("batch_size", "mini_batch", "steps_per_phase",
                      "rollout_n", "group_size_g", "recon_samples_m",
-                     "update_epochs"):
+                     "update_epochs", "convergence_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.max_steps < 0:
@@ -355,16 +355,36 @@ def export_rollouts(tagged: list[TaggedGroup], path: str) -> None:
         raise IoFailure(f"cannot write rollouts to {path}: {exc}") from exc
 
 
+_ROLLOUT_KEYS = (
+    "group", "phase", "prompt", "reference", "completion", "reward",
+    "advantage", "snapshot",
+)
+
+
 def read_rollouts(path: str) -> list[TaggedGroup]:
-    """Rebuild tagged groups from an export file, preserving group order."""
+    """Rebuild tagged groups from an export file, preserving group order.
+
+    A line that is not a JSON object with every exported key raises
+    ValueError naming path:line.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read rollouts from {path}: {exc}") from exc
     buckets: dict[str, list[dict]] = {}  # insertion order is file order
-    for line in lines:
-        row = json.loads(line)
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}:{line_no}: not a JSON line: {exc}") from None
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}:{line_no}: not a JSON object")
+        missing = [key for key in _ROLLOUT_KEYS if key not in row]
+        if missing:
+            raise ValueError(f"{path}:{line_no}: missing {', '.join(missing)}")
         buckets.setdefault(row["group"], []).append(row)
     out: list[TaggedGroup] = []
     for gid, rows in buckets.items():

@@ -235,10 +235,10 @@ def test_criterion_07_toy_training(toy_runs, verdict):
 
 
 # sha256 of json.dumps(log.to_records(), sort_keys=True) for each full run,
-# recorded before snapshots shared rows and scoring cached prepared strings
+# recorded with the counter-based draw stream and the row-aggregated gradient
 PINNED_TOY_LOG_DIGESTS = {
-    "shaped": "b14442eb3926de39a300410ab961c2f42fc0f35ec5bf257eedb26132fca1cfb0",
-    "exact_only": "d94f163308eca55348b9c60f0fbb58af4529d052a27d2d64b78ab748e45017c7",
+    "shaped": "362fbd50f77cd3210706536f25273a35df4f191561d9ccd0f7cee0d6c04044a9",
+    "exact_only": "df2b842da4b354a0eb9b7f8507200a0f037aa7bc3e76b98e26a06cd96907d5d2",
 }
 
 

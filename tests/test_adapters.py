@@ -36,6 +36,7 @@ from moltrip.adapters import (
     tabular_grpo_step,
     tabular_objective,
     tabular_sample,
+    _uniform,
 )
 from moltrip.chem import canonical_smiles, parse_smiles
 from moltrip.fingerprints import stable_hash
@@ -934,8 +935,17 @@ def _reference_log_softmax(row):
     return [v - log_norm for v in row]
 
 
-def _reference_pick(log_probs, temperature, key):
-    """Index drawn from a log-prob row by one freshly seeded Random per draw."""
+def _reference_uniform(key, t):
+    """Counter t of the splitmix64 stream keyed by key, written out longhand."""
+    z = (key + (t + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+    z = z ^ (z >> 31)
+    return (z >> 11) / 2 ** 53
+
+
+def _reference_pick(log_probs, temperature, key, t=0):
+    """Index drawn from a log-prob row by counter t of the stream keyed by key."""
     if temperature == 0.0:
         return max(range(len(log_probs)), key=lambda j: (log_probs[j], -j))
     scaled = log_probs if temperature == 1.0 else _reference_log_softmax(
@@ -945,7 +955,7 @@ def _reference_pick(log_probs, temperature, key):
     for lp in scaled:
         acc += math.exp(lp)
         cumulative.append(acc)
-    u = random.Random(stable_hash(*key)).random()
+    u = _reference_uniform(key, t)
     for j, edge in enumerate(cumulative):
         if u < edge:
             return j
@@ -955,12 +965,11 @@ def _reference_pick(log_probs, temperature, key):
 def _reference_sequence_sample(policy, prompt, n, seed, temperature, table):
     out = []
     for i in range(n):
+        key = stable_hash("draw", seed, prompt, i)
         prefix, logps = "", []
         for t in range(policy.max_tokens):
             row = policy.log_probs(f"{prompt}\x1f{prefix}", table)
-            chosen = _reference_pick(
-                row, temperature, ("draw", seed, prompt, i, t)
-            )
+            chosen = _reference_pick(row, temperature, key, t)
             logps.append(row[chosen])
             token = policy.actions[chosen]
             if token == policy.eos:
@@ -1009,9 +1018,76 @@ def test_tabular_draws_match_reference_stream(temperature, table):
         row = policy.log_probs(state, table)
         want = []
         for i in range(60):
-            chosen = _reference_pick(row, temperature, ("draw", seed, state, i))
+            chosen = _reference_pick(
+                row, temperature, stable_hash("draw", seed, state, i)
+            )
             want.append(Sampled(policy.actions[chosen], (row[chosen],)))
         got = tabular_sample(
             policy, state, 60, seed, temperature=temperature, table=table
         )
         assert got == want
+
+
+def test_stream_uniforms_are_uniform_over_consecutive_counters():
+    n = 100_000
+    key = stable_hash("draw", 0, "s", 0)
+    draws = [_uniform(key, t) for t in range(n)]
+    assert all(0.0 <= u < 1.0 for u in draws)
+    assert draws[:50] == [_reference_uniform(key, t) for t in range(50)]
+    mean = sum(draws) / n
+    variance = sum((u - mean) ** 2 for u in draws) / n
+    # for U uniform on [0, 1): Var U = 1/12 and Var (U - 1/2)^2 = 1/180
+    assert abs(mean - 0.5) <= 4 * math.sqrt(1 / 12 / n)
+    assert abs(variance - 1 / 12) <= 4 * math.sqrt(1 / 180 / n)
+
+
+def _longhand_gradient(policy, groups, cfg):
+    """Dense gradient summed token by token, one softmax row pass per step."""
+    eps = cfg.epsilon
+    width = len(policy.actions)
+    grad = [[0.0] * width for _ in policy.states]
+    for group in groups:
+        for completion, advantage in zip(group.completions, group.advantages):
+            steps = policy.walk(group.prompt_id, completion.text)
+            for s, a in steps:
+                cur = _reference_log_softmax(policy.logits[s])
+                old = _reference_log_softmax(policy.old_logits[s])
+                ref = _reference_log_softmax(policy.ref_logits[s])
+                ratio = math.exp(cur[a] - old[a])
+                clamped = min(max(ratio, 1.0 - eps), 1.0 + eps)
+                if ratio * advantage <= clamped * advantage or 1.0 - eps < ratio < 1.0 + eps:
+                    slope = advantage
+                else:
+                    slope = 0.0
+                coeff = (
+                    slope * ratio + cfg.beta * (math.exp(ref[a] - cur[a]) - 1.0)
+                ) / len(steps)
+                for j in range(width):
+                    grad[s][j] += coeff * ((1.0 if j == a else 0.0) - math.exp(cur[j]))
+    return grad
+
+
+def test_aggregated_gradient_equals_the_longhand_per_token_gradient():
+    rng = random.Random(59)
+    policy = _scrambled(_sequence_policy(eos="$", max_tokens=3), rng)
+    cfg = GrpoConfig(epsilon=0.2, beta=0.05)
+    groups = []
+    for prompt in policy.prompts:
+        texts = [d.text for d in policy.sample(prompt, 8, seed=rng.randrange(10_000))]
+        texts += texts[:4]  # repeated completions, same reward and advantage
+        rewards = {text: rng.uniform(0.0, 4.0) for text in texts}
+        groups.append(fill_advantages(RolloutGroup(
+            prompt_id=prompt,
+            completions=tuple(Completion(text=t, reward=rewards[t]) for t in texts),
+            snapshot_id=policy.old_snapshot_id,
+        )))
+    walks = [policy.walk(g.prompt_id, c.text) for g in groups for c in g.completions]
+    assert len({len(w) for w in walks}) > 1
+    assert any(len(set(c.text for c in g.completions)) < len(g.completions)
+               for g in groups)
+    got = tabular_gradient(policy, groups, cfg)
+    want = _longhand_gradient(policy, groups, cfg)
+    assert any(any(row) for row in want)
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            assert abs(g - w) <= 1e-12

@@ -176,6 +176,19 @@ def test_eval_sets_aside_non_string_fields(tmp_path, capsys, bad):
     assert "exact_pct 100.0" in captured.out
 
 
+def test_eval_sets_aside_a_line_nested_too_deeply_to_decode(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"smiles": "CCO", "caption": "CCO"}) + "\n"
+        + "[" * 200_000 + "]" * 200_000 + "\n",
+        encoding="utf-8",
+    )
+    assert main(["eval", "--pairs", str(pairs)]) == 0
+    captured = capsys.readouterr()
+    assert "1 malformed lines set aside" in captured.err
+    assert "samples 1" in captured.out
+
+
 def test_eval_worker_count_does_not_change_output(tmp_path, capsys):
     pairs = write_pairs_file(
         tmp_path / "pairs.jsonl", ["CCO", "CCC", "CCN", "CC(=O)O", "c1ccccc1"],

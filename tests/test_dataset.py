@@ -74,6 +74,17 @@ def test_load_malformed_lines_go_to_sidecar(tmp_path):
     assert all(e.reason for e in result.sidecar)
 
 
+def test_load_sets_aside_a_line_nested_too_deeply_to_decode(tmp_path):
+    path = _write(tmp_path / "pairs.jsonl", [
+        json.dumps({"smiles": "CCO", "caption": "ethanol"}),
+        "[" * 200_000 + "]" * 200_000,
+    ])
+    result = load_pairs(path)
+    assert [r.smiles for r in result.records] == ["CCO"]
+    assert [e.line_no for e in result.sidecar] == [2]
+    assert "nests too deeply" in result.sidecar[0].reason
+
+
 @pytest.mark.parametrize("body", [
     {"smiles": 5, "caption": "x"},
     {"smiles": "CCO", "caption": 7},

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import json
+import re
 
 import pytest
 
@@ -83,6 +85,13 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             HarnessConfig(**bad)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_convergence_window_must_be_positive(window):
+    # 0 would divide by zero after the first step, -1 would stop after it
+    with pytest.raises(ValueError, match="convergence_window"):
+        HarnessConfig(convergence_window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +377,29 @@ def test_read_rollouts_marks_degenerate_groups(tmp_path):
     path = str(tmp_path / "rollouts.jsonl")
     export_rollouts(export, path)
     assert all(t.group.degenerate for t in read_rollouts(path))
+
+
+def _without_completion(line: str) -> str:
+    row = json.loads(line)
+    del row["completion"]
+    return json.dumps(row)
+
+
+@pytest.mark.parametrize("spoil, reason", [
+    (lambda line: "{not json", "not a JSON line"),
+    (lambda line: json.dumps(["a", "list"]), "not a JSON object"),
+    (lambda line: "[" * 200_000 + "]" * 200_000, "not a JSON line"),
+    (_without_completion, "missing completion"),
+], ids=["not-json", "not-object", "nested", "missing-key"])
+def test_read_rollouts_names_the_bad_line(tmp_path, spoil, reason):
+    _, generator = micro_policies()
+    path = tmp_path / "rollouts.jsonl"
+    export_rollouts(generator_rollouts(generator, seed=4), str(path))
+    lines = path.read_text().splitlines()
+    lines[1] = spoil(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {reason}")):
+        read_rollouts(str(path))
 
 
 def test_export_write_is_atomic(tmp_path):

