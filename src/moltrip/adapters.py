@@ -18,6 +18,16 @@ seeded.  A tabular draw i is keyed by stable_hash("draw", seed, state, i) at
 counter 0; a rollout i of the token policy is keyed once by
 stable_hash("draw", seed, prompt, i) and its token t reads counter t.
 
+A policy memoises each logit row's distribution: its log-probabilities,
+from one log-normaliser, and the running sums of its probabilities, which
+a temperature-1 draw bisects.  Entries are keyed by the row object and hold
+it, and rows are immutable tuples, so an entry can neither go stale nor
+alias a freed row.  Snapshots only share rows, so the memo survives them;
+every update makes new rows and empties the memo.  So between two updates
+each distinct row is normalised once, however many draws, log-prob reads
+and gradient steps pass it, and the memo never holds more entries than
+there were distinct row objects in the three tables.
+
 The remote backend posts each chat-completions call through UrllibTransport,
 a standard-library HTTP transport (urllib.request and json), so the package
 has no third-party runtime dependency.
@@ -153,6 +163,11 @@ def _cumulative(log_probs: list[float], temperature: float) -> list[float] | Non
     return list(itertools.accumulate(math.exp(lp) for lp in log_probs))
 
 
+# A row's memoised distribution: (row, log-probs, running sums of the
+# probabilities).  The row itself is held so its id stays taken.
+RowDist = tuple[tuple[float, ...], list[float], list[float]]
+
+
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -184,9 +199,10 @@ class TabularPolicy:
     Keeps three logit tables: the live one, a frozen "old" snapshot that
     sampling ratios are measured against, and a fixed reference for the KL
     penalty.  Snapshot ids let rollouts prove which table produced them.
-    Each row is an immutable tuple, so the three tables share the rows they
-    agree on: a snapshot copies only the list of rows, and an update
-    replaces the rows it touches.
+    Each row of every table is an immutable tuple, so the three tables
+    share the rows they agree on: a snapshot copies only the list of rows,
+    and an update replaces the rows it touches.  Each row's distribution is
+    memoised until the next update (see the module docstring).
     """
 
     states: tuple[str, ...]
@@ -201,12 +217,17 @@ class TabularPolicy:
         if (len(self.logits), len(self.logits[0])) != expected:
             raise ValueError("logits shape must be states x actions")
         self.logits = [tuple(row) for row in self.logits]
-        if self.old_logits is None:
-            self.old_logits = list(self.logits)
-        if self.ref_logits is None:
-            self.ref_logits = list(self.logits)
+        self.old_logits = self._own_rows(self.old_logits)
+        self.ref_logits = self._own_rows(self.ref_logits)
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._action_index = {a: i for i, a in enumerate(self.actions)}
+        self._dists: dict[int, RowDist] = {}
+
+    def _own_rows(self, rows) -> list[tuple[float, ...]]:
+        """Tuple copies of a given table's rows; the live rows when None."""
+        if rows is None:
+            return list(self.logits)
+        return [tuple(row) for row in rows]
 
     @classmethod
     def uniform(cls, states, actions) -> "TabularPolicy":
@@ -223,11 +244,34 @@ class TabularPolicy:
             raise UnknownState(action)
         return self._action_index[action]
 
-    def log_probs(self, state: str, table: str = "cur") -> list[float]:
-        rows = {
+    def _table(self, table: str) -> list[tuple[float, ...]]:
+        return {
             "cur": self.logits, "old": self.old_logits, "ref": self.ref_logits,
         }[table]
-        return _log_softmax(rows[self.state_index(state)])
+
+    def _dist(self, row: tuple[float, ...]) -> RowDist:
+        """The row's memoised distribution, computed on first use."""
+        entry = self._dists.get(id(row))
+        if entry is None:
+            log_norm = _log_norm(row)
+            log_probs = [v - log_norm for v in row]
+            entry = self._dists[id(row)] = (
+                row, log_probs, _cumulative(log_probs, 1.0),
+            )
+        return entry
+
+    def _draw_row(
+        self, row: tuple[float, ...], temperature: float
+    ) -> tuple[list[float], list[float] | None]:
+        """A row's log-probs and the running sums a draw at temperature
+        bisects (None at temperature 0); the memo serves temperature 1."""
+        _, log_probs, cumulative = self._dist(row)
+        if temperature != 1.0:
+            cumulative = _cumulative(log_probs, temperature)
+        return log_probs, cumulative
+
+    def log_probs(self, state: str, table: str = "cur") -> list[float]:
+        return list(self._dist(self._table(table)[self.state_index(state)])[1])
 
     def snapshot_old(self) -> int:
         """Freeze the live table as the new old policy; returns its id."""
@@ -269,8 +313,9 @@ def tabular_sample(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    log_probs = policy.log_probs(state, table)
-    cumulative = _cumulative(log_probs, temperature)
+    log_probs, cumulative = policy._draw_row(
+        policy._table(table)[policy.state_index(state)], temperature
+    )
     base = stable_hash("draw", seed, state)
     out = []
     for i in range(n):
@@ -310,6 +355,7 @@ def _objective(
     policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> float:
     """Total J over groups, each walk's log-probs read from the three tables."""
+    dist = policy._dist
     total = 0.0
     for group in groups:
         _check_group(policy, group)
@@ -317,7 +363,7 @@ def _objective(
         for c in group.completions:
             steps = policy.walk(group.prompt_id, c.text)
             cur, old, ref = (
-                tuple(_log_softmax(rows[s])[a] for s, a in steps)
+                tuple(dist(rows[s])[1][a] for s, a in steps)
                 for rows in (policy.logits, policy.old_logits, policy.ref_logits)
             )
             completions.append(replace(c, logp_cur=cur, logp_old=old, logp_ref=ref))
@@ -336,20 +382,17 @@ def _gradient(
     are summed first into per-row coefficients C[s][a], identical
     (text, advantage) completions of a group walked once and weighted by
     their count, and each touched row then costs one O(width) pass:
-    dJ/dz[s, j] = C[s][j] - sum(C[s]) * pi_cur(j|s).
+    dJ/dz[s, j] = C[s][j] - sum(C[s]) * pi_cur(j|s).  The ratio, exp(d) - 1
+    and whether the ratio lies inside the clip band, where the clip slope
+    is the advantage whatever its sign, are computed once per (row, action)
+    pair per call, and every row's log-probs come from the policy's memo.
     """
     width = len(policy.actions)
     live, old_rows, ref_rows = policy.logits, policy.old_logits, policy.ref_logits
-    # rows are immutable tuples the tables share, so one normaliser per
-    # distinct row object serves every table holding it during this call
-    norms: dict[int, float] = {}
-
-    def log_norm(row: tuple[float, ...]) -> float:
-        key = id(row)
-        if key not in norms:
-            norms[key] = _log_norm(row)
-        return norms[key]
-
+    dist = policy._dist
+    epsilon, beta = cfg.epsilon, cfg.beta
+    # (row, action) -> (ratio, exp(d) - 1, ratio inside the clip band)
+    terms: dict[tuple[int, int], tuple[float, float, bool]] = {}
     coeffs: dict[int, list[float]] = {}
     for group in groups:
         _check_group(policy, group)
@@ -359,15 +402,19 @@ def _gradient(
         for (text, advantage), count in counts.items():
             steps = policy.walk(group.prompt_id, text)
             scale = count / len(steps)
-            for s, a in steps:
-                z = live[s]
-                cur = z[a] - log_norm(z)
-                ratio = math.exp(cur - (old_rows[s][a] - log_norm(old_rows[s])))
-                d = ref_rows[s][a] - log_norm(ref_rows[s]) - cur
-                coeff = scale * (
-                    _clip_slope(ratio, advantage, cfg.epsilon) * ratio
-                    + cfg.beta * (math.exp(d) - 1.0)
-                )
+            for step in steps:
+                s, a = step
+                term = terms.get(step)
+                if term is None:
+                    cur = dist(live[s])[1][a]
+                    d = dist(ref_rows[s])[1][a] - cur
+                    ratio = math.exp(cur - dist(old_rows[s])[1][a])
+                    term = terms[step] = (
+                        ratio, math.exp(d) - 1.0, 1.0 - epsilon < ratio < 1.0 + epsilon,
+                    )
+                ratio, kl, inside = term
+                slope = advantage if inside else _clip_slope(ratio, advantage, epsilon)
+                coeff = scale * (slope * ratio + beta * kl)
                 if coeff == 0.0:
                     continue
                 row = coeffs.get(s)
@@ -376,16 +423,16 @@ def _gradient(
                 row[a] += coeff
     grad: dict[int, list[float]] = {}
     for s, c in coeffs.items():
-        z = live[s]
         total = sum(c)
-        shift = log_norm(z)
-        grad[s] = [cj - total * math.exp(zj - shift) for cj, zj in zip(c, z)]
+        grad[s] = [cj - total * math.exp(lp) for cj, lp in zip(c, dist(live[s])[1])]
     return grad
 
 
 def _ascend(policy: TabularPolicy, grad_rows, lr: float) -> None:
     """Replace each (row index, gradient row) pair's live row with the row
-    plus lr times the gradient; untouched rows stay shared with snapshots."""
+    plus lr times the gradient; untouched rows stay shared with snapshots.
+    Every row made here is new, so the memo of row distributions empties."""
+    policy._dists.clear()
     logits = policy.logits
     for s, row in grad_rows:
         logits[s] = tuple([v + lr * g for v, g in zip(logits[s], row)])
@@ -510,12 +557,15 @@ class TokenSequencePolicy(TabularPolicy):
         Rollout i is keyed once by stable_hash("draw", seed, prompt, i),
         continued from the hash of the shared head, and its token t bisects
         the uniform at counter t of that stream, so no token hashes.  The
-        tables cannot change during a call, so each prefix's rows are
-        computed once and shared by all n rollouts.
+        tables cannot change during a call, so each prefix's row is looked
+        up once and shared by all n rollouts; its distribution comes from
+        the policy's memo, and is tempered once per call when the
+        temperature is not 1.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
         base = stable_hash("draw", seed, prompt)
+        rows = self._table(table)
         memo: dict[str, tuple[list[float], list[float] | None]] = {}
         out = []
         for i in range(n):
@@ -525,8 +575,10 @@ class TokenSequencePolicy(TabularPolicy):
             for t in range(self.max_tokens):
                 entry = memo.get(prefix)
                 if entry is None:
-                    row = self.log_probs(self._encode(prompt, prefix), table)
-                    entry = memo[prefix] = (row, _cumulative(row, temperature))
+                    entry = memo[prefix] = self._draw_row(
+                        rows[self.state_index(self._encode(prompt, prefix))],
+                        temperature,
+                    )
                 row, cumulative = entry
                 chosen = _draw(row, cumulative, key, t)
                 logps.append(row[chosen])

@@ -5,8 +5,10 @@ molecules from reference captions, then the captioner is trained against a
 frozen generator snapshot that scores its candidate captions by round-trip
 reconstruction.  Each phase samples, scores, groups and takes exact GRPO
 steps on the policy.  One ScoreCache per run prepares each distinct
-string once while it stays cached.  Every sample is seeded, so a (config,
-seed) pair reproduces the full log bit for bit.
+string once while it stays cached, and each phase scores each distinct
+completion once per group: draws of the same text share its breakdown.
+Every sample is seeded, so a (config, seed) pair reproduces the full log
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .adapters import AdapterFailure, TabularPolicy
 from .dataset import IoFailure, PairRecord, atomic_writer
-from .fingerprints import stable_hash
+from .fingerprints import extend_hash, stable_hash
 from .grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
 from .metrics import (
     EvalReport,
@@ -158,9 +160,12 @@ def generator_phase(
                 pair.caption, cfg.rollout_n,
                 seed=stable_hash("gen", seed, j), table="old",
             )
+            scored: dict[str, ScoreBreakdown] = {}
             completions = []
             for draw in draws:
-                breakdown = cache.score(pair.smiles, draw.text)
+                breakdown = scored.get(draw.text)
+                if breakdown is None:
+                    breakdown = scored[draw.text] = cache.score(pair.smiles, draw.text)
                 breakdowns.append(breakdown)
                 completions.append(Completion(
                     text=draw.text,
@@ -204,15 +209,21 @@ def captioner_phase(
                 pair.smiles, cfg.group_size_g,
                 seed=stable_hash("cap", seed, j), table="old",
             )
+            recon_head = stable_hash("recon", seed, j)
+            scored: dict[str, ScoreBreakdown] = {}
             completions = []
             for g, caption in enumerate(captions):
                 recon = generator.sample(
                     caption.text, cfg.recon_samples_m,
-                    seed=stable_hash("recon", seed, j, g), table="old",
+                    seed=extend_hash(recon_head, g), table="old",
                 )
                 total = 0.0
                 for draw in recon:
-                    breakdown = cache.score(pair.smiles, draw.text)
+                    breakdown = scored.get(draw.text)
+                    if breakdown is None:
+                        breakdown = scored[draw.text] = cache.score(
+                            pair.smiles, draw.text
+                        )
                     breakdowns.append(breakdown)
                     total += _reward(breakdown, cfg.reward_mode)
                 completions.append(Completion(

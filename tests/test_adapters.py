@@ -14,6 +14,8 @@ import threading
 import urllib.error
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moltrip.adapters import (
     AuthMissing,
@@ -781,8 +783,10 @@ def test_sequence_logps_follow_requested_table():
     policy = _sequence_policy()
     state = policy.state_index("left\x1f")
     set_logit(policy, state, 0, policy.logits[state][0] + 1.0)
-    cur = policy.sample("left", 4, seed=3, table="cur")
-    old = policy.sample("left", 4, seed=3, table="old")
+    # "a" leads with odds e/(e+2), so 64 draws all miss it with odds under
+    # 1e-23 whatever the stream
+    cur = policy.sample("left", 64, seed=3, table="cur")
+    old = policy.sample("left", 64, seed=3, table="old")
     flat = math.log(1 / 3)
     assert all(lp == pytest.approx(flat) for s in old for lp in (s.logps[0],))
     assert any(s.logps[0] != pytest.approx(flat) for s in cur
@@ -1091,3 +1095,125 @@ def test_aggregated_gradient_equals_the_longhand_per_token_gradient():
     for got_row, want_row in zip(got, want):
         for g, w in zip(got_row, want_row):
             assert abs(g - w) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the memo of row distributions
+
+@pytest.mark.parametrize("table, field", [
+    ("cur", "logits"), ("old", "old_logits"), ("ref", "ref_logits"),
+])
+def test_every_table_keeps_tuple_copies_of_the_given_rows(table, field):
+    rows = [[1.0, 0.0], [0.5, 2.0]]
+    given_rows = {"logits": [[0.0, 0.0], [0.0, 0.0]], field: rows}
+    policy = TabularPolicy(states=("s0", "s1"), actions=("a", "b"), **given_rows)
+    before = policy.log_probs("s0", table)
+    assert before == _reference_log_softmax([1.0, 0.0])
+    rows[0][0] = 5.0  # the caller's lists are not the policy's rows
+    with pytest.raises(TypeError):
+        getattr(policy, field)[0][0] = 5.0
+    assert getattr(policy, field) == [(1.0, 0.0), (0.5, 2.0)]
+    assert policy.log_probs("s0", table) == before
+
+
+class _Longhand:
+    """A policy's tables read row by row through the longhand softmax,
+    never through the policy's memo."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.actions = policy.actions
+        self.eos = getattr(policy, "eos", None)
+        self.max_tokens = getattr(policy, "max_tokens", None)
+
+    def log_probs(self, state, table):
+        p = self.policy
+        rows = {"cur": p.logits, "old": p.old_logits, "ref": p.ref_logits}[table]
+        return _reference_log_softmax(rows[p.state_index(state)])
+
+
+def _reference_tabular_sample(policy, state, n, seed, temperature, table):
+    row = policy.log_probs(state, table)
+    out = []
+    for i in range(n):
+        chosen = _reference_pick(row, temperature, stable_hash("draw", seed, state, i))
+        out.append(Sampled(policy.actions[chosen], (row[chosen],)))
+    return out
+
+
+def _memo_policy(kind):
+    if kind == "tabular":
+        policy = TabularPolicy.uniform(("s0", "s1", "s2"), ("a", "b", "c", "d"))
+        return _scrambled(policy, random.Random(7)), policy.states
+    policy = _scrambled(_sequence_policy(eos="$", max_tokens=2), random.Random(7))
+    return policy, policy.prompts
+
+
+def _held_rows(policy) -> dict[int, tuple]:
+    return {
+        id(row): row
+        for rows in (policy.logits, policy.old_logits, policy.ref_logits)
+        for row in rows
+    }
+
+
+_TABLES = st.sampled_from(["cur", "old", "ref"])
+_MEMO_OPS = st.lists(st.one_of(
+    st.tuples(st.just("sample"), _TABLES, st.sampled_from([0.0, 0.7, 1.0]),
+              st.integers(0, 2 ** 32), st.integers(0, 2)),
+    st.tuples(st.just("log_probs"), _TABLES, st.integers(0, 10 ** 6)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("step"), st.integers(0, 2 ** 32)),
+    st.tuples(st.just("set_logit"), st.integers(0, 10 ** 6), st.integers(0, 4),
+              st.floats(-3.0, 3.0)),
+), min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("kind", ["tabular", "sequence"])
+@settings(max_examples=40, deadline=None)
+@given(ops=_MEMO_OPS)
+@example(ops=[("sample", "cur", 1.0, 0, 0), ("step", 0), ("sample", "cur", 1.0, 0, 0)])
+def test_memoised_rows_never_go_stale(kind, ops):
+    """Every draw, log-prob and gradient equals its longhand value on the
+    tables as they stand, and the memo holds only rows the tables held
+    since the last update."""
+    policy, prompts = _memo_policy(kind)
+    longhand = _Longhand(policy)
+    reference = (_reference_tabular_sample if kind == "tabular"
+                 else _reference_sequence_sample)
+    cfg = GrpoConfig(epsilon=0.2, beta=0.05)
+    seen = _held_rows(policy)
+    for op in ops:
+        seen.update(_held_rows(policy))
+        if op[0] == "sample":
+            _, table, temperature, seed, k = op
+            prompt = prompts[k % len(prompts)]
+            got = policy.sample(prompt, 6, seed, temperature=temperature, table=table)
+            assert got == reference(longhand, prompt, 6, seed, temperature, table)
+        elif op[0] == "log_probs":
+            _, table, k = op
+            state = policy.states[k % len(policy.states)]
+            assert policy.log_probs(state, table) == longhand.log_probs(state, table)
+        elif op[0] == "snapshot":
+            policy.snapshot_old()
+        elif op[0] == "step":
+            rng = random.Random(op[1])
+            groups = []
+            for prompt in prompts:
+                draws = policy.sample(prompt, 6, rng.randrange(10_000), table="old")
+                groups.append(fill_advantages(RolloutGroup(
+                    prompt_id=prompt,
+                    completions=tuple(Completion(text=d.text, reward=rng.random())
+                                      for d in draws),
+                    snapshot_id=policy.old_snapshot_id,
+                )))
+            want = _longhand_gradient(policy, groups, cfg)
+            for got_row, want_row in zip(tabular_gradient(policy, groups, cfg), want):
+                assert all(abs(g - w) <= 1e-12 for g, w in zip(got_row, want_row))
+            policy.grpo_step(groups, cfg, lr=0.5)
+            seen = {}
+        else:
+            _, s, a, value = op
+            set_logit(policy, s % len(policy.states), a % len(policy.actions), value)
+        seen.update(_held_rows(policy))
+        assert all(seen.get(key) is entry[0] for key, entry in policy._dists.items())

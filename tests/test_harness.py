@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import collections
 import copy
+import dataclasses
 import json
 import re
 
 import pytest
 
-from moltrip import metrics
+from moltrip import adapters, harness, metrics
 from moltrip.adapters import AdapterFailure, GrpoConfig, TabularPolicy
 from moltrip.dataset import PairRecord
+from moltrip.fingerprints import stable_hash
 from moltrip.harness import (
     HarnessConfig,
     ScoreCache,
@@ -22,8 +25,9 @@ from moltrip.harness import (
     read_rollouts,
     run_training,
 )
-from moltrip.grpo import Completion, RolloutGroup
+from moltrip.grpo import Completion, RolloutGroup, fill_advantages
 from moltrip.metrics import reconstruction_score
+from moltrip.toy import build_toy_config, build_toy_task
 
 from rows import set_logit
 
@@ -195,6 +199,158 @@ def test_recon_mean_over_m_matches_deterministic_generator():
     )
     rewards = [c.reward for g in groups for c in g.completions]
     assert all(r == pytest.approx(4.0) for r in rewards)
+
+
+# ---------------------------------------------------------------------------
+# work done once per distinct thing
+
+class CountingCache(ScoreCache):
+    """A ScoreCache that counts its (reference, candidate) calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: collections.Counter = collections.Counter()
+
+    def score(self, reference, candidate):
+        self.calls[reference, candidate] += 1
+        return super().score(reference, candidate)
+
+
+def _longhand_group(prompt, texts, rewards, snapshot_id):
+    return fill_advantages(RolloutGroup(
+        prompt_id=prompt,
+        completions=tuple(Completion(text=t, reward=r) for t, r in zip(texts, rewards)),
+        snapshot_id=snapshot_id,
+    ))
+
+
+def longhand_generator_phase(generator, batch, cfg, seed, cache):
+    """generator_phase written out, scoring every draw; also returns the
+    texts drawn for each pair."""
+    generator.snapshot_old()
+    groups, breakdowns, drawn = [], [], []
+    for j, pair in enumerate(batch):
+        texts = [d.text for d in generator.sample(
+            pair.caption, cfg.rollout_n, seed=stable_hash("gen", seed, j), table="old",
+        )]
+        scored = [cache.score(pair.smiles, text) for text in texts]
+        breakdowns += scored
+        drawn.append(texts)
+        groups.append(_longhand_group(
+            pair.caption, texts,
+            [harness._reward(b, cfg.reward_mode) for b in scored],
+            generator.old_snapshot_id,
+        ))
+    harness._apply_updates(generator, groups, cfg)
+    stats = harness._stats("generator", groups, breakdowns, generator.old_snapshot_id)
+    return stats, drawn
+
+
+def longhand_captioner_phase(captioner, generator, batch, cfg, seed, cache):
+    """captioner_phase written out, scoring every reconstruction."""
+    captioner.snapshot_old()
+    frozen_id = generator.old_snapshot_id
+    groups, breakdowns, drawn = [], [], []
+    for j, pair in enumerate(batch):
+        captions = [c.text for c in captioner.sample(
+            pair.smiles, cfg.group_size_g, seed=stable_hash("cap", seed, j), table="old",
+        )]
+        rewards, texts = [], []
+        for g, caption in enumerate(captions):
+            recon = [d.text for d in generator.sample(
+                caption, cfg.recon_samples_m,
+                seed=stable_hash("recon", seed, j, g), table="old",
+            )]
+            scored = [cache.score(pair.smiles, text) for text in recon]
+            breakdowns += scored
+            texts += recon
+            rewards.append(sum(harness._reward(b, cfg.reward_mode) for b in scored)
+                           / cfg.recon_samples_m)
+        drawn.append(texts)
+        groups.append(_longhand_group(
+            pair.smiles, captions, rewards, captioner.old_snapshot_id,
+        ))
+    harness._apply_updates(captioner, groups, cfg)
+    generator.snapshot_old()
+    return harness._stats("captioner", groups, breakdowns, frozen_id), drawn
+
+
+def _once_per_group(batch, drawn) -> collections.Counter:
+    want: collections.Counter = collections.Counter()
+    for pair, texts in zip(batch, drawn):
+        for text in set(texts):
+            want[pair.smiles, text] += 1
+    return want
+
+
+@pytest.mark.parametrize("mode", ["shaped", "exact_only"])
+def test_phases_score_each_distinct_completion_once_per_group(mode):
+    """Two generator steps then two captioner steps on the toy task: each
+    phase calls the cache once per distinct text of a group, and its step
+    records and updated tables equal those of a loop scoring every draw."""
+    cfg = dataclasses.replace(build_toy_config(reward_mode=mode), recon_samples_m=2)
+    fast, slow = build_toy_task(), build_toy_task()
+    batch = list(fast.pairs)
+    calls = draws = 0
+    for step in range(4):
+        fast_cache, slow_cache = CountingCache(), ScoreCache()
+        if step < 2:
+            got = generator_phase(fast.generator, batch, cfg, step, fast_cache)
+            want, drawn = longhand_generator_phase(
+                slow.generator, batch, cfg, step, slow_cache,
+            )
+        else:
+            got = captioner_phase(
+                fast.captioner, fast.generator, batch, cfg, step, fast_cache,
+            )
+            want, drawn = longhand_captioner_phase(
+                slow.captioner, slow.generator, batch, cfg, step, slow_cache,
+            )
+        assert got == want
+        assert fast_cache.calls == _once_per_group(batch, drawn)
+        calls += sum(fast_cache.calls.values())
+        draws += sum(map(len, drawn))
+    assert calls < draws
+    for a, b in ((fast.generator, slow.generator), (fast.captioner, slow.captioner)):
+        assert (a.logits, a.old_logits) == (b.logits, b.old_logits)
+
+
+def test_two_captioner_steps_normalise_each_generator_row_once(monkeypatch):
+    """Between two updates a row's log-normaliser is computed once; the
+    generator is not updated in captioner steps, so each of its rows is
+    normalised once over both."""
+    task = build_toy_task()
+    cfg = build_toy_config()
+    batch = list(task.pairs)
+    cache = ScoreCache()
+    for step in range(2):  # rows of a trained generator differ from each other
+        generator_phase(task.generator, batch, cfg, step, cache)
+    normalised: list = []  # rows, with None at each update
+    real_norm, real_ascend = adapters._log_norm, adapters._ascend
+
+    def log_norm(row):
+        normalised.append(row)
+        return real_norm(row)
+
+    def ascend(*args):
+        normalised.append(None)
+        return real_ascend(*args)
+
+    monkeypatch.setattr(adapters, "_log_norm", log_norm)
+    monkeypatch.setattr(adapters, "_ascend", ascend)
+    for step in range(2, 4):
+        captioner_phase(task.captioner, task.generator, batch, cfg, step, cache)
+    updates = [k for k, row in enumerate(normalised) if row is None]
+    assert len(updates) == 2
+    generator_rows = {id(row) for row in task.generator.old_logits}
+    per_generator_row = collections.Counter(
+        id(row) for row in normalised if id(row) in generator_rows
+    )
+    assert len(per_generator_row) > 100
+    assert set(per_generator_row.values()) == {1}
+    for start, stop in zip([-1] + updates, updates + [len(normalised)]):
+        between = normalised[start + 1:stop]
+        assert len({id(row) for row in between}) == len(between)
 
 
 # ---------------------------------------------------------------------------
