@@ -37,7 +37,14 @@ from .dataset import (
     split,
     write_pairs,
 )
-from .fingerprints import dump_features, morgan_features, path_features, structural_keys
+from .fingerprints import (
+    DEFAULT_MORGAN_RADIUS,
+    DEFAULT_PATH_LENGTH,
+    dump_features,
+    morgan_features,
+    path_features,
+    structural_keys,
+)
 from .grpo import Completion, RolloutGroup, fill_advantages
 from .harness import REWARD_MODES, TaggedGroup, export_rollouts
 from .metrics import (
@@ -49,6 +56,11 @@ from .metrics import (
 )
 from .theory import check_mi_bound, random_system
 from .toy import run_toy
+
+
+class UsageError(Exception):
+    """A flag combination argparse cannot check; exits 2 like its own errors."""
+
 
 _DOMAIN_ERRORS = (
     ValueError,      # SmilesError, format and config problems, bad arguments
@@ -68,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
         if tokens:  # argparse keeps the later value, so the config wins
             args = parser.parse_args(argv + tokens)
         return args.func(args)
+    except UsageError as exc:
+        commands[args.command].error(str(exc))
     except _DOMAIN_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -189,14 +203,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fp(args) -> int:
+    for flag, family in (("radius", "morgan"), ("max_path", "path")):
+        if getattr(args, flag) is not None and args.family != family:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} applies only to --family {family}"
+            )
+
     def one(text: str) -> str:
         mol = parse_smiles(text)
         if args.family == "keys":
             fs = structural_keys(mol)
         elif args.family == "path":
-            fs = path_features(mol, max_len=args.max_path)
+            max_len = DEFAULT_PATH_LENGTH if args.max_path is None else args.max_path
+            fs = path_features(mol, max_len=max_len)
         else:
-            fs = morgan_features(mol, radius=args.radius)
+            radius = DEFAULT_MORGAN_RADIUS if args.radius is None else args.radius
+            fs = morgan_features(mol, radius=radius)
         return dump_features(fs)
 
     blocks = [one(text) for text in args.smiles]
@@ -387,8 +409,10 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     p = sub("fp", cmd_fp, help="dump fingerprint features")
     p.add_argument("smiles", nargs="+")
     p.add_argument("--family", choices=("keys", "path", "morgan"), required=True)
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--max-path", type=int, default=7)
+    p.add_argument("--radius", type=int, default=None,
+                   help=f"morgan only (default {DEFAULT_MORGAN_RADIUS})")
+    p.add_argument("--max-path", type=int, default=None,
+                   help=f"path only (default {DEFAULT_PATH_LENGTH})")
     p.add_argument("--out", default=None)
 
     p = sub("score", cmd_score, help="reconstruction score of hyp against ref")

@@ -4,20 +4,37 @@ Every family maps a molecule to an unfolded set of 64-bit integer feature
 identifiers; similarity between two sets of the same family is the Tanimoto
 (Jaccard) coefficient.  Identifiers come from a fixed FNV-1a 64-bit hash over
 type-framed tokens, so values are stable across platforms and releases.
+
+FNV-1a costs a Python step per byte, and the same token sequences recur
+within a molecule and across molecules: path readings, Morgan environments
+and atom types.  So the path and Morgan families read every hash from one
+process-wide memo of FNV-1a states, keyed by token sequence and capped at
+STATE_MEMO_SIZE entries with least-recently-used eviction.  A sequence the
+memo lacks extends the memoised state of the sequence two tokens shorter,
+so a new path hashes only its last bond and a new environment only its last
+neighbour.  Structural keys hash nothing: one pass over the molecule builds
+the summary that all 64 catalog predicates read.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .chem import BondOrder, Molecule, SmilesError
+from .chem import ELEMENT_SYMBOLS, Atom, BondOrder, Molecule, SmilesError
+from .chem.model import NeighborView
 
 DEFAULT_MORGAN_RADIUS = 2
 DEFAULT_PATH_LENGTH = 7
 # The most paths path_features reads before giving up on a molecule; drug-like
 # molecules of up to 45 heavy atoms have at most about 1,100 of 1..7 bonds.
 MAX_PATHS = 100_000
+# The most token sequences the FNV state memo keeps; at the cap it holds
+# about 2.6 MiB (tracemalloc, drug-like paths and environments).
+STATE_MEMO_SIZE = 8192
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -48,6 +65,16 @@ def extend_hash(h: int, *parts: int | str) -> int:
             data += b"s" + part.encode() + b";"
         else:
             raise TypeError(f"unhashable token type {type(part).__name__}")
+    # the loop of _fnv1a, repeated rather than called: every draw and every
+    # fingerprint hash passes here, and a second frame per call would show
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def _fnv1a(h: int, data: bytes) -> int:
+    """Continue FNV-1a from state h over bytes already framed."""
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -83,12 +110,85 @@ def tanimoto(a: FeatureSet, b: FeatureSet) -> float:
     return len(a.features & b.features) / len(a.features | b.features)
 
 
+# ---------------------------------------------------------------------------
+# the FNV state memo
+
+# Path readings draw every token from this fixed set, so path_features
+# spells a reading as a str with one character per token, the token's index
+# here.  Element symbols and bond orders are each listed in sorted order, so
+# comparing two spellings compares the readings, and reversing a spelling
+# (all but its head) reverses the reading.
+_PATH_TOKENS = (
+    "path",
+    *sorted(ELEMENT_SYMBOLS),
+    *sorted(order.value for order in BondOrder),
+)
+_PATH_CODE = {token: chr(index) for index, token in enumerate(_PATH_TOKENS)}
+# each code's token in stable_hash's framing, so a memo miss on a spelled
+# reading skips extend_hash's framing
+_PATH_FRAMED = {
+    code: b"s" + token.encode() + b";" for token, code in _PATH_CODE.items()
+}
+
+
+def _memo_key(tokens: tuple | str) -> tuple | str:
+    """The key of a token sequence in the state memo.
+
+    True == 1 and False == 0 as dict keys, but stable_hash frames bools and
+    ints apart.  So a tuple holding a token equal to 0 or 1 is keyed
+    together with its token types, and no plain key holds such a token: a
+    lookup never finds the state of the other framing.
+    """
+    if isinstance(tokens, tuple) and (0 in tokens or 1 in tokens):
+        return (tokens, tuple(map(type, tokens)))
+    return tokens
+
+
+# FNV-1a state after each token sequence hashed lately, oldest first; the
+# lock keeps a lookup and its move to the end from meeting another thread's
+# eviction
+_STATES: OrderedDict[tuple | str, int] = OrderedDict()
+_STATES_LOCK = threading.Lock()
+
+
+def _memo_hash(tokens: tuple | str) -> int:
+    """stable_hash of a token sequence, read from the state memo.
+
+    tokens is a tuple of tokens, or a path reading spelled in _PATH_CODE.  A
+    miss extends the state of tokens[:-2], itself read from the memo, and
+    memoises every state it computes on the way.
+    """
+    with _STATES_LOCK:
+        state = _STATES.get(tokens)
+        if state is not None:
+            _STATES.move_to_end(tokens)
+            return state
+        missed = []
+        while tokens:
+            key = _memo_key(tokens)
+            state = _STATES.get(key)
+            if state is not None:
+                _STATES.move_to_end(key)
+                break
+            missed.append((key, tokens[-2:]))
+            tokens = tokens[:-2]
+        else:
+            state = _FNV_OFFSET
+        for key, tail in reversed(missed):
+            if isinstance(tail, str):
+                state = _fnv1a(state, b"".join(map(_PATH_FRAMED.__getitem__, tail)))
+            else:
+                state = extend_hash(state, *tail)
+            _STATES[key] = state
+            if len(_STATES) > STATE_MEMO_SIZE:
+                _STATES.popitem(last=False)
+        return state
+
+
 def _bonded(mol: Molecule) -> list[list[tuple[int, str]]]:
     """Per atom, (neighbour, bond order value) in neighbour-view order."""
-    bonds = mol.bonds
-    return [
-        [(j, bonds[k].order.value) for j, k in pairs] for pairs in mol.neighbor_view
-    ]
+    orders = [bond.order.value for bond in mol.bonds]
+    return [[(j, orders[k]) for j, k in pairs] for pairs in mol.neighbor_view]
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +203,16 @@ def morgan_features(mol: Molecule, radius: int = DEFAULT_MORGAN_RADIUS) -> Featu
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    ring_atoms = mol.ring_atoms
     ids = [
-        stable_hash(
+        _memo_hash((
             "atom",
             atom.element,
             mol.degree(i),
             atom.hydrogens,
             atom.formal_charge,
-            i in mol.ring_atoms,
-        )
+            i in ring_atoms,
+        ))
         for i, atom in enumerate(mol.atoms)
     ]
     features = set(ids)
@@ -119,12 +220,10 @@ def morgan_features(mol: Molecule, radius: int = DEFAULT_MORGAN_RADIUS) -> Featu
     for _ in range(radius):
         next_ids = []
         for i, pairs in enumerate(bonded):
-            env = sorted((order_value, ids[j]) for j, order_value in pairs)
             tokens: list[int | str] = ["env", ids[i]]
-            for order_value, neighbor_id in env:
-                tokens.append(order_value)
-                tokens.append(neighbor_id)
-            next_ids.append(stable_hash(*tokens))
+            for pair in sorted([(order, ids[j]) for j, order in pairs]):
+                tokens += pair
+            next_ids.append(_memo_hash(tuple(tokens)))
         ids = next_ids
         features.update(ids)
     return FeatureSet(frozenset(features), "morgan", (radius,))
@@ -139,62 +238,63 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
     A path reads as the (element, bond order) token sequence; the
     lexicographically smaller of the forward and reverse readings is hashed
     as stable_hash("path", *tokens), so direction never matters.  The walk
-    extends both readings by one bond per step and counts and hashes each
-    path once, from its lower-indexed end.  More than MAX_PATHS paths raise
-    MoleculeTooLarge, so a dense graph fails in bounded time instead of
-    walking its exponentially many paths.
+    extends only the forward reading, one bond per step, and keeps each
+    path once, read from its lower-indexed end; the reverse reading is
+    built only for each distinct reading kept.  More than MAX_PATHS paths
+    raise MoleculeTooLarge, so a dense graph fails in bounded time instead
+    of walking its exponentially many paths.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    elements = [atom.element for atom in mol.atoms]
-    steps = _bonded(mol)
-    # FNV-1a state after ("path", *tokens) for every reading hashed so far
-    # and its prefixes, so a new reading hashes only the bonds it adds
-    head = stable_hash("path")
-    states = {(element,): extend_hash(head, element) for element in set(elements)}
-    features: set[int] = set()
+    elements = [_PATH_CODE[atom.element] for atom in mol.atoms]
+    # per atom, (neighbour, bond order and neighbour element spelled): what
+    # a step adds to a reading
+    steps = [
+        [(j, _PATH_CODE[order] + elements[j]) for j, order in pairs]
+        for pairs in _bonded(mol)
+    ]
+    # spelled forward readings ("path", element, order, element, ...) of the
+    # paths kept, each read from its lower-indexed end
+    readings: list[str] = []
+    head = _PATH_CODE["path"]
     on_path = [False] * len(elements)
-    emitted = 0
     for start, element in enumerate(elements):
         on_path[start] = True
-        # one frame per atom on the path: the atom, its untried bonds, and
-        # the forward and reverse readings of the path ending there
-        stack = [(start, iter(steps[start]), (element,), (element,))]
+        # one frame per atom on the path: the atom, its untried steps, and
+        # the reading of the path ending there
+        stack = [(start, iter(steps[start]), head + element)]
         while stack:
-            atom, bonds, forward, reverse = stack[-1]
-            for nbr, order in bonds:
+            atom, untried, forward = stack[-1]
+            bonds = len(stack)  # of the paths this frame's steps make
+            for nbr, step in untried:
                 if on_path[nbr]:
                     continue
-                fwd = forward + (order, elements[nbr])
-                rev = (elements[nbr], order) + reverse
+                longer = forward + step
                 if nbr > start:
-                    emitted += 1
-                    if emitted > MAX_PATHS:
-                        raise MoleculeTooLarge(
-                            f"more than {MAX_PATHS} paths of up to {max_len} bonds"
-                        )
-                    tokens = fwd if fwd <= rev else rev
-                    features.add(states.get(tokens) or _path_state(states, tokens))
-                if len(stack) < max_len:
+                    readings.append(longer)
+                if bonds < max_len - 1:
                     on_path[nbr] = True
-                    stack.append((nbr, iter(steps[nbr]), fwd, rev))
+                    stack.append((nbr, iter(steps[nbr]), longer))
                     break
+                if bonds < max_len:
+                    # the last bond: read the paths it ends without a frame
+                    for end, last in steps[nbr]:
+                        if end > start and not on_path[end]:
+                            readings.append(longer + last)
             else:
                 stack.pop()
                 on_path[atom] = False
+                if len(readings) > MAX_PATHS:
+                    break
+        if len(readings) > MAX_PATHS:
+            raise MoleculeTooLarge(
+                f"more than {MAX_PATHS} paths of up to {max_len} bonds"
+            )
+    features = set()
+    for forward in set(readings):
+        reverse = head + forward[:0:-1]
+        features.add(_memo_hash(forward if forward <= reverse else reverse))
     return FeatureSet(frozenset(features), "path", (max_len,))
-
-
-def _path_state(states: dict[tuple[str, ...], int], tokens: tuple[str, ...]) -> int:
-    """Hash state of a reading, extended from its longest memoised prefix."""
-    pending = []
-    while tokens not in states:
-        pending.append(tokens)
-        tokens = tokens[:-2]
-    state = states[tokens]
-    for prefix in reversed(pending):
-        state = states[prefix] = extend_hash(state, prefix[-2], prefix[-1])
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -205,150 +305,140 @@ def structural_keys(mol: Molecule) -> FeatureSet:
 
     Identifiers are the catalog indices 0..63; the catalog covers element
     presence, ring sizes 3-8, aromaticity, charges, degree patterns, small
-    functional groups, and heteroatom pairs within four bonds.
+    functional groups, and heteroatom pairs within four bonds.  Every
+    predicate reads one _KeySummary of the molecule, built in time linear
+    in its size.
     """
+    summary = _KeySummary(mol)
     fired = {
-        index for index, (_, predicate) in enumerate(KEY_CATALOG) if predicate(mol)
+        index for index, (_, predicate) in enumerate(KEY_CATALOG) if predicate(summary)
     }
     return FeatureSet(frozenset(fired), "structural_keys", ())
 
 
-def _element_present(symbol: str):
-    return lambda mol: any(a.element == symbol for a in mol.atoms)
+_HETERO_PAIR_ELEMENTS = ("N", "O", "S")
+_HETERO_PAIR_BONDS = 4
+
+
+class _KeySummary:
+    """What the key predicates read of one molecule."""
+
+    __slots__ = (
+        "elements", "aromatic_elements", "hydrogen_elements", "degrees",
+        "carbons", "isotope", "charge_signs", "net_charge", "bonds", "rings",
+        "ring_sizes", "fused", "heterocycle", "aromatic_rings", "fragments",
+        "hetero_pairs",
+    )
+
+    def __init__(self, mol: Molecule) -> None:
+        """Summarise mol in time linear in its size."""
+        atoms, bonds, view = mol.atoms, mol.bonds, mol.neighbor_view
+        elements = [atom.element for atom in atoms]
+        charges = [atom.formal_charge for atom in atoms]
+        self.elements = set(elements)
+        self.aromatic_elements = {a.element for a in atoms if a.is_aromatic}
+        # elements of atoms carrying hydrogens
+        self.hydrogen_elements = {a.element for a in atoms if a.hydrogens >= 1}
+        # (element, heavy degree) of each atom
+        self.degrees = {(a.element, len(view[i])) for i, a in enumerate(atoms)}
+        # carbon kinds present: "sp3", "sp2", "sp", "methyl"
+        self.carbons = set()
+        for i, atom in enumerate(atoms):
+            if atom.element == "C":
+                orders = [bonds[k].order for _, k in view[i]]
+                self.carbons.update(_carbon_kinds(atom, orders))
+        self.isotope = any(atom.isotope is not None for atom in atoms)
+        # signs of the nonzero formal charges
+        self.charge_signs = {(c > 0) - (c < 0) for c in charges if c}
+        self.net_charge = sum(charges)
+        # (element, element, order value) of each bond, elements sorted, and
+        # the same with order None, which stands for any order
+        self.bonds = set()
+        for bond in bonds:
+            pair = tuple(sorted((elements[bond.a], elements[bond.b])))
+            self.bonds.update(((*pair, bond.order.value), (*pair, None)))
+        self.rings = len(mol.rings)
+        self.ring_sizes = set(map(len, mol.rings))
+        self.fused = False
+        self.aromatic_rings = 0
+        aromatic = {bond.key for bond in bonds if bond.order is BondOrder.AROMATIC}
+        ring_edges: set[tuple[int, int]] = set()
+        for ring in mol.rings:
+            edges = {
+                (a, b) if a < b else (b, a) for a, b in zip(ring, ring[1:] + ring[:1])
+            }
+            self.fused = self.fused or not ring_edges.isdisjoint(edges)
+            ring_edges |= edges
+            self.aromatic_rings += edges <= aromatic
+        self.heterocycle = any(elements[i] != "C" for ring in mol.rings for i in ring)
+        self.fragments = len(mol.fragments)
+        # sorted element pairs of two N, O or S atoms within four bonds
+        self.hetero_pairs = _hetero_pairs(elements, view)
+
+
+def _carbon_kinds(atom: Atom, orders: list[BondOrder]) -> list[str]:
+    """The kinds a carbon counts as, from its bond-order profile."""
+    kinds = []
+    double = orders.count(BondOrder.DOUBLE)
+    triple = BondOrder.TRIPLE in orders
+    if not atom.is_aromatic:
+        if all(order is BondOrder.SINGLE for order in orders):
+            kinds.append("sp3")
+        if double == 1 and not triple:
+            kinds.append("sp2")
+    if triple or double >= 2:
+        kinds.append("sp")
+    if len(orders) == 1 and atom.hydrogens == 3:
+        kinds.append("methyl")
+    return kinds
+
+
+def _hetero_pairs(elements: list[str], view: NeighborView) -> set[tuple[str, str]]:
+    """Sorted element pairs of two N, O or S atoms at most four bonds apart.
+
+    One ball of radius four around each N, O or S atom, reading only the
+    atoms it reaches, so the cost is linear in the molecule's size.
+    """
+    pairs = set()
+    for src, element in enumerate(elements):
+        if element not in _HETERO_PAIR_ELEMENTS:
+            continue
+        ball = {src}
+        frontier = [src]
+        for _ in range(_HETERO_PAIR_BONDS):
+            reached = []
+            for x in frontier:
+                for y, _ in view[x]:
+                    if y not in ball:
+                        ball.add(y)
+                        reached.append(y)
+            frontier = reached
+        for j in ball:
+            if j != src and elements[j] in _HETERO_PAIR_ELEMENTS:
+                pairs.add(tuple(sorted((element, elements[j]))))
+    return pairs
 
 
 _HALOGENS = ("F", "Cl", "Br", "I")
 _ORGANIC_AND_H = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "H"}
+_CARBON_HALOGEN = {(*sorted(("C", x)), None) for x in _HALOGENS}
+
+
+def _element_present(symbol: str):
+    return lambda s: symbol in s.elements
 
 
 def _ring_of_size(size: int):
-    return lambda mol: any(len(ring) == size for ring in mol.rings)
-
-
-def _aromatic_rings(mol: Molecule) -> int:
-    count = 0
-    for ring in mol.rings:
-        k = len(ring)
-        bonds = (
-            mol.bond_between(ring[i], ring[(i + 1) % k]) for i in range(k)
-        )
-        if all(b is not None and b.order is BondOrder.AROMATIC for b in bonds):
-            count += 1
-    return count
-
-
-def _fused_rings(mol: Molecule) -> bool:
-    edges = []
-    for ring in mol.rings:
-        k = len(ring)
-        keys = set()
-        for i in range(k):
-            a, b = ring[i], ring[(i + 1) % k]
-            keys.add((a, b) if a < b else (b, a))
-        edges.append(keys)
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if edges[i] & edges[j]:
-                return True
-    return False
-
-
-def _carbon_bond_orders(mol: Molecule, idx: int) -> list[BondOrder]:
-    return [bond.order for bond in mol.bonds_of(idx)]
-
-
-def _sp3_carbon(mol: Molecule) -> bool:
-    for i, atom in enumerate(mol.atoms):
-        if atom.element != "C" or atom.is_aromatic:
-            continue
-        if all(o is BondOrder.SINGLE for o in _carbon_bond_orders(mol, i)):
-            return True
-    return False
-
-
-def _sp2_carbon(mol: Molecule) -> bool:
-    for i, atom in enumerate(mol.atoms):
-        if atom.element != "C" or atom.is_aromatic:
-            continue
-        orders = _carbon_bond_orders(mol, i)
-        if orders.count(BondOrder.DOUBLE) == 1 and BondOrder.TRIPLE not in orders:
-            return True
-    return False
-
-
-def _sp_carbon(mol: Molecule) -> bool:
-    for i, atom in enumerate(mol.atoms):
-        if atom.element != "C":
-            continue
-        orders = _carbon_bond_orders(mol, i)
-        if BondOrder.TRIPLE in orders or orders.count(BondOrder.DOUBLE) >= 2:
-            return True
-    return False
-
-
-def _carbon_heavy_degree(degree: int):
-    def predicate(mol: Molecule) -> bool:
-        return any(
-            a.element == "C" and mol.degree(i) == degree
-            for i, a in enumerate(mol.atoms)
-        )
-
-    return predicate
-
-
-def _methyl(mol: Molecule) -> bool:
-    return any(
-        a.element == "C" and mol.degree(i) == 1 and a.hydrogens == 3
-        for i, a in enumerate(mol.atoms)
-    )
+    return lambda s: size in s.ring_sizes
 
 
 def _has_bond(elem_a: str, order: BondOrder | None, elem_b: str):
     """A bond of the given order (any order when None) joins the two elements."""
-    want = {elem_a, elem_b}
-
-    def predicate(mol: Molecule) -> bool:
-        for bond in mol.bonds:
-            if order is not None and bond.order is not order:
-                continue
-            if {mol.atoms[bond.a].element, mol.atoms[bond.b].element} == want:
-                return True
-        return False
-
-    return predicate
+    kind = (*sorted((elem_a, elem_b)), None if order is None else order.value)
+    return lambda s: kind in s.bonds
 
 
-def _element_with_h(symbol: str):
-    return lambda mol: any(
-        a.element == symbol and a.hydrogens >= 1 for a in mol.atoms
-    )
-
-
-def _hetero_pair_within(elem_a: str, elem_b: str, limit: int = 4):
-    def predicate(mol: Molecule) -> bool:
-        sources = [
-            i for i, a in enumerate(mol.atoms) if a.element == elem_a
-        ]
-        for src in sources:
-            dist = {src: 0}
-            frontier = [src]
-            for d in range(1, limit + 1):
-                nxt = []
-                for x in frontier:
-                    for y, _ in mol.neighbor_view[x]:
-                        if y not in dist:
-                            dist[y] = d
-                            nxt.append(y)
-                frontier = nxt
-            for j, atom in enumerate(mol.atoms):
-                if j != src and atom.element == elem_b and j in dist:
-                    return True
-        return False
-
-    return predicate
-
-
-KEY_CATALOG: tuple[tuple[str, object], ...] = (
+KEY_CATALOG: tuple[tuple[str, Callable[[_KeySummary], bool]], ...] = (
     ("carbon present", _element_present("C")),
     ("nitrogen present", _element_present("N")),
     ("oxygen present", _element_present("O")),
@@ -359,51 +449,42 @@ KEY_CATALOG: tuple[tuple[str, object], ...] = (
     ("bromine present", _element_present("Br")),
     ("iodine present", _element_present("I")),
     ("boron present", _element_present("B")),
-    ("any halogen", lambda mol: any(a.element in _HALOGENS for a in mol.atoms)),
-    ("any heteroatom", lambda mol: any(a.element not in ("C", "H") for a in mol.atoms)),
-    ("exotic element", lambda mol: any(a.element not in _ORGANIC_AND_H for a in mol.atoms)),
-    ("isotope label", lambda mol: any(a.isotope is not None for a in mol.atoms)),
-    ("any ring", lambda mol: len(mol.rings) > 0),
+    ("any halogen", lambda s: not s.elements.isdisjoint(_HALOGENS)),
+    ("any heteroatom", lambda s: bool(s.elements - {"C", "H"})),
+    ("exotic element", lambda s: bool(s.elements - _ORGANIC_AND_H)),
+    ("isotope label", lambda s: s.isotope),
+    ("any ring", lambda s: s.rings > 0),
     ("3-ring", _ring_of_size(3)),
     ("4-ring", _ring_of_size(4)),
     ("5-ring", _ring_of_size(5)),
     ("6-ring", _ring_of_size(6)),
     ("7-ring", _ring_of_size(7)),
     ("8-ring", _ring_of_size(8)),
-    ("two or more rings", lambda mol: len(mol.rings) >= 2),
-    ("fused rings", _fused_rings),
-    ("heterocycle", lambda mol: any(
-        any(mol.atoms[i].element != "C" for i in ring) for ring in mol.rings
+    ("two or more rings", lambda s: s.rings >= 2),
+    ("fused rings", lambda s: s.fused),
+    ("heterocycle", lambda s: s.heterocycle),
+    ("aromatic atom", lambda s: bool(s.aromatic_elements)),
+    ("aromatic ring", lambda s: s.aromatic_rings >= 1),
+    ("aromatic nitrogen", lambda s: "N" in s.aromatic_elements),
+    ("aromatic oxygen", lambda s: "O" in s.aromatic_elements),
+    ("aromatic sulfur", lambda s: "S" in s.aromatic_elements),
+    ("two or more aromatic rings", lambda s: s.aromatic_rings >= 2),
+    ("positive charge", lambda s: 1 in s.charge_signs),
+    ("negative charge", lambda s: -1 in s.charge_signs),
+    ("both charges", lambda s: len(s.charge_signs) == 2),
+    ("nonzero net charge", lambda s: s.net_charge != 0),
+    ("sp3 carbon", lambda s: "sp3" in s.carbons),
+    ("sp2 carbon", lambda s: "sp2" in s.carbons),
+    ("sp carbon", lambda s: "sp" in s.carbons),
+    ("quaternary carbon", lambda s: ("C", 4) in s.degrees),
+    ("three-connected carbon", lambda s: ("C", 3) in s.degrees),
+    ("methyl group", lambda s: "methyl" in s.carbons),
+    ("branching atom", lambda s: any(d >= 3 for _, d in s.degrees)),
+    ("four-connected atom", lambda s: any(d >= 4 for _, d in s.degrees)),
+    ("terminal heteroatom", lambda s: any(
+        e != "C" and d == 1 for e, d in s.degrees
     )),
-    ("aromatic atom", lambda mol: any(a.is_aromatic for a in mol.atoms)),
-    ("aromatic ring", lambda mol: _aromatic_rings(mol) >= 1),
-    ("aromatic nitrogen", lambda mol: any(
-        a.is_aromatic and a.element == "N" for a in mol.atoms
-    )),
-    ("aromatic oxygen", lambda mol: any(
-        a.is_aromatic and a.element == "O" for a in mol.atoms
-    )),
-    ("aromatic sulfur", lambda mol: any(
-        a.is_aromatic and a.element == "S" for a in mol.atoms
-    )),
-    ("two or more aromatic rings", lambda mol: _aromatic_rings(mol) >= 2),
-    ("positive charge", lambda mol: any(a.formal_charge > 0 for a in mol.atoms)),
-    ("negative charge", lambda mol: any(a.formal_charge < 0 for a in mol.atoms)),
-    ("both charges", lambda mol: any(a.formal_charge > 0 for a in mol.atoms)
-        and any(a.formal_charge < 0 for a in mol.atoms)),
-    ("nonzero net charge", lambda mol: sum(a.formal_charge for a in mol.atoms) != 0),
-    ("sp3 carbon", _sp3_carbon),
-    ("sp2 carbon", _sp2_carbon),
-    ("sp carbon", _sp_carbon),
-    ("quaternary carbon", _carbon_heavy_degree(4)),
-    ("three-connected carbon", _carbon_heavy_degree(3)),
-    ("methyl group", _methyl),
-    ("branching atom", lambda mol: any(mol.degree(i) >= 3 for i in range(len(mol.atoms)))),
-    ("four-connected atom", lambda mol: any(mol.degree(i) >= 4 for i in range(len(mol.atoms)))),
-    ("terminal heteroatom", lambda mol: any(
-        a.element != "C" and mol.degree(i) == 1 for i, a in enumerate(mol.atoms)
-    )),
-    ("multiple fragments", lambda mol: len(mol.fragments) >= 2),
+    ("multiple fragments", lambda s: s.fragments >= 2),
     ("carbonyl C=O", _has_bond("C", BondOrder.DOUBLE, "O")),
     ("alkene C=C", _has_bond("C", BondOrder.DOUBLE, "C")),
     ("alkyne C#C", _has_bond("C", BondOrder.TRIPLE, "C")),
@@ -412,27 +493,20 @@ KEY_CATALOG: tuple[tuple[str, object], ...] = (
     ("N bonded to O", _has_bond("N", None, "O")),
     ("S=O", _has_bond("S", BondOrder.DOUBLE, "O")),
     ("P=O", _has_bond("P", BondOrder.DOUBLE, "O")),
-    ("hydroxyl O-H", _element_with_h("O")),
-    ("N-H", _element_with_h("N")),
-    ("S-H", _element_with_h("S")),
-    ("two-connected oxygen", lambda mol: any(
-        a.element == "O" and mol.degree(i) == 2 for i, a in enumerate(mol.atoms)
+    ("hydroxyl O-H", lambda s: "O" in s.hydrogen_elements),
+    ("N-H", lambda s: "N" in s.hydrogen_elements),
+    ("S-H", lambda s: "S" in s.hydrogen_elements),
+    ("two-connected oxygen", lambda s: ("O", 2) in s.degrees),
+    ("multi-connected nitrogen", lambda s: any(
+        e == "N" and d >= 2 for e, d in s.degrees
     )),
-    ("multi-connected nitrogen", lambda mol: any(
-        a.element == "N" and mol.degree(i) >= 2 for i, a in enumerate(mol.atoms)
-    )),
-    ("halogen on carbon", lambda mol: any(
-        bond
-        for bond in mol.bonds
-        if {mol.atoms[bond.a].element, mol.atoms[bond.b].element} & set(_HALOGENS)
-        and "C" in {mol.atoms[bond.a].element, mol.atoms[bond.b].element}
-    )),
-    ("N..N within 4 bonds", _hetero_pair_within("N", "N")),
-    ("N..O within 4 bonds", _hetero_pair_within("N", "O")),
-    ("N..S within 4 bonds", _hetero_pair_within("N", "S")),
-    ("O..O within 4 bonds", _hetero_pair_within("O", "O")),
-    ("O..S within 4 bonds", _hetero_pair_within("O", "S")),
-    ("S..S within 4 bonds", _hetero_pair_within("S", "S")),
+    ("halogen on carbon", lambda s: not s.bonds.isdisjoint(_CARBON_HALOGEN)),
+    ("N..N within 4 bonds", lambda s: ("N", "N") in s.hetero_pairs),
+    ("N..O within 4 bonds", lambda s: ("N", "O") in s.hetero_pairs),
+    ("N..S within 4 bonds", lambda s: ("N", "S") in s.hetero_pairs),
+    ("O..O within 4 bonds", lambda s: ("O", "O") in s.hetero_pairs),
+    ("O..S within 4 bonds", lambda s: ("O", "S") in s.hetero_pairs),
+    ("S..S within 4 bonds", lambda s: ("S", "S") in s.hetero_pairs),
 )
 
 assert len(KEY_CATALOG) == 64

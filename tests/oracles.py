@@ -2,8 +2,11 @@
 
 Everything here is deliberately written from scratch against the plain
 definitions (brute-force graph isomorphism, exhaustive environment and path
-enumeration, direct n-gram counting, joint-table information sums) rather
-than sharing code with the package under test.
+enumeration, FNV-1a over framed tokens, direct n-gram counting, joint-table
+information sums) rather than sharing code with the package under test.
+The structural key reference is the catalog as one predicate per key over
+the molecule, which the package replaced with predicates over a one-pass
+summary.
 """
 
 from __future__ import annotations
@@ -167,6 +170,298 @@ def _path_reading(mol: Molecule, path: list[int]) -> tuple:
     fwd = reading(path)
     rev = reading(path[::-1])
     return min(fwd, rev)
+
+
+# ---------------------------------------------------------------------------
+# FNV-1a over type-framed tokens, from the definition
+
+def fnv_reference(*parts) -> int:
+    """FNV-1a 64 over each part framed as b"b1;", b"i<digits>;" or b"s<utf-8>;"."""
+    data = b""
+    for part in parts:
+        if isinstance(part, bool):
+            data += b"b1;" if part else b"b0;"
+        elif isinstance(part, int):
+            data += b"i%d;" % part
+        else:
+            data += b"s" + part.encode() + b";"
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+def path_ids(mol: Molecule, max_len: int) -> set[int]:
+    """Path identifiers: every canonical reading hashed longhand."""
+    return {fnv_reference("path", *reading) for reading in path_readings(mol, max_len)}
+
+
+def morgan_ids(mol: Molecule, radius: int) -> set[int]:
+    """Morgan identifiers, each environment's tokens hashed longhand.
+
+    Degrees and bond orders are read off the bond list, and ring membership
+    from the bridge definition (non_bridge_atoms).
+    """
+    in_ring = non_bridge_atoms(mol)
+    neighbours: list[list[tuple[str, int]]] = [[] for _ in mol.atoms]
+    for bond in mol.bonds:
+        neighbours[bond.a].append((bond.order.value, bond.b))
+        neighbours[bond.b].append((bond.order.value, bond.a))
+    ids = [
+        fnv_reference(
+            "atom", atom.element, len(neighbours[i]), atom.hydrogens,
+            atom.formal_charge, i in in_ring,
+        )
+        for i, atom in enumerate(mol.atoms)
+    ]
+    found = set(ids)
+    for _ in range(radius):
+        ids = [
+            fnv_reference("env", ids[i], *[
+                token
+                for order, nid in sorted((order, ids[j]) for order, j in neighbours[i])
+                for token in (order, nid)
+            ])
+            for i in range(len(mol.atoms))
+        ]
+        found.update(ids)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# the structural key catalog, one predicate per key over the molecule
+
+def reference_structural_keys(mol: Molecule) -> set[int]:
+    """Catalog indices whose predicate fires, each predicate reading the
+    molecule directly (the catalog as it stood before the one-pass summary)."""
+    return {
+        index
+        for index, (_, predicate) in enumerate(REFERENCE_KEY_CATALOG)
+        if predicate(mol)
+    }
+
+
+def _element_present(symbol: str):
+    return lambda mol: any(a.element == symbol for a in mol.atoms)
+
+
+_HALOGENS = ("F", "Cl", "Br", "I")
+_ORGANIC_AND_H = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "H"}
+
+
+def _ring_of_size(size: int):
+    return lambda mol: any(len(ring) == size for ring in mol.rings)
+
+
+def _aromatic_rings(mol: Molecule) -> int:
+    count = 0
+    for ring in mol.rings:
+        k = len(ring)
+        bonds = (
+            mol.bond_between(ring[i], ring[(i + 1) % k]) for i in range(k)
+        )
+        if all(b is not None and b.order is BondOrder.AROMATIC for b in bonds):
+            count += 1
+    return count
+
+
+def _fused_rings(mol: Molecule) -> bool:
+    edges = []
+    for ring in mol.rings:
+        k = len(ring)
+        keys = set()
+        for i in range(k):
+            a, b = ring[i], ring[(i + 1) % k]
+            keys.add((a, b) if a < b else (b, a))
+        edges.append(keys)
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if edges[i] & edges[j]:
+                return True
+    return False
+
+
+def _carbon_bond_orders(mol: Molecule, idx: int) -> list[BondOrder]:
+    return [bond.order for bond in mol.bonds_of(idx)]
+
+
+def _sp3_carbon(mol: Molecule) -> bool:
+    for i, atom in enumerate(mol.atoms):
+        if atom.element != "C" or atom.is_aromatic:
+            continue
+        if all(o is BondOrder.SINGLE for o in _carbon_bond_orders(mol, i)):
+            return True
+    return False
+
+
+def _sp2_carbon(mol: Molecule) -> bool:
+    for i, atom in enumerate(mol.atoms):
+        if atom.element != "C" or atom.is_aromatic:
+            continue
+        orders = _carbon_bond_orders(mol, i)
+        if orders.count(BondOrder.DOUBLE) == 1 and BondOrder.TRIPLE not in orders:
+            return True
+    return False
+
+
+def _sp_carbon(mol: Molecule) -> bool:
+    for i, atom in enumerate(mol.atoms):
+        if atom.element != "C":
+            continue
+        orders = _carbon_bond_orders(mol, i)
+        if BondOrder.TRIPLE in orders or orders.count(BondOrder.DOUBLE) >= 2:
+            return True
+    return False
+
+
+def _carbon_heavy_degree(degree: int):
+    def predicate(mol: Molecule) -> bool:
+        return any(
+            a.element == "C" and mol.degree(i) == degree
+            for i, a in enumerate(mol.atoms)
+        )
+
+    return predicate
+
+
+def _methyl(mol: Molecule) -> bool:
+    return any(
+        a.element == "C" and mol.degree(i) == 1 and a.hydrogens == 3
+        for i, a in enumerate(mol.atoms)
+    )
+
+
+def _has_bond(elem_a: str, order: BondOrder | None, elem_b: str):
+    """A bond of the given order (any order when None) joins the two elements."""
+    want = {elem_a, elem_b}
+
+    def predicate(mol: Molecule) -> bool:
+        for bond in mol.bonds:
+            if order is not None and bond.order is not order:
+                continue
+            if {mol.atoms[bond.a].element, mol.atoms[bond.b].element} == want:
+                return True
+        return False
+
+    return predicate
+
+
+def _element_with_h(symbol: str):
+    return lambda mol: any(
+        a.element == symbol and a.hydrogens >= 1 for a in mol.atoms
+    )
+
+
+def _hetero_pair_within(elem_a: str, elem_b: str, limit: int = 4):
+    def predicate(mol: Molecule) -> bool:
+        sources = [
+            i for i, a in enumerate(mol.atoms) if a.element == elem_a
+        ]
+        for src in sources:
+            dist = {src: 0}
+            frontier = [src]
+            for d in range(1, limit + 1):
+                nxt = []
+                for x in frontier:
+                    for y, _ in mol.neighbor_view[x]:
+                        if y not in dist:
+                            dist[y] = d
+                            nxt.append(y)
+                frontier = nxt
+            for j, atom in enumerate(mol.atoms):
+                if j != src and atom.element == elem_b and j in dist:
+                    return True
+        return False
+
+    return predicate
+
+
+REFERENCE_KEY_CATALOG: tuple[tuple[str, object], ...] = (
+    ("carbon present", _element_present("C")),
+    ("nitrogen present", _element_present("N")),
+    ("oxygen present", _element_present("O")),
+    ("sulfur present", _element_present("S")),
+    ("phosphorus present", _element_present("P")),
+    ("fluorine present", _element_present("F")),
+    ("chlorine present", _element_present("Cl")),
+    ("bromine present", _element_present("Br")),
+    ("iodine present", _element_present("I")),
+    ("boron present", _element_present("B")),
+    ("any halogen", lambda mol: any(a.element in _HALOGENS for a in mol.atoms)),
+    ("any heteroatom", lambda mol: any(a.element not in ("C", "H") for a in mol.atoms)),
+    ("exotic element", lambda mol: any(a.element not in _ORGANIC_AND_H for a in mol.atoms)),
+    ("isotope label", lambda mol: any(a.isotope is not None for a in mol.atoms)),
+    ("any ring", lambda mol: len(mol.rings) > 0),
+    ("3-ring", _ring_of_size(3)),
+    ("4-ring", _ring_of_size(4)),
+    ("5-ring", _ring_of_size(5)),
+    ("6-ring", _ring_of_size(6)),
+    ("7-ring", _ring_of_size(7)),
+    ("8-ring", _ring_of_size(8)),
+    ("two or more rings", lambda mol: len(mol.rings) >= 2),
+    ("fused rings", _fused_rings),
+    ("heterocycle", lambda mol: any(
+        any(mol.atoms[i].element != "C" for i in ring) for ring in mol.rings
+    )),
+    ("aromatic atom", lambda mol: any(a.is_aromatic for a in mol.atoms)),
+    ("aromatic ring", lambda mol: _aromatic_rings(mol) >= 1),
+    ("aromatic nitrogen", lambda mol: any(
+        a.is_aromatic and a.element == "N" for a in mol.atoms
+    )),
+    ("aromatic oxygen", lambda mol: any(
+        a.is_aromatic and a.element == "O" for a in mol.atoms
+    )),
+    ("aromatic sulfur", lambda mol: any(
+        a.is_aromatic and a.element == "S" for a in mol.atoms
+    )),
+    ("two or more aromatic rings", lambda mol: _aromatic_rings(mol) >= 2),
+    ("positive charge", lambda mol: any(a.formal_charge > 0 for a in mol.atoms)),
+    ("negative charge", lambda mol: any(a.formal_charge < 0 for a in mol.atoms)),
+    ("both charges", lambda mol: any(a.formal_charge > 0 for a in mol.atoms)
+        and any(a.formal_charge < 0 for a in mol.atoms)),
+    ("nonzero net charge", lambda mol: sum(a.formal_charge for a in mol.atoms) != 0),
+    ("sp3 carbon", _sp3_carbon),
+    ("sp2 carbon", _sp2_carbon),
+    ("sp carbon", _sp_carbon),
+    ("quaternary carbon", _carbon_heavy_degree(4)),
+    ("three-connected carbon", _carbon_heavy_degree(3)),
+    ("methyl group", _methyl),
+    ("branching atom", lambda mol: any(mol.degree(i) >= 3 for i in range(len(mol.atoms)))),
+    ("four-connected atom", lambda mol: any(mol.degree(i) >= 4 for i in range(len(mol.atoms)))),
+    ("terminal heteroatom", lambda mol: any(
+        a.element != "C" and mol.degree(i) == 1 for i, a in enumerate(mol.atoms)
+    )),
+    ("multiple fragments", lambda mol: len(mol.fragments) >= 2),
+    ("carbonyl C=O", _has_bond("C", BondOrder.DOUBLE, "O")),
+    ("alkene C=C", _has_bond("C", BondOrder.DOUBLE, "C")),
+    ("alkyne C#C", _has_bond("C", BondOrder.TRIPLE, "C")),
+    ("nitrile C#N", _has_bond("C", BondOrder.TRIPLE, "N")),
+    ("imine C=N", _has_bond("C", BondOrder.DOUBLE, "N")),
+    ("N bonded to O", _has_bond("N", None, "O")),
+    ("S=O", _has_bond("S", BondOrder.DOUBLE, "O")),
+    ("P=O", _has_bond("P", BondOrder.DOUBLE, "O")),
+    ("hydroxyl O-H", _element_with_h("O")),
+    ("N-H", _element_with_h("N")),
+    ("S-H", _element_with_h("S")),
+    ("two-connected oxygen", lambda mol: any(
+        a.element == "O" and mol.degree(i) == 2 for i, a in enumerate(mol.atoms)
+    )),
+    ("multi-connected nitrogen", lambda mol: any(
+        a.element == "N" and mol.degree(i) >= 2 for i, a in enumerate(mol.atoms)
+    )),
+    ("halogen on carbon", lambda mol: any(
+        bond
+        for bond in mol.bonds
+        if {mol.atoms[bond.a].element, mol.atoms[bond.b].element} & set(_HALOGENS)
+        and "C" in {mol.atoms[bond.a].element, mol.atoms[bond.b].element}
+    )),
+    ("N..N within 4 bonds", _hetero_pair_within("N", "N")),
+    ("N..O within 4 bonds", _hetero_pair_within("N", "O")),
+    ("N..S within 4 bonds", _hetero_pair_within("N", "S")),
+    ("O..O within 4 bonds", _hetero_pair_within("O", "O")),
+    ("O..S within 4 bonds", _hetero_pair_within("O", "S")),
+    ("S..S within 4 bonds", _hetero_pair_within("S", "S")),
+)
 
 
 # ---------------------------------------------------------------------------

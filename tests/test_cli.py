@@ -10,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from moltrip.chem import canonicalize
+from moltrip.chem import canonicalize, parse_smiles
 from moltrip.cli import _build_parser, main
+from moltrip.fingerprints import (
+    DEFAULT_MORGAN_RADIUS,
+    DEFAULT_PATH_LENGTH,
+    dump_features,
+    morgan_features,
+    path_features,
+)
 
 SUBCOMMANDS = (
     ["canon"], ["validate"], ["fp"], ["score"], ["eval"], ["split"],
@@ -134,6 +141,39 @@ def test_fp_dump_is_stable_and_parameterized(capsys):
     assert capsys.readouterr().out == first
     assert main(["fp", "--family", "morgan", "--radius", "2", "CCO"]) == 0
     assert capsys.readouterr().out != first
+
+
+# each fingerprint parameter flag, given with a family that does not read it
+FP_FLAGS_OF_OTHER_FAMILIES = (
+    ("keys", "radius"), ("keys", "max_path"),
+    ("path", "radius"), ("morgan", "max_path"),
+)
+
+
+@pytest.mark.parametrize("family, key", FP_FLAGS_OF_OTHER_FAMILIES)
+def test_fp_refuses_a_parameter_its_family_does_not_read(family, key, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as err:
+        main(["fp", "CCO", "--family", family, flag, "2"])
+    assert err.value.code == 2
+    assert f"{flag} applies only to" in capsys.readouterr().err
+    config = tmp_path / "moltrip.cfg"
+    config.write_text(f"[fp]\n{key} = 2\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["fp", "CCO", "--family", family, "--config", str(config)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("family, function, default", [
+    ("morgan", morgan_features, DEFAULT_MORGAN_RADIUS),
+    ("path", path_features, DEFAULT_PATH_LENGTH),
+])
+def test_fp_parameter_defaults_to_the_library_default(
+    family, function, default, capsys,
+):
+    assert main(["fp", "--family", family, "c1ccccc1O"]) == 0
+    expected = dump_features(function(parse_smiles("c1ccccc1O"), default))
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_dense_molecule_scores_zero_and_fp_fails_typed(dense_k10, capsys):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltrip import fingerprints
@@ -34,7 +37,14 @@ from moltrip.fingerprints import (
     structural_keys,
     tanimoto,
 )
-from oracles import count_distinct_paths, count_morgan_environments, path_readings
+from oracles import (
+    count_distinct_paths,
+    count_morgan_environments,
+    morgan_ids,
+    path_ids,
+    path_readings,
+    reference_structural_keys,
+)
 
 SMALL = ["C", "CCO", "CC(C)C", "C1CC1", "c1ccccc1", "CC=O", "C#N", "CCCl"]
 
@@ -316,6 +326,23 @@ def test_graph_layers_pinned_on_corpus_and_druglike(corpus, layer):
     assert digest.hexdigest() == PINNED_GRAPH_DIGESTS[layer]
 
 
+def test_structural_keys_scale_linearly():
+    # each N, O or S atom reads only its own radius-four ball, so twice the
+    # chain costs about twice the CPU time, not four times
+    chains = [parse_smiles("N" * 2000), parse_smiles("N" * 4000)]
+    best = [float("inf")] * 2
+    gc.disable()  # a full collection of a long session's heap is not the keys' cost
+    try:
+        for _ in range(7):  # interleaved, so a slow spell of the machine hits both
+            for k, mol in enumerate(chains):
+                start = time.process_time()
+                structural_keys(mol)
+                best[k] = min(best[k], time.process_time() - start)
+    finally:
+        gc.enable()
+    assert best[1] / best[0] <= 2.5
+
+
 def test_key_identifiers_are_catalog_indices():
     fired = structural_keys(parse_smiles("[NH4+].[Cl-]")).features
     assert fired <= set(range(64))
@@ -399,3 +426,137 @@ def test_key_catalog_doc_table_matches_code():
     indices = [int(row.split("|")[1].strip()) for row in rows]
     assert indices == list(range(64))
     assert listed == list(KEY_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# the process-wide FNV state memo
+
+_PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def memo_molecules(corpus) -> list[str]:
+    """The corpus, then both sides of the benchmark's drug-like pairs for
+    seeds 0 to 9 wherever they parse."""
+    sys.path.insert(0, str(_PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(_PERFBENCH))
+    pool = list(corpus)
+    for seed in range(10):
+        for reference, caption, _ in workloads.eval_pairs(seed):
+            pool.append(reference)
+            try:
+                parse_smiles(caption)
+            except SmilesError:
+                continue
+            pool.append(caption)
+    return pool
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=4,
+    ),
+    memo=st.sampled_from(["cold", "warm", "capped"]),
+    order=st.randoms(use_true_random=False),
+)
+def test_memo_never_changes_an_id(memo_molecules, picks, memo, order):
+    # molecules in shuffled atom orders, fingerprinted in a random order with
+    # the memo empty, filled by the same molecules, or capped at 3 entries
+    mols = [
+        parse_smiles(render_random(
+            parse_smiles(memo_molecules[index % len(memo_molecules)]),
+            random.Random(seed),
+        ))
+        for index, seed in picks
+    ]
+    saved = fingerprints.STATE_MEMO_SIZE
+    fingerprints._STATES.clear()
+    try:
+        if memo == "warm":
+            for mol in mols:
+                path_features(mol)
+                morgan_features(mol)
+        elif memo == "capped":
+            fingerprints.STATE_MEMO_SIZE = 3
+        order.shuffle(mols)
+        for mol in mols:
+            assert path_features(mol).features == path_ids(mol, DEFAULT_PATH_LENGTH)
+            assert morgan_features(mol).features == morgan_ids(mol, 2)
+            assert structural_keys(mol).features == reference_structural_keys(mol)
+            assert len(fingerprints._STATES) <= fingerprints.STATE_MEMO_SIZE
+    finally:
+        fingerprints.STATE_MEMO_SIZE = saved
+
+
+def test_memo_holds_at_most_its_cap(corpus, dense_k10, monkeypatch):
+    monkeypatch.setattr(fingerprints, "STATE_MEMO_SIZE", 40)
+    fingerprints._STATES.clear()
+    for smiles in corpus[:60]:  # more distinct molecules than entries
+        mol = parse_smiles(smiles)
+        path_features(mol)
+        morgan_features(mol)
+        assert len(fingerprints._STATES) <= 40
+    with pytest.raises(MoleculeTooLarge):
+        path_features(parse_smiles(dense_k10))
+    assert len(fingerprints._STATES) <= 40
+
+
+def test_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(fingerprints, "STATE_MEMO_SIZE", 3)
+    fingerprints._STATES.clear()
+    for tokens in (("a",), ("b",), ("c",), ("a",), ("d",)):  # "a" read again
+        assert fingerprints._memo_hash(tokens) == stable_hash(*tokens)
+    assert list(fingerprints._STATES) == [("c",), ("a",), ("d",)]
+
+
+@pytest.mark.parametrize(
+    "first, second", [(True, 1), (1, True), (False, 0), (0, False)],
+)
+def test_memo_keeps_bool_and_int_framing_apart(first, second):
+    # True == 1 as a dict key, but stable_hash frames them differently
+    fingerprints._STATES.clear()
+    for flag in (first, second, first):
+        for tokens in (
+            ("atom", "C", 0, 4, 0, flag),
+            ("x", flag),
+            ("x", flag, "y", "z"),  # the flag in the prefix only
+        ):
+            assert fingerprints._memo_hash(tokens) == stable_hash(*tokens)
+
+
+def test_memo_shared_by_threads_keeps_every_id(corpus, monkeypatch):
+    # a cap of 5 makes every thread evict what the others just read
+    def fingerprint(smiles: str) -> tuple[FeatureSet, FeatureSet]:
+        mol = parse_smiles(smiles)
+        return path_features(mol), morgan_features(mol)
+
+    expected = {smiles: fingerprint(smiles) for smiles in corpus[:40]}
+    monkeypatch.setattr(fingerprints, "STATE_MEMO_SIZE", 5)
+    fingerprints._STATES.clear()
+    errors: list[BaseException] = []
+
+    def work(offset: int) -> None:
+        try:
+            for smiles in corpus[offset:40] + corpus[:offset]:
+                assert fingerprint(smiles) == expected[smiles]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 7,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(fingerprints._STATES) <= 5
