@@ -20,6 +20,7 @@ from .parser import (
     AromaticBondMismatch,
     DanglingBond,
     EmptyInput,
+    MoleculeTooLarge,
     RingBondConflict,
     SmilesError,
     UnbalancedParenthesis,
@@ -46,6 +47,7 @@ __all__ = [
     "ELEMENT_SYMBOLS",
     "EmptyInput",
     "Molecule",
+    "MoleculeTooLarge",
     "ORGANIC_SUBSET",
     "PERMITTED_VALENCES",
     "RingBondConflict",

@@ -3,9 +3,12 @@
 Atoms are ranked by refining seed invariants (element, aromaticity, degree,
 hydrogens, charge, isotope, ring membership) against neighbor-rank multisets
 until stable; remaining ties are broken by isolating one atom of the lowest
-tied class and refining again.  The writer walks each fragment depth-first
-from its lowest-ranked atom with branches ordered by rank, so the output
-depends only on the graph, never on input atom order.
+tied class and refining again.  Each round re-sorts the neighbours of tied
+atoms only: an atom alone in its class keeps its rank without a key.  The
+writer walks each fragment depth-first from its lowest-ranked atom with
+branches ordered by rank, so the output depends only on the graph, never on
+input atom order.  It works out every atom's token, bare or bracketed, and
+every bond's token once per call, before the walk.
 """
 
 from __future__ import annotations
@@ -14,14 +17,8 @@ import random
 from collections import Counter
 
 from .model import ORGANIC_SUBSET, Atom, Bond, BondOrder, Molecule
-from .valence import infer_bare_hydrogens
-
-_ORDER_KEY = {
-    BondOrder.SINGLE: 0,
-    BondOrder.DOUBLE: 1,
-    BondOrder.TRIPLE: 2,
-    BondOrder.AROMATIC: 3,
-}
+from .parser import MoleculeTooLarge
+from .valence import bond_sums, infer_bare_hydrogens
 
 
 def canonical_smiles(mol: Molecule) -> str:
@@ -44,22 +41,28 @@ def canonical_ranks(mol: Molecule) -> tuple[int, ...]:
     """Unique rank per atom, invariant under input atom reordering."""
     n = len(mol)
     seeds = [_seed_invariant(mol, i) for i in range(n)]
-    # per atom, (bond order key, neighbour) for every neighbour
+    # per atom, (bond sort key * n, neighbour) per neighbour: adding the
+    # neighbour's rank, below n, gives an int that sorts as the
+    # (sort key, rank) pair would
     bonded = [
-        [(_ORDER_KEY[mol.bonds[k].order], j) for j, k in pairs]
+        [(mol.bonds[k].order.sort_key * n, j) for j, k in pairs]
         for pairs in mol.neighbor_view
     ]
-    ranks = _dense_ranks(seeds)
-    ranks = _refine(bonded, ranks)
-    while len(set(ranks)) < n:
+    ranks = _refine(bonded, _dense_ranks(seeds))
+    while True:
         counts = Counter(ranks)
-        target = min(rank for rank, count in counts.items() if count > 1)
-        chosen = min(i for i in range(n) if ranks[i] == target)
-        ranks = _dense_ranks(
-            [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
-        )
+        tied = [rank for rank, count in counts.items() if count > 1]
+        if not tied:
+            return tuple(ranks)
+        # isolate the first atom of the lowest tied class: it keeps the
+        # class's rank, and every rank above shifts up by one
+        target = min(tied)
+        chosen = ranks.index(target)
+        ranks = [
+            rank + 1 if rank > target or (rank == target and i != chosen) else rank
+            for i, rank in enumerate(ranks)
+        ]
         ranks = _refine(bonded, ranks)
-    return tuple(ranks)
 
 
 def _seed_invariant(mol: Molecule, idx: int):
@@ -81,15 +84,27 @@ def _dense_ranks(keys: list) -> list[int]:
 
 
 def _refine(bonded: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Split classes by their sorted neighbour keys until none splits.
+
+    ``ranks`` are dense.  An atom alone in its class is keyed ``(rank, ())``:
+    no other key has its rank, so the empty tuple is never compared.
+    """
+    classes = max(ranks, default=-1) + 1
     while True:
+        counts = [0] * classes
+        for rank in ranks:
+            counts[rank] += 1
         keys = [
-            (ranks[i], tuple(sorted((order, ranks[j]) for order, j in pairs)))
-            for i, pairs in enumerate(bonded)
+            (rank, tuple(sorted([key + ranks[j] for key, j in pairs])))
+            if counts[rank] > 1
+            else (rank, ())
+            for rank, pairs in zip(ranks, bonded)
         ]
         refined = _dense_ranks(keys)
-        if len(set(refined)) == len(set(ranks)):
+        split = max(refined, default=-1) + 1
+        if split == classes:
             return refined
-        ranks = refined
+        ranks, classes = refined, split
 
 
 def _write(
@@ -97,7 +112,25 @@ def _write(
     ranks: tuple[int, ...],
     fragment_rng: random.Random | None = None,
 ) -> str:
-    pieces = [_write_fragment(mol, ranks, frag) for frag in mol.fragments]
+    atoms = mol.atoms
+    n = len(atoms)
+    sigma, multiple = bond_sums(n, mol.bonds)
+    atom_tokens = [
+        _atom_token(atom, sigma[i], multiple[i]) for i, atom in enumerate(atoms)
+    ]
+    bond_tokens = [_bond_token(bond, atoms) for bond in mol.bonds]
+    # per atom, its (neighbour, bond index) pairs in rank order of neighbour
+    ordered: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    view = mol.neighbor_view
+    for j in sorted(range(n), key=ranks.__getitem__):
+        for i, k in view[j]:
+            ordered[i].append((j, k))
+    tree = [False] * len(mol.bonds)
+    pieces = []
+    for fragment in mol.fragments:
+        start = min(fragment, key=ranks.__getitem__)
+        _mark_tree(ordered, start, tree)
+        pieces.append(_write_fragment(ordered, tree, start, atom_tokens, bond_tokens))
     if fragment_rng is None:
         pieces.sort()
     else:
@@ -105,104 +138,91 @@ def _write(
     return ".".join(pieces)
 
 
-def _write_fragment(
-    mol: Molecule, ranks: tuple[int, ...], fragment: tuple[int, ...]
-) -> str:
-    start = min(fragment, key=lambda i: ranks[i])
-    children, ring_partners = _spanning_tree(mol, ranks, start)
+def _mark_tree(
+    ordered: list[list[tuple[int, int]]], start: int, tree: list[bool]
+) -> None:
+    """Mark the bonds of the depth-first tree from ``start`` that visits
+    neighbours in the given order; the fragment's other bonds close rings."""
+    visited = {start}
+    # each frame resumes its neighbour iterator after a child's subtree is done
+    stack = [iter(ordered[start])]
+    while stack:
+        for j, k in stack[-1]:
+            if j not in visited:
+                visited.add(j)
+                tree[k] = True
+                stack.append(iter(ordered[j]))
+                break
+        else:
+            stack.pop()
 
+
+def _write_fragment(
+    ordered: list[list[tuple[int, int]]],
+    tree: list[bool],
+    start: int,
+    atom_tokens: list[str],
+    bond_tokens: list[str],
+) -> str:
+    """Write the tree ``_mark_tree`` marked: branches and ring-closure digits
+    in rank order, digits opening at the endpoint written first."""
     digits = _DigitPool()
     out: list[str] = []
     # depth-first over the tree with an explicit stack of pending atoms
-    # (idx, parent) and literal branch parentheses, so long chains cannot
-    # exhaust the interpreter's recursion limit
-    stack: list[tuple[int, int | None] | str] = [(start, None)]
+    # (idx, index of the bond from its parent) and literal branch
+    # parentheses, so long chains cannot exhaust the interpreter's
+    # recursion limit
+    stack: list[tuple[int, int] | str] = [(start, -1)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        idx, parent = item
-        if parent is not None:
-            out.append(_bond_token(mol, parent, idx))
-        out.append(_atom_token(mol, idx))
-        for partner in ring_partners[idx]:
-            opened = digits.opened(idx, partner)
-            if opened is None:
-                out.append(_bond_token(mol, idx, partner))
-                out.append(digits.open(idx, partner))
+        idx, via = item
+        if via >= 0:
+            out.append(bond_tokens[via])
+        out.append(atom_tokens[idx])
+        kids = []
+        for j, k in ordered[idx]:
+            if tree[k]:
+                if k != via:
+                    kids.append((j, k))
+                continue
+            closing = digits.close(k)
+            if closing is None:
+                out.append(bond_tokens[k])
+                out.append(digits.open(k))
             else:
-                out.append(opened)
-        kids = children[idx]
+                out.append(closing)
         if kids:
-            stack.append((kids[-1], idx))
+            stack.append(kids[-1])
         for kid in reversed(kids[:-1]):
-            stack.extend((")", (kid, idx), "("))
+            stack.extend((")", kid, "("))
     return "".join(out)
 
 
-def _spanning_tree(
-    mol: Molecule, ranks: tuple[int, ...], start: int
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """DFS tree (children per atom) plus ring-closure partners per atom.
-
-    Ring partners are listed on both endpoints, ordered by rank, so digits
-    open at the endpoint written first.
-    """
-    children: dict[int, list[int]] = {}
-    ring_partners: dict[int, list[int]] = {}
-    visited: set[int] = set()
-    ring_pairs: set[tuple[int, int]] = set()
-
-    def enter(idx: int, parent: int | None):
-        visited.add(idx)
-        children[idx] = []
-        ring_partners[idx] = []
-        return idx, parent, iter(sorted(mol.neighbors(idx), key=lambda j: ranks[j]))
-
-    # each frame resumes its neighbor iterator after a child's subtree is done
-    stack = [enter(start, None)]
-    while stack:
-        idx, parent, nbrs = stack[-1]
-        for nbr in nbrs:
-            if nbr == parent:
-                continue
-            if nbr in visited:
-                ring_pairs.add((idx, nbr) if idx < nbr else (nbr, idx))
-                continue
-            children[idx].append(nbr)
-            stack.append(enter(nbr, idx))
-            break
-        else:
-            stack.pop()
-    for a, b in sorted(ring_pairs):
-        ring_partners[a].append(b)
-        ring_partners[b].append(a)
-    for partners in ring_partners.values():
-        partners.sort(key=lambda j: ranks[j])
-    return children, ring_partners
-
-
 class _DigitPool:
-    """Ring-closure digit assignment with reuse of freed digits."""
+    """Ring-closure digit assignment, per ring bond, reusing freed digits."""
 
     def __init__(self) -> None:
-        self._open: dict[tuple[int, int], int] = {}
+        self._open: dict[int, int] = {}
         self._used: set[int] = set()
 
-    def open(self, a: int, b: int) -> str:
+    def open(self, bond: int) -> str:
         digit = 1
         while digit in self._used:
             digit += 1
         if digit > 99:
-            raise ValueError("ring closure digits exhausted")
+            raise MoleculeTooLarge(
+                "canonical form needs more than 99 ring closures open at once"
+            )
         self._used.add(digit)
-        self._open[(a, b) if a < b else (b, a)] = digit
+        self._open[bond] = digit
         return self._format(digit)
 
-    def opened(self, a: int, b: int) -> str | None:
-        key = (a, b) if a < b else (b, a)
-        digit = self._open.pop(key, None)
+    def close(self, bond: int) -> str | None:
+        """The digit of an open ring bond, freed; None if it is not open."""
+        digit = self._open.pop(bond, None)
         if digit is None:
             return None
         self._used.discard(digit)
@@ -213,23 +233,29 @@ class _DigitPool:
         return str(digit) if digit <= 9 else f"%{digit:02d}"
 
 
-def _bond_token(mol: Molecule, a: int, b: int) -> str:
-    bond = mol.bond_between(a, b)
+def _bond_token(bond: Bond, atoms: tuple[Atom, ...]) -> str:
     order = bond.order
     if order is BondOrder.DOUBLE:
         return "="
     if order is BondOrder.TRIPLE:
         return "#"
     if order is BondOrder.SINGLE:
-        if mol.atoms[a].is_aromatic and mol.atoms[b].is_aromatic:
+        if atoms[bond.a].is_aromatic and atoms[bond.b].is_aromatic:
             return "-"
         return ""
     return ""  # aromatic bonds are implicit between aromatic atoms
 
 
-def _atom_token(mol: Molecule, idx: int) -> str:
-    atom = mol.atoms[idx]
-    if _bare_eligible(mol, idx):
+def _atom_token(atom: Atom, sigma: int, multiple: bool) -> str:
+    """The atom bare when its bonds (``sigma``, ``multiple``) imply its
+    hydrogens, else in brackets."""
+    if (
+        atom.element in ORGANIC_SUBSET
+        and atom.formal_charge == 0
+        and atom.isotope is None
+        and infer_bare_hydrogens(atom.element, atom.is_aromatic, sigma, multiple)
+        == atom.hydrogens
+    ):
         return atom.symbol
     parts = ["["]
     if atom.isotope is not None:
@@ -250,23 +276,3 @@ def _atom_token(mol: Molecule, idx: int) -> str:
         parts.append(f"-{-charge}")
     parts.append("]")
     return "".join(parts)
-
-
-def _bare_eligible(mol: Molecule, idx: int) -> bool:
-    atom = mol.atoms[idx]
-    if (
-        atom.element not in ORGANIC_SUBSET
-        or atom.formal_charge != 0
-        or atom.isotope is not None
-    ):
-        return False
-    sigma = 0
-    has_multiple = False
-    for bond in mol.bonds_of(idx):
-        sigma += bond.order.bond_electrons
-        if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
-            has_multiple = True
-    inferred = infer_bare_hydrogens(
-        atom.element, atom.is_aromatic, sigma, has_multiple
-    )
-    return inferred == atom.hydrogens

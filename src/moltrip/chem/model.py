@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 # Recognized element symbols (periodic table, H through Og).
 ELEMENT_SYMBOLS = frozenset(
@@ -45,10 +45,13 @@ PERMITTED_VALENCES: dict[str, tuple[int, ...]] = {
 }
 
 
+@lru_cache(maxsize=1024)
 def permitted_valences(element: str, charge: int) -> tuple[int, ...] | None:
     """Allowed total bond orders for an element at a formal charge.
 
     Returns None for elements outside the valence table (no constraint).
+    Memoised, since every parse asks it of every atom, so the table above
+    is read as a constant.
     """
     base = PERMITTED_VALENCES.get(element)
     if base is None:
@@ -56,36 +59,33 @@ def permitted_valences(element: str, charge: int) -> tuple[int, ...] | None:
     return tuple(v + charge for v in base if v + charge >= 0)
 
 
+# Per bond order value: (bond_electrons, symbol, sort_key) of its member.
+_BOND_TRAITS = {
+    "single": (1, "-", 0),
+    "double": (2, "=", 1),
+    "triple": (3, "#", 2),
+    "aromatic": (1, ":", 3),
+}
+
+
 class BondOrder(enum.Enum):
+    """A bond order.  Each member carries plain attributes, so hot loops read
+    them without a dict lookup that would call ``Enum.__hash__``:
+
+    - ``bond_electrons``: the integer bond order used in valence accounting
+      (aromatic counts 1; the extra aromatic contribution is resolved by
+      kekulization);
+    - ``symbol``: the SMILES bond symbol;
+    - ``sort_key``: the member's position among the four, 0 to 3.
+    """
+
     SINGLE = "single"
     DOUBLE = "double"
     TRIPLE = "triple"
     AROMATIC = "aromatic"
 
-    @property
-    def bond_electrons(self) -> int:
-        """Integer bond order used in valence accounting (aromatic counts 1;
-        the extra aromatic contribution is resolved by kekulization)."""
-        return _BOND_ELECTRONS[self]
-
-    @property
-    def symbol(self) -> str:
-        return _BOND_SYMBOLS[self]
-
-
-_BOND_ELECTRONS = {
-    BondOrder.SINGLE: 1,
-    BondOrder.DOUBLE: 2,
-    BondOrder.TRIPLE: 3,
-    BondOrder.AROMATIC: 1,
-}
-
-_BOND_SYMBOLS = {
-    BondOrder.SINGLE: "-",
-    BondOrder.DOUBLE: "=",
-    BondOrder.TRIPLE: "#",
-    BondOrder.AROMATIC: ":",
-}
+    def __init__(self, value: str) -> None:
+        self.bond_electrons, self.symbol, self.sort_key = _BOND_TRAITS[value]
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,16 @@ class Molecule:
     view: InitVar[NeighborView | None] = None
 
     def __post_init__(self, view: NeighborView | None) -> None:
+        n = len(self.atoms)
         seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
-            if not (0 <= bond.a < len(self.atoms) and 0 <= bond.b < len(self.atoms)):
+            a, b = bond.a, bond.b
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("bond endpoint out of range")
-            if bond.key in seen:
-                raise ValueError(f"duplicate bond between atoms {bond.key}")
-            seen.add(bond.key)
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                raise ValueError(f"duplicate bond between atoms {key}")
+            seen.add(key)
         if view is not None:  # fills the neighbor_view cache
             object.__setattr__(self, "neighbor_view", view)
 

@@ -66,6 +66,12 @@ class AromaticBondMismatch(SmilesError):
     """Explicit aromatic bond with a non-aromatic endpoint."""
 
 
+class MoleculeTooLarge(SmilesError):
+    """A valid molecule that a bounded layer refuses: more paths than
+    ``fingerprints.MAX_PATHS`` to fingerprint, or more ring closures open
+    at once than the 99 digits its canonical form can spell."""
+
+
 _BOND_CHARS = {
     "-": BondOrder.SINGLE,
     "=": BondOrder.DOUBLE,
@@ -73,7 +79,12 @@ _BOND_CHARS = {
     ":": BondOrder.AROMATIC,
 }
 
-_AROMATIC_BARE = {"b", "c", "n", "o", "p", "s"}
+# Bare atom characters: (element, aromatic).  "Cl" and "Br" are read as two
+# characters wherever they occur.
+_BARE_ATOMS = {
+    **{ch: (ch, False) for ch in "BCNOPSFI"},
+    **{ch: (ch.upper(), True) for ch in "bcnops"},
+}
 
 _BRACKET_RE = re.compile(
     r"""\[
@@ -201,6 +212,14 @@ def _scan(text: str) -> tuple[list[_DraftAtom], list[Bond], list[str]]:
     length = len(stripped)
     while i < length:
         ch = stripped[i]
+        bare = _BARE_ATOMS.get(ch)  # the commonest token: tried first
+        if bare is not None:
+            element, aromatic = bare
+            if stripped[i : i + 2] in ("Cl", "Br"):
+                element = stripped[i : i + 2]
+            attach(_DraftAtom(element, aromatic), i)
+            i += len(element)
+            continue
         if ch == "[":
             atom, width = _parse_bracket(stripped, i, notes)
             attach(atom, i)
@@ -261,11 +280,7 @@ def _scan(text: str) -> tuple[list[_DraftAtom], list[Bond], list[str]]:
             close_ring(int(digits), i)
             i += 3
             continue
-        element, width, aromatic = _scan_bare(stripped, i)
-        if element is None:
-            raise UnknownToken(f"unexpected character {ch!r}", i)
-        attach(_DraftAtom(element=element, is_aromatic=aromatic), i)
-        i += width
+        raise UnknownToken(f"unexpected character {ch!r}", i)
 
     if pending is not None:
         raise DanglingBond("bond symbol at end of input", pending_pos)
@@ -291,18 +306,6 @@ def _resolve_ring_order(
     raise RingBondConflict(
         f"ring bond order conflict: {opening.symbol} vs {closing.symbol}", pos
     )
-
-
-def _scan_bare(text: str, i: int) -> tuple[str | None, int, bool]:
-    two = text[i : i + 2]
-    if two in ("Cl", "Br"):
-        return two, 2, False
-    ch = text[i]
-    if ch in "BCNOPSFI":
-        return ch, 1, False
-    if ch in _AROMATIC_BARE:
-        return ch.upper(), 1, True
-    return None, 0, False
 
 
 def _parse_bracket(text: str, i: int, notes: list[str]) -> tuple[_DraftAtom, int]:

@@ -1,11 +1,15 @@
 """Ring perception: connected components and a smallest-set-of-smallest-rings.
 
-Both read the molecule's neighbour view.  The SSSR is assembled greedily:
-for every non-bridge bond the shortest cycle through that bond is a
-candidate; candidates are taken shortest-first while linearly independent
-over GF(2) on the bond set, until the cyclomatic number (bonds - atoms +
-components) is reached.  Fundamental cycles from a spanning forest are
-appended as fallback candidates so the count is always exact.
+Both read the molecule's neighbour view.  The SSSR is assembled greedily
+from candidate cycles.  The bonds that are not bridges fall into ring
+systems, the connected components of those bonds.  A ring system in which
+every atom has exactly two ring bonds is one simple cycle, walked once as
+its own candidate; in any other (fused, spiro or bridged) system, the
+shortest cycle through each bond is a candidate.  Candidates are taken
+shortest-first while linearly independent over GF(2) on the bond set, until
+the cyclomatic number (bonds - atoms + components) is reached.  Fundamental
+cycles from a spanning forest are appended as fallback candidates so the
+count is always exact.
 """
 
 from __future__ import annotations
@@ -60,11 +64,19 @@ def sssr(
 
     adj = [sorted(pairs) for pairs in view]  # by neighbour index
     bridges = _find_bridges(view)
+    # a shortest cycle never crosses a bridge, so its search can skip them
+    ring_adj = [[(j, k) for j, k in pairs if k not in bridges] for pairs in adj]
     candidates: dict[tuple[int, ...], None] = {}
-    for k, bond in enumerate(bonds):
-        if k not in bridges:
-            cycle = _shortest_cycle_through(adj, bond.a, bond.b, k)
-            candidates.setdefault(_normalize_cycle(cycle))
+    for system in _ring_systems(ring_adj):
+        if all(len(ring_adj[x]) == 2 for x in system):
+            candidates.setdefault(_normalize_cycle(_walk_cycle(ring_adj, system[0])))
+            continue
+        for x in system:
+            for _, k in ring_adj[x]:
+                bond = bonds[k]
+                if x == bond.a:  # each bond once, searched from its first atom
+                    cycle = _shortest_cycle_through(ring_adj, x, bond.b, k)
+                    candidates.setdefault(_normalize_cycle(cycle))
     for cycle in _fundamental_cycles(adj):
         candidates.setdefault(_normalize_cycle(cycle))
 
@@ -95,26 +107,60 @@ def _find_bridges(view: NeighborView) -> set[int]:
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack: list[tuple[int, int, int, int]] = [(root, -1, -1, 0)]
+        disc[root] = low[root] = timer
+        timer += 1
+        # (atom, bond it was entered by, its untried neighbours)
+        stack = [(root, -1, iter(view[root]))]
         while stack:
-            node, parent, in_edge, ptr = stack.pop()
-            if ptr == 0:
-                disc[node] = low[node] = timer
-                timer += 1
-            if ptr < len(view[node]):
-                stack.append((node, parent, in_edge, ptr + 1))
-                nbr, edge_idx = view[node][ptr]
+            node, in_edge, nbrs = stack[-1]
+            for nbr, edge_idx in nbrs:
                 if edge_idx == in_edge:
                     continue
                 if disc[nbr] == -1:
-                    stack.append((nbr, node, edge_idx, 0))
-                else:
-                    low[node] = min(low[node], disc[nbr])
-            elif parent != -1:
-                low[parent] = min(low[parent], low[node])
-                if low[node] > disc[parent]:
-                    bridges.add(in_edge)
+                    disc[nbr] = low[nbr] = timer
+                    timer += 1
+                    stack.append((nbr, edge_idx, iter(view[nbr])))
+                    break
+                if disc[nbr] < low[node]:
+                    low[node] = disc[nbr]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    if low[node] > disc[parent]:
+                        bridges.add(in_edge)
     return bridges
+
+
+def _ring_systems(ring_adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Atoms of each connected component of the ring bonds."""
+    seen = [False] * len(ring_adj)
+    systems: list[list[int]] = []
+    for root, pairs in enumerate(ring_adj):
+        if seen[root] or not pairs:
+            continue
+        seen[root] = True
+        system = [root]
+        for x in system:  # grows while it is read: a breadth-first search
+            for y, _ in ring_adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    system.append(y)
+        systems.append(system)
+    return systems
+
+
+def _walk_cycle(ring_adj: list[list[tuple[int, int]]], start: int) -> list[int]:
+    """The atoms of a ring system that is one simple cycle, in cycle order."""
+    cycle = [start]
+    prev, x = start, ring_adj[start][0][0]
+    while x != start:
+        cycle.append(x)
+        a, b = ring_adj[x]
+        prev, x = x, (b[0] if a[0] == prev else a[0])
+    return cycle
 
 
 def _shortest_cycle_through(

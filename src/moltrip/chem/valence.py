@@ -10,6 +10,7 @@ ring system must kekulize).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Protocol, TypeVar
 
@@ -69,6 +70,7 @@ def infer_bare_hydrogens(
     return h
 
 
+@functools.lru_cache(maxsize=1024)
 def _bare_plan(
     element: str,
     is_aromatic: bool,
@@ -76,7 +78,12 @@ def _bare_plan(
     has_multiple_bond: bool,
 ) -> tuple[int, int]:
     """(hydrogens, pi) for a bare atom; pi is 1 when the atom must be matched
-    with one aromatic neighbor during kekulization."""
+    with one aromatic neighbor during kekulization.
+
+    Memoised: drug-like molecules use a few dozen distinct argument tuples,
+    and the bound keeps hostile inputs (an atom with thousands of branches)
+    from growing the table.
+    """
     allowed = permitted_valences(element, 0)
     assert allowed is not None  # bare atoms are organic subset by grammar
     if not is_aromatic:
@@ -100,6 +107,20 @@ def _lowest_fit(allowed: tuple[int, ...], minimum: int) -> int | None:
     return min(fits) if fits else None
 
 
+def bond_sums(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[list[int], list[bool]]:
+    """Per atom, its sigma (the sum of its bonds' ``bond_electrons``) and
+    whether it has a double or triple bond."""
+    sigma = [0] * n_atoms
+    multiple = [False] * n_atoms
+    for bond in bonds:
+        a, b, electrons = bond.a, bond.b, bond.order.bond_electrons
+        sigma[a] += electrons
+        sigma[b] += electrons
+        if electrons > 1:  # double or triple: aromatic bonds count 1
+            multiple[a] = multiple[b] = True
+    return sigma, multiple
+
+
 @dataclass(frozen=True)
 class AtomAnalysis:
     hydrogens: tuple[int, ...]
@@ -115,13 +136,7 @@ def analyze(
     ``view`` is ``neighbor_view`` of the bonds.
     """
     n = len(atoms)
-    sigma = [0] * n
-    multiple = [False] * n
-    for bond in bonds:
-        for end in bond.endpoints:
-            sigma[end] += bond.order.bond_electrons
-            if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
-                multiple[end] = True
+    sigma, multiple = bond_sums(n, bonds)
 
     hydrogens = [0] * n
     pi = [0] * n

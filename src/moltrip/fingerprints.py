@@ -24,7 +24,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .chem import ELEMENT_SYMBOLS, Atom, BondOrder, Molecule, SmilesError
+from .chem import ELEMENT_SYMBOLS, Atom, BondOrder, Molecule, MoleculeTooLarge
 from .chem.model import NeighborView
 
 DEFAULT_MORGAN_RADIUS = 2
@@ -43,10 +43,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 class FamilyMismatch(ValueError):
     """Tanimoto requested between feature sets of different family/params."""
-
-
-class MoleculeTooLarge(SmilesError):
-    """The molecule has more than MAX_PATHS paths to fingerprint."""
 
 
 def extend_hash(h: int, *parts: int | str) -> int:

@@ -95,6 +95,7 @@ class Prepared:
 
     @cached_property
     def canonical(self) -> str:
+        """Raises MoleculeTooLarge past 99 open ring closures, on every read."""
         return canonical_smiles(self.mol)
 
     @cached_property
@@ -127,26 +128,29 @@ def score_prepared(reference: Prepared, candidate: Prepared) -> ScoreBreakdown:
 
     Invalid candidates gate the whole score to zero.  Otherwise the total is
     the sum of the three Tanimoto similarities plus 1 for an exact canonical
-    match, so the identity case scores exactly 4.0.  A molecule with too many
-    paths to fingerprint (MoleculeTooLarge) scores zero as a candidate and
-    raises InvalidReference as the reference; the reference's fingerprints
-    are computed only once the candidate passes the validity gate.
+    match, so the identity case scores exactly 4.0.  A molecule too large
+    for its canonical form or its paths (MoleculeTooLarge) scores zero as a
+    candidate and raises InvalidReference as the reference; the reference's
+    canonical form and fingerprints are computed only once the candidate
+    passes the validity gate.
     """
     if not reference.valid:
         raise InvalidReference(f"reference {reference.reason}")
     if not candidate.valid:
         return _ZERO_SCORE
 
-    exact = reference.canonical == candidate.canonical
-    t_keys = tanimoto(reference.keys, candidate.keys)
     try:
+        reference_canonical = reference.canonical
         reference_paths = reference.path
     except MoleculeTooLarge as exc:
         raise InvalidReference(f"reference is too large: {exc}") from exc
     try:
+        candidate_canonical = candidate.canonical
         candidate_paths = candidate.path
     except MoleculeTooLarge:
         return _ZERO_SCORE
+    exact = reference_canonical == candidate_canonical
+    t_keys = tanimoto(reference.keys, candidate.keys)
     t_path = tanimoto(reference_paths, candidate_paths)
     t_morgan = tanimoto(reference.morgan, candidate.morgan)
     s_sim = t_keys + t_path + t_morgan

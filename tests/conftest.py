@@ -32,3 +32,36 @@ def dense_k10() -> str:
         "[Xe]" + "".join(f"%{label[pair]}" for pair in sorted(label) if k in pair)
         for k in range(10)
     )
+
+
+@pytest.fixture(scope="session")
+def snake_ladder() -> str:
+    """A 2 x 200 carbon ladder (400 atoms, 798 characters), spelled as a
+    snake that crosses a rung, then runs one rail bond, then crosses back,
+    so at most 2 ring digits are open at once.  It is valid, but a canonical
+    walk along one rail keeps every rung open and needs 199 ring digits."""
+    order = [
+        (rail, i) for i in range(200)
+        for rail in (("t", "b") if i % 2 == 0 else ("b", "t"))
+    ]
+    pos = {atom: p for p, atom in enumerate(order)}
+    closures: dict[int, list[int]] = {}
+    for i in range(199):
+        for rail in "tb":
+            a, b = pos[rail, i], pos[rail, i + 1]
+            if b - a > 1:  # not a snake bond: close it with a ring digit
+                closures.setdefault(a, []).append(b)
+                closures.setdefault(b, []).append(a)
+    out: list[str] = []
+    open_digits: dict[tuple[int, int], int] = {}
+    for p in range(len(order)):
+        out.append("C")
+        for q in closures.get(p, []):
+            pair = (min(p, q), max(p, q))
+            if pair in open_digits:
+                out.append(str(open_digits.pop(pair)))
+            else:
+                digit = min(set(range(1, 10)) - set(open_digits.values()))
+                open_digits[pair] = digit
+                out.append(str(digit))
+    return "".join(out)

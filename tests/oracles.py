@@ -6,16 +6,19 @@ enumeration, FNV-1a over framed tokens, direct n-gram counting, joint-table
 information sums) rather than sharing code with the package under test.
 The structural key reference is the catalog as one predicate per key over
 the molecule, which the package replaced with predicates over a one-pass
-summary.
+summary.  The ring set and canonical ranking references are frozen copies
+of the package's earlier, slower code, which the faster code must match
+byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 
-from moltrip.chem import BondOrder, Molecule
+from moltrip.chem import Bond, BondOrder, Molecule
+from moltrip.chem.model import NeighborView
 
 
 # ---------------------------------------------------------------------------
@@ -579,3 +582,220 @@ def ba_reference(px: list[float], p_theta: list[list[float]], q_phi: list[list[f
             if j > 0:
                 expect += j * math.log(q_phi[y][x])
     return h_x + expect
+
+
+# ---------------------------------------------------------------------------
+# frozen ring perception and canonical ranking
+#
+# Copies of ``rings.sssr`` and ``canon.canonical_ranks`` as they were before
+# their speed-ups: every ring set and canonical form the package writes
+# rests on them, so the faster versions must give exactly what these give.
+
+def reference_sssr(
+    bonds: tuple[Bond, ...], view: NeighborView, fragments: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """``sssr`` with one shortest-cycle search per non-bridge bond.
+
+    ``view`` is ``neighbor_view`` of the bonds and ``fragments`` their
+    ``components``.  Returns exactly the cyclomatic number of rings, sorted
+    by (length, atoms).
+    """
+    mu = len(bonds) - len(view) + len(fragments)
+    if mu == 0:
+        return ()
+
+    adj = [sorted(pairs) for pairs in view]  # by neighbour index
+    bridges = _ref_find_bridges(view)
+    candidates: dict[tuple[int, ...], None] = {}
+    for k, bond in enumerate(bonds):
+        if k not in bridges:
+            cycle = _ref_shortest_cycle_through(adj, bond.a, bond.b, k)
+            candidates.setdefault(_ref_normalize_cycle(cycle))
+    for cycle in _ref_fundamental_cycles(adj):
+        candidates.setdefault(_ref_normalize_cycle(cycle))
+
+    basis: dict[int, int] = {}  # highest set bit -> reduced mask
+    chosen: list[tuple[int, ...]] = []
+    for cycle in sorted(candidates, key=lambda c: (len(c), c)):
+        mask = _ref_cycle_mask(cycle, view)
+        while mask:
+            high = mask.bit_length() - 1
+            if high not in basis:
+                basis[high] = mask
+                chosen.append(cycle)
+                break
+            mask ^= basis[high]
+        if len(chosen) == mu:
+            break
+    return tuple(sorted(chosen, key=lambda c: (len(c), c)))
+
+
+def _ref_find_bridges(view: NeighborView) -> set[int]:
+    """Indices of the bridge bonds, via iterative Tarjan lowlink traversal."""
+    n = len(view)
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[int] = set()
+    timer = 0
+
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int, int, int]] = [(root, -1, -1, 0)]
+        while stack:
+            node, parent, in_edge, ptr = stack.pop()
+            if ptr == 0:
+                disc[node] = low[node] = timer
+                timer += 1
+            if ptr < len(view[node]):
+                stack.append((node, parent, in_edge, ptr + 1))
+                nbr, edge_idx = view[node][ptr]
+                if edge_idx == in_edge:
+                    continue
+                if disc[nbr] == -1:
+                    stack.append((nbr, node, edge_idx, 0))
+                else:
+                    low[node] = min(low[node], disc[nbr])
+            elif parent != -1:
+                low[parent] = min(low[parent], low[node])
+                if low[node] > disc[parent]:
+                    bridges.add(in_edge)
+    return bridges
+
+
+def _ref_shortest_cycle_through(
+    adj: list[list[tuple[int, int]]], u: int, v: int, edge: int
+) -> list[int]:
+    """Shortest path u..v avoiding their bond ``edge``, a non-bridge bond."""
+    prev: dict[int, int | None] = {u: None}
+    queue = deque([u])
+    while True:
+        x = queue.popleft()
+        for y, k in adj[x]:
+            if k == edge or y in prev:
+                continue
+            prev[y] = x
+            if y == v:
+                path = [v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path  # v back to u; normalising ignores direction
+            queue.append(y)
+
+
+def _ref_fundamental_cycles(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    n_atoms = len(adj)
+    parent = [-1] * n_atoms
+    depth = [-1] * n_atoms
+    cycles: list[list[int]] = []
+    used: set[int] = set()  # tree bonds, then back bonds already closed
+    for root in range(n_atoms):
+        if depth[root] != -1:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y, k in adj[x]:
+                if depth[y] == -1:
+                    depth[y] = depth[x] + 1
+                    parent[y] = x
+                    used.add(k)
+                    queue.append(y)
+    for x in range(n_atoms):
+        for y, k in adj[x]:
+            if k in used:
+                continue
+            used.add(k)
+            cycles.append(_ref_tree_cycle(parent, depth, x, y))
+    return cycles
+
+
+def _ref_tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> list[int]:
+    left, right = [u], [v]
+    while depth[left[-1]] > depth[right[-1]]:
+        left.append(parent[left[-1]])
+    while depth[right[-1]] > depth[left[-1]]:
+        right.append(parent[right[-1]])
+    while left[-1] != right[-1]:
+        left.append(parent[left[-1]])
+        right.append(parent[right[-1]])
+    return left + right[-2::-1]
+
+
+def _ref_normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
+    """The least rotation or reflection: the one from the lowest atom
+    towards its lower ring neighbour."""
+    i = cycle.index(min(cycle))
+    forward = tuple(cycle[i:] + cycle[:i])
+    backward = forward[:1] + forward[:0:-1]
+    return min(forward, backward)
+
+
+def _ref_cycle_mask(cycle: tuple[int, ...], view: NeighborView) -> int:
+    mask = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        for j, k in view[a]:
+            if j == b:
+                mask |= 1 << k
+    return mask
+
+
+_REF_ORDER_KEY = {
+    BondOrder.SINGLE: 0,
+    BondOrder.DOUBLE: 1,
+    BondOrder.TRIPLE: 2,
+    BondOrder.AROMATIC: 3,
+}
+
+
+def reference_canonical_ranks(mol: Molecule) -> tuple[int, ...]:
+    """``canonical_ranks`` re-sorting every atom's neighbours each round."""
+    n = len(mol)
+    seeds = [_ref_seed_invariant(mol, i) for i in range(n)]
+    # per atom, (bond order key, neighbour) for every neighbour
+    bonded = [
+        [(_REF_ORDER_KEY[mol.bonds[k].order], j) for j, k in pairs]
+        for pairs in mol.neighbor_view
+    ]
+    ranks = _ref_dense_ranks(seeds)
+    ranks = _ref_refine(bonded, ranks)
+    while len(set(ranks)) < n:
+        counts = Counter(ranks)
+        target = min(rank for rank, count in counts.items() if count > 1)
+        chosen = min(i for i in range(n) if ranks[i] == target)
+        ranks = _ref_dense_ranks(
+            [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
+        )
+        ranks = _ref_refine(bonded, ranks)
+    return tuple(ranks)
+
+
+def _ref_seed_invariant(mol: Molecule, idx: int):
+    atom = mol.atoms[idx]
+    return (
+        atom.element,
+        atom.is_aromatic,
+        mol.degree(idx),
+        atom.hydrogens,
+        atom.formal_charge,
+        atom.isotope or 0,
+        idx in mol.ring_atoms,
+    )
+
+
+def _ref_dense_ranks(keys: list) -> list[int]:
+    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [order[key] for key in keys]
+
+
+def _ref_refine(bonded: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    while True:
+        keys = [
+            (ranks[i], tuple(sorted((order, ranks[j]) for order, j in pairs)))
+            for i, pairs in enumerate(bonded)
+        ]
+        refined = _ref_dense_ranks(keys)
+        if len(set(refined)) == len(set(ranks)):
+            return refined
+        ranks = refined

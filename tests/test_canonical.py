@@ -6,14 +6,24 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moltrip.chem import (
+    MoleculeTooLarge,
+    SmilesError,
+    canonical_ranks,
     canonical_smiles,
     canonicalize,
     parse_smiles,
     render_random,
 )
-from oracles import molecules_isomorphic
+from moltrip.chem.model import Molecule
+from oracles import (
+    molecules_isomorphic,
+    reference_canonical_ranks,
+    reference_sssr,
+)
 
 
 def test_atom_order_invariance():
@@ -130,3 +140,53 @@ def test_chains_longer_than_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert chain == "C" * 200
     assert again == comb
+
+
+# ---------------------------------------------------------------------------
+# ring sets and ranks against frozen copies of the slower code
+
+# Spiro, fused, cubane, cuneane, and two bridged spellings whose ring set
+# depends on atom order: where the ring choice and the tie-breaks are most
+# delicate.
+ORACLE_FIXTURES = [
+    "C1CC2(CC1)CCC2",
+    "c1ccc2c(c1)ccc1ccccc12",
+    "C12C3C4C1C5C2C3C45",
+    "C15C4C3C4C2C1C2C35",
+    "C(=O)(C)N2C1C=C2C=CC=1",
+    "CC(=O)N7c1cccc7c1",
+]
+
+
+def assert_matches_frozen_oracles(mol: Molecule) -> None:
+    assert mol.rings == reference_sssr(mol.bonds, mol.neighbor_view, mol.fragments)
+    assert canonical_ranks(mol) == reference_canonical_ranks(mol)
+
+
+@pytest.mark.parametrize("text", ORACLE_FIXTURES)
+def test_fixture_rings_and_ranks_match_frozen_oracles(text):
+    mol = parse_smiles(text)
+    assert_matches_frozen_oracles(mol)
+    for seed in range(15):
+        assert_matches_frozen_oracles(parse_smiles(render_random(mol, random.Random(seed))))
+
+
+def test_corpus_rings_and_ranks_match_frozen_oracles(corpus):
+    for text in corpus:
+        assert_matches_frozen_oracles(parse_smiles(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_rerendered_rings_and_ranks_match_frozen_oracles(corpus, data, seed):
+    text = data.draw(st.sampled_from(corpus + ORACLE_FIXTURES))
+    rendered = render_random(parse_smiles(text), random.Random(seed))
+    assert_matches_frozen_oracles(parse_smiles(rendered))
+
+
+def test_too_many_open_ring_closures_raise_a_typed_error(snake_ladder):
+    mol = parse_smiles(snake_ladder)
+    assert not mol.failures
+    with pytest.raises(MoleculeTooLarge, match="99 ring closures") as err:
+        canonical_smiles(mol)
+    assert isinstance(err.value, SmilesError)

@@ -290,6 +290,28 @@ def test_dedupe_sidecar_names_file_lines(tmp_path, capsys):
     assert "kept 2" in capsys.readouterr().out
 
 
+def test_dedupe_and_score_answer_for_a_molecule_too_large_to_canonicalise(
+    snake_ladder, tmp_path, capsys,
+):
+    target = write_pairs_file(
+        tmp_path / "t.jsonl", ["OCC", snake_ladder, "CCN"], captions=["a", "b", "c"]
+    )
+    reference = write_pairs_file(tmp_path / "r.jsonl", ["CCO"])
+    out, sidecar = tmp_path / "kept.jsonl", tmp_path / "sidecar.tsv"
+    assert main([
+        "dedupe", "--target", target, "--reference", reference,
+        "--out", str(out), "--sidecar", str(sidecar),
+    ]) == 0
+    assert "kept 1" in capsys.readouterr().out
+    assert [line.split("\t")[:2] for line in sidecar.read_text().splitlines()] == [
+        ["2", snake_ladder]
+    ]
+    assert main(["score", "--ref", "CCC", "--hyp", snake_ladder]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["total 0.0", "valid false"]
+    assert main(["canon", snake_ladder]) == 1
+    assert capsys.readouterr().err.startswith("MoleculeTooLarge:")
+
+
 def test_filter_separates_scrambled_pairs(tmp_path, capsys):
     pairs = write_pairs_file(
         tmp_path / "pairs.jsonl",

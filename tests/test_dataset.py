@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltrip.adapters import EchoAdapter
-from moltrip.chem import canonicalize, parse_smiles
+from moltrip.chem import canonicalize, check_validity, parse_smiles
 from moltrip.dataset import (
     EmptyInput,
     FormatUnknown,
@@ -295,6 +295,22 @@ def test_dedupe_reference_parse_error_recorded_not_fatal():
     result = dedupe_overlap(target, reference)
     assert result.kept == tuple(target)
     assert len(result.sidecar) == 1
+
+
+def test_dedupe_sets_aside_a_molecule_too_large_to_canonicalise(snake_ladder):
+    assert len(snake_ladder) == 798 and check_validity(snake_ladder).is_valid
+    target = [PairRecord(smiles="OCC", caption="a"),
+              PairRecord(smiles=snake_ladder, caption="ladder"),
+              PairRecord(smiles="CCN", caption="b")]
+    reference = [PairRecord(smiles="CCO", caption="z"),
+                 PairRecord(smiles=snake_ladder, caption="ladder")]
+    result = dedupe_overlap(target, reference, on_parse_error="keep")
+    assert [r.caption for r in result.kept] == ["ladder", "b"]
+    assert [r.caption for r in result.removed] == ["a"]
+    assert [(e.line_no, e.content) for e in result.sidecar] == [
+        (2, snake_ladder), (2, snake_ladder)
+    ]
+    assert "99 ring closures" in result.sidecar[0].reason
 
 
 def test_dedupe_sidecar_falls_back_to_record_position():

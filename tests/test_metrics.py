@@ -82,6 +82,18 @@ def test_too_large_reference_raises(dense_k10):
         reconstruction_score(dense_k10, "C")
 
 
+def test_molecule_too_large_to_canonicalise_scores_zero_or_refuses(snake_ladder):
+    assert check_validity(snake_ladder).is_valid
+    assert reconstruction_score("CCC", snake_ladder) == ScoreBreakdown(
+        valid=False, exact=False, t_keys=0.0, t_path=0.0, t_morgan=0.0,
+        s_sim=0.0, total=0.0,
+    )
+    with pytest.raises(InvalidReference, match="too large.*99 ring closures"):
+        reconstruction_score(snake_ladder, "CCC")
+    with pytest.raises(metrics.MoleculeTooLarge):
+        metrics.prepare(snake_ladder).canonical
+
+
 # Strings that fail each gate in turn: the grammar, the valence table,
 # kekulization, several of these at once, and (dense_k10, appended in the
 # test) the path cap.

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltrip.chem import (
+    canonical_ranks,
     canonical_smiles,
     canonicalize,
     check_validity,
@@ -26,7 +27,7 @@ from moltrip.chem import (
 from moltrip.chem.valence import analyze
 from moltrip.fingerprints import morgan_features, path_features, structural_keys
 from moltrip.metrics import reconstruction_score
-from oracles import non_bridge_atoms
+from oracles import non_bridge_atoms, reference_canonical_ranks, reference_sssr
 
 _MOLGEN = Path(__file__).parent.parent / "perfbench" / "molgen.py"
 _spec = importlib.util.spec_from_file_location("perfbench_molgen", _MOLGEN)
@@ -116,3 +117,13 @@ def test_malformed_variant_fails_as_a_whole_string(atoms, seed):
     assert len(report.failures) == 1, bad
     assert report.failures[0].atom_index is None
     assert reconstruction_score(smiles, bad).total == 0.0
+
+
+@_SETTINGS
+@given(_ATOMS, _SEEDS)
+def test_rings_and_ranks_match_frozen_oracles(atoms, seed):
+    _, smiles, rng = _molecule(atoms, seed)
+    mol = parse_smiles(smiles)
+    for m in (mol, parse_smiles(render_random(mol, rng))):
+        assert m.rings == reference_sssr(m.bonds, m.neighbor_view, m.fragments)
+        assert canonical_ranks(m) == reference_canonical_ranks(m)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -193,6 +194,23 @@ def test_macrocycle_parses_in_bounded_time(atom):
     assert not mol.failures
     assert [len(ring) for ring in mol.rings] == [600]
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_ring_perception_scales_linearly_on_one_ring():
+    # an isolated cycle is walked once, not searched once per bond, so
+    # twice the ring costs about twice the CPU time, not four times
+    texts = ["c1" + "c" * (k - 2) + "c1" for k in (1200, 2400)]
+    best = [float("inf")] * 2
+    gc.disable()  # a full collection of a long session's heap is not the parse's cost
+    try:
+        for _ in range(7):  # interleaved, so a slow spell of the machine hits both
+            for k, text in enumerate(texts):
+                start = time.process_time()
+                parse_smiles(text)
+                best[k] = min(best[k], time.process_time() - start)
+    finally:
+        gc.enable()
+    assert best[1] / best[0] <= 2.5
 
 
 def test_parse_builds_the_neighbour_view_once(monkeypatch):
