@@ -4,19 +4,20 @@ Mocks and the remote backend share two duck-typed methods: caption() maps a
 molecule string to sampled caption texts, and generate() maps a caption to
 sampled molecule strings.  Training has one policy type, the tabular
 softmax TabularPolicy: sample() draws completions with exact
-log-probabilities, and grpo_step() ascends the exact GRPO objective.  The
-token policy, TokenSequencePolicy, is a TabularPolicy whose states are its
-(prompt, prefix) contexts; it overrides walk(), which reduces a completion
-to its (context row, token) steps, and sample().  So one objective, one
-gradient and one draw rule serve both; that exactness is what makes the
-desk-scale training loop verifiable.
+log-probabilities through one rollout loop, walk() reduces a completion to
+its (state row, token) steps, and grpo_step() ascends the exact GRPO
+objective.  A tabular completion is one token, the whole string, drawn in
+the prompt's own state.  The token policy, TokenSequencePolicy, is a
+TabularPolicy whose states are its (prompt, prefix) contexts; it overrides
+only the hooks that name a token's context and split a completion into
+tokens.  So one draw rule, one objective and one gradient serve both; that
+exactness is what makes the desk-scale training loop verifiable.
 
 Draws come from a counter-based stream: each uniform is the splitmix64
 finaliser of a 64-bit key plus (counter + 1) times the golden-ratio
 increment, so a draw is a fixed function of (key, counter) and nothing is
-seeded.  A tabular draw i is keyed by stable_hash("draw", seed, state, i) at
-counter 0; a rollout i of the token policy is keyed once by
-stable_hash("draw", seed, prompt, i) and its token t reads counter t.
+seeded.  Rollout i is keyed once by stable_hash("draw", seed, prompt, i)
+and its token t reads counter t; a tabular draw reads counter 0 only.
 
 A policy memoises each logit row's distribution: its log-probabilities,
 from one log-normaliser, and the running sums of its probabilities, which
@@ -205,6 +206,10 @@ class TabularPolicy:
     memoised until the next update (see the module docstring).
     """
 
+    # one token, the whole string, and no stop; unannotated, so not fields
+    max_tokens = 1
+    eos = None
+
     states: tuple[str, ...]
     actions: tuple[str, ...]
     logits: list[tuple[float, ...]]
@@ -253,8 +258,7 @@ class TabularPolicy:
         """The row's memoised distribution, computed on first use."""
         entry = self._dists.get(id(row))
         if entry is None:
-            log_norm = _log_norm(row)
-            log_probs = [v - log_norm for v in row]
+            log_probs = _log_softmax(row)
             entry = self._dists[id(row)] = (
                 row, log_probs, _cumulative(log_probs, 1.0),
             )
@@ -279,9 +283,63 @@ class TabularPolicy:
         self.old_snapshot_id += 1
         return self.old_snapshot_id
 
+    def _context(self, prompt: str, prefix: str) -> str:
+        """The state the token after prefix is drawn in."""
+        return prompt
+
+    def _tokens(self, text: str) -> list[str]:
+        """The tokens a completion took, the stop included."""
+        return [text]
+
     def walk(self, prompt: str, text: str) -> Walk:
-        """The single (state row, action) step a whole-string completion took."""
-        return [(self.state_index(prompt), self.action_index(text))]
+        """The (state row, token) steps a completion took."""
+        return [
+            (self.state_index(self._context(prompt, text[:t])),
+             self.action_index(tok))
+            for t, tok in enumerate(self._tokens(text))
+        ]
+
+    def _rollouts(self, prompt: str, n: int, seed: int, temperature: float,
+                  table: str) -> list[Sampled]:
+        """n independent rollouts; draw (i, t) depends only on (seed, prompt, i, t).
+
+        Rollout i is keyed once by stable_hash("draw", seed, prompt, i),
+        continued from the hash of the shared head, and its token t bisects
+        the uniform at counter t of that stream, so extending n preserves
+        the prefix and no token hashes.  The key is a process-independent
+        FNV hash: python's tuple hash is salted.  The tables cannot change
+        during a call, so each prefix's row is looked up once and shared by
+        all n rollouts; its distribution comes from the policy's memo, and
+        is tempered once per call when the temperature is not 1.
+        Temperature 0 draws the argmax.  Attached log-probabilities are
+        always the exact temperature-1 values from the requested table.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        base = stable_hash("draw", seed, prompt)
+        rows = self._table(table)
+        memo: dict[str, tuple[list[float], list[float] | None]] = {}
+        out = []
+        for i in range(n):
+            key = extend_hash(base, i)
+            prefix = ""
+            logps = []
+            for t in range(self.max_tokens):
+                entry = memo.get(prefix)
+                if entry is None:
+                    entry = memo[prefix] = self._draw_row(
+                        rows[self.state_index(self._context(prompt, prefix))],
+                        temperature,
+                    )
+                row, cumulative = entry
+                chosen = _draw(row, cumulative, key, t)
+                logps.append(row[chosen])
+                token = self.actions[chosen]
+                if token == self.eos:
+                    break
+                prefix += token
+            out.append(Sampled(prefix, tuple(logps)))
+        return out
 
     def sample(self, prompt: str, n: int, seed: int, temperature: float = 1.0,
                table: str = "cur") -> list[Sampled]:
@@ -301,27 +359,8 @@ def tabular_sample(
     temperature: float = 1.0,
     table: str = "cur",
 ) -> list[Sampled]:
-    """n independent draws from the softmax row, reproducible per draw.
-
-    Draw i bisects the uniform at counter 0 of the stream keyed by
-    stable_hash("draw", seed, state, i), so it depends only on
-    (seed, state, i) and extending n preserves the prefix.  The key is a
-    process-independent FNV hash: python's tuple hash is salted.
-    Temperature 0 degenerates to the argmax action.  Attached
-    log-probabilities are always the exact temperature-1 values from the
-    requested table.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    log_probs, cumulative = policy._draw_row(
-        policy._table(table)[policy.state_index(state)], temperature
-    )
-    base = stable_hash("draw", seed, state)
-    out = []
-    for i in range(n):
-        chosen = _draw(log_probs, cumulative, extend_hash(base, i))
-        out.append(Sampled(policy.actions[chosen], (log_probs[chosen],)))
-    return out
+    """n independent draws from the policy; see TabularPolicy._rollouts."""
+    return policy._rollouts(state, n, seed, temperature, table)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +388,6 @@ def _check_group(policy: TabularPolicy, group: RolloutGroup) -> None:
             f"group snapshot {group.snapshot_id} != "
             f"policy old snapshot {policy.old_snapshot_id}"
         )
-
-
-def _objective(
-    policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
-) -> float:
-    """Total J over groups, each walk's log-probs read from the three tables."""
-    dist = policy._dist
-    total = 0.0
-    for group in groups:
-        _check_group(policy, group)
-        completions = []
-        for c in group.completions:
-            steps = policy.walk(group.prompt_id, c.text)
-            cur, old, ref = (
-                tuple(dist(rows[s])[1][a] for s, a in steps)
-                for rows in (policy.logits, policy.old_logits, policy.ref_logits)
-            )
-            completions.append(replace(c, logp_cur=cur, logp_old=old, logp_ref=ref))
-        total += group_objective(replace(group, completions=tuple(completions)), cfg)
-    return total
 
 
 def _gradient(
@@ -441,8 +460,21 @@ def _ascend(policy: TabularPolicy, grad_rows, lr: float) -> None:
 def tabular_objective(
     policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
 ) -> float:
-    """Total J over groups with log-probs taken from the policy tables."""
-    return _objective(policy, groups, cfg)
+    """Total J over groups, each walk's log-probs read from the three tables."""
+    dist = policy._dist
+    total = 0.0
+    for group in groups:
+        _check_group(policy, group)
+        completions = []
+        for c in group.completions:
+            steps = policy.walk(group.prompt_id, c.text)
+            cur, old, ref = (
+                tuple(dist(rows[s])[1][a] for s, a in steps)
+                for rows in (policy.logits, policy.old_logits, policy.ref_logits)
+            )
+            completions.append(replace(c, logp_cur=cur, logp_old=old, logp_ref=ref))
+        total += group_objective(replace(group, completions=tuple(completions)), cfg)
+    return total
 
 
 def tabular_gradient(
@@ -474,8 +506,8 @@ class TokenSequencePolicy(TabularPolicy):
 
     A TabularPolicy whose states are its (prompt, prefix) contexts and whose
     actions are the tokens (the stop included), so snapshots, ratios, the KL
-    reference and the GRPO core are the tabular ones; only walk() and
-    sample() differ, and completions carry one log-prob per drawn token.
+    reference, the rollout loop, walk() and the GRPO core are the tabular
+    ones, and completions carry one log-prob per drawn token.
     Rows are immutable and shared with the snapshots, so a snapshot costs
     one list copy however many contexts there are, and a step replaces only
     the rows of the contexts its completions passed.  With a stop token the
@@ -510,7 +542,7 @@ class TokenSequencePolicy(TabularPolicy):
         states = []
         prefixes = [""]
         for _ in range(max_tokens):
-            states.extend(self._encode(p, pre) for p in prompts for pre in prefixes)
+            states.extend(self._context(p, pre) for p in prompts for pre in prefixes)
             prefixes = [pre + tok for pre in prefixes for tok in vocab]
         actions = self.vocab if eos is None else self.vocab + (eos,)
         super().__init__(
@@ -518,16 +550,10 @@ class TokenSequencePolicy(TabularPolicy):
             logits=[(0.0,) * len(actions)] * len(states),
         )
 
-    @staticmethod
-    def _encode(prompt: str, prefix: str) -> str:
+    def _context(self, prompt: str, prefix: str) -> str:
         return f"{prompt}\x1f{prefix}"
 
-    def snapshot_old(self) -> int:
-        # its own method, so a trace can count sequence snapshots apart
-        return super().snapshot_old()
-
-    def walk(self, prompt: str, text: str) -> Walk:
-        """(context row, token) steps a completion took, the stop included if drawn."""
+    def _tokens(self, text: str) -> list[str]:
         toks = list(text)
         for tok in toks:
             if tok not in self.vocab:
@@ -538,11 +564,13 @@ class TokenSequencePolicy(TabularPolicy):
             if self.eos is None:
                 raise UnknownState(f"text shorter than {self.max_tokens} tokens")
             toks.append(self.eos)
-        return [
-            (self.state_index(self._encode(prompt, text[:t])),
-             self.action_index(tok))
-            for t, tok in enumerate(toks)
-        ]
+        return toks
+
+    # sample, snapshot_old, gradient and grpo_step are written out here so a
+    # trace can count the sequence policy's calls apart
+
+    def snapshot_old(self) -> int:
+        return super().snapshot_old()
 
     def sample(
         self,
@@ -552,42 +580,7 @@ class TokenSequencePolicy(TabularPolicy):
         temperature: float = 1.0,
         table: str = "cur",
     ) -> list[Sampled]:
-        """n independent rollouts; draw (i, t) depends only on (seed, prompt, i, t).
-
-        Rollout i is keyed once by stable_hash("draw", seed, prompt, i),
-        continued from the hash of the shared head, and its token t bisects
-        the uniform at counter t of that stream, so no token hashes.  The
-        tables cannot change during a call, so each prefix's row is looked
-        up once and shared by all n rollouts; its distribution comes from
-        the policy's memo, and is tempered once per call when the
-        temperature is not 1.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        base = stable_hash("draw", seed, prompt)
-        rows = self._table(table)
-        memo: dict[str, tuple[list[float], list[float] | None]] = {}
-        out = []
-        for i in range(n):
-            key = extend_hash(base, i)
-            prefix = ""
-            logps = []
-            for t in range(self.max_tokens):
-                entry = memo.get(prefix)
-                if entry is None:
-                    entry = memo[prefix] = self._draw_row(
-                        rows[self.state_index(self._encode(prompt, prefix))],
-                        temperature,
-                    )
-                row, cumulative = entry
-                chosen = _draw(row, cumulative, key, t)
-                logps.append(row[chosen])
-                token = self.actions[chosen]
-                if token == self.eos:
-                    break
-                prefix += token
-            out.append(Sampled(prefix, tuple(logps)))
-        return out
+        return self._rollouts(prompt, n, seed, temperature, table)
 
     def gradient(
         self, groups: list[RolloutGroup], cfg: GrpoConfig
@@ -820,22 +813,17 @@ class RemoteAdapter:
         return out
 
 
-def extract_smiles(text: str, pattern=None) -> str | None:
-    """Pull a valid SMILES out of free-form model output.
-
-    Default strategy: the longest whitespace-separated token that parses and
-    validates; falls back to the whole stripped text.  A regex override
-    searches for candidate substrings instead.
+def extract_smiles(text: str) -> str | None:
+    """Pull a valid SMILES out of free-form model output: the longest
+    whitespace-separated token that parses and validates, falling back to
+    the whole stripped text.
     """
-    if pattern is not None:
-        candidates = sorted(pattern.findall(text), key=len, reverse=True)
-    else:
-        # a stable sort over first occurrences: the first longest token wins
-        candidates = sorted(dict.fromkeys(text.split()), key=len, reverse=True)
+    # a stable sort over first occurrences: the first longest token wins
+    candidates = sorted(dict.fromkeys(text.split()), key=len, reverse=True)
     for candidate in candidates:
         if check_validity(candidate).is_valid:
             return candidate
     whole = text.strip()
-    if pattern is None and whole and check_validity(whole).is_valid:
+    if whole and check_validity(whole).is_valid:
         return whole
     return None

@@ -130,10 +130,6 @@ class Bond:
             raise ValueError("bond endpoints must be distinct")
 
     @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    @property
     def key(self) -> tuple[int, int]:
         """Order-independent endpoint pair."""
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)

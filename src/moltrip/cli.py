@@ -341,12 +341,10 @@ def cmd_annotate(args) -> int:
     tagged: list[TaggedGroup] = []
     for j, (pair, group_draws) in enumerate(zip(pairs, draws)):
         cache = ScoreCache()  # per pair, so memory stays flat over the file
+        texts = [d.text for d in group_draws]
         completions = tuple(
-            Completion(
-                text=d.text,
-                reward=cache.score(pair.smiles, d.text).total,
-            )
-            for d in group_draws
+            Completion(text=text, reward=breakdown.total)
+            for text, breakdown in zip(texts, cache.score_all(pair.smiles, texts))
         )
         tagged.append(TaggedGroup(
             group_id=f"annotate-{args.seed}-{pair.id or j}",

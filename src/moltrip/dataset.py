@@ -327,8 +327,10 @@ def diagnostic_filter(
         try:
             samples = generator.generate(record.caption, m, temperature)
             total = 0.0
-            for sample in samples:
-                total += cache.score(record.smiles, sample.text).total
+            for breakdown in cache.score_all(
+                record.smiles, [sample.text for sample in samples]
+            ):
+                total += breakdown.total
             mean_score = total / m
         except Exception as exc:  # adapter failures reject, never raise
             rejected.append(record)

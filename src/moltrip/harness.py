@@ -5,8 +5,9 @@ molecules from reference captions, then the captioner is trained against a
 frozen generator snapshot that scores its candidate captions by round-trip
 reconstruction.  Each phase samples, scores, groups and takes exact GRPO
 steps on the policy.  One ScoreCache per run prepares each distinct
-string once while it stays cached, and each phase scores each distinct
-completion once per group: draws of the same text share its breakdown.
+string once while it stays cached, and each phase scores a group's draws
+through ScoreCache.score_all, once per distinct text: draws of the same
+text share its breakdown.
 Every sample is seeded, so a (config, seed) pair reproduces the full log
 bit for bit.
 """
@@ -160,17 +161,12 @@ def generator_phase(
                 pair.caption, cfg.rollout_n,
                 seed=stable_hash("gen", seed, j), table="old",
             )
-            scored: dict[str, ScoreBreakdown] = {}
-            completions = []
-            for draw in draws:
-                breakdown = scored.get(draw.text)
-                if breakdown is None:
-                    breakdown = scored[draw.text] = cache.score(pair.smiles, draw.text)
-                breakdowns.append(breakdown)
-                completions.append(Completion(
-                    text=draw.text,
-                    reward=_reward(breakdown, cfg.reward_mode),
-                ))
+            scored = cache.score_all(pair.smiles, [d.text for d in draws])
+            breakdowns.extend(scored)
+            completions = [
+                Completion(text=draw.text, reward=_reward(b, cfg.reward_mode))
+                for draw, b in zip(draws, scored)
+            ]
         except Exception as exc:
             raise AdapterFailure(
                 f"generator phase, pair {pair.id or j}: {exc}"
@@ -210,26 +206,22 @@ def captioner_phase(
                 seed=stable_hash("cap", seed, j), table="old",
             )
             recon_head = stable_hash("recon", seed, j)
-            scored: dict[str, ScoreBreakdown] = {}
+            m = cfg.recon_samples_m
+            recon = [
+                draw.text
+                for g, caption in enumerate(captions)
+                for draw in generator.sample(
+                    caption.text, m, seed=extend_hash(recon_head, g), table="old",
+                )
+            ]
+            scored = cache.score_all(pair.smiles, recon)
+            breakdowns.extend(scored)
             completions = []
             for g, caption in enumerate(captions):
-                recon = generator.sample(
-                    caption.text, cfg.recon_samples_m,
-                    seed=extend_hash(recon_head, g), table="old",
-                )
                 total = 0.0
-                for draw in recon:
-                    breakdown = scored.get(draw.text)
-                    if breakdown is None:
-                        breakdown = scored[draw.text] = cache.score(
-                            pair.smiles, draw.text
-                        )
-                    breakdowns.append(breakdown)
+                for breakdown in scored[g * m:(g + 1) * m]:
                     total += _reward(breakdown, cfg.reward_mode)
-                completions.append(Completion(
-                    text=caption.text,
-                    reward=total / cfg.recon_samples_m,
-                ))
+                completions.append(Completion(text=caption.text, reward=total / m))
         except Exception as exc:
             raise AdapterFailure(
                 f"captioner phase, pair {pair.id or j}: {exc}"

@@ -187,6 +187,17 @@ class ScoreCache:
     def score(self, reference: str, candidate: str) -> ScoreBreakdown:
         return score_prepared(self._prepare(reference), self._prepare(candidate))
 
+    def score_all(
+        self, reference: str, candidates: list[str]
+    ) -> list[ScoreBreakdown]:
+        """Each candidate's breakdown in input order, each distinct one
+        scored once."""
+        scored: dict[str, ScoreBreakdown] = {}
+        for text in candidates:
+            if text not in scored:
+                scored[text] = self.score(reference, text)
+        return [scored[text] for text in candidates]
+
 
 def round_trip_rate(samples: list[RoundTripSample]) -> float:
     """Fraction of samples reconstructed to the same canonical form.

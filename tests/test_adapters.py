@@ -8,7 +8,6 @@ import http.server
 import json
 import math
 import random
-import re
 import socket
 import threading
 import urllib.error
@@ -703,13 +702,6 @@ def test_extract_smiles_full_text_fallback():
     assert extract_smiles("  CC(C)O  ") == "CC(C)O"
 
 
-def test_extract_smiles_regex_override():
-    pattern = re.compile(r"<mol>(.*?)</mol>")
-    text = "junk <mol>CCN</mol> more junk"
-    assert extract_smiles(text, pattern=pattern) == "CCN"
-    assert extract_smiles("no tags CCO", pattern=pattern) is None
-
-
 # ---------------------------------------------------------------------------
 # token-level sequence policy
 
@@ -1030,6 +1022,30 @@ def test_tabular_draws_match_reference_stream(temperature, table):
             policy, state, 60, seed, temperature=temperature, table=table
         )
         assert got == want
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("table", ["cur", "old"])
+def test_one_token_sequence_policy_draws_and_walks_as_the_tabular_policy(
+    temperature, table
+):
+    """A one-token policy without a stop is the tabular policy over the same
+    rows: state p is context p + "\\x1f"."""
+    sequence = _scrambled(_sequence_policy(max_tokens=1), random.Random(23))
+    tabular = TabularPolicy(
+        states=sequence.prompts, actions=sequence.actions,
+        logits=sequence.logits, old_logits=sequence.old_logits,
+    )
+    for prompt in sequence.prompts:
+        assert tabular.log_probs(prompt, table) == sequence.log_probs(
+            f"{prompt}\x1f", table
+        )
+        for seed in (0, 4242):
+            got = sequence.sample(prompt, 30, seed, temperature=temperature, table=table)
+            want = tabular.sample(prompt, 30, seed, temperature=temperature, table=table)
+            assert got == want
+            for draw in want:
+                assert sequence.walk(prompt, draw.text) == tabular.walk(prompt, draw.text)
 
 
 def test_stream_uniforms_are_uniform_over_consecutive_counters():
