@@ -117,6 +117,37 @@ class Atom:
         return self.element.lower() if self.is_aromatic else self.element
 
 
+def _trusted_atom(
+    element: str,
+    index: int,
+    is_aromatic: bool,
+    formal_charge: int,
+    explicit_h: int | None,
+    isotope: int | None,
+    hydrogens: int,
+) -> Atom:
+    """An Atom from fields the SMILES grammar has already checked: a known
+    element and no negative hydrogen count.
+
+    It fills the instance dict in one step, where the frozen dataclass's
+    ``__init__`` sets each field through ``object.__setattr__`` and
+    ``__post_init__`` repeats the grammar's checks.  Equality and hashing
+    read the fields alone, so the atom equals its ``Atom(...)`` twin; the
+    public constructor and ``dataclasses.replace`` still validate.
+    """
+    atom = object.__new__(Atom)
+    atom.__dict__.update(
+        element=element,
+        index=index,
+        is_aromatic=is_aromatic,
+        formal_charge=formal_charge,
+        explicit_h=explicit_h,
+        isotope=isotope,
+        hydrogens=hydrogens,
+    )
+    return atom
+
+
 @dataclass(frozen=True)
 class Bond:
     """Undirected bond between two atom indices."""

@@ -15,12 +15,12 @@ import re
 from .model import (
     AROMATIC_ELEMENTS,
     ELEMENT_SYMBOLS,
-    Atom,
     Bond,
     BondOrder,
     Molecule,
     ValidityFailure,
     ValidityReport,
+    _trusted_atom,
     neighbor_view,
 )
 from .rings import components, sssr
@@ -126,7 +126,10 @@ def parse_smiles(text: str) -> Molecule:
     aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings, view)
     analysis = analyze(aromatic, bond_tuple, view)
     atoms = tuple(
-        Atom(index=i, hydrogens=h, **vars(a))
+        _trusted_atom(
+            a.element, i, a.is_aromatic, a.formal_charge, a.explicit_h,
+            a.isotope, h,
+        )
         for i, (a, h) in enumerate(zip(aromatic, analysis.hydrogens))
     )
     return Molecule(

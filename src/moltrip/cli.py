@@ -150,29 +150,42 @@ def _config_tokens(path: str | None, section: str, command) -> list[str]:
     return tokens
 
 
+_REMOTE_FLAGS = ("base_url", "model", "prompts", "timeout", "max_retries")
+
+
 def _generator_adapter(args):
-    if args.generator == "echo":
-        return EchoAdapter()
-    return _remote_adapter(args)
+    """The --generator adapter; the echo generator reads none of the
+    remote flags, so it refuses any that was given."""
+    if args.generator == "remote":
+        return _remote_adapter(args)
+    for name in _REMOTE_FLAGS:
+        if getattr(args, name) is not None:
+            raise UsageError(
+                f"--{name.replace('_', '-')} applies only to --generator remote"
+            )
+    return EchoAdapter()
 
 
 def _remote_adapter(args) -> RemoteAdapter:
     if not args.base_url or not args.model:
         raise ValueError("remote adapter needs --base-url and --model")
+    limits = {  # a flag left out keeps the endpoint's default
+        name: getattr(args, name) for name in ("timeout", "max_retries")
+        if getattr(args, name) is not None
+    }
     client = RemoteClient(RemoteEndpointConfig(
-        base_url=args.base_url,
-        model=args.model,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
+        base_url=args.base_url, model=args.model, **limits,
     ))
     return RemoteAdapter(client, load_prompts(args.prompts))
 
 
 def _add_remote_flags(sub) -> None:
-    sub.add_argument("--base-url", default="")
-    sub.add_argument("--model", default="")
-    sub.add_argument("--timeout", type=float, default=30.0)
-    sub.add_argument("--max-retries", type=int, default=3)
+    sub.add_argument("--base-url", default=None)
+    sub.add_argument("--model", default=None)
+    sub.add_argument("--timeout", type=float, default=None,
+                     help=f"seconds (default {RemoteEndpointConfig.timeout})")
+    sub.add_argument("--max-retries", type=int, default=None,
+                     help=f"default {RemoteEndpointConfig.max_retries}")
     sub.add_argument("--prompts", default=None,
                      help="template file overriding the built-in prompts")
 
@@ -238,8 +251,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pairs = _load(args.pairs)
     adapter = _generator_adapter(args)
+    pairs = _load(args.pairs)
     texts = _pool_map(
         lambda pair: adapter.generate(pair.caption, 1, args.temperature)[0].text,
         pairs, args.workers,
@@ -298,8 +311,8 @@ def cmd_dedupe(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    pairs = _load(args.pairs)
     adapter = _generator_adapter(args)
+    pairs = _load(args.pairs)
     result = diagnostic_filter(
         pairs, adapter, tau=args.tau, m=args.m, temperature=args.temperature,
     )

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 CORPUS_PATH = (
     Path(__file__).parent.parent / "src" / "moltrip" / "data" / "corpus_200.smi"
 )
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,17 @@ def corpus() -> list[str]:
     lines = [l.strip() for l in CORPUS_PATH.read_text().splitlines() if l.strip()]
     assert len(lines) == 200
     return lines
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py, which builds the benchmark's inputs."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
 
 
 @pytest.fixture(scope="session")

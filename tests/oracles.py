@@ -8,7 +8,9 @@ The structural key reference is the catalog as one predicate per key over
 the molecule, which the package replaced with predicates over a one-pass
 summary.  The ring set and canonical ranking references are frozen copies
 of the package's earlier, slower code, which the faster code must match
-byte for byte.
+byte for byte.  The round-trip rate reference is the package's earlier
+recomputation of the rate from the raw strings, which the rate read off
+the exact flags must equal.
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ import itertools
 import math
 from collections import Counter, deque
 
-from moltrip.chem import Bond, BondOrder, Molecule
+from moltrip.chem import (
+    Bond,
+    BondOrder,
+    Molecule,
+    SmilesError,
+    canonical_smiles,
+    parse_smiles,
+)
 from moltrip.chem.model import NeighborView
+from moltrip.errors import EmptyCollection
+from moltrip.metrics import RoundTripSample
 
 
 # ---------------------------------------------------------------------------
@@ -799,3 +810,29 @@ def _ref_refine(bonded: list[list[tuple[int, int]]], ranks: list[int]) -> list[i
         if len(set(refined)) == len(set(ranks)):
             return refined
         ranks = refined
+
+
+# ---------------------------------------------------------------------------
+# frozen round-trip rate
+#
+# ``metrics.round_trip_rate`` as it was before it read the rate off the
+# exact flags: it parses and canonicalises both sides of every sample
+# again, so it checks the flags against the raw strings.
+
+def reference_round_trip_rate(samples: list[RoundTripSample]) -> float:
+    """Fraction of samples reconstructed to the same canonical form.
+
+    Recomputed from the raw strings rather than read off the stored scores,
+    so it cross-checks the exact flags independently.
+    """
+    if not samples:
+        raise EmptyCollection("round_trip_rate over zero samples")
+    hits = 0
+    for sample in samples:
+        try:
+            if canonical_smiles(parse_smiles(sample.reconstruction)) == \
+                    canonical_smiles(parse_smiles(sample.original)):
+                hits += 1
+        except SmilesError:
+            continue
+    return hits / len(samples)

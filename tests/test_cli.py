@@ -239,6 +239,40 @@ def test_eval_worker_count_does_not_change_output(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
+def test_eval_parses_each_string_once(workloads, tmp_path, monkeypatch, capsys):
+    # every moltrip binding of the two is wrapped, so a second parse or
+    # canonical form anywhere in the command is counted
+    from moltrip.chem.canon import canonical_smiles as canonical
+    from moltrip.chem.parser import parse_smiles as parse
+
+    calls = {"parse_smiles": 0, "canonical_smiles": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "moltrip":
+            continue
+        for name, original in (("parse_smiles", parse), ("canonical_smiles", canonical)):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    pairs = workloads.eval_pairs(0)
+    assert len(pairs) == 24
+    path = write_pairs_file(
+        tmp_path / "pairs.jsonl",
+        [reference for reference, _, _ in pairs],
+        [caption for _, caption, _ in pairs],
+    )
+    assert main(["eval", "--pairs", path]) == 0
+    assert "samples 24" in capsys.readouterr().out
+    # both sides of each pair parsed once; both sides of each of the 18
+    # pairs with a valid candidate canonicalised once
+    assert calls == {"parse_smiles": 48, "canonical_smiles": 36}
+
+
 def test_split_sizes_and_reproducibility(tmp_path, capsys):
     smiles = ["C" * (i % 5 + 1) for i in range(10)]
     pairs = write_pairs_file(tmp_path / "pairs.jsonl", smiles)
@@ -538,6 +572,61 @@ def test_bad_prompt_template_fails_before_any_call(command, tmp_path, capsys, mo
     assert "generate_template" in err and "{smiles}" in err
     assert not out.exists()
     assert session.calls == []
+
+
+REMOTE_ONLY_FLAGS = (
+    ("--base-url", "https://api.example.test/v1"),
+    ("--model", "toy"),
+    ("--prompts", "prompts.cfg"),
+    ("--timeout", "5"),
+    ("--max-retries", "1"),
+)
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", REMOTE_ONLY_FLAGS, ids=lambda v: v)
+@pytest.mark.parametrize("command", [["eval"], ["filter", "--tau", "1"]], ids=lambda c: c[0])
+def test_echo_generator_refuses_remote_only_flags(command, flag, value, via, tmp_path, capsys):
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
+    out = tmp_path / "out.jsonl"
+    argv = [*command, "--pairs", pairs, "--out", str(out)]
+    if via == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "moltrip.cfg"
+        key = flag[2:].replace("-", "_")
+        config.write_text(f"[{command[0]}]\n{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"{flag} applies only to --generator remote" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["annotate"],
+    ["filter", "--tau", "1", "--generator", "remote"],
+], ids=lambda c: c[0])
+def test_remote_commands_keep_the_endpoint_defaults(command, tmp_path, capsys, monkeypatch):
+    import moltrip.cli as cli
+
+    configs = []
+
+    def no_client(config):
+        configs.append(config)
+        raise RuntimeError("no endpoint here")
+
+    monkeypatch.setattr(cli, "RemoteClient", no_client)
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
+    endpoint = ["--base-url", "https://api.example.test/v1", "--model", "toy"]
+    for limits in ([], ["--timeout", "5", "--max-retries", "1"]):
+        assert main([
+            *command, "--pairs", pairs, "--out", str(tmp_path / "out.jsonl"),
+            *endpoint, *limits,
+        ]) == 1
+    assert "no endpoint here" in capsys.readouterr().err
+    assert [(c.timeout, c.max_retries) for c in configs] == [(30.0, 3), (5.0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -431,18 +431,10 @@ def test_key_catalog_doc_table_matches_code():
 # ---------------------------------------------------------------------------
 # the process-wide FNV state memo
 
-_PERFBENCH = Path(__file__).parent.parent / "perfbench"
-
-
 @pytest.fixture(scope="module")
-def memo_molecules(corpus) -> list[str]:
+def memo_molecules(corpus, workloads) -> list[str]:
     """The corpus, then both sides of the benchmark's drug-like pairs for
     seeds 0 to 9 wherever they parse."""
-    sys.path.insert(0, str(_PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(_PERFBENCH))
     pool = list(corpus)
     for seed in range(10):
         for reference, caption, _ in workloads.eval_pairs(seed):

@@ -28,7 +28,12 @@ from moltrip.metrics import (
     reconstruction_score,
     round_trip_rate,
 )
-from oracles import _canonical_ball, _path_reading, bleu_reference
+from oracles import (
+    _canonical_ball,
+    _path_reading,
+    bleu_reference,
+    reference_round_trip_rate,
+)
 
 
 def _sample(original, reconstruction, caption="") -> RoundTripSample:
@@ -316,6 +321,63 @@ def test_round_trip_rate_matches_exact_indicators(corpus):
 def test_round_trip_rate_empty():
     with pytest.raises(EmptyCollection):
         round_trip_rate([])
+
+
+_EDIT_ALPHABET = "CNOScnos()[]=#12+-H."
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """text with 1 to 3 characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(chars) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert" or pos == len(chars):
+            chars.insert(pos, rng.choice(_EDIT_ALPHABET))
+        elif edit == "delete":
+            del chars[pos]
+        else:
+            chars[pos] = rng.choice(_EDIT_ALPHABET)
+    return "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def round_trip_pair(corpus, workloads):
+    """(original, reconstruction) from one source: a corpus string against
+    a seeded re-rendering or a seeded mutant, or both sides of one of the
+    benchmark pairs of eval_pairs(0..9)."""
+    eval_sides = [
+        (reference, caption)
+        for seed in range(10)
+        for reference, caption, _ in workloads.eval_pairs(seed)
+    ]
+
+    def pair(source: str, i: int, seed: int) -> tuple[str, str]:
+        if source == "eval":
+            return eval_sides[i % len(eval_sides)]
+        original = corpus[i % len(corpus)]
+        rng = random.Random(seed)
+        if source == "render":
+            return original, render_random(parse_smiles(original), rng)
+        return original, _mutant(original, rng)
+
+    return pair
+
+
+@settings(max_examples=30, deadline=None)
+@given(draws=st.lists(
+    st.tuples(
+        st.sampled_from(["render", "mutant", "eval"]),
+        st.integers(0, 10**6),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1, max_size=6,
+))
+def test_round_trip_rate_equals_the_recomputing_oracle(round_trip_pair, draws):
+    samples = [_sample(*round_trip_pair(*draw)) for draw in draws]
+    for sample in samples:
+        assert round_trip_rate([sample]) == reference_round_trip_rate([sample])
+    assert round_trip_rate(samples) == reference_round_trip_rate(samples)
 
 
 # ---------------------------------------------------------------------------

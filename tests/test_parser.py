@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import time
 
@@ -20,7 +21,7 @@ from moltrip.chem import (
     canonical_smiles,
     parse_smiles,
 )
-from moltrip.chem.model import Molecule
+from moltrip.chem.model import Atom, Molecule
 from moltrip.fingerprints import morgan_features, path_features
 from oracles import non_bridge_atoms, scan_structure
 
@@ -232,3 +233,29 @@ def test_parse_builds_the_neighbour_view_once(monkeypatch):
     direct = Molecule(atoms=mol.atoms, bonds=mol.bonds)  # builds its own
     assert direct.neighbor_view == mol.neighbor_view
     assert len(built) == 2
+
+
+def test_parsed_atoms_equal_their_validated_twins(corpus, monkeypatch):
+    # parse_smiles builds atoms without the dataclass __init__; each must be
+    # the atom the validating constructor builds from the same fields
+    texts = [*corpus, "[13CH3][NH3+]", "[O-]C(=O)[Fe+2]", "[nH]1cccc1"]
+    trusted = [parse_smiles(text).atoms for text in texts]
+    monkeypatch.setattr(parser, "_trusted_atom", Atom)
+    for text, atoms in zip(texts, trusted):
+        validated = parse_smiles(text).atoms
+        assert atoms == validated
+        for atom, twin in zip(atoms, validated):
+            assert hash(atom) == hash(twin)
+            assert vars(atom) == vars(twin)
+
+
+def test_atom_constructor_and_replace_still_validate():
+    with pytest.raises(ValueError, match="unrecognized element"):
+        Atom(element="Xx", index=0)
+    with pytest.raises(ValueError, match="explicit hydrogen"):
+        Atom(element="C", index=0, explicit_h=-1)
+    atom = parse_smiles("CO").atoms[1]
+    with pytest.raises(ValueError, match="unrecognized element"):
+        dataclasses.replace(atom, element="Xx")
+    with pytest.raises(ValueError, match="explicit hydrogen"):
+        dataclasses.replace(atom, explicit_h=-1)
