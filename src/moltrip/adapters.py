@@ -1,6 +1,6 @@
-"""Captioner/generator adapters: scripted mocks, tabular policies, remote LLM.
+"""Captioner/generator adapters: an echo mock, tabular policies, remote LLM.
 
-Mocks and the remote backend share two duck-typed methods: caption() maps a
+The mock and the remote backend share two duck-typed methods: caption() maps a
 molecule string to sampled caption texts, and generate() maps a caption to
 sampled molecule strings.  Training has one policy type, the tabular
 softmax TabularPolicy: sample() draws completions with exact
@@ -97,28 +97,7 @@ class Sampled:
 
 
 # ---------------------------------------------------------------------------
-# scripted mocks
-
-class ScriptedAdapter:
-    """Deterministic lookup-table adapter for tests and demos."""
-
-    def __init__(self, caption_map: dict[str, str], generate_map: dict[str, str]):
-        self._captions = {
-            canonical_smiles(parse_smiles(k)): v for k, v in caption_map.items()
-        }
-        self._generations = dict(generate_map)
-
-    def caption(self, molecule, n, temperature=1.0):
-        key = canonical_smiles(parse_smiles(molecule))
-        if key not in self._captions:
-            raise UnknownState(key)
-        return [Sampled(self._captions[key])] * n
-
-    def generate(self, caption, n, temperature=1.0):
-        if caption not in self._generations:
-            raise UnknownState(caption)
-        return [Sampled(self._generations[caption])] * n
-
+# echo mock
 
 class EchoAdapter:
     """Captions with the canonical SMILES itself; generates by echoing.

@@ -234,16 +234,16 @@ class _DigitPool:
 
 
 def _bond_token(bond: Bond, atoms: tuple[Atom, ...]) -> str:
+    """The bond's symbol where the SMILES needs one: always for a double or
+    triple bond, and for a single bond between two aromatic atoms.  Other
+    single bonds and aromatic bonds are implicit."""
     order = bond.order
-    if order is BondOrder.DOUBLE:
-        return "="
-    if order is BondOrder.TRIPLE:
-        return "#"
-    if order is BondOrder.SINGLE:
-        if atoms[bond.a].is_aromatic and atoms[bond.b].is_aromatic:
-            return "-"
+    if order is BondOrder.AROMATIC or (
+        order is BondOrder.SINGLE
+        and not (atoms[bond.a].is_aromatic and atoms[bond.b].is_aromatic)
+    ):
         return ""
-    return ""  # aromatic bonds are implicit between aromatic atoms
+    return order.symbol
 
 
 def _atom_token(atom: Atom, sigma: int, multiple: bool) -> str:

@@ -170,8 +170,13 @@ class Bond:
 class Molecule:
     """Immutable molecular graph with perceived rings and fragments.
 
-    ``rings`` holds the smallest set of smallest rings as ordered atom-index
-    cycles; ``fragments`` holds one sorted atom-index tuple per connected
+    ``rings`` holds the smallest set of smallest rings (SSSR), exactly the
+    cyclomatic number of them.  Each ring is an atom-index cycle that starts
+    at its lowest atom and runs towards that atom's lower ring neighbour, and
+    the rings are sorted by (length, atoms).  Where the minimum cycle basis
+    is not unique, which one is chosen depends on the atom indices.
+    ``rings.ring_bonds`` gives each ring's bonds in the same order.
+    ``fragments`` holds one sorted atom-index tuple per connected
     component; ``parse_notes`` records information discarded during parsing
     (stereo markers, atom maps).  ``failures`` holds the valence and
     kekulization failures the parser found (empty for a valid molecule); it

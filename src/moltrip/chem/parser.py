@@ -72,12 +72,7 @@ class MoleculeTooLarge(SmilesError):
     at once than the 99 digits its canonical form can spell."""
 
 
-_BOND_CHARS = {
-    "-": BondOrder.SINGLE,
-    "=": BondOrder.DOUBLE,
-    "#": BondOrder.TRIPLE,
-    ":": BondOrder.AROMATIC,
-}
+_BOND_CHARS = {order.symbol: order for order in BondOrder}
 
 # Bare atom characters: (element, aromatic).  "Cl" and "Br" are read as two
 # characters wherever they occur.

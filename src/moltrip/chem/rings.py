@@ -1,15 +1,23 @@
-"""Ring perception: connected components and a smallest-set-of-smallest-rings.
+"""Ring perception: connected components, a smallest set of smallest rings
+(SSSR), and the bonds of each ring.
 
-Both read the molecule's neighbour view.  The SSSR is assembled greedily
-from candidate cycles.  The bonds that are not bridges fall into ring
-systems, the connected components of those bonds.  A ring system in which
-every atom has exactly two ring bonds is one simple cycle, walked once as
-its own candidate; in any other (fused, spiro or bridged) system, the
-shortest cycle through each bond is a candidate.  Candidates are taken
-shortest-first while linearly independent over GF(2) on the bond set, until
-the cyclomatic number (bonds - atoms + components) is reached.  Fundamental
-cycles from a spanning forest are appended as fallback candidates so the
-count is always exact.
+All three read the molecule's neighbour view.  ``sssr`` returns exactly the
+cyclomatic number (bonds - atoms + components) of rings.  Each ring is an
+atom cycle normalised to start at its lowest atom and run towards that
+atom's lower ring neighbour, and the rings are sorted by (length, atoms).
+Where the minimum cycle basis is not unique, which one is chosen depends on
+the atom indices.  ``ring_bonds`` gives a ring's bonds in the same order as
+its atoms.
+
+The SSSR is assembled greedily from candidate cycles.  The bonds that are
+not bridges fall into ring systems, the connected components of those
+bonds.  A ring system in which every atom has exactly two ring bonds is one
+simple cycle, walked once as its own candidate; in any other (fused, spiro
+or bridged) system, the shortest cycle through each bond is a candidate.
+Candidates are taken shortest-first while linearly independent over GF(2) on
+the bond set, until the cyclomatic number is reached.  Fundamental cycles
+from a spanning forest are appended as fallback candidates so the count is
+always exact.
 """
 
 from __future__ import annotations
@@ -28,20 +36,21 @@ def components(view: NeighborView) -> tuple[tuple[int, ...], ...]:
     """connected_components over an already built neighbour view."""
     seen = [False] * len(view)
     comps: list[tuple[int, ...]] = []
-    for root in range(len(view)):
+    for root, pairs in enumerate(view):
         if seen[root]:
             continue
-        queue = deque([root])
+        if not pairs:  # a bondless atom is a component of its own
+            comps.append((root,))
+            continue
         seen[root] = True
         comp = [root]
-        while queue:
-            x = queue.popleft()
+        for x in comp:  # grows while it is read: a breadth-first search
             for y, _ in view[x]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
+        comp.sort()
+        comps.append(tuple(comp))
     return tuple(comps)
 
 
@@ -67,7 +76,9 @@ def sssr(
     # a shortest cycle never crosses a bridge, so its search can skip them
     ring_adj = [[(j, k) for j, k in pairs if k not in bridges] for pairs in adj]
     candidates: dict[tuple[int, ...], None] = {}
-    for system in _ring_systems(ring_adj):
+    for system in components(ring_adj):
+        if len(system) == 1:  # an atom on no ring bond
+            continue
         if all(len(ring_adj[x]) == 2 for x in system):
             candidates.setdefault(_normalize_cycle(_walk_cycle(ring_adj, system[0])))
             continue
@@ -83,7 +94,9 @@ def sssr(
     basis: dict[int, int] = {}  # highest set bit -> reduced mask
     chosen: list[tuple[int, ...]] = []
     for cycle in sorted(candidates, key=lambda c: (len(c), c)):
-        mask = _cycle_mask(cycle, view)
+        mask = 0
+        for k in ring_bonds(cycle, view):
+            mask |= 1 << k
         while mask:
             high = mask.bit_length() - 1
             if high not in basis:
@@ -132,24 +145,6 @@ def _find_bridges(view: NeighborView) -> set[int]:
                     if low[node] > disc[parent]:
                         bridges.add(in_edge)
     return bridges
-
-
-def _ring_systems(ring_adj: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Atoms of each connected component of the ring bonds."""
-    seen = [False] * len(ring_adj)
-    systems: list[list[int]] = []
-    for root, pairs in enumerate(ring_adj):
-        if seen[root] or not pairs:
-            continue
-        seen[root] = True
-        system = [root]
-        for x in system:  # grows while it is read: a breadth-first search
-            for y, _ in ring_adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    system.append(y)
-        systems.append(system)
-    return systems
 
 
 def _walk_cycle(ring_adj: list[list[tuple[int, int]]], start: int) -> list[int]:
@@ -232,10 +227,16 @@ def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
     return min(forward, backward)
 
 
-def _cycle_mask(cycle: tuple[int, ...], view: NeighborView) -> int:
-    mask = 0
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+def ring_bonds(ring: tuple[int, ...], view: NeighborView) -> list[int]:
+    """The index of the bond from each ring atom to the next, in ring order:
+    bond ``i`` joins ``ring[i]`` and ``ring[(i + 1) % len(ring)]``.
+
+    ``view`` is ``neighbor_view`` of the molecule's bonds.
+    """
+    bonds = []
+    for a, b in zip(ring, ring[1:] + ring[:1]):
         for j, k in view[a]:
             if j == b:
-                mask |= 1 << k
-    return mask
+                bonds.append(k)
+                break
+    return bonds

@@ -21,6 +21,7 @@ from .model import (
     ValidityFailure,
     permitted_valences,
 )
+from .rings import ring_bonds
 
 # Elements eligible for Kekule-ring normalization to aromatic form.
 _AROMATIZABLE = frozenset({"C", "N", "O", "S"})
@@ -257,11 +258,7 @@ def aromatize(
     ``view`` is ``neighbor_view`` of the bonds; it holds bond indices, so it
     stays valid as the passes rewrite bond orders.
     """
-    # per ring, the index of the bond from ring[i] to the next ring atom
-    cycles = [
-        [k for a, b in zip(ring, ring[1:] + ring[:1]) for j, k in view[a] if j == b]
-        for ring in rings
-    ]
+    cycles = [ring_bonds(ring, view) for ring in rings]
     while True:
         flip_atoms: set[int] = set()
         flip_bonds: set[int] = set()

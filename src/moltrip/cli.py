@@ -150,7 +150,10 @@ def _config_tokens(path: str | None, section: str, command) -> list[str]:
     return tokens
 
 
-_REMOTE_FLAGS = ("base_url", "model", "prompts", "timeout", "max_retries")
+# the flags that only --generator remote reads: EchoAdapter ignores them all
+_REMOTE_FLAGS = (
+    "base_url", "model", "prompts", "timeout", "max_retries", "temperature",
+)
 
 
 def _generator_adapter(args):
@@ -252,9 +255,10 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     adapter = _generator_adapter(args)
+    temperature = 0.0 if args.temperature is None else args.temperature
     pairs = _load(args.pairs)
     texts = _pool_map(
-        lambda pair: adapter.generate(pair.caption, 1, args.temperature)[0].text,
+        lambda pair: adapter.generate(pair.caption, 1, temperature)[0].text,
         pairs, args.workers,
     )
     samples = [
@@ -312,9 +316,10 @@ def cmd_dedupe(args) -> int:
 
 def cmd_filter(args) -> int:
     adapter = _generator_adapter(args)
+    temperature = 1.0 if args.temperature is None else args.temperature
     pairs = _load(args.pairs)
     result = diagnostic_filter(
-        pairs, adapter, tau=args.tau, m=args.m, temperature=args.temperature,
+        pairs, adapter, tau=args.tau, m=args.m, temperature=temperature,
     )
     write_pairs(list(result.kept), args.out, fmt=args.fmt)
     if args.rejected:
@@ -434,7 +439,8 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     p = sub("eval", cmd_eval, help="batch round-trip evaluation report")
     p.add_argument("--pairs", required=True)
     p.add_argument("--generator", choices=("echo", "remote"), default="echo")
-    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--temperature", type=float, default=None,
+                   help="remote only (default 0.0)")
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=1)
     _add_remote_flags(p)
@@ -458,7 +464,8 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=None,
+                   help="remote only (default 1.0)")
     p.add_argument("--generator", choices=("echo", "remote"), default="echo")
     p.add_argument("--out", required=True)
     p.add_argument("--rejected", default=None)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .chem import ELEMENT_SYMBOLS, Atom, BondOrder, Molecule, MoleculeTooLarge
 from .chem.model import NeighborView
+from .chem.rings import ring_bonds
 
 DEFAULT_MORGAN_RADIUS = 2
 DEFAULT_PATH_LENGTH = 7
@@ -357,12 +358,11 @@ class _KeySummary:
         self.ring_sizes = set(map(len, mol.rings))
         self.fused = False
         self.aromatic_rings = 0
-        aromatic = {bond.key for bond in bonds if bond.order is BondOrder.AROMATIC}
-        ring_edges: set[tuple[int, int]] = set()
+        # bond indices: the aromatic bonds, and the bonds of the rings so far
+        aromatic = {k for k, b in enumerate(bonds) if b.order is BondOrder.AROMATIC}
+        ring_edges: set[int] = set()
         for ring in mol.rings:
-            edges = {
-                (a, b) if a < b else (b, a) for a, b in zip(ring, ring[1:] + ring[:1])
-            }
+            edges = set(ring_bonds(ring, view))
             self.fused = self.fused or not ring_edges.isdisjoint(edges)
             ring_edges |= edges
             self.aromatic_rings += edges <= aromatic

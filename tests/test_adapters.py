@@ -1,4 +1,4 @@
-"""Scripted, tabular, and remote adapters.  Remote tests use a fake session,
+"""Echo, tabular, and remote adapters.  Remote tests use a fake session,
 or the real transport against a local HTTP server on 127.0.0.1."""
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from moltrip.adapters import (
     RemoteClient,
     RemoteEndpointConfig,
     Sampled,
-    ScriptedAdapter,
     StaleSnapshot,
     TabularPolicy,
     Timeout,
@@ -47,20 +46,7 @@ from rows import set_logit
 
 
 # ---------------------------------------------------------------------------
-# scripted adapters
-
-def test_scripted_adapter_lookup_by_canonical_form():
-    adapter = ScriptedAdapter(
-        caption_map={"OCC": "an alcohol"},
-        generate_map={"an alcohol": "CCO"},
-    )
-    assert adapter.caption("CCO", 3) == [Sampled("an alcohol")] * 3
-    assert adapter.generate("an alcohol", 2) == [Sampled("CCO")] * 2
-    with pytest.raises(UnknownState):
-        adapter.caption("CCN", 1)
-    with pytest.raises(UnknownState):
-        adapter.generate("mystery", 1)
-
+# echo adapter
 
 def test_echo_adapter_round_trips_exactly():
     adapter = EchoAdapter()

@@ -580,6 +580,7 @@ REMOTE_ONLY_FLAGS = (
     ("--prompts", "prompts.cfg"),
     ("--timeout", "5"),
     ("--max-retries", "1"),
+    ("--temperature", "0.5"),
 )
 
 
@@ -604,29 +605,34 @@ def test_echo_generator_refuses_remote_only_flags(command, flag, value, via, tmp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["annotate"],
-    ["filter", "--tau", "1", "--generator", "remote"],
-], ids=lambda c: c[0])
-def test_remote_commands_keep_the_endpoint_defaults(command, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, temperature", [
+    pytest.param(["annotate"], 1.0, id="annotate"),
+    pytest.param(["eval", "--generator", "remote"], 0.0, id="eval"),
+    pytest.param(["filter", "--tau", "1", "--generator", "remote"], 1.0, id="filter"),
+])
+def test_remote_commands_keep_the_endpoint_defaults(command, temperature, tmp_path, monkeypatch):
+    import moltrip.adapters as adapters
     import moltrip.cli as cli
 
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    session = RecordingSession()
     configs = []
 
-    def no_client(config):
+    def recording_client(config):
         configs.append(config)
-        raise RuntimeError("no endpoint here")
+        return adapters.RemoteClient(config, session=session)
 
-    monkeypatch.setattr(cli, "RemoteClient", no_client)
+    monkeypatch.setattr(cli, "RemoteClient", recording_client)
     pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
     endpoint = ["--base-url", "https://api.example.test/v1", "--model", "toy"]
     for limits in ([], ["--timeout", "5", "--max-retries", "1"]):
         assert main([
             *command, "--pairs", pairs, "--out", str(tmp_path / "out.jsonl"),
             *endpoint, *limits,
-        ]) == 1
-    assert "no endpoint here" in capsys.readouterr().err
+        ]) == 0
     assert [(c.timeout, c.max_retries) for c in configs] == [(30.0, 3), (5.0, 1)]
+    # the flag left out, each command samples at its own default
+    assert [call["temperature"] for call in session.calls] == [temperature] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moltrip.chem import model, parser, rings, valence
 from moltrip.chem import (
@@ -20,10 +23,11 @@ from moltrip.chem import (
     UnknownToken,
     canonical_smiles,
     parse_smiles,
+    render_random,
 )
 from moltrip.chem.model import Atom, Molecule
 from moltrip.fingerprints import morgan_features, path_features
-from oracles import non_bridge_atoms, scan_structure
+from oracles import _ref_cycle_mask, non_bridge_atoms, scan_structure
 
 
 def test_minimal_chain():
@@ -73,8 +77,15 @@ def test_ring_bond_order_on_either_side():
 
 
 def test_fragments_recorded():
-    mol = parse_smiles("[Na+].[Cl-]")
-    assert mol.fragments == ((0,), (1,))
+    # bondless atoms are one-atom fragments, also beside a ring
+    for text, fragments, ring_set in (
+        ("[Na+].[Cl-]", ((0,), (1,)), ()),
+        ("C.C.O", ((0,), (1,), (2,)), ()),
+        ("[Xe]", ((0,),), ()),
+        ("C1CC1.[Na+]", ((0, 1, 2), (3,)), ((0, 1, 2),)),
+    ):
+        mol = parse_smiles(text)
+        assert (mol.fragments, mol.rings) == (fragments, ring_set), text
 
 
 def test_stereo_discarded_into_notes():
@@ -185,6 +196,23 @@ def test_ring_atoms_are_the_atoms_on_non_bridge_bonds(corpus):
     for text in corpus + ["C1CC2CCC1CC2", "C12C3C4C1C5C2C3C45", "C1CC1CC.C1CC1"]:
         mol = parse_smiles(text)
         assert mol.ring_atoms == non_bridge_atoms(mol), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_ring_bonds_follow_each_ring_in_order(corpus, data, seed):
+    text = data.draw(st.sampled_from(corpus))
+    mol = parse_smiles(render_random(parse_smiles(text), random.Random(seed)))
+    view = mol.neighbor_view
+    for ring in mol.rings:
+        bonds = rings.ring_bonds(ring, view)
+        assert len(bonds) == len(ring)
+        mask = 0
+        for i, k in enumerate(bonds):
+            ends = {ring[i], ring[(i + 1) % len(ring)]}
+            assert {mol.bonds[k].a, mol.bonds[k].b} == ends
+            mask |= 1 << k
+        assert mask == _ref_cycle_mask(ring, view)
 
 
 @pytest.mark.parametrize("atom", ["C", "c"])
