@@ -1,22 +1,48 @@
-"""Canonical SMILES via iterative invariant refinement.
+"""Canonical SMILES via splitter refinement of an ordered partition.
 
-Atoms are ranked by refining seed invariants (element, aromaticity, degree,
-hydrogens, charge, isotope, ring membership) against neighbor-rank multisets
-until stable; remaining ties are broken by isolating one atom of the lowest
-tied class and refining again.  Each round re-sorts the neighbours of tied
-atoms only: an atom alone in its class keeps its rank without a key.  The
-writer walks each fragment depth-first from its lowest-ranked atom with
-branches ordered by rank, so the output depends only on the graph, never on
-input atom order.  It works out every atom's token, bare or bracketed, and
-every bond's token once per call, before the walk.
+Atoms start in cells of equal seed invariants (element, aromaticity, degree,
+hydrogens, charge, isotope, ring membership), ordered by invariant.  Each
+round splits every cell by its atoms' sorted (bond order, neighbour rank)
+keys, where an atom's rank is the start of its cell, and orders the pieces
+by key (McKay 1981; Cardon and Crochemore 1982).  A round re-keys only the
+atoms next to a piece that split off in the round before, leaving out the
+largest piece of each split as Hopcroft's algorithm does.  Every cell was
+stable against the partition before, so its atoms that no such piece
+touched share one key, read off any one of them, and every round makes
+exactly the split that re-keying every atom would.  The largest piece keeps
+its cell's id, so only the atoms of the smaller pieces are relabelled.  An
+atom lands in a smaller piece at most log2(atoms) times, which bounds the
+work by O(bonds * log atoms) for atoms of bounded degree.
+
+When the partition is stable with cells still tied, the lowest-index atom
+of the lowest tied cell is split off on its own, the tie-break order of
+Weininger et al. (1989), and refinement goes on from that one split, whose
+smaller piece is the only splitter.  A pointer that only moves forward finds
+the lowest tied cell, and a cell's atoms are sorted by index at its first
+tie-break only, so many identical fragments cost O(atoms * log atoms) to
+tell apart, not the square of their number.
+
+The writer walks each fragment depth-first from its lowest-ranked atom with
+branches ordered by rank.  Input atom order reaches the output only through
+the tie-breaks, and not at all where every tied cell is one orbit of the
+graph's symmetries (not so for cuneane).  The writer works out every atom's
+token, bare or bracketed, and every bond's token once per call, before the
+walk.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections.abc import Collection, Mapping
 
-from .model import ORGANIC_SUBSET, Atom, Bond, BondOrder, Molecule
+from .model import (
+    ORGANIC_SUBSET,
+    Atom,
+    Bond,
+    BondOrder,
+    Molecule,
+    NeighborView,
+)
 from .parser import MoleculeTooLarge
 from .valence import bond_sums, infer_bare_hydrogens
 
@@ -40,71 +66,204 @@ def render_random(mol: Molecule, rng: random.Random) -> str:
 def canonical_ranks(mol: Molecule) -> tuple[int, ...]:
     """Unique rank per atom, invariant under input atom reordering."""
     n = len(mol)
-    seeds = [_seed_invariant(mol, i) for i in range(n)]
-    # per atom, (bond sort key * n, neighbour) per neighbour: adding the
-    # neighbour's rank, below n, gives an int that sorts as the
-    # (sort key, rank) pair would
-    bonded = [
-        [(mol.bonds[k].order.sort_key * n, j) for j, k in pairs]
-        for pairs in mol.neighbor_view
+    view = mol.neighbor_view
+    ring = mol.ring_atoms
+    seeds = [
+        (
+            atom.element,
+            atom.is_aromatic,
+            len(view[i]),
+            atom.hydrogens,
+            atom.formal_charge,
+            atom.isotope or 0,
+            i in ring,
+        )
+        for i, atom in enumerate(mol.atoms)
     ]
-    ranks = _refine(bonded, _dense_ranks(seeds))
+    # per bond, its order's sort key * n: adding a neighbour's rank, below
+    # n, gives an int that sorts as the (sort key, rank) pair would
+    weights = [bond.order.sort_key * n for bond in mol.bonds]
+    part = _Partition(view, weights, seeds)
+    order, cell, size = part.order, part.cell, part.size
+    # the first round keys every atom of every tied cell
+    part.refine({
+        c: order[first : first + count]
+        for c, (first, count) in enumerate(zip(part.start, size))
+        if count > 1
+    })
+    # per tied cell met at a tie-break, its atoms by falling index: a cell
+    # only loses atoms, so the lowest index left is the last one still in it
+    falling: dict[int, list[int]] = {}
+    p = 0  # every cell below position p is a single atom
     while True:
-        counts = Counter(ranks)
-        tied = [rank for rank, count in counts.items() if count > 1]
-        if not tied:
-            return tuple(ranks)
-        # isolate the first atom of the lowest tied class: it keeps the
-        # class's rank, and every rank above shifts up by one
-        target = min(tied)
-        chosen = ranks.index(target)
-        ranks = [
-            rank + 1 if rank > target or (rank == target and i != chosen) else rank
-            for i, rank in enumerate(ranks)
-        ]
-        ranks = _refine(bonded, ranks)
+        while p < n and size[cell[order[p]]] == 1:
+            p += 1
+        if p == n:
+            return tuple(part.pos)
+        # the lowest tied cell starts at p: split off its lowest-index atom
+        c = cell[order[p]]
+        if c not in falling:
+            falling[c] = sorted(order[p : p + size[c]], reverse=True)
+        atoms = falling[c]
+        while cell[atoms[-1]] != c:
+            atoms.pop()
+        part.refine(part.touched_by(part.isolate(atoms.pop())))
 
 
-def _seed_invariant(mol: Molecule, idx: int):
-    atom = mol.atoms[idx]
-    return (
-        atom.element,
-        atom.is_aromatic,
-        mol.degree(idx),
-        atom.hydrogens,
-        atom.formal_charge,
-        atom.isotope or 0,
-        idx in mol.ring_atoms,
-    )
+class _Partition:
+    """An ordered partition of the atoms into cells, refined by splitters.
 
-
-def _dense_ranks(keys: list) -> list[int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
-
-
-def _refine(bonded: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
-    """Split classes by their sorted neighbour keys until none splits.
-
-    ``ranks`` are dense.  An atom alone in its class is keyed ``(rank, ())``:
-    no other key has its rank, so the empty tuple is never compared.
+    ``order`` lists the atoms cell by cell and ``pos`` inverts it.  Cell
+    ``c`` holds ``order[start[c]:start[c] + size[c]]``, in no particular
+    order, and an atom's rank is ``start[cell[a]]``: a split moves no other
+    cell's start.  Cell ids are never reused.
     """
-    classes = max(ranks, default=-1) + 1
-    while True:
-        counts = [0] * classes
-        for rank in ranks:
-            counts[rank] += 1
-        keys = [
-            (rank, tuple(sorted([key + ranks[j] for key, j in pairs])))
-            if counts[rank] > 1
-            else (rank, ())
-            for rank, pairs in zip(ranks, bonded)
-        ]
-        refined = _dense_ranks(keys)
-        split = max(refined, default=-1) + 1
-        if split == classes:
-            return refined
-        ranks, classes = refined, split
+
+    def __init__(self, view: NeighborView, weights: list[int], seeds: list) -> None:
+        n = len(seeds)
+        self.view = view
+        self.weights = weights
+        self.order = order = sorted(range(n), key=seeds.__getitem__)
+        self.pos = pos = [0] * n
+        self.cell = cell = [0] * n
+        self.start = start = []
+        previous = None
+        for p, a in enumerate(order):
+            pos[a] = p
+            if seeds[a] != previous:
+                previous = seeds[a]
+                start.append(p)
+            cell[a] = len(start) - 1
+        self.size = [end - p for p, end in zip(start, start[1:] + [n])]
+
+    def isolate(self, atom: int) -> list[int]:
+        """Split ``atom`` off in front of the rest of its cell; return the
+        atoms of the piece that did not keep the cell's id."""
+        c = self.cell[atom]
+        # the atom keyed below the rest, which all share one key
+        return self._split(c, {(0,): [atom], (1,): []}, (1,), self.size[c] - 1)
+
+    def refine(self, touched: Mapping[int, Collection[int]]) -> None:
+        """Split cells in synchronous rounds until none splits.
+
+        Each round keys, against the partition as the round found it, the
+        ``touched`` atoms of tied cells; the atoms of the pieces that do not
+        keep their cell's id are the next round's splitters, and the next
+        round touches their neighbours.  ``touched[c]`` is a set wherever it
+        leaves out some of cell ``c``'s atoms.
+        """
+        view, weights, order, cell, start, size = (
+            self.view, self.weights, self.order, self.cell, self.start, self.size
+        )
+        while touched:
+            splits = []
+            for c, members in touched.items():
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for a in members:
+                    key = tuple(sorted(
+                        [weights[k] + start[cell[j]] for j, k in view[a]]
+                    ))
+                    group = groups.get(key)
+                    if group is None:
+                        groups[key] = [a]
+                    else:
+                        group.append(a)
+                untouched = size[c] - len(members)
+                rest = None
+                if untouched:
+                    # the cell's untouched atoms share one key
+                    p = start[c]
+                    while order[p] in members:
+                        p += 1
+                    rest = tuple(sorted(
+                        [weights[k] + start[cell[j]] for j, k in view[order[p]]]
+                    ))
+                    groups.setdefault(rest, [])
+                if len(groups) > 1:
+                    splits.append((c, groups, rest, untouched))
+            splitters = []
+            for split in splits:
+                splitters += self._split(*split)
+            touched = self.touched_by(splitters)
+
+    def touched_by(self, splitters: list[int]) -> dict[int, set[int]]:
+        """Per tied cell, its atoms next to a splitter."""
+        view, cell, size = self.view, self.cell, self.size
+        touched: dict[int, set[int]] = {}
+        for x in splitters:
+            for y, _ in view[x]:
+                c = cell[y]
+                if size[c] > 1:
+                    members = touched.get(c)
+                    if members is None:
+                        touched[c] = {y}
+                    else:
+                        members.add(y)
+        return touched
+
+    def _split(
+        self,
+        c: int,
+        groups: dict[tuple[int, ...], list[int]],
+        rest: tuple[int, ...] | None,
+        untouched: int,
+    ) -> list[int]:
+        """Lay cell ``c`` out as its pieces in key order; return the atoms
+        of every piece but the largest, which keeps the id ``c``.
+
+        ``groups`` holds the touched atoms by key; the ``untouched`` other
+        atoms have key ``rest`` and stay where they are as far as they can,
+        so the work is in proportion to the touched atoms, not the cell.
+        """
+        order, pos, cell, start, size = (
+            self.order, self.pos, self.cell, self.start, self.size
+        )
+        s = start[c]
+        keys = sorted(groups)
+        counts = [len(groups[key]) for key in keys]
+        u = -1  # the rest piece, if any
+        if rest is not None:
+            u = keys.index(rest)
+            counts[u] += untouched
+            lo = s + sum(counts[:u])
+            hi = lo + counts[u]
+            movers = {a for key in keys if key != rest for a in groups[key]}
+            # swap the rest piece's atoms outside [lo, hi) with the movers
+            # inside it
+            free = [pos[a] for a in movers if lo <= pos[a] < hi]
+            strays = [
+                order[p]
+                for p in (*range(s, lo), *range(hi, s + size[c]))
+                if order[p] not in movers
+            ]
+            for a, p in zip(strays, free):
+                order[p] = a
+                pos[a] = p
+        largest = counts.index(max(counts))
+        splitters: list[int] = []
+        p = s
+        for i, key in enumerate(keys):
+            first = p
+            if i == u:
+                members = order[lo:hi] if i != largest else []
+                p = hi
+            else:
+                members = groups[key]
+                for a in members:
+                    order[p] = a
+                    pos[a] = p
+                    p += 1
+            if i == largest:
+                start[c] = first
+                size[c] = counts[i]
+            else:
+                new = len(start)
+                start.append(first)
+                size.append(counts[i])
+                for a in members:
+                    cell[a] = new
+                splitters += members
+        return splitters
 
 
 def _write(
@@ -122,7 +281,10 @@ def _write(
     # per atom, its (neighbour, bond index) pairs in rank order of neighbour
     ordered: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     view = mol.neighbor_view
-    for j in sorted(range(n), key=ranks.__getitem__):
+    by_rank = [0] * n
+    for i, rank in enumerate(ranks):
+        by_rank[rank] = i
+    for j in by_rank:
         for i, k in view[j]:
             ordered[i].append((j, k))
     tree = [False] * len(mol.bonds)

@@ -160,11 +160,6 @@ class Bond:
         if self.a == self.b:
             raise ValueError("bond endpoints must be distinct")
 
-    @property
-    def key(self) -> tuple[int, int]:
-        """Order-independent endpoint pair."""
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
 
 @dataclass(frozen=True)
 class Molecule:

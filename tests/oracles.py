@@ -41,7 +41,7 @@ def _atom_label(mol: Molecule, i: int):
 
 
 def _bond_map(mol: Molecule) -> dict[tuple[int, int], str]:
-    return {b.key: b.order.value for b in mol.bonds}
+    return {(min(b.a, b.b), max(b.a, b.b)): b.order.value for b in mol.bonds}
 
 
 def molecules_isomorphic(m1: Molecule, m2: Molecule) -> bool:

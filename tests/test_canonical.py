@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moltrip.chem import (
@@ -19,6 +21,7 @@ from moltrip.chem import (
     render_random,
 )
 from moltrip.chem.model import Molecule
+from moltrip.metrics import reconstruction_score
 from oracles import (
     molecules_isomorphic,
     reference_canonical_ranks,
@@ -190,3 +193,109 @@ def test_too_many_open_ring_closures_raise_a_typed_error(snake_ladder):
     with pytest.raises(MoleculeTooLarge, match="99 ring closures") as err:
         canonical_smiles(mol)
     assert isinstance(err.value, SmilesError)
+
+
+# ---------------------------------------------------------------------------
+# ranks on tie-heavy graphs, and how canonical form scales with size
+
+def _chain(k: int) -> str:
+    return "C" * k
+
+
+def _ring(k: int) -> str:
+    return "C1" + "C" * (k - 2) + "C1"
+
+
+def _comb(k: int) -> str:
+    return "C(C)" * (k // 2)
+
+
+def _nested(k: int) -> str:
+    return "C(" * (k - 1) + "C" + ")" * (k - 1)
+
+
+def _methanes(k: int) -> str:
+    return ".".join(["C"] * k)
+
+
+def _star(arms: int, length: int) -> str:
+    return "[Fe]" + "".join("(" + "C" * length + ")" for _ in range(arms))
+
+
+def _polyacene(rings: int) -> str:
+    inner = range(3, rings + 1)
+    return (
+        "c1ccc2"
+        + "".join(f"cc{d}" for d in inner)
+        + f"ccccc{rings}"
+        + "".join(f"cc{d - 1}" for d in reversed(inner))
+        + "c1"
+    )
+
+
+CAGES = [
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C15C4C3C4C2C1C2C35",  # cuneane
+    "C1C2CC3CC1CC(C2)C3",  # adamantane
+]
+
+_TIE_HEAVY = st.one_of(
+    st.builds(_chain, st.integers(1, 150)),
+    st.builds(_ring, st.integers(3, 150)),
+    st.builds(_comb, st.integers(2, 150)),
+    st.builds(_nested, st.integers(1, 150)),
+    st.builds(_star, st.integers(2, 8), st.integers(1, 18)),
+    st.builds(_polyacene, st.integers(2, 9)),
+    st.sampled_from(CAGES),
+    st.builds(
+        lambda fragment, copies: ".".join([fragment] * copies),
+        st.sampled_from(["CCO", "C", "c1ccccc1", "CC(C)C", *CAGES]),
+        st.integers(2, 12),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_TIE_HEAVY, seed=st.integers(0, 2**32 - 1))
+@example(text=_chain(150), seed=1)
+@example(text=_ring(150), seed=2)
+@example(text=_comb(150), seed=3)
+@example(text=_nested(150), seed=4)
+@example(text=_star(8, 18), seed=5)
+@example(text=_polyacene(9), seed=6)
+@example(text=".".join([CAGES[1]] * 12), seed=7)
+def test_tie_heavy_ranks_match_frozen_oracle(text, seed):
+    mol = parse_smiles(text)
+    for m in (mol, parse_smiles(render_random(mol, random.Random(seed)))):
+        start = time.process_time()
+        ranks = canonical_ranks(m)
+        assert time.process_time() - start < 0.5, text
+        assert ranks == reference_canonical_ranks(m), text
+
+
+@pytest.mark.parametrize("shape", [_chain, _ring, _comb, _nested, _methanes])
+def test_canonical_form_scales_near_linearly(shape):
+    # refinement re-keys only the atoms next to a cell that split, and a
+    # tie-break finds its atom without scanning the whole tied cell, so
+    # twice the atoms cost about twice the CPU time, not four times
+    texts = [shape(k) for k in (2500, 5000)]
+    assert [len(parse_smiles(text)) for text in texts] == [2500, 5000]
+    best = [float("inf")] * 2
+    gc.disable()  # a full collection of a long session's heap is not the cost
+    try:
+        for _ in range(5):  # interleaved, so a slow spell of the machine hits both
+            for k, text in enumerate(texts):
+                start = time.process_time()
+                canonical_smiles(parse_smiles(text))
+                best[k] = min(best[k], time.process_time() - start)
+    finally:
+        gc.enable()
+    assert best[1] / best[0] <= 2.5, best
+
+
+def test_long_chain_self_scores_in_bounded_time():
+    text = _chain(5000)
+    start = time.process_time()
+    score = reconstruction_score(text, text)
+    assert time.process_time() - start < 2.0
+    assert score.total == 4.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -37,6 +38,10 @@ _spec.loader.exec_module(molgen)
 _SETTINGS = settings(max_examples=12, deadline=None)
 _ATOMS = st.integers(15, 45)
 _SEEDS = st.integers(0, 2**32 - 1)
+# process CPU time allowed per example of an invalid variant: building and
+# scoring one takes a small fraction of it, so only a hang or a blow-up in
+# the parser, the validity gate or the score can miss it
+_CPU_BUDGET_S = 2.0
 
 
 def _molecule(atoms: int, seed: int):
@@ -97,6 +102,7 @@ def test_one_atom_edit_changes_the_canonical_form(atoms, seed):
 @_SETTINGS
 @given(_ATOMS, _SEEDS)
 def test_over_valent_variant_fails_at_atoms_and_scores_zero(atoms, seed):
+    start = time.process_time()
     graph, smiles, rng = _molecule(atoms, seed)
     # two edits, so a report may list one failed atom or two
     twice = molgen.over_valent(molgen.over_valent(graph, rng), rng)
@@ -106,17 +112,20 @@ def test_over_valent_variant_fails_at_atoms_and_scores_zero(atoms, seed):
     assert all(f.atom_index is not None for f in report.failures)
     assert reconstruction_score(smiles, bad).total == 0.0
     _failures_match_reference_analysis(bad)
+    assert time.process_time() - start < _CPU_BUDGET_S, bad
 
 
 @_SETTINGS
 @given(_ATOMS, _SEEDS)
 def test_malformed_variant_fails_as_a_whole_string(atoms, seed):
+    start = time.process_time()
     _, smiles, rng = _molecule(atoms, seed)
     bad = molgen.malformed(smiles, rng)
     report = check_validity(bad)
     assert len(report.failures) == 1, bad
     assert report.failures[0].atom_index is None
     assert reconstruction_score(smiles, bad).total == 0.0
+    assert time.process_time() - start < _CPU_BUDGET_S, bad
 
 
 @_SETTINGS

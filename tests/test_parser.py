@@ -49,7 +49,7 @@ def test_benzene_graph():
 
 def test_branches_and_orders():
     mol = parse_smiles("CC(=O)O")
-    orders = {b.key: b.order for b in mol.bonds}
+    orders = {(min(b.a, b.b), max(b.a, b.b)): b.order for b in mol.bonds}
     assert orders[(1, 2)] is BondOrder.DOUBLE
     assert orders[(1, 3)] is BondOrder.SINGLE
     assert mol.atoms[1].hydrogens == 0
