@@ -50,7 +50,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field, replace
 
-from .chem import canonical_smiles, check_validity, parse_smiles
+from .chem import canonicalize, check_validity
 from .fingerprints import extend_hash, stable_hash
 from .grpo import GrpoConfig, RolloutGroup, group_objective
 
@@ -107,7 +107,7 @@ class EchoAdapter:
     """
 
     def caption(self, molecule, n, temperature=1.0):
-        text = canonical_smiles(parse_smiles(molecule))
+        text = canonicalize(molecule)
         return [Sampled(text)] * n
 
     def generate(self, caption, n, temperature=1.0):

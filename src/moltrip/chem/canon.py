@@ -9,10 +9,13 @@ atoms next to a piece that split off in the round before, leaving out the
 largest piece of each split as Hopcroft's algorithm does.  Every cell was
 stable against the partition before, so its atoms that no such piece
 touched share one key, read off any one of them, and every round makes
-exactly the split that re-keying every atom would.  The largest piece keeps
-its cell's id, so only the atoms of the smaller pieces are relabelled.  An
-atom lands in a smaller piece at most log2(atoms) times, which bounds the
-work by O(bonds * log atoms) for atoms of bounded degree.
+exactly the split that re-keying every atom would.  A split swaps the
+atoms of the pieces keyed below the untouched atoms' key to the front of the
+cell and those keyed above to its back, so the untouched atoms do not move.
+The largest piece keeps its cell's id, so only the atoms of the smaller
+pieces are relabelled.  An atom lands in a smaller piece at most log2(atoms)
+times, which bounds the work by O(bonds * log atoms) for atoms of bounded
+degree.
 
 When the partition is stable with cells still tied, the lowest-index atom
 of the lowest tied cell is split off on its own, the tie-break order of
@@ -27,13 +30,15 @@ branches ordered by rank.  Input atom order reaches the output only through
 the tie-breaks, and not at all where every tied cell is one orbit of the
 graph's symmetries (not so for cuneane).  The writer works out every atom's
 token, bare or bracketed, and every bond's token once per call, before the
-walk.
+walk.  A ring bond opens with the lowest digit not open: the least of a heap
+of the digits closed so far, or else the next unused one.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Collection, Mapping
+from heapq import heappop, heappush
 
 from .model import (
     ORGANIC_SUBSET,
@@ -107,7 +112,7 @@ def canonical_ranks(mol: Molecule) -> tuple[int, ...]:
         atoms = falling[c]
         while cell[atoms[-1]] != c:
             atoms.pop()
-        part.refine(part.touched_by(part.isolate(atoms.pop())))
+        part.refine(part.touched_by(part._split(c, [[atoms.pop()]], [])))
 
 
 class _Partition:
@@ -136,13 +141,6 @@ class _Partition:
             cell[a] = len(start) - 1
         self.size = [end - p for p, end in zip(start, start[1:] + [n])]
 
-    def isolate(self, atom: int) -> list[int]:
-        """Split ``atom`` off in front of the rest of its cell; return the
-        atoms of the piece that did not keep the cell's id."""
-        c = self.cell[atom]
-        # the atom keyed below the rest, which all share one key
-        return self._split(c, {(0,): [atom], (1,): []}, (1,), self.size[c] - 1)
-
     def refine(self, touched: Mapping[int, Collection[int]]) -> None:
         """Split cells in synchronous rounds until none splits.
 
@@ -155,32 +153,33 @@ class _Partition:
         view, weights, order, cell, start, size = (
             self.view, self.weights, self.order, self.cell, self.start, self.size
         )
+
+        def key(a: int) -> tuple[int, ...]:
+            return tuple(sorted([weights[k] + start[cell[j]] for j, k in view[a]]))
+
         while touched:
             splits = []
             for c, members in touched.items():
                 groups: dict[tuple[int, ...], list[int]] = {}
                 for a in members:
-                    key = tuple(sorted(
-                        [weights[k] + start[cell[j]] for j, k in view[a]]
-                    ))
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = [a]
-                    else:
-                        group.append(a)
-                untouched = size[c] - len(members)
-                rest = None
-                if untouched:
-                    # the cell's untouched atoms share one key
+                    rest = key(a)
+                    groups.setdefault(rest, []).append(a)
+                # the piece that stays in the middle: the untouched atoms,
+                # which share one key, or else the last touched atom's
+                if len(members) < size[c]:
                     p = start[c]
                     while order[p] in members:
                         p += 1
-                    rest = tuple(sorted(
-                        [weights[k] + start[cell[j]] for j, k in view[order[p]]]
-                    ))
+                    rest = key(order[p])
                     groups.setdefault(rest, [])
                 if len(groups) > 1:
-                    splits.append((c, groups, rest, untouched))
+                    keys = sorted(groups)
+                    m = keys.index(rest)
+                    splits.append((
+                        c,
+                        [groups[k] for k in keys[:m]],
+                        [groups[k] for k in keys[m + 1 :]],
+                    ))
             splitters = []
             for split in splits:
                 splitters += self._split(*split)
@@ -202,67 +201,52 @@ class _Partition:
         return touched
 
     def _split(
-        self,
-        c: int,
-        groups: dict[tuple[int, ...], list[int]],
-        rest: tuple[int, ...] | None,
-        untouched: int,
+        self, c: int, below: list[list[int]], above: list[list[int]]
     ) -> list[int]:
-        """Lay cell ``c`` out as its pieces in key order; return the atoms
-        of every piece but the largest, which keeps the id ``c``.
+        """Split cell ``c`` into the pieces ``below``, the rest of its atoms,
+        and the pieces ``above``, laid out in that order; return the atoms of
+        every piece but the largest, which keeps the id ``c``.
 
-        ``groups`` holds the touched atoms by key; the ``untouched`` other
-        atoms have key ``rest`` and stay where they are as far as they can,
-        so the work is in proportion to the touched atoms, not the cell.
+        Each atom of ``below`` swaps into place from the front of the cell
+        and each of ``above`` from its back, so the rest stay in the middle
+        untouched and the work is in proportion to the moved atoms and the
+        smaller pieces, not the cell.
         """
         order, pos, cell, start, size = (
             self.order, self.pos, self.cell, self.start, self.size
         )
-        s = start[c]
-        keys = sorted(groups)
-        counts = [len(groups[key]) for key in keys]
-        u = -1  # the rest piece, if any
-        if rest is not None:
-            u = keys.index(rest)
-            counts[u] += untouched
-            lo = s + sum(counts[:u])
-            hi = lo + counts[u]
-            movers = {a for key in keys if key != rest for a in groups[key]}
-            # swap the rest piece's atoms outside [lo, hi) with the movers
-            # inside it
-            free = [pos[a] for a in movers if lo <= pos[a] < hi]
-            strays = [
-                order[p]
-                for p in (*range(s, lo), *range(hi, s + size[c]))
-                if order[p] not in movers
-            ]
-            for a, p in zip(strays, free):
-                order[p] = a
-                pos[a] = p
+        lo = start[c]
+        hi = lo + size[c]
+        for piece in below:
+            for a in piece:
+                p, b = pos[a], order[lo]
+                order[p], pos[b] = b, p
+                order[lo], pos[a] = a, lo
+                lo += 1
+        for piece in reversed(above):
+            for a in piece:
+                hi -= 1
+                p, b = pos[a], order[hi]
+                order[p], pos[b] = b, p
+                order[hi], pos[a] = a, hi
+        counts = [len(piece) for piece in below] + [hi - lo]
+        counts += [len(piece) for piece in above]
         largest = counts.index(max(counts))
         splitters: list[int] = []
-        p = s
-        for i, key in enumerate(keys):
-            first = p
-            if i == u:
-                members = order[lo:hi] if i != largest else []
-                p = hi
-            else:
-                members = groups[key]
-                for a in members:
-                    order[p] = a
-                    pos[a] = p
-                    p += 1
+        first = start[c]
+        for i, count in enumerate(counts):
             if i == largest:
                 start[c] = first
-                size[c] = counts[i]
+                size[c] = count
             else:
+                members = order[first : first + count]
                 new = len(start)
                 start.append(first)
-                size.append(counts[i])
+                size.append(count)
                 for a in members:
                     cell[a] = new
                 splitters += members
+            first += count
         return splitters
 
 
@@ -328,7 +312,9 @@ def _write_fragment(
 ) -> str:
     """Write the tree ``_mark_tree`` marked: branches and ring-closure digits
     in rank order, digits opening at the endpoint written first."""
-    digits = _DigitPool()
+    opened: dict[int, int] = {}  # per open ring bond, its digit
+    freed: list[int] = []  # a heap of the digits closed since
+    top = 0  # digits 1 to top have been used
     out: list[str] = []
     # depth-first over the tree with an explicit stack of pending atoms
     # (idx, index of the bond from its parent) and literal branch
@@ -350,49 +336,28 @@ def _write_fragment(
                 if k != via:
                     kids.append((j, k))
                 continue
-            closing = digits.close(k)
-            if closing is None:
-                out.append(bond_tokens[k])
-                out.append(digits.open(k))
+            # a ring bond closes with its digit, or opens with the lowest
+            # digit not open
+            digit = opened.pop(k, 0)
+            if digit:
+                heappush(freed, digit)
             else:
-                out.append(closing)
+                if freed:
+                    digit = heappop(freed)
+                elif top < 99:
+                    top = digit = top + 1
+                else:
+                    raise MoleculeTooLarge(
+                        "canonical form needs more than 99 ring closures open at once"
+                    )
+                opened[k] = digit
+                out.append(bond_tokens[k])
+            out.append(str(digit) if digit < 10 else f"%{digit}")
         if kids:
             stack.append(kids[-1])
         for kid in reversed(kids[:-1]):
             stack.extend((")", kid, "("))
     return "".join(out)
-
-
-class _DigitPool:
-    """Ring-closure digit assignment, per ring bond, reusing freed digits."""
-
-    def __init__(self) -> None:
-        self._open: dict[int, int] = {}
-        self._used: set[int] = set()
-
-    def open(self, bond: int) -> str:
-        digit = 1
-        while digit in self._used:
-            digit += 1
-        if digit > 99:
-            raise MoleculeTooLarge(
-                "canonical form needs more than 99 ring closures open at once"
-            )
-        self._used.add(digit)
-        self._open[bond] = digit
-        return self._format(digit)
-
-    def close(self, bond: int) -> str | None:
-        """The digit of an open ring bond, freed; None if it is not open."""
-        digit = self._open.pop(bond, None)
-        if digit is None:
-            return None
-        self._used.discard(digit)
-        return self._format(digit)
-
-    @staticmethod
-    def _format(digit: int) -> str:
-        return str(digit) if digit <= 9 else f"%{digit:02d}"
 
 
 def _bond_token(bond: Bond, atoms: tuple[Atom, ...]) -> str:

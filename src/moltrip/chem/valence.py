@@ -4,7 +4,9 @@ Bare organic-subset atoms fill with implicit hydrogens up to the lowest
 permitted valence that fits their bonds.  Aromatic atoms additionally commit
 to donating either one pi bond or a lone pair to the ring system; validity
 then requires a perfect matching of pi donors over the aromatic bonds (the
-ring system must kekulize).
+ring system must kekulize).  A pi system of an odd number of atoms fails
+without a search, and a search that tries more than ``MAX_KEKULE_STEPS``
+choices gives no verdict: ``parse_smiles`` then raises ``MoleculeTooLarge``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ from .model import (
     ValidityFailure,
     permitted_valences,
 )
-from .rings import ring_bonds
+from .rings import components, ring_bonds
 
 # Elements eligible for Kekule-ring normalization to aromatic form.
 _AROMATIZABLE = frozenset({"C", "N", "O", "S"})
+
+# Choices the kekulization search may try per molecule before giving up.
+MAX_KEKULE_STEPS = 100_000
 
 
 class AtomFields(Protocol):
@@ -125,8 +130,9 @@ def bond_sums(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[list[int], list[bo
 @dataclass(frozen=True)
 class AtomAnalysis:
     hydrogens: tuple[int, ...]
-    pi: tuple[int, ...]  # planned pi-bond donation per atom (0 or 1)
     failures: tuple[ValidityFailure, ...]
+    # the kekulization search ran past MAX_KEKULE_STEPS: no verdict
+    exhausted: bool
 
 
 def analyze(
@@ -174,51 +180,72 @@ def analyze(
         failures.append(ValidityFailure(i, reason))
 
     unmatched = _kekulize(bonds, view, pi)
-    for i in sorted(unmatched):
+    for i in sorted(unmatched or ()):
         failures.append(
             ValidityFailure(i, "aromatic system cannot be kekulized")
         )
 
-    return AtomAnalysis(tuple(hydrogens), tuple(pi), tuple(failures))
+    return AtomAnalysis(tuple(hydrogens), tuple(failures), unmatched is None)
 
 
 def _kekulize(
     bonds: tuple[Bond, ...], view: NeighborView, pi: list[int]
-) -> set[int]:
-    """Atoms left unmatched by the best pi-bond matching (empty = kekulizable).
+) -> set[int] | None:
+    """Atoms left unmatched by the best pi-bond matching (empty = kekulizable),
+    or None if the search ran past ``MAX_KEKULE_STEPS``.
 
-    Matching runs over aromatic bonds between pi-donating atoms, via
-    backtracking; aromatic systems in practice are small.
+    Matching runs over aromatic bonds between pi-donating atoms.  A greedy
+    matching that leaves no atom over settles it; else a backtracking
+    search runs over one connected pi system at a time, skipping a system
+    of an odd number of atoms, which has no perfect matching.
     """
     need = [i for i, p in enumerate(pi) if p == 1]
     if not need:
         return set()
     aromatic = [bond.order is BondOrder.AROMATIC for bond in bonds]
-    adj = {i: [j for j, k in view[i] if aromatic[k] and pi[j]] for i in need}
-    if _perfect_matching(sorted(need, reverse=True), adj):
-        return set()
-    # No perfect matching: report atoms a maximum greedy matching leaves over.
+    # per atom, its (neighbour, bond index) pairs in its pi system
+    adj = [
+        [pair for pair in pairs if aromatic[pair[1]] and pi[pair[0]]] if p else []
+        for pairs, p in zip(view, pi)
+    ]
+    # a greedy matching: what it leaves over is the report when there is no
+    # perfect matching, and when it leaves nothing over it is one
     matched: dict[int, int] = {}
     for atom in need:
         if atom in matched:
             continue
-        for nbr in adj[atom]:
+        for nbr, _ in adj[atom]:
             if nbr not in matched:
                 matched[atom] = nbr
                 matched[nbr] = atom
                 break
-    return {i for i in need if i not in matched}
+    unmatched = {i for i in need if i not in matched}
+    if not unmatched:
+        return unmatched
+    steps = iter(range(MAX_KEKULE_STEPS))
+    for system in components(adj):
+        if not pi[system[0]]:
+            continue
+        found = len(system) % 2 == 0 and _perfect_matching(system[::-1], adj, steps)
+        if found is None:
+            return None
+        if not found:
+            return unmatched
+    return set()
 
 
-def _perfect_matching(order: list[int], adj: dict[int, list[int]]) -> bool:
-    """Backtracking search matching every atom of ``order``, last first.
+def _perfect_matching(
+    order: tuple[int, ...], adj: list[list[tuple[int, int]]], steps: Iterator[int]
+) -> bool | None:
+    """Backtracking search matching every atom of ``order``, last first,
+    taking one item of ``steps`` per choice it tries; None if they run out.
 
     One stack frame per matched pair, so a long aromatic system cannot
     exhaust the interpreter's recursion limit.
     """
     matched: dict[int, int] = {}
     # (position in order of an atom being matched, its untried neighbours)
-    stack: list[tuple[int, Iterator[int]]] = []
+    stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
     rest = len(order)  # order[:rest] may hold unmatched atoms
     while True:
         while rest and order[rest - 1] in matched:
@@ -228,11 +255,13 @@ def _perfect_matching(order: list[int], adj: dict[int, list[int]]) -> bool:
         rest -= 1
         stack.append((rest, iter(adj[order[rest]])))
         while stack:
+            if next(steps, None) is None:
+                return None
             rest, nbrs = stack[-1]
             atom = order[rest]
             if atom in matched:  # the search under this choice failed
                 del matched[matched.pop(atom)]
-            nbr = next((j for j in nbrs if j not in matched), None)
+            nbr = next((j for j, _ in nbrs if j not in matched), None)
             if nbr is not None:
                 matched[atom] = nbr
                 matched[nbr] = atom

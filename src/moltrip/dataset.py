@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, TextIO
 
-from .chem import SmilesError, canonical_smiles, parse_smiles
+from .chem import SmilesError, canonicalize
 from .metrics import ScoreCache
 
 
@@ -250,7 +250,7 @@ def dedupe_overlap(
     sidecar: list[SidecarEntry] = []
     for i, record in enumerate(reference):
         try:
-            reference_keys.add(canonical_smiles(parse_smiles(record.smiles)))
+            reference_keys.add(canonicalize(record.smiles))
         except SmilesError as exc:
             sidecar.append(SidecarEntry(
                 record.line_no or i + 1, record.smiles, f"reference: {exc}"
@@ -260,7 +260,7 @@ def dedupe_overlap(
     overlap = 0
     for i, record in enumerate(target):
         try:
-            key = canonical_smiles(parse_smiles(record.smiles))
+            key = canonicalize(record.smiles)
         except SmilesError as exc:
             sidecar.append(SidecarEntry(
                 record.line_no or i + 1, record.smiles, f"target: {exc}"

@@ -253,21 +253,6 @@ class EvalReport:
             record["meteor"] = self.meteor
         return record
 
-    def to_lines(self) -> list[str]:
-        lines = [
-            f"samples={self.samples}",
-            f"exact_pct={self.exact_pct:.2f}",
-            f"validity_pct={self.validity_pct:.2f}",
-            f"sim_keys={self.sim_keys:.4f}",
-            f"sim_path={self.sim_path:.4f}",
-            f"sim_morgan={self.sim_morgan:.4f}",
-        ]
-        if self.bleu is not None:
-            lines.append(f"bleu={self.bleu:.6f}")
-        if self.meteor is not None:
-            lines.append(f"meteor={self.meteor:.6f}")
-        return lines
-
 
 def aggregate_report(
     samples: list[RoundTripSample],

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,28 @@ def corpus() -> list[str]:
     lines = [l.strip() for l in CORPUS_PATH.read_text().splitlines() if l.strip()]
     assert len(lines) == 200
     return lines
+
+
+def _best_cpu_times(calls, rounds: int) -> list[float]:
+    best = [float("inf")] * len(calls)
+    gc.disable()  # a full collection of a long session's heap is not the cost
+    try:
+        for _ in range(rounds):  # interleaved, so a slow spell hits every call
+            for k, call in enumerate(calls):
+                start = time.process_time()
+                call()
+                best[k] = min(best[k], time.process_time() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+@pytest.fixture(scope="session")
+def best_cpu_times():
+    """``best_cpu_times(calls, rounds)``: per call, the least process CPU
+    time it took over ``rounds`` interleaved rounds, with the garbage
+    collector off."""
+    return _best_cpu_times
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import random
 import sys
 import time
@@ -20,6 +19,7 @@ from moltrip.chem import (
     parse_smiles,
     render_random,
 )
+from moltrip.chem import canon
 from moltrip.chem.model import Molecule
 from moltrip.metrics import reconstruction_score
 from oracles import (
@@ -273,23 +273,96 @@ def test_tie_heavy_ranks_match_frozen_oracle(text, seed):
         assert ranks == reference_canonical_ranks(m), text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        _chain(150), _ring(150), _comb(150), _nested(150), _star(8, 18),
+        _polyacene(9), *CAGES, ".".join([CAGES[1]] * 12), "CCO.CCO.CCO",
+    ],
+)
+def test_every_split_keeps_the_partition_whole(text, monkeypatch):
+    split, touched_by = canon._Partition._split, canon._Partition.touched_by
+    # the ranks each round keys against: the partition as it stood after
+    # the last touched_by, taken at the round's first split
+    ranks: list[list[int]] = []
+    splits = []
+
+    def snapshot_next(part, splitters):
+        ranks.clear()
+        return touched_by(part, splitters)
+
+    def checked(part, c, below, above):
+        order, pos, cell, start, size = (
+            part.order, part.pos, part.cell, part.start, part.size
+        )
+        n = len(order)
+        if not ranks:
+            ranks.append([start[cell[a]] for a in range(n)])
+        rank = ranks[0]
+        first = start[c]
+        moved = {a for piece in below + above for a in piece}
+        middle = [a for a in order[first : first + size[c]] if a not in moved]
+        pieces = [*below, middle, *above]
+        keys = [
+            {
+                tuple(sorted(part.weights[k] + rank[j] for j, k in part.view[a]))
+                for a in piece
+            }
+            for piece in pieces
+        ]
+        splitters = split(part, c, below, above)
+        # order and pos are inverse permutations
+        assert sorted(order) == list(range(n))
+        assert all(pos[a] == p for p, a in enumerate(order))
+        # the cells tile 0..n-1, each holding exactly its slice of order
+        p = 0
+        for d in sorted(range(len(start)), key=start.__getitem__):
+            assert start[d] == p
+            assert {cell[a] for a in order[p : p + size[d]]} == {d}
+            p += size[d]
+        assert p == n
+        # each piece is one cell, laid out where the split cell began, in
+        # order; the largest keeps the id c and the others' atoms come back
+        ids = []
+        for piece in pieces:
+            d = cell[piece[0]]
+            assert set(order[first : first + len(piece)]) == set(piece)
+            assert size[d] == len(piece) and d not in ids
+            ids.append(d)
+            first += len(piece)
+        assert ids[[len(piece) for piece in pieces].index(size[c])] == c
+        assert sorted(splitters) == sorted(
+            a for piece, d in zip(pieces, ids) if d != c for a in piece
+        )
+        # the pieces in key order: one key each, rising, or one key for
+        # the whole stable cell when a tie-break splits off its atom
+        if len(set().union(*keys)) > 1:
+            assert all(len(ks) == 1 for ks in keys)
+            assert [min(ks) for ks in keys] == sorted({min(ks) for ks in keys})
+        else:
+            assert [len(piece) for piece in below] == [1] and above == []
+        splits.append(len(pieces))
+        return splitters
+
+    monkeypatch.setattr(canon._Partition, "_split", checked)
+    monkeypatch.setattr(canon._Partition, "touched_by", snapshot_next)
+    mol = parse_smiles(text)
+    for m in (mol, parse_smiles(render_random(mol, random.Random(0)))):
+        ranks.clear()
+        assert canonical_ranks(m) == reference_canonical_ranks(m)
+    assert splits
+
+
 @pytest.mark.parametrize("shape", [_chain, _ring, _comb, _nested, _methanes])
-def test_canonical_form_scales_near_linearly(shape):
+def test_canonical_form_scales_near_linearly(shape, best_cpu_times):
     # refinement re-keys only the atoms next to a cell that split, and a
     # tie-break finds its atom without scanning the whole tied cell, so
     # twice the atoms cost about twice the CPU time, not four times
     texts = [shape(k) for k in (2500, 5000)]
     assert [len(parse_smiles(text)) for text in texts] == [2500, 5000]
-    best = [float("inf")] * 2
-    gc.disable()  # a full collection of a long session's heap is not the cost
-    try:
-        for _ in range(5):  # interleaved, so a slow spell of the machine hits both
-            for k, text in enumerate(texts):
-                start = time.process_time()
-                canonical_smiles(parse_smiles(text))
-                best[k] = min(best[k], time.process_time() - start)
-    finally:
-        gc.enable()
+    best = best_cpu_times(
+        [lambda text=text: canonical_smiles(parse_smiles(text)) for text in texts], 5
+    )
     assert best[1] / best[0] <= 2.5, best
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import random
 import sys
@@ -326,20 +325,11 @@ def test_graph_layers_pinned_on_corpus_and_druglike(corpus, layer):
     assert digest.hexdigest() == PINNED_GRAPH_DIGESTS[layer]
 
 
-def test_structural_keys_scale_linearly():
+def test_structural_keys_scale_linearly(best_cpu_times):
     # each N, O or S atom reads only its own radius-four ball, so twice the
     # chain costs about twice the CPU time, not four times
     chains = [parse_smiles("N" * 2000), parse_smiles("N" * 4000)]
-    best = [float("inf")] * 2
-    gc.disable()  # a full collection of a long session's heap is not the keys' cost
-    try:
-        for _ in range(7):  # interleaved, so a slow spell of the machine hits both
-            for k, mol in enumerate(chains):
-                start = time.process_time()
-                structural_keys(mol)
-                best[k] = min(best[k], time.process_time() - start)
-    finally:
-        gc.enable()
+    best = best_cpu_times([lambda mol=mol: structural_keys(mol) for mol in chains], 7)
     assert best[1] / best[0] <= 2.5
 
 

@@ -439,9 +439,6 @@ def test_report_serialization_order():
         "samples", "exact_pct", "validity_pct",
         "sim_keys", "sim_path", "sim_morgan", "bleu", "meteor",
     ]
-    lines = report.to_lines()
-    assert lines[0] == "samples=1"
-    assert lines[1].startswith("exact_pct=") and lines[2].startswith("validity_pct=")
 
 
 def test_report_empty():

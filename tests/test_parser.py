@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
 import random
 import time
 
@@ -225,20 +224,11 @@ def test_macrocycle_parses_in_bounded_time(atom):
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
-def test_ring_perception_scales_linearly_on_one_ring():
+def test_ring_perception_scales_linearly_on_one_ring(best_cpu_times):
     # an isolated cycle is walked once, not searched once per bond, so
     # twice the ring costs about twice the CPU time, not four times
     texts = ["c1" + "c" * (k - 2) + "c1" for k in (1200, 2400)]
-    best = [float("inf")] * 2
-    gc.disable()  # a full collection of a long session's heap is not the parse's cost
-    try:
-        for _ in range(7):  # interleaved, so a slow spell of the machine hits both
-            for k, text in enumerate(texts):
-                start = time.process_time()
-                parse_smiles(text)
-                best[k] = min(best[k], time.process_time() - start)
-    finally:
-        gc.enable()
+    best = best_cpu_times([lambda text=text: parse_smiles(text) for text in texts], 7)
     assert best[1] / best[0] <= 2.5
 
 
