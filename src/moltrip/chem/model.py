@@ -172,10 +172,14 @@ class Molecule:
     is not unique, which one is chosen depends on the atom indices.
     ``rings.ring_bonds`` gives each ring's bonds in the same order.
     ``fragments`` holds one sorted atom-index tuple per connected
-    component; ``parse_notes`` records information discarded during parsing
-    (stereo markers, atom maps).  ``failures`` holds the valence and
-    kekulization failures the parser found (empty for a valid molecule); it
-    takes no part in equality or hashing, which compare the graph alone.
+    component.  The constructor works out neither: it raises ``ValueError``
+    when the fragment sizes do not sum to the atom count or ``rings`` does
+    not number bonds - atoms + fragments, so a molecule built by hand passes
+    ``connected_components`` and ``sssr``.  ``parse_notes`` records
+    information discarded during parsing (stereo markers, atom maps).
+    ``failures`` holds the valence and kekulization failures the parser
+    found (empty for a valid molecule); it takes no part in equality or
+    hashing, which compare the graph alone.
     ``view``, when given, must be ``neighbor_view`` of these bonds; the
     parser passes the one it built so the molecule does not build another.
     """
@@ -199,6 +203,10 @@ class Molecule:
             if key in seen:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
+        if sum(map(len, self.fragments)) != n:
+            raise ValueError("fragment sizes must sum to the atom count")
+        if len(self.rings) != len(self.bonds) - n + len(self.fragments):
+            raise ValueError("rings must number bonds - atoms + fragments")
         if view is not None:  # fills the neighbor_view cache
             object.__setattr__(self, "neighbor_view", view)
 

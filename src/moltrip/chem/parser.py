@@ -24,7 +24,7 @@ from .model import (
     neighbor_view,
 )
 from .rings import components, sssr
-from .valence import MAX_KEKULE_STEPS, analyze, aromatize
+from .valence import analyze, aromatize
 
 
 class SmilesError(ValueError):
@@ -68,10 +68,8 @@ class AromaticBondMismatch(SmilesError):
 
 class MoleculeTooLarge(SmilesError):
     """A molecule that a bounded layer refuses: more paths than
-    ``fingerprints.MAX_PATHS`` to fingerprint, more ring closures open at
-    once than the 99 digits its canonical form can spell, or an aromatic
-    system whose kekulization search runs past
-    ``valence.MAX_KEKULE_STEPS`` choices, which ``parse_smiles`` refuses."""
+    ``fingerprints.MAX_PATHS`` to fingerprint, or more ring closures open at
+    once than the 99 digits its canonical form can spell."""
 
 
 _BOND_CHARS = {order.symbol: order for order in BondOrder}
@@ -122,10 +120,6 @@ def parse_smiles(text: str) -> Molecule:
     rings = sssr(bond_tuple, view, fragments)
     aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings, view)
     analysis = analyze(aromatic, bond_tuple, view)
-    if analysis.exhausted:
-        raise MoleculeTooLarge(
-            f"kekulization search ran past {MAX_KEKULE_STEPS} steps"
-        )
     atoms = tuple(
         _trusted_atom(
             a.element, i, a.is_aromatic, a.formal_charge, a.explicit_h,

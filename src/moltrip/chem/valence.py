@@ -4,9 +4,10 @@ Bare organic-subset atoms fill with implicit hydrogens up to the lowest
 permitted valence that fits their bonds.  Aromatic atoms additionally commit
 to donating either one pi bond or a lone pair to the ring system; validity
 then requires a perfect matching of pi donors over the aromatic bonds (the
-ring system must kekulize).  A pi system of an odd number of atoms fails
-without a search, and a search that tries more than ``MAX_KEKULE_STEPS``
-choices gives no verdict: ``parse_smiles`` then raises ``MoleculeTooLarge``.
+ring system must kekulize).  A greedy matching settles most molecules; the
+atoms it leaves over are matched along augmenting paths (Edmonds' blossom
+search), which decides every molecule in polynomial time.  When no perfect
+matching exists, the atoms the greedy matching left over are reported.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from .model import (
     ValidityFailure,
     permitted_valences,
 )
-from .rings import components, ring_bonds
+from .rings import ring_bonds
 
 # Elements eligible for Kekule-ring normalization to aromatic form.
 _AROMATIZABLE = frozenset({"C", "N", "O", "S"})
-
-# Choices the kekulization search may try per molecule before giving up.
-MAX_KEKULE_STEPS = 100_000
 
 
 class AtomFields(Protocol):
@@ -131,8 +129,6 @@ def bond_sums(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[list[int], list[bo
 class AtomAnalysis:
     hydrogens: tuple[int, ...]
     failures: tuple[ValidityFailure, ...]
-    # the kekulization search ran past MAX_KEKULE_STEPS: no verdict
-    exhausted: bool
 
 
 def analyze(
@@ -179,96 +175,98 @@ def analyze(
             reason = f"valence {total} not in permitted {{{shape}}} for {atom.element}"
         failures.append(ValidityFailure(i, reason))
 
-    unmatched = _kekulize(bonds, view, pi)
-    for i in sorted(unmatched or ()):
+    for i in sorted(_kekulize(bonds, view, pi)):
         failures.append(
             ValidityFailure(i, "aromatic system cannot be kekulized")
         )
 
-    return AtomAnalysis(tuple(hydrogens), tuple(failures), unmatched is None)
+    return AtomAnalysis(tuple(hydrogens), tuple(failures))
 
 
 def _kekulize(
     bonds: tuple[Bond, ...], view: NeighborView, pi: list[int]
-) -> set[int] | None:
-    """Atoms left unmatched by the best pi-bond matching (empty = kekulizable),
-    or None if the search ran past ``MAX_KEKULE_STEPS``.
+) -> set[int]:
+    """Atoms a greedy matching of the pi donors over their aromatic bonds
+    leaves over, when no perfect matching exists; else the empty set.
 
-    Matching runs over aromatic bonds between pi-donating atoms.  A greedy
-    matching that leaves no atom over settles it; else a backtracking
-    search runs over one connected pi system at a time, skipping a system
-    of an odd number of atoms, which has no perfect matching.
+    From each leftover still unmatched, ``_augment`` looks for an augmenting
+    path; an atom with none is left over by every maximum matching.
     """
     need = [i for i, p in enumerate(pi) if p == 1]
     if not need:
         return set()
     aromatic = [bond.order is BondOrder.AROMATIC for bond in bonds]
-    # per atom, its (neighbour, bond index) pairs in its pi system
+    # per atom, its neighbours in its pi system
     adj = [
-        [pair for pair in pairs if aromatic[pair[1]] and pi[pair[0]]] if p else []
+        [j for j, k in pairs if aromatic[k] and pi[j]] if p else []
         for pairs, p in zip(view, pi)
     ]
-    # a greedy matching: what it leaves over is the report when there is no
-    # perfect matching, and when it leaves nothing over it is one
-    matched: dict[int, int] = {}
+    matched: dict[int, int] = {}  # the greedy matching, then augmented
     for atom in need:
-        if atom in matched:
-            continue
-        for nbr, _ in adj[atom]:
-            if nbr not in matched:
-                matched[atom] = nbr
-                matched[nbr] = atom
-                break
+        if atom not in matched:
+            nbr = next((j for j in adj[atom] if j not in matched), None)
+            if nbr is not None:
+                matched[atom], matched[nbr] = nbr, atom
     unmatched = {i for i in need if i not in matched}
-    if not unmatched:
-        return unmatched
-    steps = iter(range(MAX_KEKULE_STEPS))
-    for system in components(adj):
-        if not pi[system[0]]:
-            continue
-        found = len(system) % 2 == 0 and _perfect_matching(system[::-1], adj, steps)
-        if found is None:
-            return None
-        if not found:
+    for root in sorted(unmatched):
+        if root not in matched and not _augment(root, adj, matched):
             return unmatched
     return set()
 
 
-def _perfect_matching(
-    order: tuple[int, ...], adj: list[list[tuple[int, int]]], steps: Iterator[int]
-) -> bool | None:
-    """Backtracking search matching every atom of ``order``, last first,
-    taking one item of ``steps`` per choice it tries; None if they run out.
+def _augment(root: int, adj: list[list[int]], matched: dict[int, int]) -> bool:
+    """Edmonds' search from the unmatched ``root``: grow an alternating tree,
+    contracting odd cycles (blossoms); on reaching another unmatched atom,
+    flip the path between them in ``matched`` and return True.  The state
+    covers the tree alone, so a search costs its tree, not the molecule."""
+    outer = {root: True}  # tree atoms: True at even depth, False at odd
+    pred: dict[int, int] = {}  # the atom each tree atom was reached from
+    link: dict[int, int] = {}  # union-find: blossom atom -> nearer its base
 
-    One stack frame per matched pair, so a long aromatic system cannot
-    exhaust the interpreter's recursion limit.
-    """
-    matched: dict[int, int] = {}
-    # (position in order of an atom being matched, its untried neighbours)
-    stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
-    rest = len(order)  # order[:rest] may hold unmatched atoms
-    while True:
-        while rest and order[rest - 1] in matched:
-            rest -= 1
-        if not rest:
-            return True
-        rest -= 1
-        stack.append((rest, iter(adj[order[rest]])))
-        while stack:
-            if next(steps, None) is None:
-                return None
-            rest, nbrs = stack[-1]
-            atom = order[rest]
-            if atom in matched:  # the search under this choice failed
-                del matched[matched.pop(atom)]
-            nbr = next((j for j, _ in nbrs if j not in matched), None)
-            if nbr is not None:
-                matched[atom] = nbr
-                matched[nbr] = atom
-                break
-            stack.pop()
-        else:
-            return False
+    def base(x: int) -> int:
+        while x in link:
+            link[x] = x = link.get(link[x], link[x])  # path halving
+        return x
+
+    def climb(x: int) -> Iterator[int]:  # the bases from x's up to the root
+        while True:
+            yield (x := base(x))
+            if x == root:
+                return
+            x = pred[matched[x]]
+
+    def shrink(x: int, y: int, top: int) -> None:  # x's path down to top
+        while base(x) != top:
+            pred[x], y = y, matched[x]
+            if not outer[y]:
+                outer[y] = True
+                queue.append(y)
+            for atom in (x, y):
+                if atom != top and base(atom) == atom:
+                    link[atom] = top
+            x = pred[y]
+
+    queue = [root]  # outer atoms to scan, appended to while it is read
+    for x in queue:
+        for y in adj[x]:
+            if outer.get(y) is False or base(x) == base(y):  # inner, or x's own
+                continue
+            if y in outer:  # an odd cycle: contract it at its first base
+                path = set(climb(x))
+                top = next(b for b in climb(y) if b in path)
+                shrink(x, y, top)
+                shrink(y, x, top)
+                continue
+            outer[y], pred[y] = False, x
+            if y not in matched:  # an augmenting path ends here: flip it
+                end: int | None = y
+                while end is not None:
+                    mate = pred[end]
+                    matched[mate], matched[end], end = end, mate, matched.get(mate)
+                return True
+            outer[matched[y]] = True
+            queue.append(matched[y])
+    return False
 
 
 def aromatize(

@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import time
 from pathlib import Path
 
 import pytest
+
+from moltrip.chem import (
+    Atom,
+    Bond,
+    BondOrder,
+    Molecule,
+    connected_components,
+    render_random,
+    sssr,
+)
+from moltrip.chem.model import neighbor_view
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -101,3 +113,90 @@ def snake_ladder() -> str:
                 open_digits[pair] = digit
                 out.append(str(digit))
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# benzenoid sheets of bare aromatic carbons
+
+def _honeycomb(width: int, height: int, first: int = 0) -> list[tuple[int, int]]:
+    """The bonds of a brick-wall honeycomb sheet of ``width x height`` atoms
+    numbered row by row from ``first``: atom (x, y) bonds to (x + 1, y), and
+    to (x, y + 1) when x + y is even."""
+    pairs = []
+    for y in range(height):
+        for x in range(width):
+            here = first + y * width + x
+            if x + 1 < width:
+                pairs.append((here, here + 1))
+            if (x + y) % 2 == 0 and y + 1 < height:
+                pairs.append((here, here + width))
+    return pairs
+
+
+def _aromatic_carbons(n: int, pairs: list[tuple[int, int]]) -> Molecule:
+    """``n`` bare aromatic carbons bonded by ``pairs``, each filled to three
+    bonds with hydrogens, with its fragments and rings worked out."""
+    degree = [0] * n
+    for a, b in pairs:
+        degree[a] += 1
+        degree[b] += 1
+    atoms = tuple(
+        Atom("C", i, is_aromatic=True, hydrogens=3 - degree[i]) for i in range(n)
+    )
+    bonds = tuple(Bond(a, b, BondOrder.AROMATIC) for a, b in pairs)
+    fragments = connected_components(n, bonds)
+    rings = sssr(bonds, neighbor_view(n, bonds), fragments)
+    return Molecule(atoms, bonds, rings=rings, fragments=fragments)
+
+
+def _brick_walls(sheets: list[tuple[int, int]], joined: bool = False) -> str:
+    n, pairs, anchors = 0, [], []
+    for width, height in sheets:
+        pairs += _honeycomb(width, height, n)
+        anchors.append(n + 1)
+        n += width * height
+    if joined:
+        pairs += [(n, anchor) for anchor in anchors]
+        n += 1
+    return render_random(_aromatic_carbons(n, pairs), random.Random(0))
+
+
+def _benzenoid_flake(width: int, height: int) -> Molecule:
+    keep = set(range(width * height))
+    pairs = _honeycomb(width, height)
+    while True:
+        degree = dict.fromkeys(keep, 0)
+        for a, b in pairs:
+            degree[a] += 1
+            degree[b] += 1
+        low = {a for a, d in degree.items() if d < 2}
+        if not low:
+            break
+        keep -= low
+        pairs = [(a, b) for a, b in pairs if a in keep and b in keep]
+    index = {a: i for i, a in enumerate(sorted(keep))}
+    return _aromatic_carbons(len(index), [(index[a], index[b]) for a, b in pairs])
+
+
+@pytest.fixture(scope="session")
+def honeycomb():
+    """``honeycomb(width, height)``: the bonds of a brick-wall honeycomb
+    sheet as atom-index pairs (see ``_honeycomb``)."""
+    return _honeycomb
+
+
+@pytest.fixture(scope="session")
+def brick_walls():
+    """``brick_walls(sheets, joined=False)``: honeycomb sheets of bare
+    aromatic carbons, one per ``(width, height)`` (see ``_honeycomb``),
+    spelled by ``render_random`` with ``Random(0)``.  ``joined`` adds one
+    aromatic carbon bonded to atom (1, 0) of each sheet."""
+    return _brick_walls
+
+
+@pytest.fixture(scope="session")
+def benzenoid_flake():
+    """``benzenoid_flake(width, height)``: the ``width x height`` honeycomb
+    sheet with atoms of fewer than two bonds stripped until none is left,
+    renumbered in order, as a ``Molecule``."""
+    return _benzenoid_flake

@@ -10,7 +10,9 @@ summary.  The ring set and canonical ranking references are frozen copies
 of the package's earlier, slower code, which the faster code must match
 byte for byte.  The round-trip rate reference is the package's earlier
 recomputation of the rate from the raw strings, which the rate read off
-the exact flags must equal.
+the exact flags must equal.  The perfect matching reference is the
+package's earlier backtracking kekulization search, without its step
+budget, which the augmenting-path search must agree with.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
+from typing import Iterator
 
 from moltrip.chem import (
     Bond,
@@ -836,3 +839,57 @@ def reference_round_trip_rate(samples: list[RoundTripSample]) -> float:
         except SmilesError:
             continue
     return hits / len(samples)
+
+
+# ---------------------------------------------------------------------------
+# perfect matching by backtracking (pi systems of up to ~40 atoms)
+
+def reference_perfect_matching(adj: list[list[int]]) -> bool:
+    """Whether the graph with neighbour lists ``adj`` has a perfect matching.
+
+    Each connected component is searched on its own, an odd one failing
+    without a search, by the backtracking the package ran before it matched
+    along augmenting paths, with no limit on the choices it tries.
+    """
+    seen = [False] * len(adj)
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        system = [root]
+        for atom in system:
+            for nbr in adj[atom]:
+                if not seen[nbr]:
+                    seen[nbr] = True
+                    system.append(nbr)
+        if len(system) % 2 or not _ref_match_all(sorted(system)[::-1], adj):
+            return False
+    return True
+
+
+def _ref_match_all(order: list[int], adj: list[list[int]]) -> bool:
+    """Backtracking search matching every atom of ``order``, last first."""
+    matched: dict[int, int] = {}
+    # (position in order of an atom being matched, its untried neighbours)
+    stack: list[tuple[int, Iterator[int]]] = []
+    rest = len(order)  # order[:rest] may hold unmatched atoms
+    while True:
+        while rest and order[rest - 1] in matched:
+            rest -= 1
+        if not rest:
+            return True
+        rest -= 1
+        stack.append((rest, iter(adj[order[rest]])))
+        while stack:
+            rest, nbrs = stack[-1]
+            atom = order[rest]
+            if atom in matched:  # the search under this choice failed
+                del matched[matched.pop(atom)]
+            nbr = next((j for j in nbrs if j not in matched), None)
+            if nbr is not None:
+                matched[atom] = nbr
+                matched[nbr] = atom
+                break
+            stack.pop()
+        else:
+            return False

@@ -248,7 +248,9 @@ def test_parse_builds_the_neighbour_view_once(monkeypatch):
     morgan_features(mol)
     path_features(mol)
     assert len(built) == 1
-    direct = Molecule(atoms=mol.atoms, bonds=mol.bonds)  # builds its own
+    direct = Molecule(  # builds its own
+        atoms=mol.atoms, bonds=mol.bonds, rings=mol.rings, fragments=mol.fragments
+    )
     assert direct.neighbor_view == mol.neighbor_view
     assert len(built) == 2
 
@@ -277,3 +279,17 @@ def test_atom_constructor_and_replace_still_validate():
         dataclasses.replace(atom, element="Xx")
     with pytest.raises(ValueError, match="explicit hydrogen"):
         dataclasses.replace(atom, explicit_h=-1)
+
+
+def test_hand_built_molecule_without_fragments_or_rings_is_refused():
+    mol = parse_smiles("C1CC1O")
+    atoms, bonds = mol.atoms, mol.bonds
+    with pytest.raises(ValueError, match="fragment sizes"):
+        Molecule(atoms, bonds, rings=mol.rings)
+    with pytest.raises(ValueError, match="fragment sizes"):
+        Molecule(atoms, bonds, rings=mol.rings, fragments=((0, 1, 2),))
+    with pytest.raises(ValueError, match="rings"):
+        Molecule(atoms, bonds, fragments=mol.fragments)
+    built = Molecule(atoms, bonds, rings=mol.rings, fragments=mol.fragments)
+    assert built == mol
+    assert canonical_smiles(built) == canonical_smiles(mol) != ""

@@ -7,20 +7,21 @@ import sys
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from moltrip.chem import (
-    Atom,
     Bond,
     BondOrder,
-    Molecule,
-    MoleculeTooLarge,
     ValidityFailure,
+    canonical_smiles,
     check_validity,
-    connected_components,
     parse_smiles,
     render_random,
 )
-from moltrip.chem.valence import MAX_KEKULE_STEPS
+from moltrip.chem.model import neighbor_view
+from moltrip.chem.valence import _kekulize
+from oracles import reference_perfect_matching
 
 
 @pytest.mark.parametrize(
@@ -122,38 +123,7 @@ def test_aromatic_rings_longer_than_the_recursion_limit():
 
 
 # ---------------------------------------------------------------------------
-# aromatic systems with no Kekule structure, in bounded time
-
-def _brick_walls(sheets: list[tuple[int, int]], joined: bool = False) -> str:
-    """Honeycomb sheets of bare aromatic carbons, each ``width x height``:
-    atom (x, y) bonds to (x + 1, y), and to (x, y + 1) when x + y is even.
-    ``joined`` adds one aromatic carbon bonded to atom (1, 0) of each sheet.
-    Spelled by ``render_random`` with ``Random(0)``."""
-    bonds, n, anchors = [], 0, []
-    for width, height in sheets:
-        for y in range(height):
-            for x in range(width):
-                here = n + y * width + x
-                if x + 1 < width:
-                    bonds.append((here, here + 1))
-                if (x + y) % 2 == 0 and y + 1 < height:
-                    bonds.append((here, here + width))
-        anchors.append(n + 1)
-        n += width * height
-    if joined:
-        bonds += [(n, anchor) for anchor in anchors]
-        n += 1
-    degree = [0] * n
-    for a, b in bonds:
-        degree[a] += 1
-        degree[b] += 1
-    atoms = tuple(
-        Atom("C", i, is_aromatic=True, hydrogens=3 - degree[i]) for i in range(n)
-    )
-    bond_tuple = tuple(Bond(a, b, BondOrder.AROMATIC) for a, b in bonds)
-    mol = Molecule(atoms, bond_tuple, fragments=connected_components(n, bond_tuple))
-    return render_random(mol, random.Random(0))
-
+# kekulization: an exact verdict in bounded time
 
 @pytest.mark.parametrize(
     "width,height,unmatched",
@@ -163,10 +133,13 @@ def _brick_walls(sheets: list[tuple[int, int]], joined: bool = False) -> str:
         (11, 13, [56, 57, 60, 119, 136, 137, 140]),
     ],
 )
-def test_odd_aromatic_sheet_fails_kekulization_quickly(width, height, unmatched):
-    # an odd pi system has no perfect matching, so it is not searched; the
-    # greedy report is the one the full search gave after 5 to 90 s
-    text = _brick_walls([(width, height)])
+def test_odd_aromatic_sheet_fails_kekulization_quickly(
+    brick_walls, width, height, unmatched
+):
+    # an odd pi system has no perfect matching; the report lists the atoms
+    # the greedy matching left over, as the full search once did after 5 to
+    # 90 s
+    text = brick_walls([(width, height)])
     start = time.process_time()
     report = check_validity(text)
     assert time.process_time() - start < 2.0
@@ -175,15 +148,128 @@ def test_odd_aromatic_sheet_fails_kekulization_quickly(width, height, unmatched)
     )
 
 
-def test_even_aromatic_system_without_kekule_structure_stops_at_the_budget():
+def test_even_aromatic_system_without_kekule_structure_reports_greedy_leftovers(
+    brick_walls,
+):
     # three odd sheets and one joining carbon: 190 atoms in one even pi
-    # system, which the search could not settle within 100 s
-    text = _brick_walls([(9, 7)] * 3, joined=True)
+    # system, which a backtracking search could not settle within 100 s
+    text = brick_walls([(9, 7)] * 3, joined=True)
     start = time.process_time()
     report = check_validity(text)
     assert time.process_time() - start < 2.0
-    assert report.failures == (ValidityFailure(
-        None, f"MoleculeTooLarge: kekulization search ran past {MAX_KEKULE_STEPS} steps"
-    ),)
-    with pytest.raises(MoleculeTooLarge, match="kekulization"):
-        parse_smiles(text)
+    expected = tuple(
+        ValidityFailure(i, "aromatic system cannot be kekulized")
+        for i in [18, 95, 96, 97, 98, 99, 104, 105, 162, 163, 174, 181, 186,
+                  187, 188, 189]
+    )
+    assert report.failures == expected
+    assert parse_smiles(text).failures == expected
+
+
+# C62H22, a benzenoid flake of 21 rings, in a spelling that a bounded
+# backtracking search (100,000 choices) gave up on
+C62H22 = (
+    "c12c3c4c5c6c7c8c9c%10c(cc%11c%12c%10c7c7c%10c%12c(ccc%10c%10ccc(c%12c1c1"
+    "c%13c(cc%14c%15c(c%16ccc(c6cc8)c4c%16c2c%13%15)ccc%14)ccc1cc%12)c3c%10c75"
+    ")cc%11)ccc9"
+)
+
+
+def test_c62h22_spelling_is_valid_quickly():
+    start = time.process_time()
+    report = check_validity(C62H22)
+    assert time.process_time() - start < 2.0
+    assert report.is_valid, report.failures
+
+
+def test_square_brick_wall_sheet_is_valid(brick_walls):
+    report = check_validity(brick_walls([(20, 20)]))
+    assert report.is_valid, report.failures
+
+
+def test_large_shuffled_sheet_kekulizes_quickly(honeycomb, best_cpu_times):
+    # 14,400 atoms labelled in a random order: the greedy matching leaves
+    # about 1,500 atoms over, and each augmenting search stays near its root
+    rng = random.Random(0)
+    n = 120 * 120
+    label = rng.sample(range(n), n)
+    pairs = honeycomb(120, 120)
+    rng.shuffle(pairs)
+    bonds = tuple(Bond(label[a], label[b], BondOrder.AROMATIC) for a, b in pairs)
+    view = neighbor_view(n, bonds)
+    assert _kekulize(bonds, view, [1] * n) == set()
+    [cpu] = best_cpu_times([lambda: _kekulize(bonds, view, [1] * n)], 3)
+    assert cpu < 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width=st.sampled_from(range(4, 19, 2)),
+    height=st.integers(2, 13),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True),
+)
+def test_benzenoid_flakes_are_valid_in_every_spelling(
+    benzenoid_flake, width, height, seeds
+):
+    # every flake of even width has a Kekule structure: its verdict and its
+    # canonical form must not depend on the spelling
+    mol = benzenoid_flake(width, height)
+    assume(22 <= len(mol) <= 142)
+    forms = set()
+    for seed in seeds:
+        text = render_random(mol, random.Random(seed))
+        start = time.process_time()
+        parsed = parse_smiles(text)
+        forms.add(canonical_smiles(parsed))
+        assert time.process_time() - start < 1.0, text
+        assert parsed.failures == (), text
+    assert forms == {canonical_smiles(mol)}
+
+
+def _fused_pi_system(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Rings of 5 to 7 atoms, each after the first fused onto a bond between
+    two atoms of two bonds each, and a few pendant atoms on such atoms: up
+    to 39 atoms of at most three bonds, odd rings fused to even ones."""
+    size = rng.randint(5, 7)
+    pairs = [(i, (i + 1) % size) for i in range(size)]
+    degree = [2] * size
+    for _ in range(rng.randint(0, 6)):
+        free = [(a, b) for a, b in pairs if degree[a] == degree[b] == 2]
+        if not free:
+            break
+        a, b = rng.choice(free)
+        path = [a, *range(len(degree), len(degree) + rng.randint(3, 5)), b]
+        pairs += zip(path, path[1:])
+        degree += [2] * (len(path) - 2)
+        degree[a] = degree[b] = 3
+    for atom in rng.sample(range(len(degree)), rng.randint(0, 2)):
+        if degree[atom] == 2:
+            pairs.append((atom, len(degree)))
+            degree.append(1)
+            degree[atom] = 3
+    return len(degree), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+# a five-membered ring fused to a six-membered one, with a pendant atom:
+# the greedy leftover reaches its mate only once both halves of a blossom
+# are contracted
+@example(seed=6759)
+def test_kekulization_verdict_matches_backtracking(seed):
+    rng = random.Random(seed)
+    n, pairs = _fused_pi_system(rng)
+    rng.shuffle(pairs)
+    bonds = tuple(Bond(a, b, BondOrder.AROMATIC) for a, b in pairs)
+    # some atoms donate a lone pair, and leave the pi system
+    pi = [int(rng.random() > 0.1) for _ in range(n)]
+    left = _kekulize(bonds, neighbor_view(n, bonds), pi)
+    donors = [i for i in range(n) if pi[i]]
+    index = {atom: k for k, atom in enumerate(donors)}
+    adj = [[] for _ in donors]
+    for a, b in pairs:
+        if pi[a] and pi[b]:
+            adj[index[a]].append(index[b])
+            adj[index[b]].append(index[a])
+    assert (left == set()) == reference_perfect_matching(adj)
+    assert left <= set(donors)
