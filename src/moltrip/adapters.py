@@ -44,6 +44,7 @@ import json as jsonlib
 import math
 import os
 import string
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -586,8 +587,13 @@ class RemoteEndpointConfig:
     api_key_var: str = API_KEY_VAR
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        # nan, inf and huge values would fail inside the socket call, where
+        # the client does not count them as network failures
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g} seconds,"
+                f" not {self.timeout!r}"
+            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         # urllib would also open file: and ftp: URLs, and a bad port would

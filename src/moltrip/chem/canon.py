@@ -348,7 +348,7 @@ def _write_fragment(
                     top = digit = top + 1
                 else:
                     raise MoleculeTooLarge(
-                        "canonical form needs more than 99 ring closures open at once"
+                        "SMILES spelling needs more than 99 ring closures open at once"
                     )
                 opened[k] = digit
                 out.append(bond_tokens[k])

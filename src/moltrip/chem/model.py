@@ -90,62 +90,28 @@ class BondOrder(enum.Enum):
 
 @dataclass(frozen=True)
 class Atom:
-    """One atom: element symbol, aromatic flag, charge, hydrogens, isotope.
+    """One atom: element symbol, aromatic flag, charge, isotope, hydrogens.
 
-    ``explicit_h`` is the bracket-specified hydrogen count (None when the
-    atom was written bare and hydrogens were inferred); ``hydrogens`` is the
-    total attached hydrogen count actually in effect.
+    ``hydrogens`` is the total attached hydrogen count, whether brackets
+    wrote it or the parser inferred it.  How the atom was spelled is not
+    kept (the parser's draft atoms record that), so ``CC`` and
+    ``[CH3][CH3]`` parse to equal atoms.
     """
 
     element: str
-    index: int
     is_aromatic: bool = False
     formal_charge: int = 0
-    explicit_h: int | None = None
     isotope: int | None = None
     hydrogens: int = 0
 
     def __post_init__(self) -> None:
         if self.element not in ELEMENT_SYMBOLS:
             raise ValueError(f"unrecognized element symbol {self.element!r}")
-        if self.explicit_h is not None and self.explicit_h < 0:
-            raise ValueError("explicit hydrogen count must be >= 0")
 
     @property
     def symbol(self) -> str:
         """Element symbol as written in SMILES (lowercase when aromatic)."""
         return self.element.lower() if self.is_aromatic else self.element
-
-
-def _trusted_atom(
-    element: str,
-    index: int,
-    is_aromatic: bool,
-    formal_charge: int,
-    explicit_h: int | None,
-    isotope: int | None,
-    hydrogens: int,
-) -> Atom:
-    """An Atom from fields the SMILES grammar has already checked: a known
-    element and no negative hydrogen count.
-
-    It fills the instance dict in one step, where the frozen dataclass's
-    ``__init__`` sets each field through ``object.__setattr__`` and
-    ``__post_init__`` repeats the grammar's checks.  Equality and hashing
-    read the fields alone, so the atom equals its ``Atom(...)`` twin; the
-    public constructor and ``dataclasses.replace`` still validate.
-    """
-    atom = object.__new__(Atom)
-    atom.__dict__.update(
-        element=element,
-        index=index,
-        is_aromatic=is_aromatic,
-        formal_charge=formal_charge,
-        explicit_h=explicit_h,
-        isotope=isotope,
-        hydrogens=hydrogens,
-    )
-    return atom
 
 
 @dataclass(frozen=True)
@@ -176,10 +142,11 @@ class Molecule:
     when the fragment sizes do not sum to the atom count or ``rings`` does
     not number bonds - atoms + fragments, so a molecule built by hand passes
     ``connected_components`` and ``sssr``.  ``parse_notes`` records
-    information discarded during parsing (stereo markers, atom maps).
-    ``failures`` holds the valence and kekulization failures the parser
-    found (empty for a valid molecule); it takes no part in equality or
-    hashing, which compare the graph alone.
+    information discarded during parsing (stereo markers, atom maps, bond
+    directions).  ``failures`` holds the valence and kekulization failures
+    the parser found (empty for a valid molecule).  Neither takes part in
+    equality or hashing, which compare the graph alone: ``CC=CC`` and
+    ``C/C=C/C`` parse to equal molecules.
     ``view``, when given, must be ``neighbor_view`` of these bonds; the
     parser passes the one it built so the molecule does not build another.
     """
@@ -188,7 +155,7 @@ class Molecule:
     bonds: tuple[Bond, ...]
     rings: tuple[tuple[int, ...], ...] = ()
     fragments: tuple[tuple[int, ...], ...] = ()
-    parse_notes: tuple[str, ...] = ()
+    parse_notes: tuple[str, ...] = field(default=(), compare=False)
     failures: tuple[ValidityFailure, ...] = field(default=(), compare=False)
     view: InitVar[NeighborView | None] = None
 

@@ -9,22 +9,21 @@ discarded detail lands in the molecule's parse notes.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from .model import (
     AROMATIC_ELEMENTS,
     ELEMENT_SYMBOLS,
+    Atom,
     Bond,
     BondOrder,
     Molecule,
     ValidityFailure,
     ValidityReport,
-    _trusted_atom,
     neighbor_view,
 )
 from .rings import components, sssr
-from .valence import analyze, aromatize
+from .valence import _DraftAtom, analyze, aromatize
 
 
 class SmilesError(ValueError):
@@ -68,8 +67,9 @@ class AromaticBondMismatch(SmilesError):
 
 class MoleculeTooLarge(SmilesError):
     """A molecule that a bounded layer refuses: more paths than
-    ``fingerprints.MAX_PATHS`` to fingerprint, or more ring closures open at
-    once than the 99 digits its canonical form can spell."""
+    ``fingerprints.MAX_PATHS`` to fingerprint, or, in its canonical form or
+    a ``render_random`` spelling, more ring closures open at once than the
+    99 digits SMILES can spell."""
 
 
 _BOND_CHARS = {order.symbol: order for order in BondOrder}
@@ -94,17 +94,6 @@ _BRACKET_RE = re.compile(
 )
 
 
-@dataclasses.dataclass
-class _DraftAtom:
-    """An Atom's fields less the index and hydrogens parse_smiles adds."""
-
-    element: str
-    is_aromatic: bool = False
-    formal_charge: int = 0
-    explicit_h: int | None = None
-    isotope: int | None = None
-
-
 def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into an immutable Molecule.
 
@@ -118,14 +107,11 @@ def parse_smiles(text: str) -> Molecule:
     view = neighbor_view(len(drafts), bond_tuple)
     fragments = components(view)
     rings = sssr(bond_tuple, view, fragments)
-    aromatic, bond_tuple = aromatize(tuple(drafts), bond_tuple, rings, view)
-    analysis = analyze(aromatic, bond_tuple, view)
+    bond_tuple = aromatize(drafts, bond_tuple, rings, view)
+    analysis = analyze(drafts, bond_tuple, view)
     atoms = tuple(
-        _trusted_atom(
-            a.element, i, a.is_aromatic, a.formal_charge, a.explicit_h,
-            a.isotope, h,
-        )
-        for i, (a, h) in enumerate(zip(aromatic, analysis.hydrogens))
+        Atom(a.element, a.is_aromatic, a.formal_charge, a.isotope, h)
+        for a, h in zip(drafts, analysis.hydrogens)
     )
     return Molecule(
         atoms=atoms,

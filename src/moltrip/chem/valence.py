@@ -8,6 +8,10 @@ ring system must kekulize).  A greedy matching settles most molecules; the
 atoms it leaves over are matched along augmenting paths (Edmonds' blossom
 search), which decides every molecule in polynomial time.  When no perfect
 matching exists, the atoms the greedy matching left over are reported.
+
+Both steps read the parser's draft atoms, the one record of whether an atom
+was written bare or in brackets with its hydrogens; ``parse_smiles`` then
+builds each ``Atom`` from its draft and the hydrogens ``analyze`` assigns.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Protocol, TypeVar
+from typing import Iterator
 
 from .model import (
     Bond,
@@ -30,20 +34,21 @@ from .rings import ring_bonds
 _AROMATIZABLE = frozenset({"C", "N", "O", "S"})
 
 
-class AtomFields(Protocol):
-    """What aromatize and analyze read of an atom; parser drafts have it."""
+@dataclass
+class _DraftAtom:
+    """An atom as the parser read it, before its hydrogens are known.
 
-    @property
-    def element(self) -> str: ...
-    @property
-    def is_aromatic(self) -> bool: ...
-    @property
-    def formal_charge(self) -> int: ...
-    @property
-    def explicit_h(self) -> int | None: ...
+    ``explicit_h`` is the bracket hydrogen count, None for a bare atom whose
+    hydrogens ``analyze`` infers: the only record of how the atom was
+    spelled, since ``Atom`` keeps the hydrogens alone.  ``aromatize`` sets
+    ``is_aromatic`` in place.
+    """
 
-
-_A = TypeVar("_A", bound=AtomFields)
+    element: str
+    is_aromatic: bool = False
+    formal_charge: int = 0
+    explicit_h: int | None = None
+    isotope: int | None = None
 
 
 def _prefers_pi(element: str, sigma: int) -> bool:
@@ -132,7 +137,7 @@ class AtomAnalysis:
 
 
 def analyze(
-    atoms: tuple[AtomFields, ...], bonds: tuple[Bond, ...], view: NeighborView
+    atoms: list[_DraftAtom], bonds: tuple[Bond, ...], view: NeighborView
 ) -> AtomAnalysis:
     """Assign hydrogens, plan pi donation, and collect valence failures.
 
@@ -270,12 +275,13 @@ def _augment(root: int, adj: list[list[int]], matched: dict[int, int]) -> bool:
 
 
 def aromatize(
-    atoms: tuple[_A, ...],
+    atoms: list[_DraftAtom],
     bonds: tuple[Bond, ...],
     rings: tuple[tuple[int, ...], ...],
     view: NeighborView,
-) -> tuple[tuple[_A, ...], tuple[Bond, ...]]:
-    """Normalize Kekule-spelled rings to aromatic form.
+) -> tuple[Bond, ...]:
+    """Normalize Kekule-spelled rings to aromatic form: set ``is_aromatic``
+    on the ring atoms in place, and return the rewritten bonds.
 
     A ring converts when every atom is C/N/O/S, the ring bonds alternate
     single/double around the cycle (bonds already aromatic match either
@@ -294,13 +300,9 @@ def aromatize(
                 flip_atoms.update(ring)
                 flip_bonds.update(cycle)
         if not flip_bonds:
-            return atoms, bonds
-        atoms = tuple(
-            dataclasses.replace(atom, is_aromatic=True)
-            if i in flip_atoms and not atom.is_aromatic
-            else atom
-            for i, atom in enumerate(atoms)
-        )
+            return bonds
+        for i in flip_atoms:
+            atoms[i].is_aromatic = True
         bonds = tuple(
             dataclasses.replace(bond, order=BondOrder.AROMATIC)
             if k in flip_bonds
@@ -310,7 +312,7 @@ def aromatize(
 
 
 def _ring_qualifies(
-    atoms: tuple[AtomFields, ...],
+    atoms: list[_DraftAtom],
     bonds: tuple[Bond, ...],
     view: NeighborView,
     ring: tuple[int, ...],

@@ -54,7 +54,7 @@ from .metrics import (
     reconstruction_score,
     round_trip_rate,
 )
-from .theory import check_mi_bound, random_system
+from .theory import MAX_SYMBOLS, check_mi_bound, random_system
 from .toy import run_toy
 
 
@@ -169,6 +169,11 @@ def _generator_adapter(args):
     return EchoAdapter()
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, not {args.workers}")
+
+
 def _remote_adapter(args) -> RemoteAdapter:
     if not args.base_url or not args.model:
         raise ValueError("remote adapter needs --base-url and --model")
@@ -254,6 +259,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_workers(args)
     adapter = _generator_adapter(args)
     temperature = 0.0 if args.temperature is None else args.temperature
     pairs = _load(args.pairs)
@@ -348,6 +354,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    _check_workers(args)
     if args.n < 2:  # a group of one has no advantage; refuse before any call
         raise ValueError(f"--n must be >= 2, not {args.n}")
     pairs = _load(args.pairs)
@@ -381,6 +388,12 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    if not 2 <= args.max_size <= MAX_SYMBOLS:
+        raise UsageError(
+            f"--max-size must be in 2..{MAX_SYMBOLS}, not {args.max_size}"
+        )
+    if args.systems < 1:
+        raise UsageError(f"--systems must be >= 1, not {args.systems}")
     rng = random.Random(args.seed)
     reports = [
         check_mi_bound(random_system(rng, args.max_size))

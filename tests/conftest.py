@@ -141,7 +141,7 @@ def _aromatic_carbons(n: int, pairs: list[tuple[int, int]]) -> Molecule:
         degree[a] += 1
         degree[b] += 1
     atoms = tuple(
-        Atom("C", i, is_aromatic=True, hydrogens=3 - degree[i]) for i in range(n)
+        Atom("C", is_aromatic=True, hydrogens=3 - degree[i]) for i in range(n)
     )
     bonds = tuple(Bond(a, b, BondOrder.AROMATIC) for a, b in pairs)
     fragments = connected_components(n, bonds)

@@ -591,6 +591,10 @@ def test_remote_config_validation():
     ok = "https://api.example.test/v1"
     for bad in (
         {"timeout": 0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"timeout": 1e300},
+        {"timeout": threading.TIMEOUT_MAX * 2},
         {"max_retries": -1},
         {"base_url": "u"},
         {"base_url": "file:///tmp/v1"},
@@ -602,6 +606,7 @@ def test_remote_config_validation():
         with pytest.raises(ValueError):
             RemoteEndpointConfig(**{"base_url": ok, "model": "m", **bad})
     RemoteEndpointConfig(base_url="http://127.0.0.1:8000/v1/", model="m")
+    RemoteEndpointConfig(base_url=ok, model="m", timeout=threading.TIMEOUT_MAX)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,19 @@ def test_too_many_open_ring_closures_raise_a_typed_error(snake_ladder):
     assert isinstance(err.value, SmilesError)
 
 
+def test_random_spelling_with_too_many_open_ring_closures_names_no_canonical_form(
+    benzenoid_flake,
+):
+    # a random walk over a 574-atom benzenoid sheet leaves more than 99 ring
+    # bonds open at once, though other walks spell it
+    mol = parse_smiles(render_random(benzenoid_flake(24, 24), random.Random(0)))
+    assert len(mol) == 574 and not mol.failures
+    with pytest.raises(MoleculeTooLarge, match="99 ring closures") as err:
+        render_random(mol, random.Random(0))
+    assert "SMILES spelling" in str(err.value)
+    assert "canonical" not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # ranks on tie-heavy graphs, and how canonical form scales with size
 

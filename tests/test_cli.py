@@ -229,6 +229,21 @@ def test_eval_sets_aside_a_line_nested_too_deeply_to_decode(tmp_path, capsys):
     assert "samples 1" in captured.out
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["eval"],
+    ["annotate", "--base-url", "https://api.example.test/v1", "--model", "toy"],
+], ids=lambda c: c[0])
+def test_worker_count_below_one_is_a_usage_error(command, workers, tmp_path, capsys):
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--pairs", pairs, "--out", str(out), "--workers", workers])
+    assert err.value.code == 2
+    assert f"--workers must be >= 1, not {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_worker_count_does_not_change_output(tmp_path, capsys):
     pairs = write_pairs_file(
         tmp_path / "pairs.jsonl", ["CCO", "CCC", "CCN", "CC(=O)O", "c1ccccc1"],
@@ -424,6 +439,46 @@ def test_theory_check_seeded_and_exact_text(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-size", "9", "--max-size must be in 2..8, not 9"),
+    ("--max-size", "1", "--max-size must be in 2..8, not 1"),
+    ("--systems", "0", "--systems must be >= 1, not 0"),
+    ("--systems", "-3", "--systems must be >= 1, not -3"),
+])
+def test_theory_check_refuses_bad_limits_before_any_draw(
+    flag, value, message, via, tmp_path, capsys, monkeypatch,
+):
+    import moltrip.cli as cli
+
+    def no_draw(*args):
+        raise AssertionError("a system was drawn")
+
+    monkeypatch.setattr(cli, "random_system", no_draw)
+    out = tmp_path / "reports.json"
+    # one system, so a size checked only when a draw exceeds it would pass
+    argv = ["theory", "check", "--systems", "1", "--out", str(out)]
+    if via == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "moltrip.cfg"
+        config.write_text(
+            f"[theory-check]\n{flag[2:].replace('-', '_')} = {value}\n",
+            encoding="utf-8",
+        )
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_theory_check_accepts_the_largest_size(capsys):
+    assert main(["theory", "check", "--systems", "3", "--max-size", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "3/3 bounds hold"
+
+
 # ---------------------------------------------------------------------------
 # remote annotation (fake transport, no network)
 
@@ -546,6 +601,31 @@ def test_annotate_refuses_a_group_below_two_before_any_call(n, tmp_path, capsys,
         "--base-url", "https://api.example.test/v1", "--model", "toy",
     ]) == 1
     assert f"--n must be >= 2, not {n}" in capsys.readouterr().err
+    assert not out.exists()
+    assert session.calls == []
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "1e300", "0"])
+@pytest.mark.parametrize("command", [
+    ["annotate"],
+    ["eval", "--generator", "remote"],
+    ["filter", "--tau", "1", "--generator", "remote"],
+], ids=lambda c: c[0])
+def test_unusable_timeout_fails_before_any_call(command, timeout, tmp_path, capsys, monkeypatch):
+    # the socket would raise ValueError or OverflowError on the call itself,
+    # and filter would then reject every pair and exit 0
+    import moltrip.adapters as adapters
+
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    session = RecordingSession()
+    monkeypatch.setattr(adapters, "UrllibTransport", lambda: session)
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
+    out = tmp_path / "out.jsonl"
+    assert main([
+        *command, "--pairs", pairs, "--out", str(out), "--timeout", timeout,
+        "--base-url", "https://api.example.test/v1", "--model", "toy",
+    ]) == 1
+    assert "timeout must be > 0" in capsys.readouterr().err
     assert not out.exists()
     assert session.calls == []
 

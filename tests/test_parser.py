@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import time
 
 import pytest
@@ -58,7 +59,7 @@ def test_bracket_atom_fields():
     mol = parse_smiles("[13CH3+2]")
     atom = mol.atoms[0]
     assert atom.isotope == 13
-    assert atom.explicit_h == 3
+    assert atom.hydrogens == 3
     assert atom.formal_charge == 2
     mol = parse_smiles("[O--]")
     assert mol.atoms[0].formal_charge == -2
@@ -97,7 +98,7 @@ def test_stereo_discarded_into_notes():
 def test_atom_map_noted():
     mol = parse_smiles("[CH3:7]O")
     assert any("atom map :7" in note for note in mol.parse_notes)
-    assert mol.atoms[0].explicit_h == 3
+    assert mol.atoms[0].hydrogens == 3
 
 
 @pytest.mark.parametrize(
@@ -255,30 +256,68 @@ def test_parse_builds_the_neighbour_view_once(monkeypatch):
     assert len(built) == 2
 
 
-def test_parsed_atoms_equal_their_validated_twins(corpus, monkeypatch):
-    # parse_smiles builds atoms without the dataclass __init__; each must be
-    # the atom the validating constructor builds from the same fields
-    texts = [*corpus, "[13CH3][NH3+]", "[O-]C(=O)[Fe+2]", "[nH]1cccc1"]
-    trusted = [parse_smiles(text).atoms for text in texts]
-    monkeypatch.setattr(parser, "_trusted_atom", Atom)
-    for text, atoms in zip(texts, trusted):
-        validated = parse_smiles(text).atoms
-        assert atoms == validated
-        for atom, twin in zip(atoms, validated):
-            assert hash(atom) == hash(twin)
-            assert vars(atom) == vars(twin)
-
-
 def test_atom_constructor_and_replace_still_validate():
     with pytest.raises(ValueError, match="unrecognized element"):
-        Atom(element="Xx", index=0)
-    with pytest.raises(ValueError, match="explicit hydrogen"):
-        Atom(element="C", index=0, explicit_h=-1)
+        Atom(element="Xx")
     atom = parse_smiles("CO").atoms[1]
     with pytest.raises(ValueError, match="unrecognized element"):
         dataclasses.replace(atom, element="Xx")
-    with pytest.raises(ValueError, match="explicit hydrogen"):
-        dataclasses.replace(atom, explicit_h=-1)
+
+
+def test_atom_keeps_five_fields():
+    assert [f.name for f in dataclasses.fields(Atom)] == [
+        "element", "is_aromatic", "formal_charge", "isotope", "hydrogens",
+    ]
+
+
+_ATOM_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|[BCNOPSFIbcnops]")
+
+
+def _bracket_every_bare_atom(text: str) -> str:
+    """``text`` with each bare atom written in brackets with its hydrogen
+    count (``C`` -> ``[CH3]``, ``c`` -> ``[cH]``)."""
+    atoms = iter(parse_smiles(text).atoms)
+
+    def spell(match: re.Match) -> str:
+        token, h = match.group(), next(atoms).hydrogens
+        if token.startswith("["):
+            return token
+        return f"[{token}{'H' if h else ''}{h if h > 1 else ''}]"
+
+    return _ATOM_TOKEN.sub(spell, text)
+
+
+def test_bare_atoms_spelled_in_brackets_parse_to_equal_molecules(corpus):
+    # a molecule is its graph: how each atom's hydrogens were written is not
+    # part of it, so equality, hash, verdict and canonical form all agree
+    checked = 0
+    for text in corpus:
+        mol = parse_smiles(text)
+        if mol.failures:
+            continue
+        spelled = _bracket_every_bare_atom(text)
+        twin = parse_smiles(spelled)
+        assert twin == mol, (text, spelled)
+        assert hash(twin) == hash(mol), (text, spelled)
+        assert twin.failures == mol.failures == ()
+        assert canonical_smiles(twin) == canonical_smiles(mol), (text, spelled)
+        checked += spelled != text
+    assert checked >= 150
+
+
+@pytest.mark.parametrize(
+    "text,twin",
+    [
+        ("CC", "[CH3][CH3]"),
+        ("c1ccccc1O", "[cH]1[cH][cH][cH][cH][c]1[OH]"),
+        ("CC=CC", "C/C=C/C"),  # only the second has parse notes
+        ("C[C@H](N)C", "CC(N)C"),
+    ],
+)
+def test_spellings_of_one_graph_parse_to_equal_molecules(text, twin):
+    one, two = parse_smiles(text), parse_smiles(twin)
+    assert one == two
+    assert hash(one) == hash(two)
 
 
 def test_hand_built_molecule_without_fragments_or_rings_is_refused():
