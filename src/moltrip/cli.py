@@ -48,6 +48,7 @@ from .fingerprints import (
 from .grpo import Completion, RolloutGroup, fill_advantages
 from .harness import REWARD_MODES, TaggedGroup, export_rollouts
 from .metrics import (
+    InvalidReference,
     RoundTripSample,
     ScoreCache,
     aggregate_report,
@@ -267,15 +268,20 @@ def cmd_eval(args) -> int:
         lambda pair: adapter.generate(pair.caption, 1, temperature)[0].text,
         pairs, args.workers,
     )
-    samples = [
-        RoundTripSample(
+    samples = []
+    for pair, text in zip(pairs, texts):
+        try:
+            score = reconstruction_score(pair.smiles, text)
+        except InvalidReference as exc:
+            raise InvalidReference(
+                f"pair {pair.id or f'line {pair.line_no}'}: {exc}"
+            ) from exc
+        samples.append(RoundTripSample(
             original=pair.smiles,
             caption=pair.caption,
             reconstruction=text,
-            score=reconstruction_score(pair.smiles, text),
-        )
-        for pair, text in zip(pairs, texts)
-    ]
+            score=score,
+        ))
     report = aggregate_report(samples)
     rate = round_trip_rate(samples)
     lines = [f"samples {report.samples}"]

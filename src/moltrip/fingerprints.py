@@ -7,20 +7,18 @@ type-framed tokens, so values are stable across platforms and releases.
 
 FNV-1a costs a Python step per byte, and the same token sequences recur
 within a molecule and across molecules: path readings, Morgan environments
-and atom types.  So the path and Morgan families read every hash from one
-process-wide memo of FNV-1a states, keyed by token sequence and capped at
-STATE_MEMO_SIZE entries with least-recently-used eviction.  A sequence the
-memo lacks extends the memoised state of the sequence two tokens shorter,
-so a new path hashes only its last bond and a new environment only its last
-neighbour.  Structural keys hash nothing: one pass over the molecule builds
-the summary that all 64 catalog predicates read.
+and atom types.  So each of the two hashed families reads its ids from one
+functools.lru_cache, the two together capped at STATE_MEMO_SIZE entries.
+A path reading the cache lacks extends the cached hash of a prefix, so a
+new path of the default length hashes only its last bond; an atom type or
+environment is hashed whole, in time linear in its size.  Structural keys
+hash nothing: one pass over the molecule builds the summary that all 64
+catalog predicates read.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -33,8 +31,10 @@ DEFAULT_PATH_LENGTH = 7
 # The most paths path_features reads before giving up on a molecule; drug-like
 # molecules of up to 45 heavy atoms have at most about 1,100 of 1..7 bonds.
 MAX_PATHS = 100_000
-# The most token sequences the FNV state memo keeps; at the cap it holds
-# about 2.6 MiB (tracemalloc, drug-like paths and environments).
+# The most ids the two hash caches keep together: 3/4 of them path readings,
+# 1/4 atom types and environments, whose typed keys are about twice the
+# size.  At the cap they hold about 1.9 MiB (tracemalloc, drug-like
+# molecules).
 STATE_MEMO_SIZE = 8192
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -108,7 +108,7 @@ def tanimoto(a: FeatureSet, b: FeatureSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the FNV state memo
+# memoised feature ids
 
 # Path readings draw every token from this fixed set, so path_features
 # spells a reading as a str with one character per token, the token's index
@@ -121,65 +121,43 @@ _PATH_TOKENS = (
     *sorted(order.value for order in BondOrder),
 )
 _PATH_CODE = {token: chr(index) for index, token in enumerate(_PATH_TOKENS)}
-# each code's token in stable_hash's framing, so a memo miss on a spelled
-# reading skips extend_hash's framing
+# each code's token in stable_hash's framing, so a spelled reading skips
+# extend_hash's framing
 _PATH_FRAMED = {
     code: b"s" + token.encode() + b";" for token, code in _PATH_CODE.items()
 }
 
 
-def _memo_key(tokens: tuple | str) -> tuple | str:
-    """The key of a token sequence in the state memo.
+@functools.lru_cache(maxsize=STATE_MEMO_SIZE * 3 // 4)
+def _path_hash(reading: str) -> int:
+    """stable_hash of the tokens of a reading spelled in _PATH_CODE.
 
-    True == 1 and False == 0 as dict keys, but stable_hash frames bools and
-    ints apart.  So a tuple holding a token equal to 0 or 1 is keyed
-    together with its token types, and no plain key holds such a token: a
-    lookup never finds the state of the other framing.
+    The hash extends the cached hash of a prefix: the reading one bond
+    shorter, so a new path of up to DEFAULT_PATH_LENGTH bonds hashes only
+    its last bond.  A longer reading extends its longest prefix made of
+    whole blocks of 2 * DEFAULT_PATH_LENGTH tokens, so a miss recurses one
+    frame per block, not per bond: 71 frames for a reading of 446 bonds, the
+    longest that MAX_PATHS allows.  Each frame also takes a C call of the cache, so
+    one per bond would fill most of the default recursion limit.
     """
-    if isinstance(tokens, tuple) and (0 in tokens or 1 in tokens):
-        return (tokens, tuple(map(type, tokens)))
-    return tokens
+    if not reading:
+        return _FNV_OFFSET
+    cut = len(reading) - 2
+    block = 2 * DEFAULT_PATH_LENGTH  # tokens
+    if cut > block:
+        cut -= cut % block
+    return _fnv1a(
+        _path_hash(reading[:cut]),
+        b"".join(map(_PATH_FRAMED.__getitem__, reading[cut:])),
+    )
 
 
-# FNV-1a state after each token sequence hashed lately, oldest first; the
-# lock keeps a lookup and its move to the end from meeting another thread's
-# eviction
-_STATES: OrderedDict[tuple | str, int] = OrderedDict()
-_STATES_LOCK = threading.Lock()
-
-
-def _memo_hash(tokens: tuple | str) -> int:
-    """stable_hash of a token sequence, read from the state memo.
-
-    tokens is a tuple of tokens, or a path reading spelled in _PATH_CODE.  A
-    miss extends the state of tokens[:-2], itself read from the memo, and
-    memoises every state it computes on the way.
-    """
-    with _STATES_LOCK:
-        state = _STATES.get(tokens)
-        if state is not None:
-            _STATES.move_to_end(tokens)
-            return state
-        missed = []
-        while tokens:
-            key = _memo_key(tokens)
-            state = _STATES.get(key)
-            if state is not None:
-                _STATES.move_to_end(key)
-                break
-            missed.append((key, tokens[-2:]))
-            tokens = tokens[:-2]
-        else:
-            state = _FNV_OFFSET
-        for key, tail in reversed(missed):
-            if isinstance(tail, str):
-                state = _fnv1a(state, b"".join(map(_PATH_FRAMED.__getitem__, tail)))
-            else:
-                state = extend_hash(state, *tail)
-            _STATES[key] = state
-            if len(_STATES) > STATE_MEMO_SIZE:
-                _STATES.popitem(last=False)
-        return state
+# _morgan_hash(*tokens): stable_hash of an atom type or an environment,
+# memoised whole; typed, because True == 1 as a key but stable_hash frames
+# bools and ints apart
+_morgan_hash = functools.lru_cache(maxsize=STATE_MEMO_SIZE // 4, typed=True)(
+    stable_hash
+)
 
 
 def _bonded(mol: Molecule) -> list[list[tuple[int, str]]]:
@@ -202,14 +180,14 @@ def morgan_features(mol: Molecule, radius: int = DEFAULT_MORGAN_RADIUS) -> Featu
         raise ValueError("radius must be >= 0")
     ring_atoms = mol.ring_atoms
     ids = [
-        _memo_hash((
+        _morgan_hash(
             "atom",
             atom.element,
             mol.degree(i),
             atom.hydrogens,
             atom.formal_charge,
             i in ring_atoms,
-        ))
+        )
         for i, atom in enumerate(mol.atoms)
     ]
     features = set(ids)
@@ -220,7 +198,7 @@ def morgan_features(mol: Molecule, radius: int = DEFAULT_MORGAN_RADIUS) -> Featu
             tokens: list[int | str] = ["env", ids[i]]
             for pair in sorted([(order, ids[j]) for j, order in pairs]):
                 tokens += pair
-            next_ids.append(_memo_hash(tuple(tokens)))
+            next_ids.append(_morgan_hash(*tokens))
         ids = next_ids
         features.update(ids)
     return FeatureSet(frozenset(features), "morgan", (radius,))
@@ -290,7 +268,7 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
     features = set()
     for forward in set(readings):
         reverse = head + forward[:0:-1]
-        features.add(_memo_hash(forward if forward <= reverse else reverse))
+        features.add(_path_hash(forward if forward <= reverse else reverse))
     return FeatureSet(frozenset(features), "path", (max_len,))
 
 

@@ -192,7 +192,13 @@ def random_system(
     rng: random.Random,
     max_symbols: int = 6,
 ) -> DiscreteSystem:
-    """Strictly positive random system, suitable for every operation here."""
+    """Strictly positive random system, suitable for every operation here.
+
+    |X| and |Y| are drawn from 2..max_symbols, which must lie in
+    2..MAX_SYMBOLS.
+    """
+    if not 2 <= max_symbols <= MAX_SYMBOLS:
+        raise ValueError(f"max_symbols must be in 2..{MAX_SYMBOLS}, not {max_symbols}")
     nx = rng.randint(2, max_symbols)
     ny = rng.randint(2, max_symbols)
 

@@ -229,6 +229,26 @@ def test_eval_sets_aside_a_line_nested_too_deeply_to_decode(tmp_path, capsys):
     assert "samples 1" in captured.out
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+def test_eval_names_the_pair_whose_reference_is_invalid(fmt, tmp_path, capsys):
+    pairs = tmp_path / f"pairs.{fmt}"
+    if fmt == "jsonl":  # named by its id
+        pairs.write_text("".join(json.dumps(body) + "\n" for body in (
+            {"smiles": "CCO", "caption": "CCO", "id": "good-1"},
+            {"smiles": "C1CC", "caption": "CCC", "id": "bad-7"},
+        )), encoding="utf-8")
+        name = "pair bad-7"
+    else:  # no id: named by its file line
+        pairs.write_text("CCO\tCCO\n\nC1CC\tCCC\n", encoding="utf-8")
+        name = "pair line 3"
+    assert main(["eval", "--pairs", str(pairs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"InvalidReference: {name}: reference does not parse: ring closure 1"
+    )
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 @pytest.mark.parametrize("command", [
     ["eval"],

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from moltrip import fingerprints
 from moltrip.chem import (
+    Molecule,
     SmilesError,
     canonical_smiles,
     check_validity,
@@ -419,7 +422,42 @@ def test_key_catalog_doc_table_matches_code():
 
 
 # ---------------------------------------------------------------------------
-# the process-wide FNV state memo
+# the two hash caches
+
+def _capped_caches(path_size: int, morgan_size: int) -> dict:
+    """Fresh hash caches of the given sizes, keyed by module attribute."""
+    return {
+        "_path_hash": functools.lru_cache(maxsize=path_size)(
+            fingerprints._path_hash.__wrapped__
+        ),
+        "_morgan_hash": functools.lru_cache(maxsize=morgan_size, typed=True)(
+            stable_hash
+        ),
+    }
+
+
+def _clear_caches() -> None:
+    fingerprints._path_hash.cache_clear()
+    fingerprints._morgan_hash.cache_clear()
+
+
+def _within_caps() -> bool:
+    return all(
+        info.currsize <= info.maxsize
+        for info in (
+            fingerprints._path_hash.cache_info(),
+            fingerprints._morgan_hash.cache_info(),
+        )
+    )
+
+
+def test_caches_share_the_memo_cap():
+    sizes = [
+        fingerprints._path_hash.cache_info().maxsize,
+        fingerprints._morgan_hash.cache_info().maxsize,
+    ]
+    assert sum(sizes) == fingerprints.STATE_MEMO_SIZE
+
 
 @pytest.fixture(scope="module")
 def memo_molecules(corpus, workloads) -> list[str]:
@@ -448,7 +486,7 @@ def memo_molecules(corpus, workloads) -> list[str]:
 )
 def test_memo_never_changes_an_id(memo_molecules, picks, memo, order):
     # molecules in shuffled atom orders, fingerprinted in a random order with
-    # the memo empty, filled by the same molecules, or capped at 3 entries
+    # the caches empty, filled by the same molecules, or capped at 3 entries
     mols = [
         parse_smiles(render_random(
             parse_smiles(memo_molecules[index % len(memo_molecules)]),
@@ -456,44 +494,52 @@ def test_memo_never_changes_an_id(memo_molecules, picks, memo, order):
         ))
         for index, seed in picks
     ]
-    saved = fingerprints.STATE_MEMO_SIZE
-    fingerprints._STATES.clear()
+    saved = {name: getattr(fingerprints, name) for name in ("_path_hash", "_morgan_hash")}
+    _clear_caches()
     try:
         if memo == "warm":
             for mol in mols:
                 path_features(mol)
                 morgan_features(mol)
         elif memo == "capped":
-            fingerprints.STATE_MEMO_SIZE = 3
+            for name, cache in _capped_caches(3, 3).items():
+                setattr(fingerprints, name, cache)
         order.shuffle(mols)
         for mol in mols:
             assert path_features(mol).features == path_ids(mol, DEFAULT_PATH_LENGTH)
             assert morgan_features(mol).features == morgan_ids(mol, 2)
             assert structural_keys(mol).features == reference_structural_keys(mol)
-            assert len(fingerprints._STATES) <= fingerprints.STATE_MEMO_SIZE
+            assert _within_caps()
     finally:
-        fingerprints.STATE_MEMO_SIZE = saved
+        for name, cache in saved.items():
+            setattr(fingerprints, name, cache)
 
 
 def test_memo_holds_at_most_its_cap(corpus, dense_k10, monkeypatch):
-    monkeypatch.setattr(fingerprints, "STATE_MEMO_SIZE", 40)
-    fingerprints._STATES.clear()
+    for name, cache in _capped_caches(30, 10).items():
+        monkeypatch.setattr(fingerprints, name, cache)
     for smiles in corpus[:60]:  # more distinct molecules than entries
         mol = parse_smiles(smiles)
         path_features(mol)
         morgan_features(mol)
-        assert len(fingerprints._STATES) <= 40
+        assert _within_caps()
+    assert fingerprints._path_hash.cache_info().currsize == 30
+    assert fingerprints._morgan_hash.cache_info().currsize == 10
     with pytest.raises(MoleculeTooLarge):
         path_features(parse_smiles(dense_k10))
-    assert len(fingerprints._STATES) <= 40
+    assert _within_caps()
 
 
 def test_memo_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(fingerprints, "STATE_MEMO_SIZE", 3)
-    fingerprints._STATES.clear()
-    for tokens in (("a",), ("b",), ("c",), ("a",), ("d",)):  # "a" read again
-        assert fingerprints._memo_hash(tokens) == stable_hash(*tokens)
-    assert list(fingerprints._STATES) == [("c",), ("a",), ("d",)]
+    monkeypatch.setattr(fingerprints, "_morgan_hash", _capped_caches(3, 3)["_morgan_hash"])
+    for token in "abcad":  # "a" read again before "d" evicts "b"
+        assert fingerprints._morgan_hash(token) == stable_hash(token)
+    assert fingerprints._morgan_hash.cache_info()[:2] == (1, 4)  # hits, misses
+    for token in "cad":
+        fingerprints._morgan_hash(token)
+    assert fingerprints._morgan_hash.cache_info()[:2] == (4, 4)
+    fingerprints._morgan_hash("b")
+    assert fingerprints._morgan_hash.cache_info()[:2] == (4, 5)
 
 
 @pytest.mark.parametrize(
@@ -501,25 +547,25 @@ def test_memo_evicts_the_least_recently_used(monkeypatch):
 )
 def test_memo_keeps_bool_and_int_framing_apart(first, second):
     # True == 1 as a dict key, but stable_hash frames them differently
-    fingerprints._STATES.clear()
+    _clear_caches()
     for flag in (first, second, first):
         for tokens in (
             ("atom", "C", 0, 4, 0, flag),
             ("x", flag),
-            ("x", flag, "y", "z"),  # the flag in the prefix only
+            (flag, "x", "y", "z"),
         ):
-            assert fingerprints._memo_hash(tokens) == stable_hash(*tokens)
+            assert fingerprints._morgan_hash(*tokens) == stable_hash(*tokens)
 
 
 def test_memo_shared_by_threads_keeps_every_id(corpus, monkeypatch):
-    # a cap of 5 makes every thread evict what the others just read
+    # caps of 5 make every thread evict what the others just read
     def fingerprint(smiles: str) -> tuple[FeatureSet, FeatureSet]:
         mol = parse_smiles(smiles)
         return path_features(mol), morgan_features(mol)
 
     expected = {smiles: fingerprint(smiles) for smiles in corpus[:40]}
-    monkeypatch.setattr(fingerprints, "STATE_MEMO_SIZE", 5)
-    fingerprints._STATES.clear()
+    for name, cache in _capped_caches(5, 5).items():
+        monkeypatch.setattr(fingerprints, name, cache)
     errors: list[BaseException] = []
 
     def work(offset: int) -> None:
@@ -541,4 +587,75 @@ def test_memo_shared_by_threads_keeps_every_id(corpus, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(fingerprints._STATES) <= 5
+    assert _within_caps()
+
+
+def _wide_atom(degree: int) -> Molecule:
+    """One carbon bonded to degree methyls."""
+    return parse_smiles("C" + "(C)" * degree)
+
+
+def _cold_morgan(mol: Molecule) -> FeatureSet:
+    _clear_caches()
+    return morgan_features(mol)
+
+
+def test_morgan_features_of_a_wide_atom_in_bounded_time_and_memory():
+    # an environment is hashed whole, once: no entry per prefix of it
+    mol = _wide_atom(4000)
+    start = time.process_time()
+    assert len(_cold_morgan(mol)) == 6
+    assert time.process_time() - start < 0.5
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        morgan_features(mol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_morgan_features_scale_linearly_in_degree(best_cpu_times):
+    mols = [_wide_atom(degree) for degree in (2000, 4000)]
+    best = best_cpu_times([lambda mol=mol: _cold_morgan(mol) for mol in mols], 5)
+    assert best[1] / best[0] <= 2.5, best
+
+
+def _nested(frames: int, call):
+    return call() if frames == 0 else _nested(frames - 1, call)
+
+
+@pytest.mark.parametrize(
+    "smiles", ["C" * 447, "N" + "C" * 445 + "O"], ids=["C447", "NC445O"],
+)
+def test_longest_paths_hash_under_a_deep_stack(smiles):
+    # 446 bonds make 99,681 paths, the longest that MAX_PATHS allows; in
+    # N(C)445O no prefix of the longest reading is itself a path's reading
+    mol = parse_smiles(smiles)
+    _clear_caches()
+    fs = _nested(300, lambda: path_features(mol, max_len=446))
+    if smiles.startswith("N"):
+        # C-only paths of 1..444 bonds, N or O and 1..445 carbons, and all
+        assert len(fs) == 444 + 2 * 445 + 1
+    else:
+        readings = [("path", "C", *["single", "C"] * bonds) for bonds in range(1, 447)]
+        assert fs.features == {stable_hash(*reading) for reading in readings}
+    with pytest.raises(MoleculeTooLarge):  # one atom more: 100,127 paths
+        path_features(parse_smiles("C" + smiles), max_len=446)
+
+
+@given(
+    elements=st.lists(st.sampled_from(["C", "N", "O", "S"]), min_size=9, max_size=40),
+    max_len=st.integers(8, 40),
+    memo=st.sampled_from(["cold", "warm"]),
+)
+def test_long_path_ids_match_longhand_walk(elements, max_len, memo):
+    # readings longer than DEFAULT_PATH_LENGTH bonds extend a prefix of
+    # whole blocks rather than the reading one bond shorter
+    mol = parse_smiles("".join(elements))
+    _clear_caches()
+    if memo == "warm":
+        path_features(mol, max_len - 1)
+    expected = {stable_hash("path", *reading) for reading in path_readings(mol, max_len)}
+    assert path_features(mol, max_len).features == expected

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from moltrip.theory import (
+    MAX_SYMBOLS,
     BoundReport,
     DiscreteSystem,
     UnsupportedZero,
@@ -78,6 +79,26 @@ def test_random_system_is_seed_deterministic():
     a = random_system(random.Random(42))
     b = random_system(random.Random(42))
     assert a == b
+
+
+@pytest.mark.parametrize("max_symbols", [-1, 0, 1, MAX_SYMBOLS + 1, 20])
+def test_random_system_refuses_sizes_outside_its_range(max_symbols):
+    # the range is checked before any draw, whatever the seed would draw
+    for seed in range(3):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"2..{MAX_SYMBOLS}"):
+            random_system(rng, max_symbols)
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("max_symbols", [2, MAX_SYMBOLS])
+def test_random_system_draws_sizes_within_its_range(max_symbols):
+    sizes = set()
+    for seed in range(40):
+        system = random_system(random.Random(seed), max_symbols)
+        sizes.update((system.nx, len(system.q_phi)))
+    assert min(sizes) == 2 and max(sizes) == max_symbols
 
 
 # ---------------------------------------------------------------------------
