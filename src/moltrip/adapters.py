@@ -31,14 +31,17 @@ there were distinct row objects in the three tables.
 
 The remote backend posts each chat-completions call through UrllibTransport,
 a standard-library HTTP transport (urllib.request and json), so the package
-has no third-party runtime dependency.
+has no third-party runtime dependency.  The HTTP stack (urllib.request,
+http.client, and the ssl and email modules they pull in) is imported inside
+the transport and client methods, so it loads with the first remote call;
+importing this module, or running a command that calls no endpoint, never
+loads it.
 """
 
 from __future__ import annotations
 
 import bisect
 import collections
-import http.client
 import itertools
 import json as jsonlib
 import math
@@ -46,9 +49,6 @@ import os
 import string
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field, replace
 
 from .chem import canonicalize, check_validity
@@ -598,6 +598,8 @@ class RemoteEndpointConfig:
             raise ValueError("max_retries must be >= 0")
         # urllib would also open file: and ftp: URLs, and a bad port would
         # only surface as a retried connection error
+        import urllib.parse
+
         parts = urllib.parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"base_url must be an http(s) URL: {self.base_url!r}")
@@ -613,14 +615,6 @@ class HttpReply:
         return jsonlib.loads(self.body)
 
 
-class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
-    """Leave a 3xx as an HTTPError: following it would resend the bearer
-    header to whatever host the Location names, over http too."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 class UrllibTransport:
     """POST a JSON payload with urllib; every HTTP status comes back as a reply.
 
@@ -630,9 +624,21 @@ class UrllibTransport:
     """
 
     def __init__(self) -> None:
-        self._opener = urllib.request.build_opener(_RefuseRedirect)
+        import urllib.request
+
+        class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+            """Leave a 3xx as an HTTPError: following it would resend the
+            bearer header to whatever host the Location names, over http too."""
+
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
+        self._opener = urllib.request.build_opener(RefuseRedirect)
 
     def post(self, url, json=None, headers=None, timeout=None) -> HttpReply:
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             url,
             data=jsonlib.dumps(json).encode("utf-8"),
@@ -657,6 +663,8 @@ class RemoteClient:
         self._sleep = sleep
 
     def complete(self, prompt: str, n: int = 1, temperature: float = 1.0) -> list[Sampled]:
+        import http.client  # for the except clause below
+
         key = os.environ.get(self.cfg.api_key_var)
         if not key:
             raise AuthMissing(f"{self.cfg.api_key_var} is not set")

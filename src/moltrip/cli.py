@@ -5,17 +5,18 @@ files, failing bounds), 2 on usage errors.  Output files are written to a
 temporary sibling and renamed into place, so a failure never leaves a
 partial file.  An optional config file in key = value format, with one
 section per subcommand, overrides the flags and is parsed like them.
+What only one command or option uses (the thread pool of --workers, the
+config parser of --config, the theory module) is imported where it is
+used, so start-up loads only what the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .adapters import (
     EchoAdapter,
@@ -55,7 +56,6 @@ from .metrics import (
     reconstruction_score,
     round_trip_rate,
 )
-from .theory import MAX_SYMBOLS, check_mi_bound, random_system
 from .toy import run_toy
 
 
@@ -96,6 +96,8 @@ def _pool_map(fn, items, workers: int) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -127,6 +129,8 @@ def _config_tokens(path: str | None, section: str, command) -> list[str]:
     """The config file's [section] as flag tokens for the command's parser."""
     if not path:
         return []
+    import configparser
+
     # values reach the parser as written: no %-interpolation
     config = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
@@ -394,6 +398,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    from .theory import MAX_SYMBOLS, check_mi_bound, random_system
+
     if not 2 <= args.max_size <= MAX_SYMBOLS:
         raise UsageError(
             f"--max-size must be in 2..{MAX_SYMBOLS}, not {args.max_size}"

@@ -213,11 +213,13 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
     A path reads as the (element, bond order) token sequence; the
     lexicographically smaller of the forward and reverse readings is hashed
     as stable_hash("path", *tokens), so direction never matters.  The walk
-    extends only the forward reading, one bond per step, and keeps each
-    path once, read from its lower-indexed end; the reverse reading is
-    built only for each distinct reading kept.  More than MAX_PATHS paths
-    raise MoleculeTooLarge, so a dense graph fails in bounded time instead
-    of walking its exponentially many paths.
+    extends only the forward reading, one bond per step, and reads each
+    path once, from its lower-indexed end, into a set of readings: memory
+    grows with the distinct readings, not with the paths.  The reverse
+    reading is built only for each distinct reading kept.  A separate count
+    of the paths read bounds the walk: more than MAX_PATHS paths raise
+    MoleculeTooLarge, so a dense graph fails in bounded time instead of
+    walking its exponentially many paths.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -228,9 +230,11 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
         [(j, _PATH_CODE[order] + elements[j]) for j, order in pairs]
         for pairs in _bonded(mol)
     ]
-    # spelled forward readings ("path", element, order, element, ...) of the
-    # paths kept, each read from its lower-indexed end
-    readings: list[str] = []
+    # distinct spelled forward readings ("path", element, order, element,
+    # ...) of the paths kept, each read from its lower-indexed end, and the
+    # count of those paths, repeats included, that MAX_PATHS bounds
+    readings: set[str] = set()
+    paths = 0
     head = _PATH_CODE["path"]
     on_path = [False] * len(elements)
     for start, element in enumerate(elements):
@@ -246,7 +250,8 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
                     continue
                 longer = forward + step
                 if nbr > start:
-                    readings.append(longer)
+                    readings.add(longer)
+                    paths += 1
                 if bonds < max_len - 1:
                     on_path[nbr] = True
                     stack.append((nbr, iter(steps[nbr]), longer))
@@ -255,18 +260,19 @@ def path_features(mol: Molecule, max_len: int = DEFAULT_PATH_LENGTH) -> FeatureS
                     # the last bond: read the paths it ends without a frame
                     for end, last in steps[nbr]:
                         if end > start and not on_path[end]:
-                            readings.append(longer + last)
+                            readings.add(longer + last)
+                            paths += 1
             else:
                 stack.pop()
                 on_path[atom] = False
-                if len(readings) > MAX_PATHS:
+                if paths > MAX_PATHS:
                     break
-        if len(readings) > MAX_PATHS:
+        if paths > MAX_PATHS:
             raise MoleculeTooLarge(
                 f"more than {MAX_PATHS} paths of up to {max_len} bonds"
             )
     features = set()
-    for forward in set(readings):
+    for forward in readings:
         reverse = head + forward[:0:-1]
         features.add(_path_hash(forward if forward <= reverse else reverse))
     return FeatureSet(frozenset(features), "path", (max_len,))

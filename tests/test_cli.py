@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -469,12 +470,13 @@ def test_theory_check_seeded_and_exact_text(capsys):
 def test_theory_check_refuses_bad_limits_before_any_draw(
     flag, value, message, via, tmp_path, capsys, monkeypatch,
 ):
-    import moltrip.cli as cli
+    import moltrip.theory as theory
 
     def no_draw(*args):
         raise AssertionError("a system was drawn")
 
-    monkeypatch.setattr(cli, "random_system", no_draw)
+    # the command imports random_system from the theory module when it runs
+    monkeypatch.setattr(theory, "random_system", no_draw)
     out = tmp_path / "reports.json"
     # one system, so a size checked only when a draw exceeds it would pass
     argv = ["theory", "check", "--systems", "1", "--out", str(out)]
@@ -503,27 +505,105 @@ def test_theory_check_accepts_the_largest_size(capsys):
 # remote annotation (fake transport, no network)
 
 HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"}
+# loaded only by the command or option that uses them: the HTTP stack by the
+# remote transport, the thread pool by --workers above 1, configparser by
+# --config, the theory module by theory check
+DEFERRED_MODULES = {
+    "http.client", "urllib.request", "ssl", "email", "concurrent.futures",
+    "logging", "configparser", "moltrip.theory",
+}
+REPO = Path(__file__).parent.parent
+
+
+def _fresh_python(code: str, *args: str, **env_extra: str) -> str:
+    """Run code in a new interpreter that imports moltrip from src; its stdout."""
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(REPO / "src"), env.get("PYTHONPATH"),
+    ]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+def _perfbench_lookups() -> set[str]:
+    """The moltrip modules the benchmark finds in sys.modules after it
+    imports moltrip.cli, to mark the first item and to trace."""
+    names: set[str] = set()
+    for script in ("child.py", "tracing.py"):
+        text = (REPO / "perfbench" / script).read_text(encoding="utf-8")
+        names.update(re.findall(r'"(moltrip(?:\.\w+)*)"', text))
+    return names
 
 
 def test_cli_import_loads_no_third_party_http_library():
     # compared against the modules already loaded, not against absence: a
     # site hook may preload one of these into every interpreter
-    code = (
+    loaded = set(_fresh_python(
         "import sys; before = set(sys.modules); import moltrip.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH"),
-    ]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    loaded = set(done.stdout.split())
+    ).split())
     assert "moltrip.cli" in loaded
     assert not {name.partition(".")[0] for name in loaded} & HTTP_LIBRARIES
+    assert not loaded & DEFERRED_MODULES
+    lookups = _perfbench_lookups()
+    assert {"moltrip.toy", "moltrip.harness", "moltrip.chem.canon"} <= lookups
+    assert lookups <= loaded
+
+
+FRESH_DEFERRED_PATHS = """
+import contextlib, io, json, socket, sys
+from moltrip.adapters import HttpStatus, RemoteClient, RemoteEndpointConfig
+from moltrip.cli import main
+
+config, canon_out, pairs = sys.argv[1:]
+result = {}
+
+def run(name, argv, module):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    result[name] = [rc, out.getvalue(), module in sys.modules]
+
+run("theory", ["theory", "check", "--systems", "2"], "moltrip.theory")
+run("config", ["canon", "OCC", "--config", config], "configparser")
+run("serial", ["eval", "--pairs", pairs, "--workers", "1"], "concurrent.futures")
+run("pooled", ["eval", "--pairs", pairs, "--workers", "2"], "concurrent.futures")
+with socket.socket() as probe:  # a port nothing listens on once closed
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+client = RemoteClient(RemoteEndpointConfig(
+    base_url=f"http://127.0.0.1:{port}/v1", model="m", timeout=2.0, max_retries=0,
+))
+try:
+    client.complete("p", 1)
+except HttpStatus as exc:
+    result["transport"] = [exc.status, "http.client" in sys.modules]
+print(json.dumps(result))
+"""
+
+
+def test_deferred_imports_load_on_their_paths_in_a_fresh_interpreter(tmp_path):
+    # in-process tests share modules the test files already loaded, so
+    # each deferred path runs here in an interpreter that loaded nothing
+    config = tmp_path / "moltrip.cfg"
+    canon_out = tmp_path / "canon.txt"
+    config.write_text(f"[canon]\nout = {canon_out}\n", encoding="utf-8")
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCN", "c1ccccc1"])
+    result = json.loads(_fresh_python(
+        FRESH_DEFERRED_PATHS, str(config), str(canon_out), pairs,
+        RTMOL_API_KEY="k", no_proxy="127.0.0.1",
+    ))
+    assert result["theory"] == [0, "2/2 bounds hold\n", True]
+    assert result["config"] == [0, "CCO\n", True]
+    assert canon_out.read_text(encoding="utf-8") == "CCO\n"
+    serial_rc, serial_out, pooled_before = result["serial"]
+    assert serial_rc == 0 and not pooled_before  # one worker starts no pool
+    assert result["pooled"] == [0, serial_out, True]
+    assert result["transport"] == [0, True]
 
 
 def test_annotate_exports_rollouts(tmp_path, capsys, monkeypatch):

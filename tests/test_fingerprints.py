@@ -645,6 +645,22 @@ def test_longest_paths_hash_under_a_deep_stack(smiles):
         path_features(parse_smiles("C" + smiles), max_len=446)
 
 
+def test_path_walk_holds_distinct_readings_only():
+    # C447 walks 99,681 paths of about 300 characters on average but reads
+    # only 446 distinct ones, so memory must follow the distinct readings
+    mol = parse_smiles("C" * 447)
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        fs = path_features(mol, max_len=446)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    readings = [("path", "C", *["single", "C"] * bonds) for bonds in range(1, 447)]
+    assert fs.features == {stable_hash(*reading) for reading in readings}
+
+
 @given(
     elements=st.lists(st.sampled_from(["C", "N", "O", "S"]), min_size=9, max_size=40),
     max_len=st.integers(8, 40),
