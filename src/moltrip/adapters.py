@@ -291,11 +291,16 @@ class TabularPolicy:
         during a call, so each prefix's row is looked up once and shared by
         all n rollouts; its distribution comes from the policy's memo, and
         is tempered once per call when the temperature is not 1.
-        Temperature 0 draws the argmax.  Attached log-probabilities are
-        always the exact temperature-1 values from the requested table.
+        Temperature 0 draws the argmax; any other temperature must be finite
+        and positive, checked before any draw.  Attached log-probabilities
+        are always the exact temperature-1 values from the requested table.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        if not (temperature == 0.0 or 0.0 < temperature < math.inf):
+            raise ValueError(
+                f"temperature must be 0 or finite and positive, got {temperature!r}"
+            )
         base = stable_hash("draw", seed, prompt)
         rows = self._table(table)
         memo: dict[str, tuple[list[float], list[float] | None]] = {}

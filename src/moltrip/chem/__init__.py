@@ -26,8 +26,10 @@ from .parser import (
     UnbalancedParenthesis,
     UnclosedRing,
     UnknownToken,
+    build_molecule,
     check_validity,
     parse_smiles,
+    scan_smiles,
 )
 from .rings import connected_components, cyclomatic_number, sssr
 
@@ -57,6 +59,7 @@ __all__ = [
     "UnknownToken",
     "ValidityFailure",
     "ValidityReport",
+    "build_molecule",
     "canonical_ranks",
     "canonical_smiles",
     "canonicalize",
@@ -66,5 +69,6 @@ __all__ = [
     "parse_smiles",
     "permitted_valences",
     "render_random",
+    "scan_smiles",
     "sssr",
 ]

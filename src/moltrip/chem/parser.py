@@ -1,5 +1,14 @@
 """SMILES parsing: grammar scan, graph assembly, and validity checking.
 
+``parse_smiles`` is a scan, then a build.  ``scan_smiles`` reads the string
+into draft atoms (element, aromaticity as spelled, charge, isotope, bracket
+hydrogens), bonds in the order spelled, and parse notes, and raises every
+grammar error there is; ``build_molecule`` turns a scan into a ``Molecule``
+(fragments, rings, aromatic normalization, hydrogens and the valence
+verdict) and raises none.  A caller that can settle a question from the
+scan alone, as ``dataset.dedupe_overlap`` does from each molecule's formula
+and bond count, builds only the molecules it still needs.
+
 The grammar covers organic-subset atoms, bracket atoms (isotope, charge,
 explicit hydrogens, atom maps), bond symbols ``- = # :``, directional bonds
 ``/ \\`` (read as single), branches, ring closures (digits and ``%nn``), and
@@ -9,6 +18,7 @@ discarded detail lands in the molecule's parse notes.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .model import (
@@ -94,6 +104,12 @@ _BRACKET_RE = re.compile(
 )
 
 
+# A scan: the draft atoms, the bonds in the order spelled as (a, b, order),
+# and the parse notes.  ``build_molecule`` makes the ``Bond`` objects, which
+# cost several times a tuple each, so a scan that is never built skips them.
+Scan = tuple[list[_DraftAtom], list[tuple[int, int, BondOrder]], list[str]]
+
+
 def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into an immutable Molecule.
 
@@ -102,8 +118,14 @@ def parse_smiles(text: str) -> Molecule:
     the returned graph is the one every downstream comparison sees and its
     ``failures`` are its validity verdict.
     """
-    drafts, bonds, notes = _scan(text)
-    bond_tuple = tuple(bonds)
+    return build_molecule(scan_smiles(text))
+
+
+def build_molecule(scan: Scan) -> Molecule:
+    """The Molecule of a ``scan_smiles`` result, which it consumes: the
+    draft atoms are normalized in place.  Raises no grammar error."""
+    drafts, bonds, notes = scan
+    bond_tuple = tuple(itertools.starmap(Bond, bonds))
     view = neighbor_view(len(drafts), bond_tuple)
     fragments = components(view)
     rings = sssr(bond_tuple, view, fragments)
@@ -135,13 +157,15 @@ def check_validity(text: str) -> ValidityReport:
     return ValidityReport(not failures, failures)
 
 
-def _scan(text: str) -> tuple[list[_DraftAtom], list[Bond], list[str]]:
+def scan_smiles(text: str) -> Scan:
+    """Read the grammar of a SMILES string into draft atoms, bonds and
+    notes; raise the ``SmilesError`` that names the first violation."""
     stripped = text.strip()
     if not stripped:
         raise EmptyInput("empty SMILES string")
 
     atoms: list[_DraftAtom] = []
-    bonds: list[Bond] = []
+    bonds: list[tuple[int, int, BondOrder]] = []
     notes: list[str] = []
     bond_keys: set[tuple[int, int]] = set()
     branch_stack: list[int] = []
@@ -166,7 +190,7 @@ def _scan(text: str) -> tuple[list[_DraftAtom], list[Bond], list[str]]:
                     "aromatic bond requires aromatic atoms on both ends", pos
                 )
         bond_keys.add(key)
-        bonds.append(Bond(a, b, order))
+        bonds.append((a, b, order))
 
     def attach(atom: _DraftAtom, pos: int) -> None:
         nonlocal prev, pending, after_dot

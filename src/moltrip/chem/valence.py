@@ -10,7 +10,7 @@ search), which decides every molecule in polynomial time.  When no perfect
 matching exists, the atoms the greedy matching left over are reported.
 
 Both steps read the parser's draft atoms, the one record of whether an atom
-was written bare or in brackets with its hydrogens; ``parse_smiles`` then
+was written bare or in brackets with its hydrogens; ``build_molecule`` then
 builds each ``Atom`` from its draft and the hydrogens ``analyze`` assigns.
 """
 

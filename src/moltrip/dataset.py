@@ -16,7 +16,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, TextIO
 
-from .chem import SmilesError, canonicalize
+from .chem import (
+    SmilesError,
+    build_molecule,
+    canonical_smiles,
+    canonicalize,
+    scan_smiles,
+)
+from .chem.parser import Scan
 from .metrics import ScoreCache
 
 
@@ -241,16 +248,41 @@ def dedupe_overlap(
 ) -> DedupeResult:
     """Drop target records whose canonical SMILES occurs in the reference.
 
+    Every string is scanned and keyed by its formula key (see
+    ``formula_key``): its bond count and the sorted ``(element, charge,
+    isotope)`` of its atoms.  Two strings with one canonical form share
+    their key, since the canonical writer spells one token per atom that
+    carries the element (case-folded), the charge and the isotope, and the
+    string fixes the bond count: atoms minus fragments plus ring-closure
+    pairs.  So a target whose key no reference has is kept unbuilt.  A
+    reference holds only its key until a target first hits that key; then
+    the key's references are parsed again and canonicalised, once each,
+    and the colliding target is built from its own scan and canonicalised.
+
+    The one error the canonical writer can raise, ``MoleculeTooLarge``,
+    needs more than 99 ring closures open at once, so a cyclomatic number
+    of at least 100, which is at most the ring-closure pairs of any
+    spelling.  A string with 100 or more closures is canonicalised as it
+    is read, so its sidecar entry keeps its place.
+
     Sidecar entries carry each record's file line, or its 1-based position
     in its list when it was built in memory.
     """
     if on_parse_error not in ("drop", "keep"):
         raise ValueError("on_parse_error must be 'drop' or 'keep'")
-    reference_keys: set[str] = set()
+    # per formula key, its references not yet canonicalised
+    pending: dict[str, list[str]] = {}
+    reference_forms: set[str] = set()
     sidecar: list[SidecarEntry] = []
     for i, record in enumerate(reference):
         try:
-            reference_keys.add(canonicalize(record.smiles))
+            scan = scan_smiles(record.smiles)
+            key = formula_key(scan)
+            if _closures(record.smiles, scan) < 100:
+                pending.setdefault(key, []).append(record.smiles)
+                continue
+            reference_forms.add(canonical_smiles(build_molecule(scan)))
+            pending.setdefault(key, [])
         except SmilesError as exc:
             sidecar.append(SidecarEntry(
                 record.line_no or i + 1, record.smiles, f"reference: {exc}"
@@ -260,7 +292,12 @@ def dedupe_overlap(
     overlap = 0
     for i, record in enumerate(target):
         try:
-            key = canonicalize(record.smiles)
+            scan = scan_smiles(record.smiles)
+            refs = pending.get(formula_key(scan))
+            if refs is None and _closures(record.smiles, scan) < 100:
+                kept.append(record)  # no reference shares its key
+                continue
+            form = canonical_smiles(build_molecule(scan))
         except SmilesError as exc:
             sidecar.append(SidecarEntry(
                 record.line_no or i + 1, record.smiles, f"target: {exc}"
@@ -270,7 +307,10 @@ def dedupe_overlap(
             else:
                 removed.append(record)
             continue
-        if key in reference_keys:
+        if refs:
+            reference_forms.update(canonicalize(smiles) for smiles in refs)
+            refs.clear()
+        if form in reference_forms:
             overlap += 1
             removed.append(record)
         else:
@@ -282,6 +322,26 @@ def dedupe_overlap(
         overlap_fraction=fraction,
         sidecar=tuple(sidecar),
     )
+
+
+def formula_key(scan: Scan) -> str:
+    """A ``scan_smiles`` result's bond count and sorted atom formula
+    tokens: the element, and for a charged or isotope-labelled atom its
+    charge and isotope.  Every spelling of a molecule has the same key."""
+    atoms, bonds, _ = scan
+    tokens = sorted([
+        atom.element if atom.formal_charge == 0 and atom.isotope is None
+        else f"{atom.element}{atom.formal_charge:+d}/{atom.isotope}"
+        for atom in atoms
+    ])
+    return f"{len(bonds)}:{','.join(tokens)}"
+
+
+def _closures(text: str, scan: Scan) -> int:
+    """The ring-closure pairs of a scanned string: its bonds beyond the
+    atoms less one per dot-separated piece."""
+    atoms, bonds, _ = scan
+    return len(bonds) - len(atoms) + text.count(".") + 1
 
 
 # ---------------------------------------------------------------------------

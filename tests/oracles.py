@@ -12,7 +12,10 @@ byte for byte.  The round-trip rate reference is the package's earlier
 recomputation of the rate from the raw strings, which the rate read off
 the exact flags must equal.  The perfect matching reference is the
 package's earlier backtracking kekulization search, without its step
-budget, which the augmenting-path search must agree with.
+budget, which the augmenting-path search must agree with.  The overlap
+removal reference is the package's earlier dedupe, which canonicalises
+every string; the one that canonicalises only within a formula key
+collision must return the same result.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from moltrip.chem import (
     Molecule,
     SmilesError,
     canonical_smiles,
+    canonicalize,
     parse_smiles,
 )
 from moltrip.chem.model import NeighborView
+from moltrip.dataset import DedupeResult, PairRecord, SidecarEntry
 from moltrip.errors import EmptyCollection
 from moltrip.metrics import RoundTripSample
 
@@ -893,3 +898,56 @@ def _ref_match_all(order: list[int], adj: list[list[int]]) -> bool:
             stack.pop()
         else:
             return False
+
+
+# ---------------------------------------------------------------------------
+# overlap removal: every reference and target canonicalised
+
+def reference_dedupe_overlap(
+    target: list[PairRecord],
+    reference: list[PairRecord],
+    on_parse_error: str = "drop",
+) -> DedupeResult:
+    """Drop target records whose canonical SMILES occurs in the reference.
+
+    Sidecar entries carry each record's file line, or its 1-based position
+    in its list when it was built in memory.
+    """
+    if on_parse_error not in ("drop", "keep"):
+        raise ValueError("on_parse_error must be 'drop' or 'keep'")
+    reference_keys: set[str] = set()
+    sidecar: list[SidecarEntry] = []
+    for i, record in enumerate(reference):
+        try:
+            reference_keys.add(canonicalize(record.smiles))
+        except SmilesError as exc:
+            sidecar.append(SidecarEntry(
+                record.line_no or i + 1, record.smiles, f"reference: {exc}"
+            ))
+    kept: list[PairRecord] = []
+    removed: list[PairRecord] = []
+    overlap = 0
+    for i, record in enumerate(target):
+        try:
+            key = canonicalize(record.smiles)
+        except SmilesError as exc:
+            sidecar.append(SidecarEntry(
+                record.line_no or i + 1, record.smiles, f"target: {exc}"
+            ))
+            if on_parse_error == "keep":
+                kept.append(record)
+            else:
+                removed.append(record)
+            continue
+        if key in reference_keys:
+            overlap += 1
+            removed.append(record)
+        else:
+            kept.append(record)
+    fraction = overlap / len(target) if target else 0.0
+    return DedupeResult(
+        kept=tuple(kept),
+        removed=tuple(removed),
+        overlap_fraction=fraction,
+        sidecar=tuple(sidecar),
+    )

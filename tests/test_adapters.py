@@ -196,6 +196,24 @@ def test_sample_temperature_zero_is_argmax():
     assert all(d.text == "b" for d in draws)
 
 
+@pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["tabular", "sequence"])
+def test_sample_refuses_a_temperature_neither_zero_nor_finite_positive(
+    kind, temperature
+):
+    # a negative temperature inverts the odds (here "a", the least likely,
+    # six draws in eight) and nan always drew the last action
+    if kind == "tabular":
+        policy = TabularPolicy(
+            states=("s",), actions=("a", "b", "c"), logits=[(0.0, 1.0, 3.0)],
+        )
+        prompt = "s"
+    else:
+        policy, prompt = _sequence_policy(), "left"
+    with pytest.raises(ValueError, match="temperature"):
+        policy.sample(prompt, 8, seed=0, temperature=temperature)
+
+
 def test_sample_unknown_state():
     policy = TabularPolicy.uniform(("s",), ("a",))
     with pytest.raises(UnknownState):
@@ -979,7 +997,7 @@ def _scrambled(policy, rng):
 
 
 @pytest.mark.parametrize("eos", [None, "$"])
-@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0, 0.5, 2.0])
 @pytest.mark.parametrize("table", ["cur", "old"])
 def test_sequence_draws_match_reference_stream(eos, temperature, table):
     policy = _scrambled(_sequence_policy(eos=eos), random.Random(17))
@@ -991,7 +1009,7 @@ def test_sequence_draws_match_reference_stream(eos, temperature, table):
         assert got == want
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.0, 0.5, 2.0])
 @pytest.mark.parametrize("table", ["cur", "old"])
 def test_tabular_draws_match_reference_stream(temperature, table):
     rng = random.Random(5)

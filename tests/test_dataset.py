@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltrip.adapters import EchoAdapter
-from moltrip.chem import canonicalize, check_validity, parse_smiles
+from moltrip.chem import (
+    canon,
+    canonical_smiles,
+    canonicalize,
+    check_validity,
+    parse_smiles,
+    render_random,
+    scan_smiles,
+)
 from moltrip.dataset import (
     EmptyInput,
     FormatUnknown,
@@ -21,10 +30,12 @@ from moltrip.dataset import (
     SplitSpec,
     dedupe_overlap,
     diagnostic_filter,
+    formula_key,
     load_pairs,
     split,
     write_pairs,
 )
+from oracles import reference_dedupe_overlap
 
 
 def _write(path, lines):
@@ -320,6 +331,153 @@ def test_dedupe_sidecar_falls_back_to_record_position():
     ]
     result = dedupe_overlap(target, [PairRecord(smiles="CCN", caption="z")])
     assert [e.line_no for e in result.sidecar] == [2]
+
+
+# Strings whose keys collide without a duplicate (isomers, charge and
+# isotope variants), respellings (Kekule and aromatic, explicit [H]), a ring
+# closure across a dot, and strings that fail the grammar.
+_HOSTILE = (
+    "CCO", "COC", "OCC", "CCCC", "CC(C)C", "[NH4+]", "N", "[13CH4]", "C",
+    "[CH4]", "C1=CC=CC=C1", "c1ccccc1", "[H]C([H])([H])[H]", "[H][H]",
+    "[H]", "C1.C1", "CC", "C(", "c1cc", " ", "[Xx]", "C1CC", "[0CH4]",
+    "CC1=CC=C(C=C1)O", "Cc1ccc(O)cc1", "C1=CC=C2C=CC=CC2=C1", "c1ccc2ccccc2c1",
+)
+
+
+def _molgen_sets(molgen, rng):
+    """Reference and target strings from molgen: the targets mix respelled
+    references, molecules built apart, and malformed spellings."""
+    graphs = [molgen.build(molgen.blueprint(rng.randint(15, 30), rng), rng)
+              for _ in range(rng.randint(1, 4))]
+    refs = [molgen.write_smiles(g, rng) for g in graphs]
+    targets = [molgen.respell(g, rng, text) for g, text in zip(graphs, refs)]
+    for _ in range(rng.randint(0, 3)):
+        g = molgen.build(molgen.blueprint(rng.randint(15, 30), rng), rng)
+        text = molgen.write_smiles(g, rng)
+        targets.append(molgen.malformed(text, rng) if rng.random() < 0.3 else text)
+    return refs, targets
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ref_extra=st.lists(st.sampled_from(_HOSTILE), max_size=6),
+    target_extra=st.lists(st.sampled_from(_HOSTILE), max_size=6),
+    ladder=st.sampled_from(["none", "reference", "target", "both"]),
+)
+def test_dedupe_matches_the_canonicalise_everything_reference(
+    workloads, snake_ladder, seed, ref_extra, target_extra, ladder
+):
+    rng = random.Random(seed)
+    refs, targets = _molgen_sets(workloads.molgen, rng)
+    refs += ref_extra
+    targets += target_extra + ref_extra[:2]
+    if ladder in ("reference", "both"):
+        refs.append(snake_ladder)
+    if ladder in ("target", "both"):
+        targets.append(snake_ladder)
+    rng.shuffle(refs)
+    rng.shuffle(targets)
+    reference = [PairRecord(smiles=s, caption=f"r{k}") for k, s in enumerate(refs)]
+    target = [PairRecord(smiles=s, caption=f"t{k}") for k, s in enumerate(targets)]
+    for mode in ("drop", "keep"):
+        got = dedupe_overlap(target, reference, on_parse_error=mode)
+        want = reference_dedupe_overlap(target, reference, on_parse_error=mode)
+        assert got.kept == want.kept
+        assert got.removed == want.removed
+        assert got.overlap_fraction == want.overlap_fraction
+        assert got.sidecar == want.sidecar
+
+
+def test_dedupe_matches_the_reference_on_every_hostile_pair(snake_ladder):
+    records = [PairRecord(smiles=s, caption=f"h{k}") for k, s in enumerate(_HOSTILE)]
+    ladder = PairRecord(smiles=snake_ladder, caption="ladder")
+    cases = [(records + [ladder], records[::-1] + [ladder])]
+    cases += [([t], [r]) for t in records for r in records]
+    for mode in ("drop", "keep"):
+        for target, reference in cases:
+            assert dedupe_overlap(target, reference, mode) == (
+                reference_dedupe_overlap(target, reference, mode)
+            ), (mode, target, reference)
+
+
+def _key(text: str) -> str:
+    return formula_key(scan_smiles(text))
+
+
+def _assert_spellings_share_a_key(text: str, rng: random.Random) -> None:
+    mol = parse_smiles(text)
+    key = _key(text)
+    assert _key(canonical_smiles(mol)) == key, text
+    for _ in range(3):
+        assert _key(render_random(mol, rng)) == key, text
+
+
+def test_every_corpus_spelling_shares_its_formula_key(corpus):
+    rng = random.Random(0)
+    for text in corpus + [s for s in _HOSTILE if check_validity(s).is_valid]:
+        _assert_spellings_share_a_key(text, rng)
+
+
+@settings(max_examples=12, deadline=None)
+@given(atoms=st.integers(15, 45), seed=st.integers(0, 2**32 - 1))
+def test_every_molgen_spelling_shares_its_formula_key(workloads, atoms, seed):
+    molgen = workloads.molgen
+    rng = random.Random(seed)
+    graph = molgen.build(molgen.blueprint(atoms, rng), rng)
+    text = molgen.write_smiles(graph, rng)
+    assert _key(molgen.respell(graph, rng, text)) == _key(text)
+    _assert_spellings_share_a_key(text, rng)
+
+
+@pytest.fixture
+def canonical_forms(monkeypatch):
+    """A list that grows by one molecule per canonical form computed."""
+    seen = []
+    ranks = canon.canonical_ranks
+
+    def counted(mol):
+        seen.append(mol)
+        return ranks(mol)
+
+    monkeypatch.setattr(canon, "canonical_ranks", counted)
+    return seen
+
+
+def test_dedupe_canonicalises_nothing_for_targets_whose_key_misses(
+    workloads, snake_ladder, canonical_forms
+):
+    refs, lines, _ = workloads.dedupe_sets(0)
+    reference = [PairRecord(smiles=s, caption="r") for s in refs]
+    keys = {_key(s) for s in refs}
+    texts = [json.loads(line)["smiles"] for line in lines if line.endswith("}")]
+    misses = [s for s in texts + list(_HOSTILE)
+              if check_validity(s).is_valid and _key(s) not in keys]
+    assert len(misses) > 100
+    target = [PairRecord(smiles=s, caption="t") for s in misses]
+    result = dedupe_overlap(target, reference)
+    assert result.kept == tuple(target) and canonical_forms == []
+    # a spelling with 100 or more ring closures is canonicalised as it is
+    # read, on either side
+    result = dedupe_overlap(
+        target + [PairRecord(smiles=snake_ladder, caption="ladder")],
+        reference + [PairRecord(smiles=snake_ladder, caption="ladder")],
+    )
+    assert len(canonical_forms) == 2 and len(result.sidecar) == 2
+
+
+def test_dedupe_canonicalises_each_molecule_at_most_once_when_every_key_collides(
+    workloads, canonical_forms
+):
+    refs, _, _ = workloads.dedupe_sets(1)
+    rng = random.Random(1)
+    respelled = [render_random(parse_smiles(s), rng) for s in refs]
+    reference = [PairRecord(smiles=s, caption="r") for s in refs + refs[:20]]
+    target = [PairRecord(smiles=s, caption="t") for s in refs + respelled]
+    result = dedupe_overlap(target, reference)
+    assert result.kept == () and result.overlap_fraction == 1.0
+    # every key is hit, so each string is canonicalised, and only once
+    assert len(canonical_forms) == len(target) + len(reference)
 
 
 def test_loaded_records_keep_their_file_line(tmp_path):

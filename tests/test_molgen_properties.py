@@ -14,7 +14,7 @@ import random
 import time
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from moltrip.chem import (
@@ -84,9 +84,14 @@ def test_respelling_changes_no_layer_and_scores_four(atoms, seed):
 
 @_SETTINGS
 @given(_ATOMS, _SEEDS)
+@example(23, 24676626)  # o1cnc(-c2c3cccc(N(c4ncoc4)C#N)c3ncn2)c1: no edit
 def test_one_atom_edit_changes_the_canonical_form(atoms, seed):
     graph, smiles, rng = _molecule(atoms, seed)
-    edited = molgen.write_smiles(molgen.edit_one_atom(graph, rng), rng)
+    try:
+        changed = molgen.edit_one_atom(graph, rng)
+    except IndexError:  # molgen found no atom it can edit
+        reject()
+    edited = molgen.write_smiles(changed, rng)
     assert check_validity(edited).is_valid, edited
     assert canonicalize(edited) != canonicalize(smiles), (smiles, edited)
 
