@@ -646,7 +646,7 @@ class UrllibTransport:
 
         request = urllib.request.Request(
             url,
-            data=jsonlib.dumps(json).encode("utf-8"),
+            data=jsonlib.dumps(json, allow_nan=False).encode("utf-8"),
             headers={"Content-Type": "application/json", **(headers or {})},
             method="POST",
         )
@@ -751,7 +751,7 @@ def load_prompts(path: str | None = None) -> dict[str, str]:
     prompts = dict(DEFAULT_PROMPTS)
     if path is None:
         return prompts
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import enum
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-# Recognized element symbols (periodic table, H through Og).
-ELEMENT_SYMBOLS = frozenset(
+# The element symbols in periodic order, H through Og: element Z is at Z - 1.
+ELEMENTS = tuple(
     """
     H He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co Ni
     Cu Zn Ga Ge As Se Br Kr Rb Sr Y Zr Nb Mo Tc Ru Rh Pd Ag Cd In Sn Sb Te I
@@ -22,6 +23,9 @@ ELEMENT_SYMBOLS = frozenset(
     """.split()
 )
 
+# Recognized element symbols.
+ELEMENT_SYMBOLS = frozenset(ELEMENTS)
+
 # Atoms writable without brackets when uncharged and at default valence.
 ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 
@@ -29,7 +33,8 @@ ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 AROMATIC_ELEMENTS = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As", "Te"})
 
 # Permitted total bond orders (including hydrogens) per element at charge 0.
-# A formal charge of +q shifts every permitted valence by +q.
+# A charged atom takes the valences of its isoelectronic neutral element
+# (see ``permitted_valences``).
 PERMITTED_VALENCES: dict[str, tuple[int, ...]] = {
     "H": (1,),
     "B": (3,),
@@ -49,6 +54,11 @@ PERMITTED_VALENCES: dict[str, tuple[int, ...]] = {
 def permitted_valences(element: str, charge: int) -> tuple[int, ...] | None:
     """Allowed total bond orders for an element at a formal charge.
 
+    A charged atom of atomic number Z and charge q takes the valences of
+    the neutral element Z - q when the table holds it: N+ and B- take
+    carbon's, C+ boron's, C- nitrogen's, P- sulfur's.  A bare proton
+    (Z - q = 0) takes (0,).  Any other charged atom shifts its own
+    valences by q, dropping those below 0: P+ takes (4, 6) and Cl- (0,).
     Returns None for elements outside the valence table (no constraint).
     Memoised, since every parse asks it of every atom, so the table above
     is read as a constant.
@@ -56,6 +66,12 @@ def permitted_valences(element: str, charge: int) -> tuple[int, ...] | None:
     base = PERMITTED_VALENCES.get(element)
     if base is None:
         return None
+    if charge:
+        z = ELEMENTS.index(element) + 1 - charge
+        if z == 0:
+            return (0,)
+        if 0 < z <= len(ELEMENTS) and ELEMENTS[z - 1] in PERMITTED_VALENCES:
+            return PERMITTED_VALENCES[ELEMENTS[z - 1]]
     return tuple(v + charge for v in base if v + charge >= 0)
 
 
@@ -114,17 +130,12 @@ class Atom:
         return self.element.lower() if self.is_aromatic else self.element
 
 
-@dataclass(frozen=True)
-class Bond:
-    """Undirected bond between two atom indices."""
+class Bond(NamedTuple):
+    """Undirected bond between two atom indices; ``Molecule`` checks them."""
 
     a: int
     b: int
     order: BondOrder = BondOrder.SINGLE
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("bond endpoints must be distinct")
 
 
 @dataclass(frozen=True)
@@ -138,15 +149,16 @@ class Molecule:
     is not unique, which one is chosen depends on the atom indices.
     ``rings.ring_bonds`` gives each ring's bonds in the same order.
     ``fragments`` holds one sorted atom-index tuple per connected
-    component.  The constructor works out neither: it raises ``ValueError``
-    when the fragment sizes do not sum to the atom count or ``rings`` does
-    not number bonds - atoms + fragments, so a molecule built by hand passes
-    ``connected_components`` and ``sssr``.  ``parse_notes`` records
-    information discarded during parsing (stereo markers, atom maps, bond
-    directions).  ``failures`` holds the valence and kekulization failures
-    the parser found (empty for a valid molecule).  Neither takes part in
-    equality or hashing, which compare the graph alone: ``CC=CC`` and
-    ``C/C=C/C`` parse to equal molecules.
+    component.  The constructor works out neither.  It raises ``ValueError``
+    for a self-bond, an out-of-range or repeated bond, fragment sizes that
+    do not sum to the atom count, or ``rings`` not numbering bonds - atoms +
+    fragments, so a molecule built by hand passes ``connected_components``
+    and ``sssr``.  ``parse_notes`` records information discarded during
+    parsing (stereo markers, atom maps, bond directions).  ``failures``
+    holds the valence and kekulization failures the parser found (empty for
+    a valid molecule).  Neither takes part in equality or hashing, which
+    compare the graph alone: ``CC=CC`` and ``C/C=C/C`` parse to equal
+    molecules.
     ``view``, when given, must be ``neighbor_view`` of these bonds; the
     parser passes the one it built so the molecule does not build another.
     """
@@ -164,6 +176,8 @@ class Molecule:
         seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
             a, b = bond.a, bond.b
+            if a == b:
+                raise ValueError("bond endpoints must be distinct")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("bond endpoint out of range")
             key = (a, b) if a < b else (b, a)
@@ -234,11 +248,17 @@ class ValidityFailure:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ValidityReport:
-    is_valid: bool
-    failures: tuple[ValidityFailure, ...] = field(default=())
+    """A validity verdict: valid when no failure was found."""
 
-    def __post_init__(self) -> None:
-        if self.is_valid != (len(self.failures) == 0):
-            raise ValueError("is_valid must mirror an empty failure list")
+    failures: tuple[ValidityFailure, ...] = ()
+
+    @property
+    def is_valid(self) -> bool:
+        return not self.failures
+
+    def __repr__(self) -> str:  # the printed form names the verdict too
+        return (
+            f"ValidityReport(is_valid={self.is_valid}, failures={self.failures!r})"
+        )

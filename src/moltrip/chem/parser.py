@@ -2,10 +2,10 @@
 
 ``parse_smiles`` is a scan, then a build.  ``scan_smiles`` reads the string
 into draft atoms (element, aromaticity as spelled, charge, isotope, bracket
-hydrogens), bonds in the order spelled, and parse notes, and raises every
-grammar error there is; ``build_molecule`` turns a scan into a ``Molecule``
-(fragments, rings, aromatic normalization, hydrogens and the valence
-verdict) and raises none.  A caller that can settle a question from the
+hydrogens), ``Bond`` records in the order spelled, and parse notes, and
+raises every grammar error there is; ``build_molecule`` keeps those bonds,
+adds fragments, rings, aromatic normalization, hydrogens and the valence
+verdict, and raises none.  A caller that can settle a question from the
 scan alone, as ``dataset.dedupe_overlap`` does from each molecule's formula
 and bond count, builds only the molecules it still needs.
 
@@ -18,7 +18,6 @@ discarded detail lands in the molecule's parse notes.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .model import (
@@ -104,10 +103,8 @@ _BRACKET_RE = re.compile(
 )
 
 
-# A scan: the draft atoms, the bonds in the order spelled as (a, b, order),
-# and the parse notes.  ``build_molecule`` makes the ``Bond`` objects, which
-# cost several times a tuple each, so a scan that is never built skips them.
-Scan = tuple[list[_DraftAtom], list[tuple[int, int, BondOrder]], list[str]]
+# A scan: the draft atoms, the bonds in the order spelled, and the notes.
+Scan = tuple[list[_DraftAtom], list[Bond], list[str]]
 
 
 def parse_smiles(text: str) -> Molecule:
@@ -125,7 +122,7 @@ def build_molecule(scan: Scan) -> Molecule:
     """The Molecule of a ``scan_smiles`` result, which it consumes: the
     draft atoms are normalized in place.  Raises no grammar error."""
     drafts, bonds, notes = scan
-    bond_tuple = tuple(itertools.starmap(Bond, bonds))
+    bond_tuple = tuple(bonds)
     view = neighbor_view(len(drafts), bond_tuple)
     fragments = components(view)
     rings = sssr(bond_tuple, view, fragments)
@@ -153,8 +150,8 @@ def check_validity(text: str) -> ValidityReport:
         failures = parse_smiles(text).failures
     except SmilesError as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        return ValidityReport(False, (ValidityFailure(None, reason),))
-    return ValidityReport(not failures, failures)
+        return ValidityReport((ValidityFailure(None, reason),))
+    return ValidityReport(failures)
 
 
 def scan_smiles(text: str) -> Scan:
@@ -165,7 +162,7 @@ def scan_smiles(text: str) -> Scan:
         raise EmptyInput("empty SMILES string")
 
     atoms: list[_DraftAtom] = []
-    bonds: list[tuple[int, int, BondOrder]] = []
+    bonds: list[Bond] = []
     notes: list[str] = []
     bond_keys: set[tuple[int, int]] = set()
     branch_stack: list[int] = []
@@ -190,7 +187,7 @@ def scan_smiles(text: str) -> Scan:
                     "aromatic bond requires aromatic atoms on both ends", pos
                 )
         bond_keys.add(key)
-        bonds.append((a, b, order))
+        bonds.append(Bond(a, b, order))
 
     def attach(atom: _DraftAtom, pos: int) -> None:
         nonlocal prev, pending, after_dot

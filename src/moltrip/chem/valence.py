@@ -16,7 +16,6 @@ builds each ``Atom`` from its draft and the hydrogens ``analyze`` assigns.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Iterator
@@ -304,7 +303,7 @@ def aromatize(
         for i in flip_atoms:
             atoms[i].is_aromatic = True
         bonds = tuple(
-            dataclasses.replace(bond, order=BondOrder.AROMATIC)
+            bond._replace(order=BondOrder.AROMATIC)
             if k in flip_bonds
             else bond
             for k, bond in enumerate(bonds)

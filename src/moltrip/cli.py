@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -134,7 +135,7 @@ def _config_tokens(path: str | None, section: str, command) -> list[str]:
     # values reach the parser as written: no %-interpolation
     config = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        if not config.read(path, encoding="utf-8"):
+        if not config.read(path, encoding="utf-8-sig"):
             raise OSError(f"cannot read config {path}")
         items = config.items(section) if config.has_section(section) else []
     except configparser.Error as exc:
@@ -180,6 +181,13 @@ def _check_workers(args) -> None:
 
 
 def _remote_adapter(args) -> RemoteAdapter:
+    temperature = args.temperature
+    if temperature is not None and not (
+        temperature == 0.0 or 0.0 < temperature < math.inf
+    ):  # nan and inf are not JSON, and the samplers refuse the same
+        raise UsageError(
+            f"--temperature must be 0 or finite and positive, not {temperature}"
+        )
     if not args.base_url or not args.model:
         raise ValueError("remote adapter needs --base-url and --model")
     limits = {  # a flag left out keeps the endpoint's default
@@ -367,8 +375,8 @@ def cmd_annotate(args) -> int:
     _check_workers(args)
     if args.n < 2:  # a group of one has no advantage; refuse before any call
         raise ValueError(f"--n must be >= 2, not {args.n}")
-    pairs = _load(args.pairs)
     adapter = _remote_adapter(args)
+    pairs = _load(args.pairs)
     draws = _pool_map(
         lambda pair: adapter.generate(pair.caption, args.n, args.temperature),
         pairs, args.workers,

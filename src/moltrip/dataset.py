@@ -106,9 +106,10 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
 
 
 def load_pairs(path: str) -> LoadResult:
-    """Parse a pair file; malformed lines land in the sidecar with numbers."""
+    """Parse a pair file; malformed lines land in the sidecar with numbers.
+    A leading UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc

@@ -8,7 +8,8 @@ The structural key reference is the catalog as one predicate per key over
 the molecule, which the package replaced with predicates over a one-pass
 summary.  The ring set and canonical ranking references are frozen copies
 of the package's earlier, slower code, which the faster code must match
-byte for byte.  The round-trip rate reference is the package's earlier
+byte for byte.  The charged valence table is written out by hand from the
+periodic table.  The round-trip rate reference is the package's earlier
 recomputation of the rate from the raw strings, which the rate read off
 the exact flags must equal.  The perfect matching reference is the
 package's earlier backtracking kekulization search, without its step
@@ -951,3 +952,61 @@ def reference_dedupe_overlap(
         overlap_fraction=fraction,
         sidecar=tuple(sidecar),
     )
+
+
+# ---------------------------------------------------------------------------
+# permitted valences of charged atoms, written out from the periodic table
+
+# (element, charge) -> the permitted total bond orders.  A charged atom is
+# isoelectronic with the neutral element Z - charge and takes its valences
+# when the valence table (H, B, C, N, O, F, P, S, Cl, Br, I) holds that
+# element; a bare proton takes 0.  Where the neighbour is outside the table
+# (He, Li, Be, Ne, Na, Al, Si, Ar, K, As, Se, Kr, Rb, Sb, Te, Xe, Cs, or
+# below H), the atom's own neutral valences move by the charge, those below
+# 0 dropped.
+CHARGED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
+    ("H", -2): (),            # Li: 1 - 2 < 0
+    ("H", -1): (0,),          # He
+    ("H", 1): (0,),           # a bare proton
+    ("H", 2): (3,),           # below H: 1 + 2
+    ("B", -2): (3,),          # N
+    ("B", -1): (4,),          # C
+    ("B", 1): (4,),           # Be: 3 + 1
+    ("B", 2): (5,),           # Li: 3 + 2
+    ("C", -2): (2,),          # O
+    ("C", -1): (3,),          # N
+    ("C", 1): (3,),           # B
+    ("C", 2): (6,),           # Be: 4 + 2
+    ("N", -2): (1,),          # F
+    ("N", -1): (2,),          # O
+    ("N", 1): (4,),           # C
+    ("N", 2): (3,),           # B
+    ("O", -2): (0,),          # Ne: 2 - 2
+    ("O", -1): (1,),          # F
+    ("O", 1): (3,),           # N
+    ("O", 2): (4,),           # C
+    ("F", -2): (),            # Na: 1 - 2 < 0
+    ("F", -1): (0,),          # Ne
+    ("F", 1): (2,),           # O
+    ("F", 2): (3,),           # N
+    ("P", -2): (1,),          # Cl
+    ("P", -1): (2, 4, 6),     # S
+    ("P", 1): (4, 6),         # Si: (3, 5) + 1
+    ("P", 2): (5, 7),         # Al: (3, 5) + 2
+    ("S", -2): (0, 2, 4),     # Ar: (2, 4, 6) - 2
+    ("S", -1): (1,),          # Cl
+    ("S", 1): (3, 5),         # P
+    ("S", 2): (4, 6, 8),      # Si: (2, 4, 6) + 2
+    ("Cl", -2): (),           # K: 1 - 2 < 0
+    ("Cl", -1): (0,),         # Ar
+    ("Cl", 1): (2, 4, 6),     # S
+    ("Cl", 2): (3, 5),        # P
+    ("Br", -2): (),           # Rb
+    ("Br", -1): (0,),         # Kr
+    ("Br", 1): (2,),          # Se: 1 + 1
+    ("Br", 2): (3,),          # As: 1 + 2
+    ("I", -2): (),            # Cs
+    ("I", -1): (0,),          # Xe
+    ("I", 1): (2,),           # Te: 1 + 1
+    ("I", 2): (3,),           # Sb: 1 + 2
+}

@@ -545,6 +545,18 @@ def _local_client(port, **overrides):
     return RemoteClient(cfg, sleep=lambda s: None)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_transport_posts_no_body_that_is_not_json(
+    temperature, monkeypatch, local_server,
+):
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    local_server.script = [(200, _ok_body(["CCO"]))]
+    client = _local_client(local_server.server_port)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        client.complete("make ethanol", n=1, temperature=temperature)
+    assert local_server.seen == []
+
+
 def test_transport_retries_503_then_parses_200(monkeypatch, local_server):
     monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
     local_server.script = [(503, {}), (200, _ok_body(["CCO", "CCN"]))]
@@ -640,6 +652,16 @@ def test_load_prompts_defaults_and_override(tmp_path):
     merged = load_prompts(str(custom))
     assert merged["caption_template"] == "Say something about {smiles}"
     assert merged["generate_template"] == defaults["generate_template"]
+
+
+def test_load_prompts_skips_a_leading_byte_order_mark(tmp_path):
+    custom = tmp_path / "prompts.cfg"
+    custom.write_text(
+        "\ufeffcaption_template = Say something about {smiles}\n", encoding="utf-8"
+    )
+    assert load_prompts(str(custom))["caption_template"] == (
+        "Say something about {smiles}"
+    )
 
 
 def test_load_prompts_refuses_unknown_keys(tmp_path):

@@ -815,6 +815,73 @@ def test_remote_commands_keep_the_endpoint_defaults(command, temperature, tmp_pa
     assert [call["temperature"] for call in session.calls] == [temperature] * 2
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ["annotate"],
+    ["eval", "--generator", "remote"],
+    ["filter", "--tau", "1", "--generator", "remote"],
+], ids=lambda c: c[0])
+def test_unusable_remote_temperature_is_refused_before_the_pairs_are_read(
+    command, temperature, via, tmp_path, capsys, monkeypatch,
+):
+    # json.dumps would post NaN or Infinity, which are not JSON
+    import moltrip.adapters as adapters
+    import moltrip.cli as cli
+
+    monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
+    session = RecordingSession()
+    monkeypatch.setattr(adapters, "UrllibTransport", lambda: session)
+    read = []
+    monkeypatch.setattr(cli, "load_pairs", lambda path: read.append(path))
+    out = tmp_path / "out.jsonl"
+    argv = [
+        *command, "--pairs", str(tmp_path / "pairs.jsonl"), "--out", str(out),
+        "--base-url", "https://api.example.test/v1", "--model", "toy",
+    ]
+    if via == "flag":
+        argv.append(f"--temperature={temperature}")
+    else:
+        config = tmp_path / "moltrip.cfg"
+        config.write_text(
+            f"[{command[0]}]\ntemperature = {temperature}\n", encoding="utf-8"
+        )
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--temperature must be 0 or finite and positive" in capsys.readouterr().err
+    assert read == [] and session.calls == []
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# byte-order marks
+
+@pytest.mark.parametrize("suffix", ["jsonl", "tsv"])
+def test_eval_reads_a_pair_file_that_starts_with_a_byte_order_mark(
+    suffix, tmp_path, capsys,
+):
+    path = tmp_path / f"pairs.{suffix}"
+    if suffix == "jsonl":
+        lines = [json.dumps({"smiles": s, "caption": s}) for s in ("CCO", "CCN")]
+    else:
+        lines = ["CCO\tCCO", "CCN\tCCN"]
+    path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["eval", "--pairs", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "samples 2" in out and "exact_pct 100.0" in out
+
+
+def test_config_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    out = tmp_path / "canon.txt"
+    config = tmp_path / "moltrip.cfg"
+    config.write_text(f"\ufeff[canon]\nout = {out}\n", encoding="utf-8")
+    assert main(["canon", "OCC", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "CCO\n"
+    assert out.read_text(encoding="utf-8") == "CCO\n"
+
+
 # ---------------------------------------------------------------------------
 # config file
 

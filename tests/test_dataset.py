@@ -46,6 +46,25 @@ def _write(path, lines):
 # ---------------------------------------------------------------------------
 # loading
 
+@pytest.mark.parametrize("lines", [
+    [json.dumps({"smiles": "CCO", "caption": "ethanol"}),
+     json.dumps({"smiles": "CC=O", "caption": "acetaldehyde"}),
+     "\ufeff" + json.dumps({"smiles": "C", "caption": "methane"})],
+    ["CCO\tethanol", "CC=O\tacetaldehyde", "\ufeffC\tmethane"],
+], ids=["jsonl", "tsv"])
+def test_load_skips_a_leading_byte_order_mark_only(lines, tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+    result = load_pairs(str(path))
+    assert [r.smiles for r in result.records][:2] == ["CCO", "CC=O"]
+    assert result.records[0].caption == "ethanol"
+    # a U+FEFF past the first character is kept, and fails where it lands
+    if result.records[2:]:
+        assert result.records[2].smiles == "\ufeffC"
+    else:
+        assert [e.line_no for e in result.sidecar] == [3]
+
+
 def test_load_jsonl_three_lines(tmp_path):
     path = _write(tmp_path / "pairs.jsonl", [
         json.dumps({"smiles": "CCO", "caption": "ethanol"}),

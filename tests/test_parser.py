@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from moltrip.chem import model, parser, rings, valence
 from moltrip.chem import (
     AromaticBondMismatch,
+    Bond,
     BondOrder,
     DanglingBond,
     EmptyInput,
@@ -21,9 +22,11 @@ from moltrip.chem import (
     UnbalancedParenthesis,
     UnclosedRing,
     UnknownToken,
+    build_molecule,
     canonical_smiles,
     parse_smiles,
     render_random,
+    scan_smiles,
 )
 from moltrip.chem.model import Atom, Molecule
 from moltrip.fingerprints import morgan_features, path_features
@@ -332,3 +335,19 @@ def test_hand_built_molecule_without_fragments_or_rings_is_refused():
     built = Molecule(atoms, bonds, rings=mol.rings, fragments=mol.fragments)
     assert built == mol
     assert canonical_smiles(built) == canonical_smiles(mol) != ""
+
+
+def test_the_molecule_keeps_the_bond_records_the_scan_made():
+    scan = scan_smiles("CC(=O)N")
+    bonds = scan[1]
+    assert bonds == [
+        Bond(0, 1), Bond(1, 2, BondOrder.DOUBLE), Bond(1, 3, BondOrder.SINGLE),
+    ]
+    assert all(type(bond) is Bond for bond in bonds)
+    mol = build_molecule(scan)  # no Kekule ring: aromatize rewrites no bond
+    assert all(kept is bond for kept, bond in zip(mol.bonds, bonds, strict=True))
+
+
+def test_hand_built_molecule_with_a_self_bond_is_refused():
+    with pytest.raises(ValueError, match="bond endpoints must be distinct"):
+        Molecule((Atom("C"),), (Bond(0, 0),), fragments=((0,),))

@@ -11,17 +11,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moltrip.chem import (
+    PERMITTED_VALENCES,
     Bond,
     BondOrder,
     ValidityFailure,
     canonical_smiles,
     check_validity,
     parse_smiles,
+    permitted_valences,
     render_random,
 )
 from moltrip.chem.model import neighbor_view
 from moltrip.chem.valence import _kekulize
-from oracles import reference_perfect_matching
+from moltrip.metrics import reconstruction_score
+from oracles import CHARGED_VALENCES, reference_perfect_matching
 
 
 @pytest.mark.parametrize(
@@ -42,6 +45,11 @@ from oracles import reference_perfect_matching
         "[Mg+2].[Cl-].[Cl-]",
         "CB(O)O",
         "CS(C)C",
+        "C[P+](C)(C)C",
+        "[Cl-]",
+        "[H-]",
+        "[o+]1ccccc1",
+        "[cH-]1cccc1",
     ],
 )
 def test_valid_strings(text):
@@ -89,6 +97,36 @@ def test_charge_shifts_permitted_valence():
     assert check_validity("C[N+](C)(C)C").is_valid
     assert check_validity("C[O+](C)C").is_valid       # O+ allows 3
     assert check_validity("[CH3-]").is_valid          # C- allows 3
+
+
+@pytest.mark.parametrize("text", [
+    "F[B-](F)(F)F",            # tetrafluoroborate: B- takes carbon's 4
+    "[BH4-]",                  # borohydride
+    "[CH3+]",                  # carbocation: C+ takes boron's 3
+    "[H+]",                    # a bare proton
+    "F[P-](F)(F)(F)(F)F",      # hexafluorophosphate: P- takes sulfur's 6
+])
+def test_charged_atoms_take_their_isoelectronic_valences(text):
+    report = check_validity(text)
+    assert report.is_valid, (text, report.failures)
+
+
+@pytest.mark.parametrize("salt", ["[Na+].F[B-](F)(F)F", "[Na+].F[P-](F)(F)(F)(F)F"])
+def test_salt_with_a_charged_counter_ion_scores_four_against_itself(salt):
+    assert reconstruction_score(salt, salt).total == 4.0
+
+
+def test_permitted_valences_of_every_charged_table_element():
+    cases = [(e, q) for e in PERMITTED_VALENCES for q in (-2, -1, 1, 2)]
+    assert sorted(cases) == sorted(CHARGED_VALENCES)
+    for (element, charge), expected in CHARGED_VALENCES.items():
+        assert permitted_valences(element, charge) == expected, (element, charge)
+        sign = "+" if charge > 0 else "-"
+        for total in range(9):  # the bracket atom's hydrogens are its valence
+            text = f"[{element}H{total}{sign}{abs(charge)}]"
+            assert check_validity(text).is_valid == (total in expected), text
+    for element, valences in PERMITTED_VALENCES.items():
+        assert permitted_valences(element, 0) == valences
 
 
 def test_charge_shift_exact_membership():
