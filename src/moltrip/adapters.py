@@ -46,14 +46,14 @@ import itertools
 import json as jsonlib
 import math
 import os
-import string
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .chem import canonicalize, check_validity
 from .fingerprints import extend_hash, stable_hash
 from .grpo import GrpoConfig, RolloutGroup, group_objective
+from .records import Checked
 
 API_KEY_VAR = "RTMOL_API_KEY"
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -89,8 +89,7 @@ class MalformedResponse(RuntimeError):
     """The remote endpoint answered with an unusable payload."""
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(NamedTuple):
     """One sampled text with optional exact per-token log-probabilities."""
 
     text: str
@@ -173,7 +172,6 @@ def _draw(
     return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
 
 
-@dataclass
 class TabularPolicy:
     """Softmax-over-logits policy on finite states and actions.
 
@@ -186,26 +184,29 @@ class TabularPolicy:
     memoised until the next update (see the module docstring).
     """
 
-    # one token, the whole string, and no stop; unannotated, so not fields
+    # one token, the whole string, and no stop
     max_tokens = 1
     eos = None
 
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    logits: list[tuple[float, ...]]
-    old_logits: list[tuple[float, ...]] = field(default=None)  # type: ignore[assignment]
-    ref_logits: list[tuple[float, ...]] = field(default=None)  # type: ignore[assignment]
-    old_snapshot_id: int = 0
-
-    def __post_init__(self) -> None:
-        expected = (len(self.states), len(self.actions))
-        if (len(self.logits), len(self.logits[0])) != expected:
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        actions: tuple[str, ...],
+        logits: list[tuple[float, ...]],
+        old_logits: list[tuple[float, ...]] | None = None,
+        ref_logits: list[tuple[float, ...]] | None = None,
+        old_snapshot_id: int = 0,
+    ) -> None:
+        if (len(logits), len(logits[0])) != (len(states), len(actions)):
             raise ValueError("logits shape must be states x actions")
-        self.logits = [tuple(row) for row in self.logits]
-        self.old_logits = self._own_rows(self.old_logits)
-        self.ref_logits = self._own_rows(self.ref_logits)
-        self._state_index = {s: i for i, s in enumerate(self.states)}
-        self._action_index = {a: i for i, a in enumerate(self.actions)}
+        self.states = states
+        self.actions = actions
+        self.logits = [tuple(row) for row in logits]
+        self.old_logits = self._own_rows(old_logits)
+        self.ref_logits = self._own_rows(ref_logits)
+        self.old_snapshot_id = old_snapshot_id
+        self._state_index = {s: i for i, s in enumerate(states)}
+        self._action_index = {a: i for i, a in enumerate(actions)}
         self._dists: dict[int, RowDist] = {}
 
     def _own_rows(self, rows) -> list[tuple[float, ...]]:
@@ -457,8 +458,8 @@ def tabular_objective(
                 tuple(dist(rows[s])[1][a] for s, a in steps)
                 for rows in (policy.logits, policy.old_logits, policy.ref_logits)
             )
-            completions.append(replace(c, logp_cur=cur, logp_old=old, logp_ref=ref))
-        total += group_objective(replace(group, completions=tuple(completions)), cfg)
+            completions.append(c._replace(logp_cur=cur, logp_old=old, logp_ref=ref))
+        total += group_objective(group._replace(completions=tuple(completions)), cfg)
     return total
 
 
@@ -583,15 +584,18 @@ class TokenSequencePolicy(TabularPolicy):
 # ---------------------------------------------------------------------------
 # remote LLM client
 
-@dataclass(frozen=True)
-class RemoteEndpointConfig:
+class _EndpointFields(NamedTuple):
     base_url: str
     model: str
     timeout: float = 30.0
     max_retries: int = 3
     api_key_var: str = API_KEY_VAR
 
-    def __post_init__(self) -> None:
+
+class RemoteEndpointConfig(Checked, _EndpointFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         # nan, inf and huge values would fail inside the socket call, where
         # the client does not count them as network failures
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
@@ -611,8 +615,7 @@ class RemoteEndpointConfig:
         parts.port  # raises ValueError for a port that is not a number in range
 
 
-@dataclass(frozen=True)
-class HttpReply:
+class HttpReply(NamedTuple):
     status_code: int
     body: bytes
 
@@ -768,6 +771,8 @@ def load_prompts(path: str | None = None) -> dict[str, str]:
 
 def _check_templates(prompts: dict[str, str]) -> None:
     """Each template names its own field, and no other, and formats."""
+    import string  # only template checks parse format strings
+
     if set(prompts) != set(_TEMPLATE_FIELDS):
         raise ValueError(
             f"prompt keys must be {sorted(_TEMPLATE_FIELDS)}, not {sorted(prompts)}"

@@ -8,9 +8,10 @@ fingerprints, reconstruction scoring) operates on these types.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
+
+from ..records import Checked, Frozen
 
 # The element symbols in periodic order, H through Og: element Z is at Z - 1.
 ELEMENTS = tuple(
@@ -34,7 +35,7 @@ AROMATIC_ELEMENTS = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As", "Te"})
 
 # Permitted total bond orders (including hydrogens) per element at charge 0.
 # A charged atom takes the valences of its isoelectronic neutral element
-# (see ``permitted_valences``).
+# (see ``permitted_valences``).  Elements outside the table are unconstrained.
 PERMITTED_VALENCES: dict[str, tuple[int, ...]] = {
     "H": (1,),
     "B": (3,),
@@ -49,29 +50,43 @@ PERMITTED_VALENCES: dict[str, tuple[int, ...]] = {
     "I": (1,),
 }
 
+# The valences of the neutral elements outside the table that a charged
+# table element can be isoelectronic with; neutral atoms of these elements
+# stay unconstrained.
+_ISOELECTRONIC_ONLY: dict[str, tuple[int, ...]] = {
+    "Be": (2,),
+    "Si": (4,),
+    **dict.fromkeys(("He", "Ne", "Ar", "Kr", "Xe", "Rn", "Og"), (0,)),
+}
+
 
 @lru_cache(maxsize=1024)
 def permitted_valences(element: str, charge: int) -> tuple[int, ...] | None:
     """Allowed total bond orders for an element at a formal charge.
 
     A charged atom of atomic number Z and charge q takes the valences of
-    the neutral element Z - q when the table holds it: N+ and B- take
-    carbon's, C+ boron's, C- nitrogen's, P- sulfur's.  A bare proton
-    (Z - q = 0) takes (0,).  Any other charged atom shifts its own
-    valences by q, dropping those below 0: P+ takes (4, 6) and Cl- (0,).
+    the neutral element Z - q when the table, or ``_ISOELECTRONIC_ONLY``,
+    holds it: N+ and B- take carbon's, C+ boron's, C- nitrogen's, P-
+    sulfur's, B+ beryllium's (2,), P+ silicon's (4,), and Cl- or S2- a
+    noble gas's (0,).  A bare proton (Z - q = 0) takes (0,), and an atom
+    with Z - q < 0 takes none.  Any other charged atom shifts its own
+    valences by q, dropping those below 0: Br+ takes (2,) and P2+ (5, 7).
     Returns None for elements outside the valence table (no constraint).
-    Memoised, since every parse asks it of every atom, so the table above
-    is read as a constant.
+    Memoised, since every parse asks it of every atom, so the tables above
+    are read as constants.
     """
     base = PERMITTED_VALENCES.get(element)
     if base is None:
         return None
     if charge:
         z = ELEMENTS.index(element) + 1 - charge
-        if z == 0:
-            return (0,)
-        if 0 < z <= len(ELEMENTS) and ELEMENTS[z - 1] in PERMITTED_VALENCES:
-            return PERMITTED_VALENCES[ELEMENTS[z - 1]]
+        if z <= 0:
+            return (0,) if z == 0 else ()
+        if z <= len(ELEMENTS):
+            twin = ELEMENTS[z - 1]
+            found = PERMITTED_VALENCES.get(twin, _ISOELECTRONIC_ONLY.get(twin))
+            if found is not None:
+                return found
     return tuple(v + charge for v in base if v + charge >= 0)
 
 
@@ -104,23 +119,27 @@ class BondOrder(enum.Enum):
         self.bond_electrons, self.symbol, self.sort_key = _BOND_TRAITS[value]
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atom: element symbol, aromatic flag, charge, isotope, hydrogens.
-
-    ``hydrogens`` is the total attached hydrogen count, whether brackets
-    wrote it or the parser inferred it.  How the atom was spelled is not
-    kept (the parser's draft atoms record that), so ``CC`` and
-    ``[CH3][CH3]`` parse to equal atoms.
-    """
-
+class _AtomFields(NamedTuple):
     element: str
     is_aromatic: bool = False
     formal_charge: int = 0
     isotope: int | None = None
     hydrogens: int = 0
 
-    def __post_init__(self) -> None:
+
+class Atom(Checked, _AtomFields):
+    """One atom: element symbol, aromatic flag, charge, isotope, hydrogens.
+
+    ``hydrogens`` is the total attached hydrogen count, whether brackets
+    wrote it or the parser inferred it.  How the atom was spelled is not
+    kept (the parser's draft atoms record that), so ``CC`` and
+    ``[CH3][CH3]`` parse to equal atoms.  Construction and ``_replace``
+    refuse an unknown element symbol.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.element not in ELEMENT_SYMBOLS:
             raise ValueError(f"unrecognized element symbol {self.element!r}")
 
@@ -138,8 +157,7 @@ class Bond(NamedTuple):
     order: BondOrder = BondOrder.SINGLE
 
 
-@dataclass(frozen=True)
-class Molecule:
+class Molecule(Frozen):
     """Immutable molecular graph with perceived rings and fragments.
 
     ``rings`` holds the smallest set of smallest rings (SSSR), exactly the
@@ -161,20 +179,31 @@ class Molecule:
     molecules.
     ``view``, when given, must be ``neighbor_view`` of these bonds; the
     parser passes the one it built so the molecule does not build another.
+    ``len`` is the atom count.
     """
+
+    _FIELDS = ("atoms", "bonds", "rings", "fragments", "parse_notes", "failures")
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-    rings: tuple[tuple[int, ...], ...] = ()
-    fragments: tuple[tuple[int, ...], ...] = ()
-    parse_notes: tuple[str, ...] = field(default=(), compare=False)
-    failures: tuple[ValidityFailure, ...] = field(default=(), compare=False)
-    view: InitVar[NeighborView | None] = None
+    rings: tuple[tuple[int, ...], ...]
+    fragments: tuple[tuple[int, ...], ...]
+    parse_notes: tuple[str, ...]
+    failures: tuple[ValidityFailure, ...]
 
-    def __post_init__(self, view: NeighborView | None) -> None:
-        n = len(self.atoms)
+    def __init__(
+        self,
+        atoms: tuple[Atom, ...],
+        bonds: tuple[Bond, ...],
+        rings: tuple[tuple[int, ...], ...] = (),
+        fragments: tuple[tuple[int, ...], ...] = (),
+        parse_notes: tuple[str, ...] = (),
+        failures: tuple[ValidityFailure, ...] = (),
+        view: NeighborView | None = None,
+    ) -> None:
+        n = len(atoms)
         seen: set[tuple[int, int]] = set()
-        for bond in self.bonds:
+        for bond in bonds:
             a, b = bond.a, bond.b
             if a == b:
                 raise ValueError("bond endpoints must be distinct")
@@ -184,12 +213,32 @@ class Molecule:
             if key in seen:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
-        if sum(map(len, self.fragments)) != n:
+        if sum(map(len, fragments)) != n:
             raise ValueError("fragment sizes must sum to the atom count")
-        if len(self.rings) != len(self.bonds) - n + len(self.fragments):
+        if len(rings) != len(bonds) - n + len(fragments):
             raise ValueError("rings must number bonds - atoms + fragments")
+        fields = vars(self)
+        fields.update(
+            atoms=atoms, bonds=bonds, rings=rings, fragments=fragments,
+            parse_notes=parse_notes, failures=failures,
+        )
         if view is not None:  # fills the neighbor_view cache
-            object.__setattr__(self, "neighbor_view", view)
+            fields["neighbor_view"] = view
+
+    def _graph(self) -> tuple:
+        return (self.atoms, self.bonds, self.rings, self.fragments)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._graph() == other._graph()
+
+    def __hash__(self) -> int:
+        return hash(self._graph())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"Molecule({shown})"
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -240,16 +289,14 @@ def neighbor_view(n_atoms: int, bonds: tuple[Bond, ...]) -> NeighborView:
     return tuple(tuple(pairs) for pairs in view)
 
 
-@dataclass(frozen=True)
-class ValidityFailure:
+class ValidityFailure(NamedTuple):
     """One validity violation; atom_index is None for whole-string failures."""
 
     atom_index: int | None
     reason: str
 
 
-@dataclass(frozen=True, repr=False)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """A validity verdict: valid when no failure was found."""
 
     failures: tuple[ValidityFailure, ...] = ()

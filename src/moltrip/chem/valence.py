@@ -17,8 +17,7 @@ builds each ``Atom`` from its draft and the hydrogens ``analyze`` assigns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import (
     Bond,
@@ -33,7 +32,6 @@ from .rings import ring_bonds
 _AROMATIZABLE = frozenset({"C", "N", "O", "S"})
 
 
-@dataclass
 class _DraftAtom:
     """An atom as the parser read it, before its hydrogens are known.
 
@@ -43,11 +41,21 @@ class _DraftAtom:
     ``is_aromatic`` in place.
     """
 
-    element: str
-    is_aromatic: bool = False
-    formal_charge: int = 0
-    explicit_h: int | None = None
-    isotope: int | None = None
+    __slots__ = ("element", "is_aromatic", "formal_charge", "explicit_h", "isotope")
+
+    def __init__(
+        self,
+        element: str,
+        is_aromatic: bool = False,
+        formal_charge: int = 0,
+        explicit_h: int | None = None,
+        isotope: int | None = None,
+    ) -> None:
+        self.element = element
+        self.is_aromatic = is_aromatic
+        self.formal_charge = formal_charge
+        self.explicit_h = explicit_h
+        self.isotope = isotope
 
 
 def _prefers_pi(element: str, sigma: int) -> bool:
@@ -129,8 +137,7 @@ def bond_sums(n_atoms: int, bonds: tuple[Bond, ...]) -> tuple[list[int], list[bo
     return sigma, multiple
 
 
-@dataclass(frozen=True)
-class AtomAnalysis:
+class AtomAnalysis(NamedTuple):
     hydrogens: tuple[int, ...]
     failures: tuple[ValidityFailure, ...]
 

@@ -200,13 +200,16 @@ def _remote_adapter(args) -> RemoteAdapter:
     return RemoteAdapter(client, load_prompts(args.prompts))
 
 
+_ENDPOINT_DEFAULTS = RemoteEndpointConfig._field_defaults
+
+
 def _add_remote_flags(sub) -> None:
     sub.add_argument("--base-url", default=None)
     sub.add_argument("--model", default=None)
     sub.add_argument("--timeout", type=float, default=None,
-                     help=f"seconds (default {RemoteEndpointConfig.timeout})")
+                     help=f"seconds (default {_ENDPOINT_DEFAULTS['timeout']})")
     sub.add_argument("--max-retries", type=int, default=None,
-                     help=f"default {RemoteEndpointConfig.max_retries}")
+                     help=f"default {_ENDPOINT_DEFAULTS['max_retries']}")
     sub.add_argument("--prompts", default=None,
                      help="template file overriding the built-in prompts")
 

@@ -13,8 +13,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .chem import (
     SmilesError,
@@ -25,6 +24,7 @@ from .chem import (
 )
 from .chem.parser import Scan
 from .metrics import ScoreCache
+from .records import Checked
 
 
 class IoFailure(OSError):
@@ -39,30 +39,47 @@ class EmptyInput(ValueError):
     """An operation needs at least one record."""
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class _PairFields(NamedTuple):
     smiles: str
     caption: str
     id: str | None = None
     provenance: str = ""
     # 1-based line of the file the record was loaded from; None when built
     # in memory.  Not part of the record's identity.
-    line_no: int | None = field(default=None, compare=False)
+    line_no: int | None = None
 
-    def __post_init__(self) -> None:
+
+class PairRecord(Checked, _PairFields):
+    """One molecule-caption pair.  Equality and hashing ignore ``line_no``."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("smiles", "caption"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         if not self.smiles:
             raise ValueError("smiles must be non-empty")
 
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
 
-@dataclass(frozen=True)
-class SplitSpec:
+    def __ne__(self, other: object) -> bool:  # tuple's own would see line_no
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+
+class _SplitFields(NamedTuple):
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SplitSpec(Checked, _SplitFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if len(self.ratios) != 3:
             raise ValueError(
                 f"ratios needs 3 values (train, val, test), got {len(self.ratios)}"
@@ -73,15 +90,13 @@ class SplitSpec:
             raise ValueError(f"ratios sum to {sum(self.ratios)!r}, not 1")
 
 
-@dataclass(frozen=True)
-class SidecarEntry:
+class SidecarEntry(NamedTuple):
     line_no: int
     content: str
     reason: str
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     records: tuple[PairRecord, ...]
     sidecar: tuple[SidecarEntry, ...]
 
@@ -234,8 +249,7 @@ def split(pairs: list[PairRecord], spec: SplitSpec) -> Partition:
 # ---------------------------------------------------------------------------
 # overlap removal
 
-@dataclass(frozen=True)
-class DedupeResult:
+class DedupeResult(NamedTuple):
     kept: tuple[PairRecord, ...]
     removed: tuple[PairRecord, ...]
     overlap_fraction: float
@@ -348,19 +362,17 @@ def _closures(text: str, scan: Scan) -> int:
 # ---------------------------------------------------------------------------
 # round-trip diagnostic filter
 
-@dataclass(frozen=True)
-class PairScore:
+class PairScore(NamedTuple):
     record: PairRecord
     score: float | None
     kept: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(NamedTuple):
     kept: tuple[PairRecord, ...]
     rejected: tuple[PairRecord, ...]
-    scores: tuple[PairScore, ...] = field(repr=False)
+    scores: tuple[PairScore, ...]
 
 
 def diagnostic_filter(

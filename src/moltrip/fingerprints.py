@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .chem import ELEMENT_SYMBOLS, Atom, BondOrder, Molecule, MoleculeTooLarge
 from .chem.model import NeighborView
 from .chem.rings import ring_bonds
+from .records import Frozen
 
 DEFAULT_MORGAN_RADIUS = 2
 DEFAULT_PATH_LENGTH = 7
@@ -84,13 +84,39 @@ def _fnv1a(h: int, data: bytes) -> int:
 stable_hash = functools.partial(extend_hash, _FNV_OFFSET)
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """Immutable set of integer feature identifiers for one family."""
+class FeatureSet(Frozen):
+    """Immutable set of integer feature identifiers for one family; ``len``
+    is the feature count."""
+
+    __slots__ = ("features", "family", "params")
 
     features: frozenset[int]
     family: str  # one of: structural_keys, path, morgan
     params: tuple[int, ...]
+
+    def __init__(
+        self, features: frozenset[int], family: str, params: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def _key(self) -> tuple:
+        return (self.features, self.family, self.params)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FeatureSet(features={self.features!r}, family={self.family!r},"
+            f" params={self.params!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.features)

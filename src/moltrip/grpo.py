@@ -9,9 +9,10 @@ policy.  Everything here is pure arithmetic over immutable groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import LengthMismatch
+from .records import Checked
 
 DEFAULT_EPSILON = 0.2
 DEFAULT_BETA = 1e-3
@@ -25,8 +26,7 @@ class MissingLogProbs(ValueError):
     """A completion lacks log-probabilities for some policy."""
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     """One sampled completion with per-token log-probs under three policies."""
 
     text: str
@@ -36,8 +36,7 @@ class Completion:
     logp_ref: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class RolloutGroup:
+class RolloutGroup(NamedTuple):
     """All completions sampled for one prompt, plus filled advantages.
 
     The prompt_id doubles as the conditioning state for tabular policies;
@@ -51,12 +50,15 @@ class RolloutGroup:
     snapshot_id: int | None = None
 
 
-@dataclass(frozen=True)
-class GrpoConfig:
+class _GrpoFields(NamedTuple):
     epsilon: float = DEFAULT_EPSILON
     beta: float = DEFAULT_BETA
 
-    def __post_init__(self) -> None:
+
+class GrpoConfig(Checked, _GrpoFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.beta < 0:
@@ -83,9 +85,7 @@ def fill_advantages(group: RolloutGroup) -> RolloutGroup:
     advantages, degenerate = group_advantages(
         [c.reward for c in group.completions]
     )
-    return replace(
-        group, advantages=tuple(advantages), degenerate=degenerate
-    )
+    return group._replace(advantages=tuple(advantages), degenerate=degenerate)
 
 
 def ppo_clip(ratio: float, advantage: float, epsilon: float) -> float:

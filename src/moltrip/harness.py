@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .adapters import AdapterFailure, TabularPolicy
 from .dataset import IoFailure, PairRecord, atomic_writer
@@ -30,14 +30,12 @@ from .metrics import (
     aggregate_report,
     round_trip_rate,
 )
+from .records import Checked
 
 REWARD_MODES = ("shaped", "exact_only")
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Loop shape and optimizer settings; defaults follow the usual table."""
-
+class _HarnessFields(NamedTuple):
     batch_size: int = 128
     mini_batch: int = 64
     steps_per_phase: int = 1    # k: consecutive steps before switching phase
@@ -45,7 +43,7 @@ class HarnessConfig:
     group_size_g: int = 32      # G: captions per molecule in captioner groups
     recon_samples_m: int = 1    # m: frozen-generator samples per caption
     update_epochs: int = 1  # passes over a step's groups; clip caps movement
-    grpo: GrpoConfig = field(default_factory=GrpoConfig)
+    grpo: GrpoConfig = GrpoConfig()
     lr: float = 1e-6
     max_steps: int = 100
     seed: int = 0
@@ -53,7 +51,13 @@ class HarnessConfig:
     convergence_tol: float = 1e-3
     reward_mode: str = "shaped"
 
-    def __post_init__(self) -> None:
+
+class HarnessConfig(Checked, _HarnessFields):
+    """Loop shape and optimizer settings; defaults follow the usual table."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("batch_size", "mini_batch", "steps_per_phase",
                      "rollout_n", "group_size_g", "recon_samples_m",
                      "update_epochs", "convergence_window"):
@@ -70,13 +74,12 @@ class HarnessConfig:
 EVAL_TEMPERATURE = 0.0  # evaluation is greedy: each policy's likeliest output
 
 
-@dataclass(frozen=True, kw_only=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One step's statistics.  The phase functions return it with step 0;
     run_training numbers it as it appends it to the log."""
 
     phase: str
-    step: int = 0
+    step: int
     mean_reward: float
     validity_rate: float
     exact_rate: float
@@ -84,8 +87,7 @@ class StepRecord:
     snapshot_id: int
 
 
-@dataclass(frozen=True)
-class TrainingLog:
+class TrainingLog(NamedTuple):
     records: tuple[StepRecord, ...]
     converged: bool
     final_round_trip: float
@@ -93,7 +95,7 @@ class TrainingLog:
 
     def to_records(self) -> dict:
         return {
-            "steps": [vars(r) for r in self.records],
+            "steps": [r._asdict() for r in self.records],
             "converged": self.converged,
             "final_round_trip": self.final_round_trip,
             "final_report": self.final_report.to_record(),
@@ -106,8 +108,7 @@ def _reward(breakdown: ScoreBreakdown, mode: str) -> float:
     return breakdown.total
 
 
-@dataclass(frozen=True)
-class TaggedGroup:
+class TaggedGroup(NamedTuple):
     """A rollout group plus the context the export file must carry."""
 
     group_id: str
@@ -125,6 +126,7 @@ def _stats(
     rewards = [c.reward for g in groups for c in g.completions]
     return StepRecord(
         phase=phase,
+        step=0,
         mean_reward=sum(rewards) / len(rewards),
         validity_rate=sum(1 for b in breakdowns if b.valid) / len(breakdowns),
         exact_rate=sum(1 for b in breakdowns if b.exact) / len(breakdowns),
@@ -311,7 +313,7 @@ def run_training(
             stats = captioner_phase(
                 captioner, generator, batch, cfg, phase_seed, cache
             )
-        records.append(replace(stats, step=step))
+        records.append(stats._replace(step=step))
         history.append(stats.mean_reward)
         if len(history) >= 2 * w and (
             sum(history[-w:]) / w - sum(history[-2 * w:-w]) / w

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .chem import Molecule, SmilesError, canonical_smiles, parse_smiles
 from .errors import EmptyCollection, LengthMismatch
@@ -46,6 +46,7 @@ from .fingerprints import (
     structural_keys,
     tanimoto,
 )
+from .records import Frozen
 
 _BLEU_EPSILON = 1e-9
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -55,8 +56,7 @@ class InvalidReference(ValueError):
     """The reference side of a score must itself be valid."""
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     """Components of the reconstruction score; total is their combination."""
 
     valid: bool
@@ -68,8 +68,7 @@ class ScoreBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class RoundTripSample:
+class RoundTripSample(NamedTuple):
     original: str
     caption: str
     reconstruction: str
@@ -82,8 +81,7 @@ _ZERO_SCORE = ScoreBreakdown(
 )
 
 
-@dataclass(frozen=True)
-class Prepared:
+class Prepared(Frozen):
     """One string made ready to score: its validity verdict and, if valid,
     its molecule.
 
@@ -93,8 +91,16 @@ class Prepared:
     """
 
     valid: bool
-    reason: str = ""
-    mol: Molecule | None = field(default=None, repr=False)
+    reason: str
+    mol: Molecule | None
+
+    def __init__(
+        self, valid: bool, reason: str = "", mol: Molecule | None = None
+    ) -> None:
+        vars(self).update(valid=valid, reason=reason, mol=mol)
+
+    def __repr__(self) -> str:  # the molecule is left out
+        return f"Prepared(valid={self.valid!r}, reason={self.reason!r})"
 
     @cached_property
     def canonical(self) -> str:
@@ -221,8 +227,7 @@ def round_trip_rate(samples: list[RoundTripSample]) -> float:
 # ---------------------------------------------------------------------------
 # aggregate evaluation report
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-corpus means in the standard column order.
 
     Similarity means run over valid pairs only; bleu and meteor are None
@@ -239,18 +244,11 @@ class EvalReport:
     meteor: float | None = None
 
     def to_record(self) -> dict:
-        record: dict = {
-            "samples": self.samples,
-            "exact_pct": self.exact_pct,
-            "validity_pct": self.validity_pct,
-            "sim_keys": self.sim_keys,
-            "sim_path": self.sim_path,
-            "sim_morgan": self.sim_morgan,
-        }
-        if self.bleu is not None:
-            record["bleu"] = self.bleu
-        if self.meteor is not None:
-            record["meteor"] = self.meteor
+        """The fields in order, bleu and meteor only when computed."""
+        record = self._asdict()
+        for name in ("bleu", "meteor"):
+            if record[name] is None:
+                del record[name]
         return record
 
 

@@ -13,7 +13,7 @@ reproducible from a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adapters import TabularPolicy, TokenSequencePolicy
 from .chem import canonicalize
@@ -49,8 +49,7 @@ TOY_VOCAB = ("C", "N", "O", "S", "F", "=", "#", "(", ")", "1", "2")
 TOY_MAX_TOKENS = 4
 
 
-@dataclass(frozen=True)
-class ToyTask:
+class ToyTask(NamedTuple):
     captioner: TabularPolicy
     generator: TokenSequencePolicy
     pairs: tuple[PairRecord, ...]
@@ -100,8 +99,7 @@ def build_toy_config(
     )
 
 
-@dataclass(frozen=True)
-class ToyResult:
+class ToyResult(NamedTuple):
     log: TrainingLog
     task: ToyTask
 

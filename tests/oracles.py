@@ -960,28 +960,28 @@ def reference_dedupe_overlap(
 # (element, charge) -> the permitted total bond orders.  A charged atom is
 # isoelectronic with the neutral element Z - charge and takes its valences
 # when the valence table (H, B, C, N, O, F, P, S, Cl, Br, I) holds that
-# element; a bare proton takes 0.  Where the neighbour is outside the table
-# (He, Li, Be, Ne, Na, Al, Si, Ar, K, As, Se, Kr, Rb, Sb, Te, Xe, Cs, or
-# below H), the atom's own neutral valences move by the charge, those below
-# 0 dropped.
+# element, or when it is Be (2), Si (4) or a noble gas (0); a bare proton
+# takes 0, and an atom below H (Z - charge < 0) takes none.  Where the
+# neighbour is outside both (Li, Na, Al, K, As, Se, Rb, Sb, Te, Cs), the
+# atom's own neutral valences move by the charge, those below 0 dropped.
 CHARGED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
     ("H", -2): (),            # Li: 1 - 2 < 0
     ("H", -1): (0,),          # He
     ("H", 1): (0,),           # a bare proton
-    ("H", 2): (3,),           # below H: 1 + 2
+    ("H", 2): (),             # below H: 1 - 2 < 0
     ("B", -2): (3,),          # N
     ("B", -1): (4,),          # C
-    ("B", 1): (4,),           # Be: 3 + 1
+    ("B", 1): (2,),           # Be
     ("B", 2): (5,),           # Li: 3 + 2
     ("C", -2): (2,),          # O
     ("C", -1): (3,),          # N
     ("C", 1): (3,),           # B
-    ("C", 2): (6,),           # Be: 4 + 2
+    ("C", 2): (2,),           # Be
     ("N", -2): (1,),          # F
     ("N", -1): (2,),          # O
     ("N", 1): (4,),           # C
     ("N", 2): (3,),           # B
-    ("O", -2): (0,),          # Ne: 2 - 2
+    ("O", -2): (0,),          # Ne
     ("O", -1): (1,),          # F
     ("O", 1): (3,),           # N
     ("O", 2): (4,),           # C
@@ -991,12 +991,12 @@ CHARGED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
     ("F", 2): (3,),           # N
     ("P", -2): (1,),          # Cl
     ("P", -1): (2, 4, 6),     # S
-    ("P", 1): (4, 6),         # Si: (3, 5) + 1
+    ("P", 1): (4,),           # Si
     ("P", 2): (5, 7),         # Al: (3, 5) + 2
-    ("S", -2): (0, 2, 4),     # Ar: (2, 4, 6) - 2
+    ("S", -2): (0,),          # Ar
     ("S", -1): (1,),          # Cl
     ("S", 1): (3, 5),         # P
-    ("S", 2): (4, 6, 8),      # Si: (2, 4, 6) + 2
+    ("S", 2): (4,),           # Si
     ("Cl", -2): (),           # K: 1 - 2 < 0
     ("Cl", -1): (0,),         # Ar
     ("Cl", 1): (2, 4, 6),     # S

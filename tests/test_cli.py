@@ -507,10 +507,15 @@ def test_theory_check_accepts_the_largest_size(capsys):
 HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"}
 # loaded only by the command or option that uses them: the HTTP stack by the
 # remote transport, the thread pool by --workers above 1, configparser by
-# --config, the theory module by theory check
+# --config, the theory module by theory check, string by the remote prompt
+# check.  dataclasses and inspect only by theory check: on the import path
+# the records are NamedTuples and plain classes, because the dataclass
+# decorator compiles each class's methods and brings in inspect, which
+# together cost a fresh process about a quarter of its set-up CPU
 DEFERRED_MODULES = {
     "http.client", "urllib.request", "ssl", "email", "concurrent.futures",
-    "logging", "configparser", "moltrip.theory",
+    "logging", "configparser", "moltrip.theory", "dataclasses", "inspect",
+    "string",
 }
 REPO = Path(__file__).parent.parent
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import collections
 import copy
-import dataclasses
 import json
 import re
 
@@ -288,7 +287,7 @@ def test_phases_score_each_distinct_completion_once_per_group(mode):
     """Two generator steps then two captioner steps on the toy task: each
     phase calls the cache once per distinct text of a group, and its step
     records and updated tables equal those of a loop scoring every draw."""
-    cfg = dataclasses.replace(build_toy_config(reward_mode=mode), recon_samples_m=2)
+    cfg = build_toy_config(reward_mode=mode)._replace(recon_samples_m=2)
     fast, slow = build_toy_task(), build_toy_task()
     batch = list(fast.pairs)
     calls = draws = 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -76,8 +75,8 @@ def test_toy_training_log_matches_golden_digest():
     scoring shows here.
     """
     task = build_toy_task()
-    cfg = dataclasses.replace(
-        build_toy_config(seed=0), steps_per_phase=3, max_steps=12, rollout_n=16,
+    cfg = build_toy_config(seed=0)._replace(
+        steps_per_phase=3, max_steps=12, rollout_n=16,
     )
     log = run_training(task.captioner, task.generator, list(task.pairs), cfg)
     assert [r.phase for r in log.records] == (

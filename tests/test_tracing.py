@@ -63,7 +63,6 @@ def test_first_item_target_resolves(workload, module, name):
 
 _TRACED_TOY = r"""
 import json, sys
-from dataclasses import replace
 sys.path[:0] = sys.argv[1:3]
 import moltrip.cli
 from moltrip.harness import run_training
@@ -73,8 +72,8 @@ from tracing import Tracer
 tracer = Tracer()
 tracer.install()
 task = build_toy_task()
-cfg = replace(build_toy_config(max_steps=4), steps_per_phase=1,
-              rollout_n=8, group_size_g=4, recon_samples_m=2)
+cfg = build_toy_config(max_steps=4)._replace(
+    steps_per_phase=1, rollout_n=8, group_size_g=4, recon_samples_m=2)
 run_training(task.captioner, task.generator, list(task.pairs), cfg)
 print(json.dumps({"spans": tracer.spans, "pairs": len(task.pairs),
                   "batch": cfg.batch_size, "g": cfg.group_size_g}))

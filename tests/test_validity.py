@@ -116,6 +116,20 @@ def test_salt_with_a_charged_counter_ion_scores_four_against_itself(salt):
     assert reconstruction_score(salt, salt).total == 4.0
 
 
+def test_ions_isoelectronic_with_beryllium_silicon_or_a_noble_gas(capsys):
+    from moltrip.cli import main
+
+    texts = ["[BH2+]", "[BH4+]", "[CH6+2]", "[SH4-2]", "[S-2]"]
+    assert main(["validate", *texts]) == 1
+    verdicts = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts == ["VALID", "INVALID", "INVALID", "INVALID", "VALID"]
+    assert permitted_valences("H", 2) == ()  # below hydrogen: no valence
+    # the neutral elements themselves stay outside the table, unconstrained
+    for element in ("Be", "Si", "He", "Ne", "Ar", "Kr", "Xe", "Rn"):
+        assert permitted_valences(element, 0) is None
+        assert check_validity(f"[{element}H6]").is_valid
+
+
 def test_permitted_valences_of_every_charged_table_element():
     cases = [(e, q) for e in PERMITTED_VALENCES for q in (-2, -1, 1, 2)]
     assert sorted(cases) == sorted(CHARGED_VALENCES)
