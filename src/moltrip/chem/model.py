@@ -158,7 +158,7 @@ class Bond(NamedTuple):
 
 
 class Molecule(Frozen):
-    """Immutable molecular graph with perceived rings and fragments.
+    """Immutable molecular graph with fragments and, on demand, rings.
 
     ``rings`` holds the smallest set of smallest rings (SSSR), exactly the
     cyclomatic number of them.  Each ring is an atom-index cycle that starts
@@ -166,27 +166,29 @@ class Molecule(Frozen):
     the rings are sorted by (length, atoms).  Where the minimum cycle basis
     is not unique, which one is chosen depends on the atom indices.
     ``rings.ring_bonds`` gives each ring's bonds in the same order.
-    ``fragments`` holds one sorted atom-index tuple per connected
-    component.  The constructor works out neither.  It raises ``ValueError``
-    for a self-bond, an out-of-range or repeated bond, fragment sizes that
-    do not sum to the atom count, or ``rings`` not numbering bonds - atoms +
-    fragments, so a molecule built by hand passes ``connected_components``
-    and ``sssr``.  ``parse_notes`` records information discarded during
-    parsing (stereo markers, atom maps, bond directions).  ``failures``
-    holds the valence and kekulization failures the parser found (empty for
-    a valid molecule).  Neither takes part in equality or hashing, which
-    compare the graph alone: ``CC=CC`` and ``C/C=C/C`` parse to equal
-    molecules.
-    ``view``, when given, must be ``neighbor_view`` of these bonds; the
-    parser passes the one it built so the molecule does not build another.
-    ``len`` is the atom count.
+    ``rings`` is perceived by ``sssr`` on first read; ``ring_atoms`` and
+    ``bridges`` need no SSSR.  ``fragments`` holds one sorted atom-index
+    tuple per connected component, which the constructor does not work out.
+    It raises ``ValueError`` for a self-bond, an out-of-range or repeated
+    bond, fragment sizes that do not sum to the atom count, or ``rings``,
+    when given, not numbering bonds - atoms + fragments, so a molecule
+    built by hand passes ``connected_components`` and ``sssr``.
+    ``parse_notes`` records information discarded during parsing (stereo
+    markers, atom maps, bond directions).  ``failures`` holds the valence
+    and kekulization failures the parser found (empty for a valid
+    molecule).  Neither takes part in equality or hashing, which compare
+    the graph alone (atoms, bonds and fragments; the bonds fix the rings):
+    ``CC=CC`` and ``C/C=C/C`` parse to equal molecules.
+    ``rings``, ``view`` and ``bridges``, when given, fill the caches of
+    ``rings``, ``neighbor_view`` and ``bridges``, and must be what those
+    would compute; the parser passes the ones it built so the molecule does
+    not build them again.  ``len`` is the atom count.
     """
 
     _FIELDS = ("atoms", "bonds", "rings", "fragments", "parse_notes", "failures")
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-    rings: tuple[tuple[int, ...], ...]
     fragments: tuple[tuple[int, ...], ...]
     parse_notes: tuple[str, ...]
     failures: tuple[ValidityFailure, ...]
@@ -195,11 +197,12 @@ class Molecule(Frozen):
         self,
         atoms: tuple[Atom, ...],
         bonds: tuple[Bond, ...],
-        rings: tuple[tuple[int, ...], ...] = (),
+        rings: tuple[tuple[int, ...], ...] | None = None,
         fragments: tuple[tuple[int, ...], ...] = (),
         parse_notes: tuple[str, ...] = (),
         failures: tuple[ValidityFailure, ...] = (),
         view: NeighborView | None = None,
+        bridges: frozenset[int] | None = None,
     ) -> None:
         n = len(atoms)
         seen: set[tuple[int, int]] = set()
@@ -215,18 +218,21 @@ class Molecule(Frozen):
             seen.add(key)
         if sum(map(len, fragments)) != n:
             raise ValueError("fragment sizes must sum to the atom count")
-        if len(rings) != len(bonds) - n + len(fragments):
-            raise ValueError("rings must number bonds - atoms + fragments")
         fields = vars(self)
         fields.update(
-            atoms=atoms, bonds=bonds, rings=rings, fragments=fragments,
+            atoms=atoms, bonds=bonds, fragments=fragments,
             parse_notes=parse_notes, failures=failures,
         )
-        if view is not None:  # fills the neighbor_view cache
-            fields["neighbor_view"] = view
+        if rings is not None and len(rings) != self.cyclomatic_number:
+            raise ValueError("rings must number bonds - atoms + fragments")
+        for name, cached in (
+            ("rings", rings), ("neighbor_view", view), ("bridges", bridges)
+        ):
+            if cached is not None:
+                fields[name] = cached
 
     def _graph(self) -> tuple:
-        return (self.atoms, self.bonds, self.rings, self.fragments)
+        return (self.atoms, self.bonds, self.fragments)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -243,6 +249,11 @@ class Molecule(Frozen):
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @property
+    def cyclomatic_number(self) -> int:
+        """bonds - atoms + fragments: how many rings ``rings`` holds."""
+        return len(self.bonds) - len(self.atoms) + len(self.fragments)
+
     @cached_property
     def neighbor_view(self) -> NeighborView:
         """``neighbor_view`` of this molecule's bonds, built on first use
@@ -250,14 +261,40 @@ class Molecule(Frozen):
         return neighbor_view(len(self.atoms), self.bonds)
 
     @cached_property
+    def bridges(self) -> frozenset[int]:
+        """Indices of the bonds on no cycle, found by ``find_bridges`` on
+        first use unless the constructor was given them."""
+        from .rings import find_bridges  # rings imports this module
+
+        return find_bridges(self.neighbor_view)
+
+    @cached_property
+    def rings(self) -> tuple[tuple[int, ...], ...]:
+        """The SSSR (see the class docstring), perceived by ``sssr`` on
+        first read unless the constructor was given it."""
+        if not self.cyclomatic_number:
+            return ()
+        from .rings import sssr
+
+        return sssr(self.bonds, self.neighbor_view, self.fragments, self.bridges)
+
+    @cached_property
     def ring_atoms(self) -> frozenset[int]:
-        """Atoms lying on at least one cycle: the atoms of the SSSR rings.
+        """Atoms lying on at least one cycle: the atoms on non-bridge bonds.
 
         Every bond that is not a bridge lies on a cycle of the SSSR basis,
-        so this is exactly the set of atoms on a non-bridge bond, even where
-        the choice of SSSR rings is ambiguous.
+        so these are exactly the atoms of the SSSR rings, even where the
+        choice of SSSR rings is ambiguous, and finding them needs no SSSR.
         """
-        return frozenset(idx for ring in self.rings for idx in ring)
+        if not self.cyclomatic_number:
+            return frozenset()
+        bridges = self.bridges
+        return frozenset(
+            idx
+            for k, bond in enumerate(self.bonds)
+            if k not in bridges
+            for idx in (bond.a, bond.b)
+        )
 
     def neighbors(self, idx: int) -> tuple[int, ...]:
         return tuple(j for j, _ in self.neighbor_view[idx])

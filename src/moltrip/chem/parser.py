@@ -4,10 +4,11 @@
 into draft atoms (element, aromaticity as spelled, charge, isotope, bracket
 hydrogens), ``Bond`` records in the order spelled, and parse notes, and
 raises every grammar error there is; ``build_molecule`` keeps those bonds,
-adds fragments, rings, aromatic normalization, hydrogens and the valence
-verdict, and raises none.  A caller that can settle a question from the
-scan alone, as ``dataset.dedupe_overlap`` does from each molecule's formula
-and bond count, builds only the molecules it still needs.
+adds fragments, aromatic normalization, hydrogens and the valence verdict,
+and raises none; it perceives rings only where aromatic normalization
+needs them.  A caller that can settle a question from the scan alone, as
+``dataset.dedupe_overlap`` does from each molecule's formula and bond
+count, builds only the molecules it still needs.
 
 The grammar covers organic-subset atoms, bracket atoms (isotope, charge,
 explicit hydrogens, atom maps), bond symbols ``- = # :``, directional bonds
@@ -31,8 +32,8 @@ from .model import (
     ValidityReport,
     neighbor_view,
 )
-from .rings import components, sssr
-from .valence import _DraftAtom, analyze, aromatize
+from .rings import components, find_bridges, sssr
+from .valence import _DraftAtom, analyze, aromatize, may_aromatize
 
 
 class SmilesError(ValueError):
@@ -120,13 +121,23 @@ def parse_smiles(text: str) -> Molecule:
 
 def build_molecule(scan: Scan) -> Molecule:
     """The Molecule of a ``scan_smiles`` result, which it consumes: the
-    draft atoms are normalized in place.  Raises no grammar error."""
+    draft atoms are normalized in place.  Raises no grammar error.
+
+    Rings are perceived on demand.  A molecule with a cycle gets one bridge
+    search, which its ``bridges`` and ``ring_atoms`` then read; the SSSR
+    is found here only when ``may_aromatize`` says a Kekule ring might
+    convert, and otherwise on the first read of ``Molecule.rings``.
+    """
     drafts, bonds, notes = scan
     bond_tuple = tuple(bonds)
     view = neighbor_view(len(drafts), bond_tuple)
     fragments = components(view)
-    rings = sssr(bond_tuple, view, fragments)
-    bond_tuple = aromatize(drafts, bond_tuple, rings, view)
+    rings = bridges = None
+    if len(bond_tuple) - len(drafts) + len(fragments):  # a cycle
+        bridges = find_bridges(view)
+        if may_aromatize(bond_tuple, bridges):
+            rings = sssr(bond_tuple, view, fragments, bridges)
+            bond_tuple = aromatize(drafts, bond_tuple, rings, view)
     analysis = analyze(drafts, bond_tuple, view)
     atoms = tuple(
         Atom(a.element, a.is_aromatic, a.formal_charge, a.isotope, h)
@@ -140,6 +151,7 @@ def build_molecule(scan: Scan) -> Molecule:
         parse_notes=tuple(notes),
         failures=analysis.failures,
         view=view,
+        bridges=bridges,
     )
 
 
@@ -165,6 +177,7 @@ def scan_smiles(text: str) -> Scan:
     bonds: list[Bond] = []
     notes: list[str] = []
     bond_keys: set[tuple[int, int]] = set()
+    new_tuple = tuple.__new__
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
     prev: int | None = None
@@ -187,7 +200,8 @@ def scan_smiles(text: str) -> Scan:
                     "aromatic bond requires aromatic atoms on both ends", pos
                 )
         bond_keys.add(key)
-        bonds.append(Bond(a, b, order))
+        # as NamedTuple's _make builds it, skipping Bond's Python __new__
+        bonds.append(new_tuple(Bond, (a, b, order)))
 
     def attach(atom: _DraftAtom, pos: int) -> None:
         nonlocal prev, pending, after_dot

@@ -1,13 +1,20 @@
-"""Ring perception: connected components, a smallest set of smallest rings
-(SSSR), and the bonds of each ring.
+"""Ring perception: connected components, bridges, a smallest set of
+smallest rings (SSSR), and the bonds of each ring.
 
-All three read the molecule's neighbour view.  ``sssr`` returns exactly the
-cyclomatic number (bonds - atoms + components) of rings.  Each ring is an
-atom cycle normalised to start at its lowest atom and run towards that
+All of them read the molecule's neighbour view.  ``sssr`` returns exactly
+the cyclomatic number (bonds - atoms + components) of rings.  Each ring is
+an atom cycle normalised to start at its lowest atom and run towards that
 atom's lower ring neighbour, and the rings are sorted by (length, atoms).
 Where the minimum cycle basis is not unique, which one is chosen depends on
 the atom indices.  ``ring_bonds`` gives a ring's bonds in the same order as
 its atoms.
+
+Ring perception is on demand: ``Molecule.rings`` calls ``sssr`` on first
+read, and a parse calls it only for a molecule whose Kekule rings
+``aromatize`` might convert (``valence.may_aromatize``).  Ring membership
+needs no SSSR: the ring atoms are the atoms on the bonds that
+``find_bridges`` does not return, and a parse finds that set once and
+hands it to both.
 
 The SSSR is assembled greedily from candidate cycles.  The bonds that are
 not bridges fall into ring systems, the connected components of those
@@ -59,20 +66,25 @@ def cyclomatic_number(n_atoms: int, bonds: tuple[Bond, ...]) -> int:
 
 
 def sssr(
-    bonds: tuple[Bond, ...], view: NeighborView, fragments: tuple[tuple[int, ...], ...]
+    bonds: tuple[Bond, ...],
+    view: NeighborView,
+    fragments: tuple[tuple[int, ...], ...],
+    bridges: frozenset[int] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Smallest set of smallest rings as normalized atom cycles.
 
-    ``view`` is ``neighbor_view`` of the bonds and ``fragments`` their
-    ``components``.  Returns exactly the cyclomatic number of rings, sorted
-    by (length, atoms).
+    ``view`` is ``neighbor_view`` of the bonds, ``fragments`` their
+    ``components`` and ``bridges``, when given, their ``find_bridges``.
+    Returns exactly the cyclomatic number of rings, sorted by (length,
+    atoms).
     """
     mu = len(bonds) - len(view) + len(fragments)
     if mu == 0:
         return ()
 
     adj = [sorted(pairs) for pairs in view]  # by neighbour index
-    bridges = _find_bridges(view)
+    if bridges is None:
+        bridges = find_bridges(view)
     # a shortest cycle never crosses a bridge, so its search can skip them
     ring_adj = [[(j, k) for j, k in pairs if k not in bridges] for pairs in adj]
     candidates: dict[tuple[int, ...], None] = {}
@@ -109,8 +121,9 @@ def sssr(
     return tuple(sorted(chosen, key=lambda c: (len(c), c)))
 
 
-def _find_bridges(view: NeighborView) -> set[int]:
-    """Indices of the bridge bonds, via iterative Tarjan lowlink traversal."""
+def find_bridges(view: NeighborView) -> frozenset[int]:
+    """Indices of the bridge bonds, the bonds on no cycle, via iterative
+    Tarjan lowlink traversal of ``view``, a ``neighbor_view``."""
     n = len(view)
     disc = [-1] * n
     low = [0] * n
@@ -144,7 +157,7 @@ def _find_bridges(view: NeighborView) -> set[int]:
                         low[parent] = low[node]
                     if low[node] > disc[parent]:
                         bridges.add(in_edge)
-    return bridges
+    return frozenset(bridges)
 
 
 def _walk_cycle(ring_adj: list[list[tuple[int, int]]], start: int) -> list[int]:

@@ -317,6 +317,36 @@ def aromatize(
         )
 
 
+def may_aromatize(bonds: tuple[Bond, ...], bridges: frozenset[int]) -> bool:
+    """Whether ``aromatize`` might convert a ring of these bonds: some bond
+    that is not in ``bridges`` (their ``find_bridges``) is double, or some
+    atom has both a single and an aromatic such bond.
+
+    ``_ring_qualifies`` implies this gate.  The bonds of a ring are never
+    bridges.  A ring it accepts has no triple bond, is not all aromatic and
+    alternates, so it is not all single either: it holds a double bond, or
+    single and aromatic bonds, and those meet at some ring atom.  So when
+    the gate is false, ``aromatize`` would return the bonds unchanged, and
+    a parse skips it and the SSSR it reads.  A change to the rule of
+    ``_ring_qualifies`` must restate this gate.
+    """
+    single: set[int] = set()
+    aromatic: set[int] = set()
+    for k, bond in enumerate(bonds):
+        if k in bridges:
+            continue
+        order = bond.order
+        if order is BondOrder.DOUBLE:
+            return True
+        if order is BondOrder.SINGLE:
+            single.add(bond.a)
+            single.add(bond.b)
+        elif order is BondOrder.AROMATIC:
+            aromatic.add(bond.a)
+            aromatic.add(bond.b)
+    return not single.isdisjoint(aromatic)
+
+
 def _ring_qualifies(
     atoms: list[_DraftAtom],
     bonds: tuple[Bond, ...],

@@ -273,6 +273,9 @@ def dedupe_overlap(
     reference holds only its key until a target first hits that key; then
     the key's references are parsed again and canonicalised, once each,
     and the colliding target is built from its own scan and canonicalised.
+    The canonical form reads ring membership, not the rings, so a build
+    finds the SSSR only for a molecule whose Kekule rings might aromatize
+    (see ``build_molecule``).
 
     The one error the canonical writer can raise, ``MoleculeTooLarge``,
     needs more than 99 ring closures open at once, so a cyclomatic number

@@ -8,8 +8,10 @@ The structural key reference is the catalog as one predicate per key over
 the molecule, which the package replaced with predicates over a one-pass
 summary.  The ring set and canonical ranking references are frozen copies
 of the package's earlier, slower code, which the faster code must match
-byte for byte.  The charged valence table is written out by hand from the
-periodic table.  The round-trip rate reference is the package's earlier
+byte for byte, and the eager molecule is the package's earlier parse, which
+found the ring set and ran aromatic normalization for every molecule: the
+parse that perceives rings on demand must build the same molecule.  The
+charged valence table is written out by hand from the periodic table.  The round-trip rate reference is the package's earlier
 recomputation of the rate from the raw strings, which the rate read off
 the exact flags must equal.  The perfect matching reference is the
 package's earlier backtracking kekulization search, without its step
@@ -27,15 +29,19 @@ from collections import Counter, deque
 from typing import Iterator
 
 from moltrip.chem import (
+    Atom,
     Bond,
     BondOrder,
     Molecule,
     SmilesError,
     canonical_smiles,
     canonicalize,
+    connected_components,
     parse_smiles,
+    scan_smiles,
 )
-from moltrip.chem.model import NeighborView
+from moltrip.chem.model import NeighborView, neighbor_view
+from moltrip.chem.valence import analyze, aromatize
 from moltrip.dataset import DedupeResult, PairRecord, SidecarEntry
 from moltrip.errors import EmptyCollection
 from moltrip.metrics import RoundTripSample
@@ -85,17 +91,18 @@ def molecules_isomorphic(m1: Molecule, m2: Molecule) -> bool:
 def non_bridge_atoms(mol: Molecule) -> frozenset[int]:
     """Atoms on a bond that is not a bridge: a bond whose endpoints stay
     connected once the bond itself is removed."""
+    adjacent: dict[int, list[tuple[int, Bond]]] = {}
+    for bond in mol.bonds:
+        adjacent.setdefault(bond.a, []).append((bond.b, bond))
+        adjacent.setdefault(bond.b, []).append((bond.a, bond))
     atoms: set[int] = set()
     for bond in mol.bonds:
         reached = {bond.a}
         frontier = [bond.a]
-        while frontier:
+        while frontier and bond.b not in reached:
             x = frontier.pop()
-            for other in mol.bonds:
-                if other is bond or x not in (other.a, other.b):
-                    continue
-                y = other.b if x == other.a else other.a
-                if y not in reached:
+            for y, other in adjacent[x]:
+                if other is not bond and y not in reached:
                     reached.add(y)
                     frontier.append(y)
         if bond.b in reached:
@@ -648,6 +655,27 @@ def reference_sssr(
         if len(chosen) == mu:
             break
     return tuple(sorted(chosen, key=lambda c: (len(c), c)))
+
+
+def eager_molecule(text: str) -> Molecule:
+    """``parse_smiles`` as it was before rings were perceived on demand:
+    every molecule gets its SSSR (here from ``reference_sssr``) and a pass
+    of ``aromatize``, with no gate deciding whether either could matter."""
+    drafts, bonds, notes = scan_smiles(text)
+    bond_tuple = tuple(bonds)
+    view = neighbor_view(len(drafts), bond_tuple)
+    fragments = connected_components(len(drafts), bond_tuple)
+    rings = reference_sssr(bond_tuple, view, fragments)
+    bond_tuple = aromatize(drafts, bond_tuple, rings, view)
+    analysis = analyze(drafts, bond_tuple, view)
+    atoms = tuple(
+        Atom(a.element, a.is_aromatic, a.formal_charge, a.isotope, h)
+        for a, h in zip(drafts, analysis.hydrogens)
+    )
+    return Molecule(
+        atoms, bond_tuple, rings=rings, fragments=fragments,
+        parse_notes=tuple(notes), failures=analysis.failures,
+    )
 
 
 def _ref_find_bridges(view: NeighborView) -> set[int]:
