@@ -53,7 +53,7 @@ from typing import NamedTuple
 from .chem import canonicalize, check_validity
 from .fingerprints import extend_hash, stable_hash
 from .grpo import GrpoConfig, RolloutGroup, group_objective
-from .records import Checked
+from .records import checked
 
 API_KEY_VAR = "RTMOL_API_KEY"
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -175,9 +175,9 @@ def _draw(
 class TabularPolicy:
     """Softmax-over-logits policy on finite states and actions.
 
-    Keeps three logit tables: the live one, a frozen "old" snapshot that
-    sampling ratios are measured against, and a fixed reference for the KL
-    penalty.  Snapshot ids let rollouts prove which table produced them.
+    Keeps three logit tables, all three first the given rows: the live one,
+    a frozen "old" snapshot that sampling ratios are measured against, and a
+    fixed reference for the KL penalty.  Snapshot ids let rollouts prove which table produced them.
     Each row of every table is an immutable tuple, so the three tables
     share the rows they agree on: a snapshot copies only the list of rows,
     and an update replaces the rows it touches.  Each row's distribution is
@@ -193,27 +193,18 @@ class TabularPolicy:
         states: tuple[str, ...],
         actions: tuple[str, ...],
         logits: list[tuple[float, ...]],
-        old_logits: list[tuple[float, ...]] | None = None,
-        ref_logits: list[tuple[float, ...]] | None = None,
-        old_snapshot_id: int = 0,
     ) -> None:
         if (len(logits), len(logits[0])) != (len(states), len(actions)):
             raise ValueError("logits shape must be states x actions")
         self.states = states
         self.actions = actions
         self.logits = [tuple(row) for row in logits]
-        self.old_logits = self._own_rows(old_logits)
-        self.ref_logits = self._own_rows(ref_logits)
-        self.old_snapshot_id = old_snapshot_id
+        self.old_logits = list(self.logits)
+        self.ref_logits = list(self.logits)
+        self.old_snapshot_id = 0
         self._state_index = {s: i for i, s in enumerate(states)}
         self._action_index = {a: i for i, a in enumerate(actions)}
         self._dists: dict[int, RowDist] = {}
-
-    def _own_rows(self, rows) -> list[tuple[float, ...]]:
-        """Tuple copies of a given table's rows; the live rows when None."""
-        if rows is None:
-            return list(self.logits)
-        return [tuple(row) for row in rows]
 
     @classmethod
     def uniform(cls, states, actions) -> "TabularPolicy":
@@ -584,16 +575,13 @@ class TokenSequencePolicy(TabularPolicy):
 # ---------------------------------------------------------------------------
 # remote LLM client
 
-class _EndpointFields(NamedTuple):
+@checked
+class RemoteEndpointConfig(NamedTuple):
     base_url: str
     model: str
     timeout: float = 30.0
     max_retries: int = 3
     api_key_var: str = API_KEY_VAR
-
-
-class RemoteEndpointConfig(Checked, _EndpointFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         # nan, inf and huge values would fail inside the socket call, where

@@ -49,7 +49,7 @@ from .model import (
     NeighborView,
 )
 from .parser import MoleculeTooLarge
-from .valence import bond_sums, infer_bare_hydrogens
+from .valence import bare_plan, bond_sums
 
 
 def canonical_smiles(mol: Molecule) -> str:
@@ -80,7 +80,7 @@ def canonical_ranks(mol: Molecule) -> tuple[int, ...]:
             len(view[i]),
             atom.hydrogens,
             atom.formal_charge,
-            atom.isotope or 0,
+            -1 if atom.isotope is None else atom.isotope,  # [0C] is not [C]
             i in ring,
         )
         for i, atom in enumerate(mol.atoms)
@@ -380,7 +380,7 @@ def _atom_token(atom: Atom, sigma: int, multiple: bool) -> str:
         atom.element in ORGANIC_SUBSET
         and atom.formal_charge == 0
         and atom.isotope is None
-        and infer_bare_hydrogens(atom.element, atom.is_aromatic, sigma, multiple)
+        and bare_plan(atom.element, atom.is_aromatic, sigma, multiple)[0]
         == atom.hydrogens
     ):
         return atom.symbol

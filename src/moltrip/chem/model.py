@@ -11,7 +11,7 @@ import enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from ..records import Checked, Frozen
+from ..records import Frozen, checked
 
 # The element symbols in periodic order, H through Og: element Z is at Z - 1.
 ELEMENTS = tuple(
@@ -119,15 +119,8 @@ class BondOrder(enum.Enum):
         self.bond_electrons, self.symbol, self.sort_key = _BOND_TRAITS[value]
 
 
-class _AtomFields(NamedTuple):
-    element: str
-    is_aromatic: bool = False
-    formal_charge: int = 0
-    isotope: int | None = None
-    hydrogens: int = 0
-
-
-class Atom(Checked, _AtomFields):
+@checked
+class Atom(NamedTuple):
     """One atom: element symbol, aromatic flag, charge, isotope, hydrogens.
 
     ``hydrogens`` is the total attached hydrogen count, whether brackets
@@ -137,7 +130,11 @@ class Atom(Checked, _AtomFields):
     refuse an unknown element symbol.
     """
 
-    __slots__ = ()
+    element: str
+    is_aromatic: bool = False
+    formal_charge: int = 0
+    isotope: int | None = None
+    hydrogens: int = 0
 
     def _check(self) -> None:
         if self.element not in ELEMENT_SYMBOLS:

@@ -69,12 +69,12 @@ def sssr(
     bonds: tuple[Bond, ...],
     view: NeighborView,
     fragments: tuple[tuple[int, ...], ...],
-    bridges: frozenset[int] | None = None,
+    bridges: frozenset[int],
 ) -> tuple[tuple[int, ...], ...]:
     """Smallest set of smallest rings as normalized atom cycles.
 
     ``view`` is ``neighbor_view`` of the bonds, ``fragments`` their
-    ``components`` and ``bridges``, when given, their ``find_bridges``.
+    ``components`` and ``bridges`` their ``find_bridges``.
     Returns exactly the cyclomatic number of rings, sorted by (length,
     atoms).
     """
@@ -83,8 +83,6 @@ def sssr(
         return ()
 
     adj = [sorted(pairs) for pairs in view]  # by neighbour index
-    if bridges is None:
-        bridges = find_bridges(view)
     # a shortest cycle never crosses a bridge, so its search can skip them
     ring_adj = [[(j, k) for j, k in pairs if k not in bridges] for pairs in adj]
     candidates: dict[tuple[int, ...], None] = {}

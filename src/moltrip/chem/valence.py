@@ -72,29 +72,17 @@ def _prefers_pi(element: str, sigma: int) -> bool:
     return False
 
 
-def infer_bare_hydrogens(
-    element: str,
-    is_aromatic: bool,
-    sigma: int,
-    has_multiple_bond: bool,
-) -> int:
-    """Implicit hydrogen count for a bare (bracketless) organic-subset atom.
-
-    sigma is the weighted sum of explicit bonds with aromatic counting 1.
-    """
-    h, _ = _bare_plan(element, is_aromatic, sigma, has_multiple_bond)
-    return h
-
-
 @functools.lru_cache(maxsize=1024)
-def _bare_plan(
+def bare_plan(
     element: str,
     is_aromatic: bool,
     sigma: int,
     has_multiple_bond: bool,
 ) -> tuple[int, int]:
-    """(hydrogens, pi) for a bare atom; pi is 1 when the atom must be matched
-    with one aromatic neighbor during kekulization.
+    """(hydrogens, pi) for a bare (bracketless) organic-subset atom; pi is 1
+    when the atom must be matched with one aromatic neighbor during
+    kekulization.  sigma is the weighted sum of its explicit bonds, an
+    aromatic bond counting 1.
 
     Memoised: drug-like molecules use a few dozen distinct argument tuples,
     and the bound keeps hostile inputs (an atom with thousands of branches)
@@ -157,7 +145,7 @@ def analyze(
     failures: list[ValidityFailure] = []
     for i, atom in enumerate(atoms):
         if atom.explicit_h is None:
-            hydrogens[i], pi[i] = _bare_plan(
+            hydrogens[i], pi[i] = bare_plan(
                 atom.element, atom.is_aromatic, sigma[i], multiple[i]
             )
             continue

@@ -425,7 +425,7 @@ def cmd_theory_check(args) -> int:
     held = sum(1 for r in reports if r.holds)
     print(f"{held}/{args.systems} bounds hold")
     if args.out:
-        _write_text(args.out, json.dumps([vars(r) for r in reports], indent=2) + "\n")
+        _write_text(args.out, json.dumps([r._asdict() for r in reports], indent=2) + "\n")
     return 0 if held == args.systems else 1
 
 

@@ -23,8 +23,9 @@ from .chem import (
     scan_smiles,
 )
 from .chem.parser import Scan
+from .errors import EmptyCollection
 from .metrics import ScoreCache
-from .records import Checked
+from .records import checked
 
 
 class IoFailure(OSError):
@@ -35,11 +36,10 @@ class FormatUnknown(ValueError):
     """The input file matches neither supported pair format."""
 
 
-class EmptyInput(ValueError):
-    """An operation needs at least one record."""
+@checked
+class PairRecord(NamedTuple):
+    """One molecule-caption pair.  Equality and hashing ignore ``line_no``."""
 
-
-class _PairFields(NamedTuple):
     smiles: str
     caption: str
     id: str | None = None
@@ -47,12 +47,6 @@ class _PairFields(NamedTuple):
     # 1-based line of the file the record was loaded from; None when built
     # in memory.  Not part of the record's identity.
     line_no: int | None = None
-
-
-class PairRecord(Checked, _PairFields):
-    """One molecule-caption pair.  Equality and hashing ignore ``line_no``."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for name in ("smiles", "caption"):
@@ -71,13 +65,10 @@ class PairRecord(Checked, _PairFields):
         return hash(self[:-1])
 
 
-class _SplitFields(NamedTuple):
+@checked
+class SplitSpec(NamedTuple):
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
-
-
-class SplitSpec(Checked, _SplitFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         if len(self.ratios) != 3:
@@ -232,7 +223,7 @@ Partition = tuple[
 def split(pairs: list[PairRecord], spec: SplitSpec) -> Partition:
     """Seeded shuffle, floor-sized val/test, remainder records to train."""
     if not pairs:
-        raise EmptyInput("cannot split zero pairs")
+        raise EmptyCollection("cannot split zero pairs")
     shuffled = list(pairs)
     random.Random(spec.seed).shuffle(shuffled)
     n = len(shuffled)

@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import LengthMismatch
-from .records import Checked
+from .records import checked
 
 DEFAULT_EPSILON = 0.2
 DEFAULT_BETA = 1e-3
@@ -46,17 +46,18 @@ class RolloutGroup(NamedTuple):
     prompt_id: str
     completions: tuple[Completion, ...]
     advantages: tuple[float, ...] | None = None
-    degenerate: bool = False
     snapshot_id: int | None = None
 
+    @property
+    def degenerate(self) -> bool:
+        """Advantages filled and all zero: the rewards gave no signal."""
+        return self.advantages is not None and not any(self.advantages)
 
-class _GrpoFields(NamedTuple):
+
+@checked
+class GrpoConfig(NamedTuple):
     epsilon: float = DEFAULT_EPSILON
     beta: float = DEFAULT_BETA
-
-
-class GrpoConfig(Checked, _GrpoFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.epsilon <= 0:
@@ -82,10 +83,8 @@ def group_advantages(rewards: list[float]) -> tuple[list[float], bool]:
 
 
 def fill_advantages(group: RolloutGroup) -> RolloutGroup:
-    advantages, degenerate = group_advantages(
-        [c.reward for c in group.completions]
-    )
-    return group._replace(advantages=tuple(advantages), degenerate=degenerate)
+    advantages, _ = group_advantages([c.reward for c in group.completions])
+    return group._replace(advantages=tuple(advantages))
 
 
 def ppo_clip(ratio: float, advantage: float, epsilon: float) -> float:

@@ -30,12 +30,15 @@ from .metrics import (
     aggregate_report,
     round_trip_rate,
 )
-from .records import Checked
+from .records import checked
 
 REWARD_MODES = ("shaped", "exact_only")
 
 
-class _HarnessFields(NamedTuple):
+@checked
+class HarnessConfig(NamedTuple):
+    """Loop shape and optimizer settings; defaults follow the usual table."""
+
     batch_size: int = 128
     mini_batch: int = 64
     steps_per_phase: int = 1    # k: consecutive steps before switching phase
@@ -50,12 +53,6 @@ class _HarnessFields(NamedTuple):
     convergence_window: int = 10
     convergence_tol: float = 1e-3
     reward_mode: str = "shaped"
-
-
-class HarnessConfig(Checked, _HarnessFields):
-    """Loop shape and optimizer settings; defaults follow the usual table."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for name in ("batch_size", "mini_batch", "steps_per_phase",
@@ -286,17 +283,16 @@ def run_training(
     generator: TabularPolicy,
     pairs: list[PairRecord],
     cfg: HarnessConfig,
-    holdout: list[PairRecord] | None = None,
 ) -> TrainingLog:
     """Alternate k generator steps and k captioner steps until done.
 
     Step s trains the generator when s // k is even, else the captioner.
     Convergence: the mean reward over the latest window improves on the
     previous window by less than the tolerance (needs two full windows).
+    The final round trip is evaluated on the training pairs.
     """
     if not pairs:
         raise ValueError("dataset is empty")
-    holdout = holdout if holdout is not None else pairs
     cache = ScoreCache()
     batch_stream = _batches(pairs, min(cfg.batch_size, len(pairs)), cfg.seed)
     records: list[StepRecord] = []
@@ -321,9 +317,7 @@ def run_training(
         ):
             converged = True
             break
-    rate, report, _ = evaluate_round_trip(
-        captioner, generator, holdout, cfg, cache
-    )
+    rate, report, _ = evaluate_round_trip(captioner, generator, pairs, cfg, cache)
     return TrainingLog(
         records=tuple(records),
         converged=converged,
@@ -373,7 +367,7 @@ def read_rollouts(path: str) -> list[TaggedGroup]:
     ValueError naming path:line.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read rollouts from {path}: {exc}") from exc
@@ -401,7 +395,6 @@ def read_rollouts(path: str) -> list[TaggedGroup]:
             prompt_id=rows[0]["prompt"],
             completions=completions,
             advantages=advantages,
-            degenerate=all(a == 0.0 for a in advantages),
             snapshot_id=rows[0]["snapshot"],
         )
         out.append(TaggedGroup(

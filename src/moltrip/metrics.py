@@ -82,22 +82,22 @@ _ZERO_SCORE = ScoreBreakdown(
 
 
 class Prepared(Frozen):
-    """One string made ready to score: its validity verdict and, if valid,
-    its molecule.
+    """One string made ready to score: its molecule, which it keeps only
+    when valid, or else the reason it failed.
 
     canonical, keys, path and morgan are computed from the molecule on
-    first read and kept; an invalid string keeps no molecule, only the
-    reason it failed.
+    first read and kept.
     """
 
-    valid: bool
     reason: str
     mol: Molecule | None
 
-    def __init__(
-        self, valid: bool, reason: str = "", mol: Molecule | None = None
-    ) -> None:
-        vars(self).update(valid=valid, reason=reason, mol=mol)
+    def __init__(self, reason: str = "", mol: Molecule | None = None) -> None:
+        vars(self).update(reason=reason, mol=mol)
+
+    @property
+    def valid(self) -> bool:
+        return self.mol is not None
 
     def __repr__(self) -> str:  # the molecule is left out
         return f"Prepared(valid={self.valid!r}, reason={self.reason!r})"
@@ -126,10 +126,10 @@ def prepare(smiles: str) -> Prepared:
     try:
         mol = parse_smiles(smiles)
     except SmilesError as exc:
-        return Prepared(valid=False, reason=f"does not parse: {exc}")
+        return Prepared(reason=f"does not parse: {exc}")
     if mol.failures:
-        return Prepared(valid=False, reason=f"is not valid: {mol.failures[0].reason}")
-    return Prepared(valid=True, mol=mol)
+        return Prepared(reason=f"is not valid: {mol.failures[0].reason}")
+    return Prepared(mol=mol)
 
 
 def score_prepared(reference: Prepared, candidate: Prepared) -> ScoreBreakdown:

@@ -1,29 +1,30 @@
-"""Bases for the record types that a bare ``typing.NamedTuple`` does not cover.
+"""What a bare ``typing.NamedTuple`` or plain class does not give a record.
 
-The package builds its records without ``dataclasses``: the decorator
-generates and compiles every method of every class it touches, which with
-the ``inspect`` module it loads cost a fresh ``moltrip`` process about a
-quarter of its start-up CPU.  Value records are NamedTuples; ``Checked``
-adds a validity check to one, and ``Frozen`` makes a plain class immutable.
+No class of the package is a dataclass: the decorator generates and
+compiles every method of every class it touches, which with the
+``inspect`` module it loads cost a fresh ``moltrip`` process about a
+quarter of its start-up CPU.  Value records are NamedTuples; ``checked``
+makes one run its own ``_check`` on every instance, and ``Frozen`` makes a
+plain class immutable.
 """
 
 from __future__ import annotations
 
 
-class Checked:
-    """Mixin listed before a NamedTuple base: every instance that
-    construction or ``_replace`` makes passes the class's ``_check``."""
-
-    __slots__ = ()
+def checked(cls):
+    """Decorate a NamedTuple whose body defines ``_check``: construction,
+    ``_make``, ``_replace`` and unpickling all build through the checked
+    constructor, so no instance skips the check."""
+    new = cls.__new__
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 class Frozen:

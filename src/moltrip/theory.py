@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .records import checked
 
 _ROW_TOL = 1e-12
 _BOUND_TOL = 1e-9
@@ -34,8 +36,8 @@ def _check_stochastic(name: str, rows: Matrix) -> None:
             raise ValueError(f"{name} row {r} sums to {sum(row)!r}, not 1")
 
 
-@dataclass(frozen=True)
-class DiscreteSystem:
+@checked
+class DiscreteSystem(NamedTuple):
     """Finite round-trip system: p(x), p(y|x), q(x'|y), and a distance d."""
 
     px: tuple[float, ...]
@@ -43,7 +45,7 @@ class DiscreteSystem:
     q_phi: Matrix    # |Y| rows over X
     dist: Matrix     # |X| x |X|, symmetric, zero diagonal
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         nx = len(self.px)
         if not 2 <= nx <= MAX_SYMBOLS:
             raise ValueError(f"|X| = {nx} outside 2..{MAX_SYMBOLS}")
@@ -83,8 +85,7 @@ class DiscreteSystem:
         )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     mi: float
     entropy_x: float
     ba_bound: float

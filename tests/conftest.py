@@ -18,6 +18,7 @@ from moltrip.chem import (
     sssr,
 )
 from moltrip.chem.model import neighbor_view
+from moltrip.chem.rings import find_bridges
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -145,7 +146,8 @@ def _aromatic_carbons(n: int, pairs: list[tuple[int, int]]) -> Molecule:
     )
     bonds = tuple(Bond(a, b, BondOrder.AROMATIC) for a, b in pairs)
     fragments = connected_components(n, bonds)
-    rings = sssr(bonds, neighbor_view(n, bonds), fragments)
+    view = neighbor_view(n, bonds)
+    rings = sssr(bonds, view, fragments, find_bridges(view))
     return Molecule(atoms, bonds, rings=rings, fragments=fragments)
 
 

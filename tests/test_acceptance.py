@@ -8,7 +8,6 @@ full-log pins beside it reuse its two runs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -189,8 +188,7 @@ def test_criterion_06_mi_bound(verdict):
     )
     control = reports[0]
     corrupted_mi = min(control.ba_bound, control.mi_lower) - 0.5
-    corrupted = dataclasses.replace(
-        control,
+    corrupted = control._replace(
         mi=corrupted_mi,
         holds=(corrupted_mi >= control.mi_lower - 1e-9
                and corrupted_mi >= control.ba_bound - 1e-9),

@@ -1065,8 +1065,12 @@ def test_one_token_sequence_policy_draws_and_walks_as_the_tabular_policy(
     sequence = _scrambled(_sequence_policy(max_tokens=1), random.Random(23))
     tabular = TabularPolicy(
         states=sequence.prompts, actions=sequence.actions,
-        logits=sequence.logits, old_logits=sequence.old_logits,
+        logits=sequence.old_logits,
     )
+    tabular.snapshot_old()
+    for s, row in enumerate(sequence.logits):
+        for a, value in enumerate(row):
+            set_logit(tabular, s, a, value)
     for prompt in sequence.prompts:
         assert tabular.log_probs(prompt, table) == sequence.log_probs(
             f"{prompt}\x1f", table
@@ -1152,8 +1156,7 @@ def test_aggregated_gradient_equals_the_longhand_per_token_gradient():
 ])
 def test_every_table_keeps_tuple_copies_of_the_given_rows(table, field):
     rows = [[1.0, 0.0], [0.5, 2.0]]
-    given_rows = {"logits": [[0.0, 0.0], [0.0, 0.0]], field: rows}
-    policy = TabularPolicy(states=("s0", "s1"), actions=("a", "b"), **given_rows)
+    policy = TabularPolicy(states=("s0", "s1"), actions=("a", "b"), logits=rows)
     before = policy.log_probs("s0", table)
     assert before == _reference_log_softmax([1.0, 0.0])
     rows[0][0] = 5.0  # the caller's lists are not the policy's rows

@@ -132,6 +132,67 @@ def test_fragment_ordering_is_canonical():
     assert canonicalize("[Na+].[Cl-]") == canonicalize("[Cl-].[Na+]")
 
 
+# an isotope label of 0 is a label: [0CH3] is not [CH3], and it is the same
+# atom however the string orders it
+ISOTOPE_ZERO_PAIRS = [
+    ("[0CH3]C", "C[0CH3]"),
+    ("CC(O)[0CH3]", "C([0CH3])(C)O"),
+    ("[H][0H]", "[0H][H]"),
+]
+
+
+@pytest.mark.parametrize("a, b", ISOTOPE_ZERO_PAIRS)
+def test_isotope_zero_spellings_share_one_form(a, b):
+    assert canonicalize(a) == canonicalize(b)
+    assert canonicalize(a) != canonicalize(a.replace("[0", "["))
+    score = reconstruction_score(a, b)
+    assert score.total == 4.0 and score.exact
+
+
+_VALENCE = {"C": 4, "N": 3, "O": 2}
+
+
+@st.composite
+def _labelled_trees(draw) -> str:
+    """A tree of C, N and O atoms, each unlabelled, isotope 0 or isotope 13,
+    filled with hydrogens: unlabelled atoms bare, labelled ones bracketed."""
+    n = draw(st.integers(2, 9))
+    elements = draw(st.lists(st.sampled_from(sorted(_VALENCE)), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([None, 0, 13]), min_size=n, max_size=n))
+    degree = [0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for child in range(1, n):
+        open_atoms = [i for i in range(child) if degree[i] < _VALENCE[elements[i]]]
+        parent = draw(st.sampled_from(open_atoms))
+        children[parent].append(child)
+        degree[parent] += 1
+        degree[child] += 1
+
+    def spell(i: int) -> str:
+        if labels[i] is None:
+            token = elements[i]
+        else:
+            h = _VALENCE[elements[i]] - degree[i]
+            token = f"[{labels[i]}{elements[i]}{'H' if h else ''}{h if h > 1 else ''}]"
+        branches = [spell(j) for j in children[i]]
+        return token + "".join(f"({b})" for b in branches[:-1]) + "".join(branches[-1:])
+
+    return spell(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_labelled_trees(), seed=st.integers(0, 2**32 - 1))
+@example(text="[0CH3]C", seed=0)
+@example(text="[0CH3]C", seed=1)
+def test_isotope_labelled_respellings_share_one_form(text, seed):
+    mol = parse_smiles(text)
+    rng = random.Random(seed)
+    forms = {canonical_smiles(mol)}
+    for _ in range(4):
+        forms.add(canonicalize(render_random(mol, rng)))
+    assert len(forms) == 1, (text, forms)
+
+
 def test_chains_longer_than_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)

@@ -508,10 +508,10 @@ HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"
 # loaded only by the command or option that uses them: the HTTP stack by the
 # remote transport, the thread pool by --workers above 1, configparser by
 # --config, the theory module by theory check, string by the remote prompt
-# check.  dataclasses and inspect only by theory check: on the import path
-# the records are NamedTuples and plain classes, because the dataclass
-# decorator compiles each class's methods and brings in inspect, which
-# together cost a fresh process about a quarter of its set-up CPU
+# check.  dataclasses and inspect by no command: the records are NamedTuples
+# and plain classes, because the dataclass decorator compiles each class's
+# methods and brings in inspect, which together cost a fresh process about
+# a quarter of its set-up CPU
 DEFERRED_MODULES = {
     "http.client", "urllib.request", "ssl", "email", "concurrent.futures",
     "logging", "configparser", "moltrip.theory", "dataclasses", "inspect",
@@ -557,6 +557,23 @@ def test_cli_import_loads_no_third_party_http_library():
     lookups = _perfbench_lookups()
     assert {"moltrip.toy", "moltrip.harness", "moltrip.chem.canon"} <= lookups
     assert lookups <= loaded
+
+
+def test_theory_check_loads_neither_dataclasses_nor_inspect():
+    # run as python -m moltrip.cli runs it; the modules loaded before it
+    # (a site hook may preload some) are left out of the comparison
+    out = _fresh_python(
+        "import runpy, sys; before = set(sys.modules); "
+        "sys.argv = ['moltrip', 'theory', 'check', '--systems', '2']\n"
+        "try:\n"
+        "    runpy.run_module('moltrip.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, *sorted(set(sys.modules) - before))\n"
+    ).splitlines()
+    assert out[0] == "2/2 bounds hold"
+    code, *loaded = out[1].split()
+    assert code == "0" and "moltrip.theory" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 FRESH_DEFERRED_PATHS = """

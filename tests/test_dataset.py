@@ -23,7 +23,6 @@ from moltrip.chem import (
     scan_smiles,
 )
 from moltrip.dataset import (
-    EmptyInput,
     FormatUnknown,
     IoFailure,
     PairRecord,
@@ -35,6 +34,7 @@ from moltrip.dataset import (
     split,
     write_pairs,
 )
+from moltrip.errors import EmptyCollection
 from oracles import reference_dedupe_overlap
 
 
@@ -254,7 +254,7 @@ def test_split_partitions_without_loss():
 
 
 def test_split_empty_raises():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(EmptyCollection):
         split([], SplitSpec())
 
 
@@ -276,6 +276,18 @@ def test_dedupe_removes_canonical_duplicates():
     assert result.kept == ()
     assert len(result.removed) == 1
     assert result.overlap_fraction == 1.0
+
+
+@pytest.mark.parametrize("a, b", [
+    ("[0CH3]C", "C[0CH3]"),
+    ("CC(O)[0CH3]", "C([0CH3])(C)O"),
+    ("[H][0H]", "[0H][H]"),
+])
+def test_dedupe_removes_isotope_zero_respellings(a, b):
+    result = dedupe_overlap([PairRecord(smiles=b, caption="t")],
+                            [PairRecord(smiles=a, caption="r")])
+    assert result.kept == ()
+    assert [r.smiles for r in result.removed] == [b]
 
 
 def test_dedupe_disjoint_sets_unchanged():

@@ -207,7 +207,6 @@ def test_objective_permutation_invariant():
         prompt_id=group.prompt_id,
         completions=tuple(group.completions[i] for i in order),
         advantages=tuple(group.advantages[i] for i in order),
-        degenerate=group.degenerate,
     )
     assert group_objective(shuffled, cfg) == pytest.approx(
         group_objective(group, cfg), abs=1e-12

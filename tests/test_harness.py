@@ -534,6 +534,15 @@ def test_read_rollouts_marks_degenerate_groups(tmp_path):
     assert all(t.group.degenerate for t in read_rollouts(path))
 
 
+def test_read_rollouts_accepts_a_byte_order_mark(tmp_path):
+    _, generator = micro_policies()
+    path = tmp_path / "rollouts.jsonl"
+    export_rollouts(generator_rollouts(generator, seed=4), str(path))
+    plain = read_rollouts(str(path))
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert read_rollouts(str(path)) == plain
+
+
 def _without_completion(line: str) -> str:
     row = json.loads(line)
     del row["completion"]
