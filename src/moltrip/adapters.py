@@ -9,9 +9,15 @@ its (state row, token) steps, and grpo_step() ascends the exact GRPO
 objective.  A tabular completion is one token, the whole string, drawn in
 the prompt's own state.  The token policy, TokenSequencePolicy, is a
 TabularPolicy whose states are its (prompt, prefix) contexts; it overrides
-only the hooks that name a token's context and split a completion into
-tokens.  So one draw rule, one objective and one gradient serve both; that
-exactness is what makes the desk-scale training loop verifiable.
+only the hooks that split a completion into tokens and name the row each
+token is drawn in: _root(prompt) for the first token and _child(row, t,
+action) for the next.  Its rows are ordered by prefix length, then prompt,
+then the prefix read as a base-|vocab| number, so both hooks are
+arithmetic and no context string is spelled or looked up while sampling
+or walking; the context strings exist only on demand, through states and
+state_index.  So one draw rule, one objective and one gradient serve
+both; that exactness is what makes the desk-scale training loop
+verifiable.
 
 Draws come from a counter-based stream: each uniform is the splitmix64
 finaliser of a 64-bit key plus (counter + 1) times the golden-ratio
@@ -42,9 +48,11 @@ from __future__ import annotations
 
 import bisect
 import collections
+import collections.abc
 import itertools
 import json as jsonlib
 import math
+import operator
 import os
 import threading
 import time
@@ -197,12 +205,16 @@ class TabularPolicy:
         if (len(logits), len(logits[0])) != (len(states), len(actions)):
             raise ValueError("logits shape must be states x actions")
         self.states = states
+        self._state_index = {s: i for i, s in enumerate(states)}
+        self._init_tables(actions, logits)
+
+    def _init_tables(self, actions: tuple[str, ...], logits) -> None:
+        """Name the actions and start all three tables as the given rows."""
         self.actions = actions
         self.logits = [tuple(row) for row in logits]
         self.old_logits = list(self.logits)
         self.ref_logits = list(self.logits)
         self.old_snapshot_id = 0
-        self._state_index = {s: i for i, s in enumerate(states)}
         self._action_index = {a: i for i, a in enumerate(actions)}
         self._dists: dict[int, RowDist] = {}
 
@@ -255,9 +267,14 @@ class TabularPolicy:
         self.old_snapshot_id += 1
         return self.old_snapshot_id
 
-    def _context(self, prompt: str, prefix: str) -> str:
-        """The state the token after prefix is drawn in."""
-        return prompt
+    def _root(self, prompt: str) -> int:
+        """The row the first token of a completion of prompt is drawn in."""
+        return self.state_index(prompt)
+
+    def _child(self, row: int, t: int, action: int) -> int:
+        """The row token t + 1 is drawn in when token t was action, drawn in
+        row; a one-token policy never draws a second token."""
+        raise NotImplementedError("a tabular completion is one token")
 
     def _tokens(self, text: str) -> list[str]:
         """The tokens a completion took, the stop included."""
@@ -265,11 +282,15 @@ class TabularPolicy:
 
     def walk(self, prompt: str, text: str) -> Walk:
         """The (state row, token) steps a completion took."""
-        return [
-            (self.state_index(self._context(prompt, text[:t])),
-             self.action_index(tok))
-            for t, tok in enumerate(self._tokens(text))
-        ]
+        tokens = self._tokens(text)
+        row = self._root(prompt)
+        steps = []
+        for t, token in enumerate(tokens):
+            if t:
+                row = self._child(row, t - 1, action)
+            action = self.action_index(token)
+            steps.append((row, action))
+        return steps
 
     def _rollouts(self, prompt: str, n: int, seed: int, temperature: float,
                   table: str) -> list[Sampled]:
@@ -279,10 +300,11 @@ class TabularPolicy:
         continued from the hash of the shared head, and its token t bisects
         the uniform at counter t of that stream, so extending n preserves
         the prefix and no token hashes.  The key is a process-independent
-        FNV hash: python's tuple hash is salted.  The tables cannot change
-        during a call, so each prefix's row is looked up once and shared by
-        all n rollouts; its distribution comes from the policy's memo, and
-        is tempered once per call when the temperature is not 1.
+        FNV hash: python's tuple hash is salted.  Each token's row comes
+        from the _root and _child hooks.  The tables cannot change during a
+        call, so each row's draw terms are found once and shared by all n
+        rollouts; its distribution comes from the policy's memo, and is
+        tempered once per call when the temperature is not 1.
         Temperature 0 draws the argmax; any other temperature must be finite
         and positive, checked before any draw.  Attached log-probabilities
         are always the exact temperature-1 values from the requested table.
@@ -295,27 +317,30 @@ class TabularPolicy:
             )
         base = stable_hash("draw", seed, prompt)
         rows = self._table(table)
-        memo: dict[str, tuple[list[float], list[float] | None]] = {}
+        root = self._root(prompt)
+        child, actions, eos = self._child, self.actions, self.eos
+        last = self.max_tokens - 1
+        memo: dict[int, tuple[list[float], list[float] | None]] = {}
         out = []
         for i in range(n):
             key = extend_hash(base, i)
-            prefix = ""
+            row = root
+            text = ""
             logps = []
             for t in range(self.max_tokens):
-                entry = memo.get(prefix)
+                entry = memo.get(row)
                 if entry is None:
-                    entry = memo[prefix] = self._draw_row(
-                        rows[self.state_index(self._context(prompt, prefix))],
-                        temperature,
-                    )
-                row, cumulative = entry
-                chosen = _draw(row, cumulative, key, t)
-                logps.append(row[chosen])
-                token = self.actions[chosen]
-                if token == self.eos:
+                    entry = memo[row] = self._draw_row(rows[row], temperature)
+                log_probs, cumulative = entry
+                chosen = _draw(log_probs, cumulative, key, t)
+                logps.append(log_probs[chosen])
+                token = actions[chosen]
+                if token == eos:
                     break
-                prefix += token
-            out.append(Sampled(prefix, tuple(logps)))
+                text += token
+                if t < last:
+                    row = child(row, t, chosen)
+            out.append(Sampled(text, tuple(logps)))
         return out
 
     def sample(self, prompt: str, n: int, seed: int, temperature: float = 1.0,
@@ -478,6 +503,46 @@ def tabular_grpo_step(
 # ---------------------------------------------------------------------------
 # token-level sequence policy
 
+# separates the prompt from the prefix in a context string; no prompt or
+# token may hold it, so each string names one context
+_SEP = "\x1f"
+
+
+class _Contexts(collections.abc.Sequence):
+    """A TokenSequencePolicy's context strings in row order, each spelled
+    when read: prompt, separator, prefix; by prefix length, then prompt,
+    then the prefix as a base-|vocab| number."""
+
+    def __init__(self, prompts, vocab, offsets) -> None:
+        self._prompts = prompts
+        self._vocab = vocab
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return self._offsets[-1]
+
+    def __getitem__(self, row: int) -> str:
+        row = operator.index(row)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("context row out of range")
+        t = bisect.bisect_right(self._offsets, row) - 1
+        width = len(self._vocab)
+        prompt, number = divmod(row - self._offsets[t], width ** t)
+        prefix = []
+        for _ in range(t):
+            number, digit = divmod(number, width)
+            prefix.append(self._vocab[digit])
+        return f"{self._prompts[prompt]}{_SEP}{''.join(reversed(prefix))}"
+
+    def __iter__(self):
+        for t in range(len(self._offsets) - 1):
+            for prompt in self._prompts:
+                for prefix in itertools.product(self._vocab, repeat=t):
+                    yield f"{prompt}{_SEP}{''.join(prefix)}"
+
+
 class TokenSequencePolicy(TabularPolicy):
     """Autoregressive token policy over a finite single-character vocabulary.
 
@@ -485,6 +550,16 @@ class TokenSequencePolicy(TabularPolicy):
     actions are the tokens (the stop included), so snapshots, ratios, the KL
     reference, the rollout loop, walk() and the GRPO core are the tabular
     ones, and completions carry one log-prob per drawn token.
+
+    The rows come by prefix length, then prompt, then the prefix read as a
+    base-|vocab| number.  With offset[t] the first row of the prefixes of
+    length t, the first token of prompt p is drawn in row p, and after
+    token a, drawn in row r at position t, the next token is drawn in row
+    offset[t + 1] + (r - offset[t]) * |vocab| + a.  So sampling and walk()
+    only count; the policy keeps no table of contexts.  states spells a
+    context string, prompt + "\\x1f" + prefix, when it is read, and
+    state_index parses one; every other string is an UnknownState.
+
     Rows are immutable and shared with the snapshots, so a snapshot costs
     one list copy however many contexts there are, and a step replaces only
     the rows of the contexts its completions passed.  With a stop token the
@@ -507,28 +582,50 @@ class TokenSequencePolicy(TabularPolicy):
             raise ValueError("vocab tokens must be single characters")
         if eos is not None and eos in vocab:
             raise ValueError("eos must not appear in the vocabulary")
-        contexts = len(prompts) * sum(
-            len(vocab) ** i for i in range(max_tokens)
-        )
-        if contexts > 200_000:
-            raise ValueError(f"context table too large ({contexts} states)")
+        if any(_SEP in text for text in (*prompts, *vocab)):
+            raise ValueError(r"prompts and tokens must not hold the separator \x1f")
+        if len(set(prompts)) != len(prompts) or len(set(vocab)) != len(vocab):
+            raise ValueError("prompts and tokens must be distinct")
+        offsets = [0]  # offsets[t]: the first row of the prefixes of length t
+        for t in range(max_tokens):
+            offsets.append(offsets[-1] + len(prompts) * len(vocab) ** t)
+            if offsets[-1] > 200_000:
+                raise ValueError(f"context table too large ({offsets[-1]} states)")
         self.prompts = tuple(prompts)
         self.vocab = tuple(vocab)
         self.max_tokens = max_tokens
         self.eos = eos
-        states = []
-        prefixes = [""]
-        for _ in range(max_tokens):
-            states.extend(self._context(p, pre) for p in prompts for pre in prefixes)
-            prefixes = [pre + tok for pre in prefixes for tok in vocab]
+        self._offsets = tuple(offsets)
+        self._width = len(vocab)
+        self._prompt_index = {p: i for i, p in enumerate(self.prompts)}
+        self.states = _Contexts(self.prompts, self.vocab, self._offsets)
         actions = self.vocab if eos is None else self.vocab + (eos,)
-        super().__init__(
-            states=tuple(states), actions=actions,
-            logits=[(0.0,) * len(actions)] * len(states),
-        )
+        self._init_tables(actions, [(0.0,) * len(actions)] * offsets[-1])
 
-    def _context(self, prompt: str, prefix: str) -> str:
-        return f"{prompt}\x1f{prefix}"
+    def _root(self, prompt: str) -> int:
+        if prompt not in self._prompt_index:
+            raise UnknownState(prompt)
+        return self._prompt_index[prompt]
+
+    def _child(self, row: int, t: int, action: int) -> int:
+        offsets = self._offsets
+        return offsets[t + 1] + (row - offsets[t]) * self._width + action
+
+    def state_index(self, state: str) -> int:
+        """The row of a context string: its prompt's root, then one child
+        per prefix token."""
+        if not isinstance(state, str):
+            raise UnknownState(state)
+        prompt, sep, prefix = state.partition(_SEP)
+        if not sep or len(prefix) >= self.max_tokens:
+            raise UnknownState(state)
+        row = self._root(prompt)
+        for t, token in enumerate(prefix):
+            action = self._action_index.get(token, self._width)
+            if action >= self._width:  # not a token, or the stop
+                raise UnknownState(state)
+            row = self._child(row, t, action)
+        return row
 
     def _tokens(self, text: str) -> list[str]:
         toks = list(text)

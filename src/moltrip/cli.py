@@ -432,107 +432,138 @@ def cmd_theory_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser that adds its arguments when it first parses, so
+    a run builds the arguments of the command it runs and of no other.
+    Its help and usage are read only after a parse reached it."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        add, self._add_arguments = self._add_arguments, None
+        if add is not None:
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
-    """The moltrip parser; each command's own parser is filed in `commands`."""
+    """The moltrip parser; each command's own parser is filed in `commands`.
+    A command's arguments are added by the function named after it, when
+    its parser first parses."""
     parser = argparse.ArgumentParser(
         prog="moltrip",
         description="Round-trip molecule-text alignment toolkit",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser,
+    )
 
-    def sub(name: str, func, group=subs, command: str | None = None, **kwargs):
+    def sub(name: str, func, add_arguments, group=subs,
+            command: str | None = None, **kwargs) -> None:
         command = command or name
-        p = group.add_parser(name, **kwargs)
+
+        def add(p) -> None:
+            p.add_argument("--config", default=None,
+                           help=f"key = value file; its [{command}] section overrides flags")
+            add_arguments(p)
+
+        p = group.add_parser(name, add_arguments=add, **kwargs)
         p.set_defaults(func=func, command=command)
-        p.add_argument("--config", default=None,
-                       help=f"key = value file; its [{command}] section overrides flags")
         if commands is not None:
             commands[command] = p
-        return p
 
-    p = sub("canon", cmd_canon, help="canonicalize SMILES strings")
-    p.add_argument("smiles", nargs="+")
-    p.add_argument("--out", default=None)
+    def canon(p) -> None:  # and validate
+        p.add_argument("smiles", nargs="+")
+        p.add_argument("--out", default=None)
 
-    p = sub("validate", cmd_validate, help="run the validity gate")
-    p.add_argument("smiles", nargs="+")
-    p.add_argument("--out", default=None)
+    def fp(p) -> None:
+        p.add_argument("smiles", nargs="+")
+        p.add_argument("--family", choices=("keys", "path", "morgan"), required=True)
+        p.add_argument("--radius", type=int, default=None,
+                       help=f"morgan only (default {DEFAULT_MORGAN_RADIUS})")
+        p.add_argument("--max-path", type=int, default=None,
+                       help=f"path only (default {DEFAULT_PATH_LENGTH})")
+        p.add_argument("--out", default=None)
 
-    p = sub("fp", cmd_fp, help="dump fingerprint features")
-    p.add_argument("smiles", nargs="+")
-    p.add_argument("--family", choices=("keys", "path", "morgan"), required=True)
-    p.add_argument("--radius", type=int, default=None,
-                   help=f"morgan only (default {DEFAULT_MORGAN_RADIUS})")
-    p.add_argument("--max-path", type=int, default=None,
-                   help=f"path only (default {DEFAULT_PATH_LENGTH})")
-    p.add_argument("--out", default=None)
+    def score(p) -> None:
+        p.add_argument("--ref", required=True)
+        p.add_argument("--hyp", required=True)
+        p.add_argument("--out", default=None)
 
-    p = sub("score", cmd_score, help="reconstruction score of hyp against ref")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--out", default=None)
+    def eval_(p) -> None:
+        p.add_argument("--pairs", required=True)
+        p.add_argument("--generator", choices=("echo", "remote"), default="echo")
+        p.add_argument("--temperature", type=float, default=None,
+                       help="remote only (default 0.0)")
+        p.add_argument("--out", default=None)
+        p.add_argument("--workers", type=int, default=1)
+        _add_remote_flags(p)
 
-    p = sub("eval", cmd_eval, help="batch round-trip evaluation report")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--generator", choices=("echo", "remote"), default="echo")
-    p.add_argument("--temperature", type=float, default=None,
-                   help="remote only (default 0.0)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
-    _add_remote_flags(p)
+    def split_(p) -> None:
+        p.add_argument("--pairs", required=True)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--ratios", type=float, nargs=3, default=[0.8, 0.1, 0.1])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
 
-    p = sub("split", cmd_split, help="seeded train/val/test split")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--ratios", type=float, nargs=3, default=[0.8, 0.1, 0.1])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
+    def dedupe(p) -> None:
+        p.add_argument("--target", required=True)
+        p.add_argument("--reference", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--sidecar", default=None)
+        p.add_argument("--on-parse-error", choices=("drop", "keep"), default="drop")
+        p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
 
-    p = sub("dedupe", cmd_dedupe, help="drop canonical duplicates of a reference")
-    p.add_argument("--target", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sidecar", default=None)
-    p.add_argument("--on-parse-error", choices=("drop", "keep"), default="drop")
-    p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
+    def filter_(p) -> None:
+        p.add_argument("--pairs", required=True)
+        p.add_argument("--tau", type=float, required=True)
+        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--temperature", type=float, default=None,
+                       help="remote only (default 1.0)")
+        p.add_argument("--generator", choices=("echo", "remote"), default="echo")
+        p.add_argument("--out", required=True)
+        p.add_argument("--rejected", default=None)
+        p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
+        _add_remote_flags(p)
 
-    p = sub("filter", cmd_filter, help="round-trip diagnostic filter")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--temperature", type=float, default=None,
-                   help="remote only (default 1.0)")
-    p.add_argument("--generator", choices=("echo", "remote"), default="echo")
-    p.add_argument("--out", required=True)
-    p.add_argument("--rejected", default=None)
-    p.add_argument("--fmt", choices=("jsonl", "tsv"), default="jsonl")
-    _add_remote_flags(p)
+    def train_toy(p) -> None:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-steps", type=int, default=200)
+        p.add_argument("--reward-mode", choices=REWARD_MODES, default="shaped")
+        p.add_argument("--out", default=None)
 
-    p = sub("train-toy", cmd_train_toy, help="desk-scale coupled training run")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=200)
-    p.add_argument("--reward-mode", choices=REWARD_MODES, default="shaped")
-    p.add_argument("--out", default=None)
+    def annotate(p) -> None:
+        p.add_argument("--pairs", required=True)
+        p.add_argument("--n", type=int, default=8)
+        p.add_argument("--temperature", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.add_argument("--workers", type=int, default=1)
+        _add_remote_flags(p)
 
-    p = sub("annotate", cmd_annotate,
-            help="remote reward annotation and rollout export")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    _add_remote_flags(p)
+    def theory_check(p) -> None:
+        p.add_argument("--systems", type=int, default=100)
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--max-size", type=int, default=6)
+        p.add_argument("--out", default=None)
 
+    sub("canon", cmd_canon, canon, help="canonicalize SMILES strings")
+    sub("validate", cmd_validate, canon, help="run the validity gate")
+    sub("fp", cmd_fp, fp, help="dump fingerprint features")
+    sub("score", cmd_score, score, help="reconstruction score of hyp against ref")
+    sub("eval", cmd_eval, eval_, help="batch round-trip evaluation report")
+    sub("split", cmd_split, split_, help="seeded train/val/test split")
+    sub("dedupe", cmd_dedupe, dedupe, help="drop canonical duplicates of a reference")
+    sub("filter", cmd_filter, filter_, help="round-trip diagnostic filter")
+    sub("train-toy", cmd_train_toy, train_toy, help="desk-scale coupled training run")
+    sub("annotate", cmd_annotate, annotate,
+        help="remote reward annotation and rollout export")
     theory = subs.add_parser("theory", help="bound verification")
     theory_subs = theory.add_subparsers(dest="theory_command", required=True)
-    p = sub("check", cmd_theory_check, group=theory_subs, command="theory-check",
-            help="verify the bound chain on random systems")
-    p.add_argument("--systems", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-size", type=int, default=6)
-    p.add_argument("--out", default=None)
-
+    sub("check", cmd_theory_check, theory_check, group=theory_subs,
+        command="theory-check", help="verify the bound chain on random systems")
     return parser
 
 

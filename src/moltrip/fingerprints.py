@@ -31,11 +31,15 @@ DEFAULT_PATH_LENGTH = 7
 # The most paths path_features reads before giving up on a molecule; drug-like
 # molecules of up to 45 heavy atoms have at most about 1,100 of 1..7 bonds.
 MAX_PATHS = 100_000
-# The most ids the two hash caches keep together: 3/4 of them path readings,
-# 1/4 atom types and environments, whose typed keys are about twice the
-# size.  At the cap they hold about 1.9 MiB (tracemalloc, drug-like
-# molecules).
+# The most ids the two hash caches keep together.  Three rounds of the
+# drug-like evaluation benchmark (eval_pairs(0..2), 126 valid molecules)
+# read 2,297 distinct atom types and environments and 7,902 distinct path
+# readings and prefixes, more than the whole cap.  The Morgan cache takes
+# the 2,297 rounded up to 2,304, so a second pass over those molecules
+# hashes no environment again; a lost path reading costs one bond's hash
+# when its prefix is kept, and the path cache takes the rest.
 STATE_MEMO_SIZE = 8192
+_MORGAN_MEMO_SIZE = 2304
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -154,7 +158,7 @@ _PATH_FRAMED = {
 }
 
 
-@functools.lru_cache(maxsize=STATE_MEMO_SIZE * 3 // 4)
+@functools.lru_cache(maxsize=STATE_MEMO_SIZE - _MORGAN_MEMO_SIZE)
 def _path_hash(reading: str) -> int:
     """stable_hash of the tokens of a reading spelled in _PATH_CODE.
 
@@ -181,7 +185,7 @@ def _path_hash(reading: str) -> int:
 # _morgan_hash(*tokens): stable_hash of an atom type or an environment,
 # memoised whole; typed, because True == 1 as a key but stable_hash frames
 # bools and ints apart
-_morgan_hash = functools.lru_cache(maxsize=STATE_MEMO_SIZE // 4, typed=True)(
+_morgan_hash = functools.lru_cache(maxsize=_MORGAN_MEMO_SIZE, typed=True)(
     stable_hash
 )
 

@@ -26,20 +26,19 @@ hold far less.  Apart from any cache, the fingerprints module keeps two
 process-wide caches of feature ids, together capped at STATE_MEMO_SIZE =
 8,192 entries: scoring the 24 drug-like pairs of one benchmark round fills
 3,584 path entries and 861 Morgan entries (0.86 MiB), and at the cap they
-hold 1.91 MiB (tracemalloc).
+hold 1.6 MiB (tracemalloc, after the molecules of ten rounds).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .chem import Molecule, SmilesError, canonical_smiles, parse_smiles
 from .errors import EmptyCollection, LengthMismatch
 from .fingerprints import (
-    FeatureSet,
     MoleculeTooLarge,
     morgan_features,
     path_features,
@@ -86,14 +85,33 @@ class Prepared(Frozen):
     when valid, or else the reason it failed.
 
     canonical, keys, path and morgan are computed from the molecule on
-    first read and kept.
+    first read and kept in their slots, so a later read is a slot read; a
+    training run keeps thousands of these records, so they hold no
+    instance dict.  canonical raises MoleculeTooLarge past 99 open ring
+    closures, and path past MAX_PATHS paths, on every read.
     """
 
-    reason: str
-    mol: Molecule | None
+    __slots__ = ("reason", "mol", "canonical", "keys", "path", "morgan")
 
     def __init__(self, reason: str = "", mol: Molecule | None = None) -> None:
-        vars(self).update(reason=reason, mol=mol)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "mol", mol)
+
+    def __getattr__(self, name: str):
+        """The lazy getter, reached only while a lazy value's slot is
+        empty; a compute that raises leaves the slot empty."""
+        if name == "canonical":
+            value = canonical_smiles(self.mol)
+        elif name == "keys":
+            value = structural_keys(self.mol)
+        elif name == "path":
+            value = path_features(self.mol)
+        elif name == "morgan":
+            value = morgan_features(self.mol)
+        else:
+            raise AttributeError(f"'Prepared' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def valid(self) -> bool:
@@ -102,23 +120,8 @@ class Prepared(Frozen):
     def __repr__(self) -> str:  # the molecule is left out
         return f"Prepared(valid={self.valid!r}, reason={self.reason!r})"
 
-    @cached_property
-    def canonical(self) -> str:
-        """Raises MoleculeTooLarge past 99 open ring closures, on every read."""
-        return canonical_smiles(self.mol)
-
-    @cached_property
-    def keys(self) -> FeatureSet:
-        return structural_keys(self.mol)
-
-    @cached_property
-    def path(self) -> FeatureSet:
-        """Raises MoleculeTooLarge past MAX_PATHS paths, on every read."""
-        return path_features(self.mol)
-
-    @cached_property
-    def morgan(self) -> FeatureSet:
-        return morgan_features(self.mol)
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return Prepared, (self.reason, self.mol)
 
 
 def prepare(smiles: str) -> Prepared:

@@ -18,7 +18,10 @@ package's earlier backtracking kekulization search, without its step
 budget, which the augmenting-path search must agree with.  The overlap
 removal reference is the package's earlier dedupe, which canonicalises
 every string; the one that canonicalises only within a formula key
-collision must return the same result.
+collision must return the same result.  The token policy's contexts are
+the package's earlier eager enumeration of every (prompt, prefix) string,
+with a walk read off a dict from those strings to rows; the policy that
+counts its rows by arithmetic must name the same strings and rows.
 """
 
 from __future__ import annotations
@@ -1038,3 +1041,38 @@ CHARGED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
     ("I", 1): (2,),           # Te: 1 + 1
     ("I", 2): (3,),           # Sb: 1 + 2
 }
+
+
+# ---------------------------------------------------------------------------
+# token policy contexts, enumerated eagerly
+
+def eager_contexts(prompts, vocab, max_tokens: int) -> list[str]:
+    """Every context string of a token policy in row order: by prefix
+    length, then prompt, then prefix, each prefix a token longer than the
+    ones before it in the order the tokens come."""
+    contexts = []
+    prefixes = [""]
+    for _ in range(max_tokens):
+        for prompt in prompts:
+            for prefix in prefixes:
+                contexts.append(prompt + "\x1f" + prefix)
+        longer = []
+        for prefix in prefixes:
+            for token in vocab:
+                longer.append(prefix + token)
+        prefixes = longer
+    return contexts
+
+
+def eager_walk(contexts: list[str], actions, eos, max_tokens: int,
+               prompt: str, text: str) -> list[tuple[int, int]]:
+    """The (row, action) steps of a complete text: each token's row is the
+    row of the string prompt + separator + the tokens before it."""
+    rows = {context: row for row, context in enumerate(contexts)}
+    tokens = list(text)
+    if len(tokens) < max_tokens:
+        tokens.append(eos)
+    return [
+        (rows[prompt + "\x1f" + text[:t]], list(actions).index(token))
+        for t, token in enumerate(tokens)
+    ]

@@ -8,8 +8,10 @@ import http.server
 import json
 import math
 import random
+import itertools
 import socket
 import threading
+import tracemalloc
 import urllib.error
 
 import pytest
@@ -41,7 +43,9 @@ from moltrip.adapters import (
 from moltrip.chem import canonical_smiles, parse_smiles
 from moltrip.fingerprints import stable_hash
 from moltrip.grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
+from moltrip.toy import TOY_CAPTIONS, TOY_MAX_TOKENS, TOY_VOCAB
 
+from oracles import eager_contexts, eager_walk
 from rows import set_logit
 
 
@@ -758,6 +762,83 @@ def test_sequence_constructor_validation():
             vocab=tuple("abcdefghij"),
             max_tokens=5,
         )
+
+
+@pytest.mark.parametrize("prompts, vocab", [
+    (("a", "a\x1f"), ("\x1f", "b")),  # "a\x1f" + "" spells "a" + "\x1f"
+    (("a\x1fb",), ("b",)),
+    (("a",), ("\x1f", "b")),
+    (("a", "a"), ("b",)),
+    (("a",), ("b", "b")),
+])
+def test_sequence_refuses_contexts_that_would_share_a_row(prompts, vocab):
+    with pytest.raises(ValueError):
+        TokenSequencePolicy(prompts=prompts, vocab=vocab, max_tokens=2)
+
+
+_PROMPT_TEXTS = st.lists(st.text("pq", max_size=2), min_size=1, max_size=3, unique=True)
+_TOKENS = st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prompts=_PROMPT_TEXTS, vocab=_TOKENS, max_tokens=st.integers(1, 3),
+       eos=st.sampled_from([None, "$"]))
+def test_sequence_contexts_agree_with_the_eager_enumeration(
+    prompts, vocab, max_tokens, eos
+):
+    policy = TokenSequencePolicy(
+        prompts=tuple(prompts), vocab=tuple(vocab), max_tokens=max_tokens, eos=eos,
+    )
+    contexts = eager_contexts(prompts, vocab, max_tokens)
+    assert len(policy.states) == len(contexts) == len(policy.logits)
+    assert list(policy.states) == contexts
+    assert [policy.states[row] for row in range(len(contexts))] == contexts
+    assert policy.states[-1] == contexts[-1]
+    with pytest.raises(IndexError):
+        policy.states[len(contexts)]
+    assert [policy.state_index(c) for c in contexts] == list(range(len(contexts)))
+    for prompt in prompts:
+        for length in range(max_tokens + 2):
+            for tokens in itertools.product(vocab, repeat=length):
+                text = "".join(tokens)
+                if length == max_tokens or (eos is not None and length < max_tokens):
+                    assert policy.walk(prompt, text) == eager_walk(
+                        contexts, policy.actions, eos, max_tokens, prompt, text,
+                    )
+                else:
+                    with pytest.raises(UnknownState):
+                        policy.walk(prompt, text)
+    prompt, token = prompts[0], vocab[0]
+    unknown = [
+        "r\x1f",                                         # unknown prompt
+        prompt + "\x1fz",                                # unknown token
+        prompt + "\x1f$",                                # the stop
+        prompt + "\x1f" + token * max_tokens,            # over-long prefix
+        prompt,                                          # no separator
+        prompt + "\x1f\x1f",
+    ]
+    for state in unknown:
+        with pytest.raises(UnknownState):
+            policy.state_index(state)
+    for bad_prompt, text in (("r", token * max_tokens), (prompt, "z" * max_tokens)):
+        with pytest.raises(UnknownState):
+            policy.walk(bad_prompt, text)
+    with pytest.raises(UnknownState):
+        policy.sample("r", 1, seed=0)
+
+
+def test_building_the_toy_generator_retains_under_one_mib():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        generator = TokenSequencePolicy(
+            prompts=TOY_CAPTIONS, vocab=TOY_VOCAB, max_tokens=TOY_MAX_TOKENS,
+        )
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(generator.states) == 17_568  # 12 prompts x (1 + 11 + 11 ** 2 + 11 ** 3)
+    assert retained < 2 ** 20
 
 
 def test_sequence_fixed_length_rollouts():

@@ -68,6 +68,38 @@ def test_help_exits_zero(words, capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+_USAGE_PINS = json.loads(
+    (Path(__file__).with_name("cli_usage_pins.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", _USAGE_PINS["cases"], ids=lambda case: " ".join(case["argv"]) or "bare",
+)
+def test_help_and_usage_errors_are_byte_identical(case, capsys, monkeypatch):
+    """Building only the chosen command's arguments changes no help text
+    and no usage error."""
+    if list(sys.version_info[:2]) != _USAGE_PINS["python"]:
+        pytest.skip("the pins hold Python 3.11's argparse formatting")
+    monkeypatch.setenv("COLUMNS", str(_USAGE_PINS["columns"]))
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_only_the_chosen_command_gets_its_arguments():
+    commands: dict = {}
+    _build_parser(commands).parse_args(["canon", "C"])
+    built = {
+        name for name, p in commands.items()
+        if any(a.dest == "config" for a in p._actions)
+    }
+    assert built == {"canon"}
+
+
 def test_usage_errors_exit_two():
     for argv in (["canon"], ["no-such-command"], ["score", "--ref", "CCO"], []):
         with pytest.raises(SystemExit) as err:

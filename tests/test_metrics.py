@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 import time
 from collections import Counter
@@ -203,6 +205,18 @@ def test_score_cache_prepares_again_only_after_eviction(monkeypatch):
     cache.score("CCC", "CCCl")  # evicts both
     cache.score("CCO", "CCN")
     assert parsed == {"CCO": 2, "CCN": 2, "CCC": 1, "CCCl": 1}
+
+
+def test_prepared_holds_no_instance_dict_and_copies_through_its_constructor():
+    prepared = metrics.prepare("CCO")
+    assert not hasattr(prepared, "__dict__")
+    canonical, path = prepared.canonical, prepared.path
+    assert prepared.canonical is canonical  # kept after the first read
+    for twin in (copy.copy(prepared), pickle.loads(pickle.dumps(prepared))):
+        assert twin.mol == prepared.mol and twin.reason == prepared.reason
+        assert (twin.canonical, twin.path) == (canonical, path)
+    with pytest.raises(AttributeError):
+        prepared.unheard_of
 
 
 def test_prepared_keeps_the_verdict_and_no_molecule_when_invalid(dense_k10):
