@@ -59,8 +59,9 @@ import time
 from typing import NamedTuple
 
 from .chem import canonicalize, check_validity
+from .errors import UnknownState
 from .fingerprints import extend_hash, stable_hash
-from .grpo import GrpoConfig, RolloutGroup, group_objective
+from .grpo import GrpoConfig, RolloutGroup
 from .records import checked
 
 API_KEY_VAR = "RTMOL_API_KEY"
@@ -69,10 +70,6 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 class AdapterFailure(RuntimeError):
     """A policy backend failed while serving a sampling request."""
-
-
-class UnknownState(KeyError):
-    """A tabular policy was asked about a state outside its table."""
 
 
 class StaleSnapshot(ValueError):
@@ -257,9 +254,6 @@ class TabularPolicy:
         if temperature != 1.0:
             cumulative = _cumulative(log_probs, temperature)
         return log_probs, cumulative
-
-    def log_probs(self, state: str, table: str = "cur") -> list[float]:
-        return list(self._dist(self._table(table)[self.state_index(state)])[1])
 
     def snapshot_old(self) -> int:
         """Freeze the live table as the new old policy; returns its id."""
@@ -457,26 +451,6 @@ def _ascend(policy: TabularPolicy, grad_rows, lr: float) -> None:
     logits = policy.logits
     for s, row in grad_rows:
         logits[s] = tuple([v + lr * g for v, g in zip(logits[s], row)])
-
-
-def tabular_objective(
-    policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
-) -> float:
-    """Total J over groups, each walk's log-probs read from the three tables."""
-    dist = policy._dist
-    total = 0.0
-    for group in groups:
-        _check_group(policy, group)
-        completions = []
-        for c in group.completions:
-            steps = policy.walk(group.prompt_id, c.text)
-            cur, old, ref = (
-                tuple(dist(rows[s])[1][a] for s, a in steps)
-                for rows in (policy.logits, policy.old_logits, policy.ref_logits)
-            )
-            completions.append(c._replace(logp_cur=cur, logp_old=old, logp_ref=ref))
-        total += group_objective(group._replace(completions=tuple(completions)), cfg)
-    return total
 
 
 def tabular_gradient(

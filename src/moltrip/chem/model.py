@@ -293,18 +293,8 @@ class Molecule(Frozen):
             for idx in (bond.a, bond.b)
         )
 
-    def neighbors(self, idx: int) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.neighbor_view[idx])
-
     def degree(self, idx: int) -> int:
         return len(self.neighbor_view[idx])
-
-    def bond_between(self, i: int, j: int) -> Bond | None:
-        pairs = self.neighbor_view[i]
-        return next((self.bonds[k] for nbr, k in pairs if nbr == j), None)
-
-    def bonds_of(self, idx: int) -> tuple[Bond, ...]:
-        return tuple(self.bonds[k] for _, k in self.neighbor_view[idx])
 
 
 NeighborView = tuple[tuple[tuple[int, int], ...], ...]

@@ -5,28 +5,34 @@ files, failing bounds), 2 on usage errors.  Output files are written to a
 temporary sibling and renamed into place, so a failure never leaves a
 partial file.  An optional config file in key = value format, with one
 section per subcommand, overrides the flags and is parsed like them.
-What only one command or option uses (the thread pool of --workers, the
-config parser of --config, the theory module) is imported where it is
-used, so start-up loads only what the command runs.
+
+Start-up executes only what the command runs.  Importing this module
+executes ``chem``, ``dataset``, ``errors`` and ``records``; ``adapters``,
+``fingerprints``, ``grpo``, ``harness``, ``metrics`` and ``toy`` are
+registered with a lazy loader, so each is in ``sys.modules`` and bound on
+the package but executes on its first attribute access.  When a
+command's parser first parses, the names the command reads from those
+modules (``_HOMES``) become globals here: ``canon``, ``validate``,
+``split``, ``dedupe`` and ``theory check`` execute none of the six, ``fp``
+only ``fingerprints``, ``score`` only ``metrics`` and ``fingerprints``,
+and ``eval`` and ``filter`` all but ``harness`` and ``toy``.  Each such
+name is also an attribute of this module (PEP 562 ``__getattr__``), and a
+command reads it as a global when it runs, so rebinding
+``moltrip.cli.<name>`` changes what the command calls.  The thread pool
+of --workers, the config parser of --config and the theory module are
+imported where they are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import random
 import sys
 
-from .adapters import (
-    EchoAdapter,
-    RemoteAdapter,
-    RemoteClient,
-    RemoteEndpointConfig,
-    UnknownState,
-    load_prompts,
-)
 from .chem import canonicalize, check_validity, parse_smiles
 from .dataset import (
     PairRecord,
@@ -39,25 +45,67 @@ from .dataset import (
     split,
     write_pairs,
 )
-from .fingerprints import (
-    DEFAULT_MORGAN_RADIUS,
-    DEFAULT_PATH_LENGTH,
-    dump_features,
-    morgan_features,
-    path_features,
-    structural_keys,
-)
-from .grpo import Completion, RolloutGroup, fill_advantages
-from .harness import REWARD_MODES, TaggedGroup, export_rollouts
-from .metrics import (
-    InvalidReference,
-    RoundTripSample,
-    ScoreCache,
-    aggregate_report,
-    reconstruction_score,
-    round_trip_rate,
-)
-from .toy import run_toy
+from .errors import UnknownState
+
+
+def _defer(modules) -> None:
+    """Register each named module of the package that is not imported yet
+    with a lazy loader: it is in sys.modules and bound on the package at
+    once, and executes on its first attribute access."""
+    package = sys.modules[__package__]
+    for name in modules:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+# Every name the commands read from a deferred module, and that module.
+_HOMES = {
+    **dict.fromkeys((
+        "EchoAdapter", "RemoteAdapter", "RemoteClient", "RemoteEndpointConfig",
+        "load_prompts",
+    ), "adapters"),
+    **dict.fromkeys((
+        "DEFAULT_MORGAN_RADIUS", "DEFAULT_PATH_LENGTH", "dump_features",
+        "morgan_features", "path_features", "structural_keys",
+    ), "fingerprints"),
+    **dict.fromkeys(("Completion", "RolloutGroup", "fill_advantages"), "grpo"),
+    **dict.fromkeys(("REWARD_MODES", "TaggedGroup", "export_rollouts"), "harness"),
+    **dict.fromkeys((
+        "InvalidReference", "RoundTripSample", "ScoreCache", "aggregate_report",
+        "reconstruction_score", "round_trip_rate",
+    ), "metrics"),
+    "run_toy": "toy",
+}
+_defer(sorted(set(_HOMES.values())))
+
+
+def __getattr__(name: str):
+    """A deferred name: read from its module on first use, then kept as a
+    global of this module."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f".{home}", __package__), name,
+    )
+    return value
+
+
+def _bind(modules) -> None:
+    """Make the names of the deferred `modules` globals, which executes
+    those modules; a name already bound, such as a caller's stand-in, is
+    kept."""
+    bound = globals()
+    for name, home in _HOMES.items():
+        if home in modules and name not in bound:
+            __getattr__(name)
 
 
 class UsageError(Exception):
@@ -93,7 +141,12 @@ def main(argv: list[str] | None = None) -> int:
 # plumbing
 
 def _pool_map(fn, items, workers: int) -> list:
-    """Order-preserving map over a bounded thread pool, for calls that wait on I/O."""
+    """Order-preserving map over a bounded thread pool, for calls that wait on I/O.
+
+    Every deferred module that fn reaches must have executed before the
+    pool starts: Python 3.11's LazyLoader is not thread-safe, and two
+    threads could both execute one module.  A command's modules execute
+    when its parser first parses, before it runs."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -200,16 +253,14 @@ def _remote_adapter(args) -> RemoteAdapter:
     return RemoteAdapter(client, load_prompts(args.prompts))
 
 
-_ENDPOINT_DEFAULTS = RemoteEndpointConfig._field_defaults
-
-
 def _add_remote_flags(sub) -> None:
+    defaults = RemoteEndpointConfig._field_defaults
     sub.add_argument("--base-url", default=None)
     sub.add_argument("--model", default=None)
     sub.add_argument("--timeout", type=float, default=None,
-                     help=f"seconds (default {_ENDPOINT_DEFAULTS['timeout']})")
+                     help=f"seconds (default {defaults['timeout']})")
     sub.add_argument("--max-retries", type=int, default=None,
-                     help=f"default {_ENDPOINT_DEFAULTS['max_retries']}")
+                     help=f"default {defaults['max_retries']}")
     sub.add_argument("--prompts", default=None,
                      help="template file overriding the built-in prompts")
 
@@ -451,7 +502,8 @@ class _CommandParser(argparse.ArgumentParser):
 def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     """The moltrip parser; each command's own parser is filed in `commands`.
     A command's arguments are added by the function named after it, when
-    its parser first parses."""
+    its parser first parses; the names of the deferred modules it `uses`
+    are bound then too."""
     parser = argparse.ArgumentParser(
         prog="moltrip",
         description="Round-trip molecule-text alignment toolkit",
@@ -460,11 +512,12 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_CommandParser,
     )
 
-    def sub(name: str, func, add_arguments, group=subs,
-            command: str | None = None, **kwargs) -> None:
+    def sub(name: str, func, add_arguments, uses: tuple[str, ...] = (),
+            group=subs, command: str | None = None, **kwargs) -> None:
         command = command or name
 
         def add(p) -> None:
+            _bind(uses)  # before the arguments, whose help may read them
             p.add_argument("--config", default=None,
                            help=f"key = value file; its [{command}] section overrides flags")
             add_arguments(p)
@@ -551,14 +604,18 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
 
     sub("canon", cmd_canon, canon, help="canonicalize SMILES strings")
     sub("validate", cmd_validate, canon, help="run the validity gate")
-    sub("fp", cmd_fp, fp, help="dump fingerprint features")
-    sub("score", cmd_score, score, help="reconstruction score of hyp against ref")
-    sub("eval", cmd_eval, eval_, help="batch round-trip evaluation report")
+    sub("fp", cmd_fp, fp, ("fingerprints",), help="dump fingerprint features")
+    sub("score", cmd_score, score, ("metrics",),
+        help="reconstruction score of hyp against ref")
+    sub("eval", cmd_eval, eval_, ("adapters", "metrics"),
+        help="batch round-trip evaluation report")
     sub("split", cmd_split, split_, help="seeded train/val/test split")
     sub("dedupe", cmd_dedupe, dedupe, help="drop canonical duplicates of a reference")
-    sub("filter", cmd_filter, filter_, help="round-trip diagnostic filter")
-    sub("train-toy", cmd_train_toy, train_toy, help="desk-scale coupled training run")
-    sub("annotate", cmd_annotate, annotate,
+    sub("filter", cmd_filter, filter_, ("adapters",),
+        help="round-trip diagnostic filter")
+    sub("train-toy", cmd_train_toy, train_toy, ("harness", "toy"),
+        help="desk-scale coupled training run")
+    sub("annotate", cmd_annotate, annotate, ("adapters", "grpo", "harness", "metrics"),
         help="remote reward annotation and rollout export")
     theory = subs.add_parser("theory", help="bound verification")
     theory_subs = theory.add_subparsers(dest="theory_command", required=True)

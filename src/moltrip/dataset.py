@@ -24,7 +24,6 @@ from .chem import (
 )
 from .chem.parser import Scan
 from .errors import EmptyCollection
-from .metrics import ScoreCache
 from .records import checked
 
 
@@ -382,6 +381,8 @@ def diagnostic_filter(
     total reconstruction score against the pair's own molecule decides.
     Adapter failures reject the pair with the failure recorded, never raise.
     """
+    from .metrics import ScoreCache  # only the filter scores: dedupe and split do not
+
     if not 0.0 <= tau <= 4.0:
         raise ValueError("tau must lie in [0, 4]")
     if m < 1:

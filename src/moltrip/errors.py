@@ -9,3 +9,7 @@ class LengthMismatch(ValueError):
 
 class EmptyCollection(ValueError):
     """An aggregate was requested over zero items."""
+
+
+class UnknownState(KeyError):
+    """A tabular policy was asked about a state outside its table."""

@@ -21,7 +21,10 @@ every string; the one that canonicalises only within a formula key
 collision must return the same result.  The token policy's contexts are
 the package's earlier eager enumeration of every (prompt, prefix) string,
 with a walk read off a dict from those strings to rows; the policy that
-counts its rows by arithmetic must name the same strings and rows.
+counts its rows by arithmetic must name the same strings and rows.  The
+longhand reads at the end (a state's log-probabilities, the total GRPO
+objective, a molecule's neighbours and bonds) serve only the tests, so
+the package keeps none of them.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ from moltrip.chem import (
     parse_smiles,
     scan_smiles,
 )
+from moltrip.adapters import TabularPolicy, _check_group
 from moltrip.chem.model import NeighborView, neighbor_view
 from moltrip.chem.valence import analyze, aromatize
 from moltrip.dataset import DedupeResult, PairRecord, SidecarEntry
 from moltrip.errors import EmptyCollection
+from moltrip.grpo import GrpoConfig, RolloutGroup, group_objective
 from moltrip.metrics import RoundTripSample
 
 
@@ -137,7 +142,7 @@ def _canonical_ball(mol: Molecule, center: int, radius: int) -> str:
     for d in range(1, radius + 1):
         nxt = []
         for x in frontier:
-            for y in mol.neighbors(x):
+            for y in neighbors(mol, x):
                 if y not in dist:
                     dist[y] = d
                     nxt.append(y)
@@ -183,7 +188,7 @@ def path_readings(mol: Molecule, max_len: int) -> set[tuple]:
             seen.add(_path_reading(mol, path))
         if len(path) == max_len + 1:
             return
-        for nbr in mol.neighbors(path[-1]):
+        for nbr in neighbors(mol, path[-1]):
             if nbr not in path:
                 walk(path + [nbr])
 
@@ -196,7 +201,7 @@ def _path_reading(mol: Molecule, path: list[int]) -> tuple:
     def reading(seq: list[int]) -> tuple:
         out: list = [mol.atoms[seq[0]].element]
         for a, b in zip(seq, seq[1:]):
-            out.append(mol.bond_between(a, b).order.value)
+            out.append(bond_between(mol, a, b).order.value)
             out.append(mol.atoms[b].element)
         return tuple(out)
 
@@ -291,7 +296,7 @@ def _aromatic_rings(mol: Molecule) -> int:
     for ring in mol.rings:
         k = len(ring)
         bonds = (
-            mol.bond_between(ring[i], ring[(i + 1) % k]) for i in range(k)
+            bond_between(mol, ring[i], ring[(i + 1) % k]) for i in range(k)
         )
         if all(b is not None and b.order is BondOrder.AROMATIC for b in bonds):
             count += 1
@@ -315,7 +320,7 @@ def _fused_rings(mol: Molecule) -> bool:
 
 
 def _carbon_bond_orders(mol: Molecule, idx: int) -> list[BondOrder]:
-    return [bond.order for bond in mol.bonds_of(idx)]
+    return [bond.order for bond in bonds_of(mol, idx)]
 
 
 def _sp3_carbon(mol: Molecule) -> bool:
@@ -1076,3 +1081,49 @@ def eager_walk(contexts: list[str], actions, eos, max_tokens: int,
         (rows[prompt + "\x1f" + text[:t]], list(actions).index(token))
         for t, token in enumerate(tokens)
     ]
+
+
+# ---------------------------------------------------------------------------
+# longhand reads of a policy and a molecule
+
+def log_probs(policy: TabularPolicy, state: str, table: str = "cur") -> list[float]:
+    """A state's log-probabilities in one of the policy's three tables,
+    from the memo that sampling and the gradient read."""
+    rows = {"cur": policy.logits, "old": policy.old_logits, "ref": policy.ref_logits}
+    return list(policy._dist(rows[table][policy.state_index(state)])[1])
+
+
+def tabular_objective(
+    policy: TabularPolicy, groups: list[RolloutGroup], cfg: GrpoConfig
+) -> float:
+    """Total J over groups, each completion's walk read off the three
+    tables and handed to group_objective; a group the gradient refuses
+    (stale snapshot, advantages not filled) is refused here too."""
+    total = 0.0
+    for group in groups:
+        _check_group(policy, group)
+        completions = []
+        for c in group.completions:
+            steps = policy.walk(group.prompt_id, c.text)
+            cur, old, ref = (
+                tuple(policy._dist(rows[s])[1][a] for s, a in steps)
+                for rows in (policy.logits, policy.old_logits, policy.ref_logits)
+            )
+            completions.append(c._replace(logp_cur=cur, logp_old=old, logp_ref=ref))
+        total += group_objective(group._replace(completions=tuple(completions)), cfg)
+    return total
+
+
+def neighbors(mol: Molecule, idx: int) -> tuple[int, ...]:
+    """The atoms bonded to atom idx, in bond order."""
+    return tuple(j for j, _ in mol.neighbor_view[idx])
+
+
+def bond_between(mol: Molecule, i: int, j: int) -> Bond | None:
+    """The first bond joining atoms i and j, or None."""
+    return next((mol.bonds[k] for nbr, k in mol.neighbor_view[i] if nbr == j), None)
+
+
+def bonds_of(mol: Molecule, idx: int) -> tuple[Bond, ...]:
+    """The bonds of atom idx, in bond order."""
+    return tuple(mol.bonds[k] for _, k in mol.neighbor_view[idx])

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from moltrip.adapters import EchoAdapter, TabularPolicy, tabular_gradient, tabular_objective
+from moltrip.adapters import EchoAdapter, TabularPolicy, tabular_gradient
 from moltrip.chem import canonicalize, parse_smiles, render_random
 from moltrip.cli import main
 from moltrip.dataset import PairRecord, SplitSpec, dedupe_overlap, diagnostic_filter, split
@@ -26,7 +26,7 @@ from moltrip.metrics import bleu, meteor_lite, reconstruction_score
 from moltrip.theory import check_mi_bound, random_system
 from moltrip.toy import run_toy
 
-from oracles import bleu_reference
+from oracles import bleu_reference, tabular_objective
 from rows import set_logit
 
 

@@ -36,7 +36,6 @@ from moltrip.adapters import (
     load_prompts,
     tabular_gradient,
     tabular_grpo_step,
-    tabular_objective,
     tabular_sample,
     _uniform,
 )
@@ -45,7 +44,7 @@ from moltrip.fingerprints import stable_hash
 from moltrip.grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
 from moltrip.toy import TOY_CAPTIONS, TOY_MAX_TOKENS, TOY_VOCAB
 
-from oracles import eager_contexts, eager_walk
+from oracles import eager_contexts, eager_walk, log_probs, tabular_objective
 from rows import set_logit
 
 
@@ -66,12 +65,20 @@ def test_echo_adapter_round_trips_exactly():
 def test_tabular_policy_shapes_and_rows():
     policy = TabularPolicy.uniform(("s0", "s1"), ("a", "b", "c"))
     for state in policy.states:
-        row = policy.log_probs(state)
+        row = log_probs(policy, state)
         assert sum(math.exp(lp) for lp in row) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UnknownState):
-        policy.log_probs("missing")
+        log_probs(policy, "missing")
     with pytest.raises(ValueError):
         TabularPolicy(states=("s",), actions=("a", "b"), logits=[[0.0]])
+
+
+def test_unknown_state_is_the_shared_key_error():
+    # defined in errors, so the command line names it without loading adapters
+    from moltrip import adapters, errors
+
+    assert adapters.UnknownState is errors.UnknownState
+    assert issubclass(errors.UnknownState, KeyError)
 
 
 def test_snapshot_refresh_bumps_id_and_freezes():
@@ -187,7 +194,7 @@ def test_sample_attaches_exact_log_probs():
     policy = TabularPolicy(
         states=("s",), actions=("a", "b"), logits=[[1.0, 0.0]],
     )
-    row = policy.log_probs("s")
+    row = log_probs(policy, "s")
     for draw in tabular_sample(policy, "s", 20, seed=3):
         assert draw.logps == (row[policy.action_index(draw.text)],)
 
@@ -984,11 +991,11 @@ def test_sequence_step_raises_drawn_token_probability():
         prompt_id="left", completions=completions,
         snapshot_id=policy.old_snapshot_id,
     ))
-    before_root = policy.log_probs("left\x1f")[policy.action_index("a")]
-    before_next = policy.log_probs("left\x1fa")[policy.action_index("b")]
+    before_root = log_probs(policy, "left\x1f")[policy.action_index("a")]
+    before_next = log_probs(policy, "left\x1fa")[policy.action_index("b")]
     policy.grpo_step([group], GrpoConfig(beta=0.0), lr=0.5)
-    assert policy.log_probs("left\x1f")[policy.action_index("a")] > before_root
-    assert policy.log_probs("left\x1fa")[policy.action_index("b")] > before_next
+    assert log_probs(policy, "left\x1f")[policy.action_index("a")] > before_root
+    assert log_probs(policy, "left\x1fa")[policy.action_index("b")] > before_next
 
 
 def test_sequence_rejects_foreign_completions():
@@ -1107,7 +1114,7 @@ def test_sequence_draws_match_reference_stream(eos, temperature, table):
     for prompt, seed in (("left", 0), ("right", 123456789)):
         got = policy.sample(prompt, 40, seed, temperature=temperature, table=table)
         want = _reference_sequence_sample(
-            policy, prompt, 40, seed, temperature, table
+            _Memo(policy), prompt, 40, seed, temperature, table
         )
         assert got == want
 
@@ -1123,7 +1130,7 @@ def test_tabular_draws_match_reference_stream(temperature, table):
     policy.snapshot_old()
     set_logit(policy, 0, 2, policy.logits[0][2] + 1.5)
     for state, seed in (("s0", 3), ("s1", 98765)):
-        row = policy.log_probs(state, table)
+        row = log_probs(policy, state, table)
         want = []
         for i in range(60):
             chosen = _reference_pick(
@@ -1153,8 +1160,8 @@ def test_one_token_sequence_policy_draws_and_walks_as_the_tabular_policy(
         for a, value in enumerate(row):
             set_logit(tabular, s, a, value)
     for prompt in sequence.prompts:
-        assert tabular.log_probs(prompt, table) == sequence.log_probs(
-            f"{prompt}\x1f", table
+        assert log_probs(tabular, prompt, table) == log_probs(
+            sequence, f"{prompt}\x1f", table
         )
         for seed in (0, 4242):
             got = sequence.sample(prompt, 30, seed, temperature=temperature, table=table)
@@ -1238,13 +1245,13 @@ def test_aggregated_gradient_equals_the_longhand_per_token_gradient():
 def test_every_table_keeps_tuple_copies_of_the_given_rows(table, field):
     rows = [[1.0, 0.0], [0.5, 2.0]]
     policy = TabularPolicy(states=("s0", "s1"), actions=("a", "b"), logits=rows)
-    before = policy.log_probs("s0", table)
+    before = log_probs(policy, "s0", table)
     assert before == _reference_log_softmax([1.0, 0.0])
     rows[0][0] = 5.0  # the caller's lists are not the policy's rows
     with pytest.raises(TypeError):
         getattr(policy, field)[0][0] = 5.0
     assert getattr(policy, field) == [(1.0, 0.0), (0.5, 2.0)]
-    assert policy.log_probs("s0", table) == before
+    assert log_probs(policy, "s0", table) == before
 
 
 class _Longhand:
@@ -1261,6 +1268,13 @@ class _Longhand:
         p = self.policy
         rows = {"cur": p.logits, "old": p.old_logits, "ref": p.ref_logits}[table]
         return _reference_log_softmax(rows[p.state_index(state)])
+
+
+class _Memo(_Longhand):
+    """A policy's tables read through the policy's memo."""
+
+    def log_probs(self, state, table):
+        return log_probs(self.policy, state, table)
 
 
 def _reference_tabular_sample(policy, state, n, seed, temperature, table):
@@ -1324,7 +1338,7 @@ def test_memoised_rows_never_go_stale(kind, ops):
         elif op[0] == "log_probs":
             _, table, k = op
             state = policy.states[k % len(policy.states)]
-            assert policy.log_probs(state, table) == longhand.log_probs(state, table)
+            assert log_probs(policy, state, table) == longhand.log_probs(state, table)
         elif op[0] == "snapshot":
             policy.snapshot_old()
         elif op[0] == "step":

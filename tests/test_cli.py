@@ -608,6 +608,56 @@ def test_theory_check_loads_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect"} & set(loaded)
 
 
+# the modules importing moltrip.cli registers without executing them; a
+# lazy module's type is a subclass of ModuleType until its first read
+LAZY_MODULES = ("adapters", "fingerprints", "grpo", "harness", "metrics", "toy")
+
+COMMAND_EXECUTES = """
+import contextlib, io, sys, types
+import moltrip.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = moltrip.cli.main(sys.argv[1:])
+print(code, *(name for name in %r
+              if type(sys.modules["moltrip." + name]) is types.ModuleType))
+""" % (LAZY_MODULES,)
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (["canon", "CCO"], set()),
+    (["validate", "CCO"], set()),
+    (["split", "--pairs", "{pairs}", "--out-dir", "{tmp}"], set()),
+    (["dedupe", "--target", "{pairs}", "--reference", "{pairs}",
+      "--out", "{tmp}/kept.jsonl"], set()),
+    (["theory", "check", "--systems", "2"], set()),
+    (["fp", "CCO", "--family", "morgan"], {"fingerprints"}),
+    (["score", "--ref", "CCO", "--hyp", "CCN"], {"metrics", "fingerprints"}),
+    (["eval", "--pairs", "{pairs}", "--workers", "2"],
+     {"adapters", "fingerprints", "grpo", "metrics"}),
+    (["filter", "--pairs", "{pairs}", "--tau", "1", "--out", "{tmp}/kept.jsonl"],
+     {"adapters", "fingerprints", "grpo", "metrics"}),
+    (["train-toy", "--max-steps", "1"], set(LAZY_MODULES)),
+], ids=["canon", "validate", "split", "dedupe", "theory-check", "fp", "score",
+        "eval", "filter", "train-toy"])
+def test_each_command_executes_only_the_modules_it_runs(argv, executed, tmp_path):
+    # one interpreter per command, so no other command's modules ran first
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCN", "c1ccccc1"])
+    argv = [a.format(pairs=pairs, tmp=tmp_path) for a in argv]
+    code, *ran = _fresh_python(COMMAND_EXECUTES, *argv).split()
+    assert code == "0"
+    assert set(ran) == executed
+
+
+def test_every_deferred_cli_name_is_the_object_of_its_home_module():
+    # in a fresh interpreter, each deferred module is also bound on the package
+    out = _fresh_python(
+        "import moltrip, moltrip.cli as cli\n"
+        "print(sorted(name for name, home in cli._HOMES.items()\n"
+        "             if getattr(cli, name) is not getattr(getattr(moltrip, home), name)))\n"
+        "print(sorted(set(cli._HOMES.values())))\n"
+    ).splitlines()
+    assert out == ["[]", repr(sorted(LAZY_MODULES))]
+
+
 FRESH_DEFERRED_PATHS = """
 import contextlib, io, json, socket, sys
 from moltrip.adapters import HttpStatus, RemoteClient, RemoteEndpointConfig

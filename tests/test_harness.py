@@ -28,6 +28,7 @@ from moltrip.grpo import Completion, RolloutGroup, fill_advantages
 from moltrip.metrics import reconstruction_score
 from moltrip.toy import build_toy_config, build_toy_task
 
+from oracles import log_probs
 from rows import set_logit
 
 
@@ -105,11 +106,11 @@ def test_generator_phase_moves_probability_toward_reward():
     cfg = micro_config()
     idx = generator.state_index("ethanol")
     target = generator.action_index("CCO")
-    before = generator.log_probs("ethanol")[target]
+    before = log_probs(generator, "ethanol")[target]
     stats = None
     for step in range(5):
         stats = generator_phase(generator, micro_pairs()[:1], cfg, seed=step)
-    assert generator.log_probs("ethanol")[target] > before
+    assert log_probs(generator, "ethanol")[target] > before
     assert 0.0 <= stats.validity_rate <= 1.0
     assert stats.snapshot_id == generator.old_snapshot_id
 

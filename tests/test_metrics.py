@@ -34,6 +34,7 @@ from oracles import (
     _canonical_ball,
     _path_reading,
     bleu_reference,
+    neighbors,
     reference_round_trip_rate,
 )
 
@@ -252,7 +253,7 @@ def test_cco_ccn_components_match_oracles():
                 readings.add(_path_reading(mol, path))
             if len(path) == 8:
                 return
-            for nbr in mol.neighbors(path[-1]):
+            for nbr in neighbors(mol, path[-1]):
                 if nbr not in path:
                     walk(path + [nbr])
 

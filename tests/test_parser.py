@@ -29,7 +29,7 @@ from moltrip.chem import (
 )
 from moltrip.chem.model import Atom, Molecule
 from moltrip.fingerprints import morgan_features, path_features
-from oracles import _ref_cycle_mask, non_bridge_atoms, scan_structure
+from oracles import _ref_cycle_mask, bond_between, non_bridge_atoms, scan_structure
 
 
 def test_minimal_chain():
@@ -74,7 +74,7 @@ def test_ring_closure_percent():
 def test_ring_bond_order_on_either_side():
     for text in ("C=1CCCCC=1", "C=1CCCCC1", "C1CCCCC=1"):
         mol = parse_smiles(text)
-        closure = mol.bond_between(0, 5)
+        closure = bond_between(mol, 0, 5)
         assert closure.order is BondOrder.DOUBLE
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +107,49 @@ def test_traced_toy_steps_count_each_policy_call_once():
     batch, g = run["batch"], run["g"]
     calls = 2 * batch + 2 * batch * (1 + g) + 2 * run["pairs"]
     assert sum(span[0] == "adapters.sample" for span in spans) == calls
+
+
+# Per workload: a small command of the kind the benchmark runs, and the
+# span its traced round must hold.
+_HOOKED = {
+    "druglike_eval": (["eval", "--pairs", "{pairs}"], "metrics.reconstruction_score"),
+    "druglike_dedupe": (
+        ["dedupe", "--target", "{pairs}", "--reference", "{pairs}",
+         "--out", "{tmp}/kept.jsonl"],
+        "dataset.dedupe_overlap",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["round", "trace"])
+@pytest.mark.parametrize("workload", list(_HOOKED))
+def test_benchmark_hooks_bite_in_a_fresh_interpreter(workload, mode, tmp_path):
+    """child.py itself, on a small pair file: right after importing
+    moltrip.cli it rebinds the workload's first-item function there (and
+    in trace mode installs the tracer first), and the command must call
+    what is bound."""
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(
+        json.dumps({"smiles": s, "caption": s, "id": f"p{i}"}) + "\n"
+        for i, s in enumerate(["CCO", "c1ccccc1", "CC(=O)N"])
+    ), encoding="utf-8")
+    argv, span = _HOOKED[workload]
+    spec = {
+        "root": str(_PERFBENCH.parent), "mode": mode, "workload": workload,
+        "argv": [a.format(pairs=pairs, tmp=tmp_path) for a in argv],
+        "reference_reps": 0, "result": str(tmp_path / "result.json"),
+        "trace_path": str(tmp_path / "trace.jsonl"),
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    subprocess.run(
+        [sys.executable, str(_PERFBENCH / "child.py"), str(tmp_path / "spec.json")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert result["rc"] == 0, result["stderr"]
+    assert "first" in result["marks"]
+    if mode == "trace":
+        lines = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        names = {json.loads(line)[0] for line in lines[1:-1]}
+        assert span in names
