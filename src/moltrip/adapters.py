@@ -8,16 +8,15 @@ log-probabilities through one rollout loop, walk() reduces a completion to
 its (state row, token) steps, and grpo_step() ascends the exact GRPO
 objective.  A tabular completion is one token, the whole string, drawn in
 the prompt's own state.  The token policy, TokenSequencePolicy, is a
-TabularPolicy whose states are its (prompt, prefix) contexts; it overrides
-only the hooks that split a completion into tokens and name the row each
-token is drawn in: _root(prompt) for the first token and _child(row, t,
-action) for the next.  Its rows are ordered by prefix length, then prompt,
-then the prefix read as a base-|vocab| number, so both hooks are
-arithmetic and no context string is spelled or looked up while sampling
-or walking; the context strings exist only on demand, through states and
-state_index.  So one draw rule, one objective and one gradient serve
-both; that exactness is what makes the desk-scale training loop
-verifiable.
+TabularPolicy with one row per (prompt, prefix) context.  Two hooks name
+the row each token is drawn in: state_index(prompt) for the first, the
+prompt's own index in the token policy, and _child(row, t, action) for the
+next; the token policy overrides only _child and the hook that splits a
+completion into tokens.  Its rows are ordered by prefix length, then
+prompt, then the prefix read as a base-|vocab| number, so a row is found
+by counting and no context is spelled or looked up.  So one draw rule, one
+objective and one gradient serve both; that exactness is what makes the
+desk-scale training loop verifiable.
 
 Draws come from a counter-based stream: each uniform is the splitmix64
 finaliser of a 64-bit key plus (counter + 1) times the golden-ratio
@@ -48,11 +47,9 @@ from __future__ import annotations
 
 import bisect
 import collections
-import collections.abc
 import itertools
 import json as jsonlib
 import math
-import operator
 import os
 import threading
 import time
@@ -199,7 +196,7 @@ class TabularPolicy:
         actions: tuple[str, ...],
         logits: list[tuple[float, ...]],
     ) -> None:
-        if (len(logits), len(logits[0])) != (len(states), len(actions)):
+        if len(logits) != len(states) or any(len(r) != len(actions) for r in logits):
             raise ValueError("logits shape must be states x actions")
         self.states = states
         self._state_index = {s: i for i, s in enumerate(states)}
@@ -207,6 +204,8 @@ class TabularPolicy:
 
     def _init_tables(self, actions: tuple[str, ...], logits) -> None:
         """Name the actions and start all three tables as the given rows."""
+        if not logits or not actions:
+            raise ValueError("a policy needs at least one state and one action")
         self.actions = actions
         self.logits = [tuple(row) for row in logits]
         self.old_logits = list(self.logits)
@@ -220,10 +219,11 @@ class TabularPolicy:
         rows = [(0.0,) * len(actions)] * len(states)
         return cls(states=tuple(states), actions=tuple(actions), logits=rows)
 
-    def state_index(self, state: str) -> int:
-        if state not in self._state_index:
-            raise UnknownState(state)
-        return self._state_index[state]
+    def state_index(self, prompt: str) -> int:
+        """The row the first token of a completion of prompt is drawn in."""
+        if prompt not in self._state_index:
+            raise UnknownState(prompt)
+        return self._state_index[prompt]
 
     def action_index(self, action: str) -> int:
         if action not in self._action_index:
@@ -261,10 +261,6 @@ class TabularPolicy:
         self.old_snapshot_id += 1
         return self.old_snapshot_id
 
-    def _root(self, prompt: str) -> int:
-        """The row the first token of a completion of prompt is drawn in."""
-        return self.state_index(prompt)
-
     def _child(self, row: int, t: int, action: int) -> int:
         """The row token t + 1 is drawn in when token t was action, drawn in
         row; a one-token policy never draws a second token."""
@@ -277,7 +273,7 @@ class TabularPolicy:
     def walk(self, prompt: str, text: str) -> Walk:
         """The (state row, token) steps a completion took."""
         tokens = self._tokens(text)
-        row = self._root(prompt)
+        row = self.state_index(prompt)
         steps = []
         for t, token in enumerate(tokens):
             if t:
@@ -295,9 +291,9 @@ class TabularPolicy:
         the uniform at counter t of that stream, so extending n preserves
         the prefix and no token hashes.  The key is a process-independent
         FNV hash: python's tuple hash is salted.  Each token's row comes
-        from the _root and _child hooks.  The tables cannot change during a
-        call, so each row's draw terms are found once and shared by all n
-        rollouts; its distribution comes from the policy's memo, and is
+        from the state_index and _child hooks.  The tables cannot change
+        during a call, so each row's draw terms are found once and shared by
+        all n rollouts; its distribution comes from the policy's memo, and is
         tempered once per call when the temperature is not 1.
         Temperature 0 draws the argmax; any other temperature must be finite
         and positive, checked before any draw.  Attached log-probabilities
@@ -311,7 +307,7 @@ class TabularPolicy:
             )
         base = stable_hash("draw", seed, prompt)
         rows = self._table(table)
-        root = self._root(prompt)
+        root = self.state_index(prompt)
         child, actions, eos = self._child, self.actions, self.eos
         last = self.max_tokens - 1
         memo: dict[int, tuple[list[float], list[float] | None]] = {}
@@ -459,7 +455,7 @@ def tabular_gradient(
     """Exact gradient of the total objective, dense over every state row."""
     sparse = _gradient(policy, groups, cfg)
     width = len(policy.actions)
-    return [sparse.get(s, [0.0] * width) for s in range(len(policy.states))]
+    return [sparse.get(s, [0.0] * width) for s in range(len(policy.logits))]
 
 
 def tabular_grpo_step(
@@ -477,62 +473,21 @@ def tabular_grpo_step(
 # ---------------------------------------------------------------------------
 # token-level sequence policy
 
-# separates the prompt from the prefix in a context string; no prompt or
-# token may hold it, so each string names one context
-_SEP = "\x1f"
-
-
-class _Contexts(collections.abc.Sequence):
-    """A TokenSequencePolicy's context strings in row order, each spelled
-    when read: prompt, separator, prefix; by prefix length, then prompt,
-    then the prefix as a base-|vocab| number."""
-
-    def __init__(self, prompts, vocab, offsets) -> None:
-        self._prompts = prompts
-        self._vocab = vocab
-        self._offsets = offsets
-
-    def __len__(self) -> int:
-        return self._offsets[-1]
-
-    def __getitem__(self, row: int) -> str:
-        row = operator.index(row)
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError("context row out of range")
-        t = bisect.bisect_right(self._offsets, row) - 1
-        width = len(self._vocab)
-        prompt, number = divmod(row - self._offsets[t], width ** t)
-        prefix = []
-        for _ in range(t):
-            number, digit = divmod(number, width)
-            prefix.append(self._vocab[digit])
-        return f"{self._prompts[prompt]}{_SEP}{''.join(reversed(prefix))}"
-
-    def __iter__(self):
-        for t in range(len(self._offsets) - 1):
-            for prompt in self._prompts:
-                for prefix in itertools.product(self._vocab, repeat=t):
-                    yield f"{prompt}{_SEP}{''.join(prefix)}"
-
-
 class TokenSequencePolicy(TabularPolicy):
     """Autoregressive token policy over a finite single-character vocabulary.
 
-    A TabularPolicy whose states are its (prompt, prefix) contexts and whose
+    A TabularPolicy with one row per (prompt, prefix) context and whose
     actions are the tokens (the stop included), so snapshots, ratios, the KL
     reference, the rollout loop, walk() and the GRPO core are the tabular
     ones, and completions carry one log-prob per drawn token.
 
     The rows come by prefix length, then prompt, then the prefix read as a
     base-|vocab| number.  With offset[t] the first row of the prefixes of
-    length t, the first token of prompt p is drawn in row p, and after
-    token a, drawn in row r at position t, the next token is drawn in row
-    offset[t + 1] + (r - offset[t]) * |vocab| + a.  So sampling and walk()
-    only count; the policy keeps no table of contexts.  states spells a
-    context string, prompt + "\\x1f" + prefix, when it is read, and
-    state_index parses one; every other string is an UnknownState.
+    length t, the first token of prompt p is drawn in row p (its
+    state_index), and after token a, drawn in row r at position t, the next
+    token is drawn in row offset[t + 1] + (r - offset[t]) * |vocab| + a.
+    So sampling and walk() only count; the policy keeps no table of
+    contexts, and no character of a prompt or token is reserved.
 
     Rows are immutable and shared with the snapshots, so a snapshot costs
     one list copy however many contexts there are, and a step replaces only
@@ -556,8 +511,6 @@ class TokenSequencePolicy(TabularPolicy):
             raise ValueError("vocab tokens must be single characters")
         if eos is not None and eos in vocab:
             raise ValueError("eos must not appear in the vocabulary")
-        if any(_SEP in text for text in (*prompts, *vocab)):
-            raise ValueError(r"prompts and tokens must not hold the separator \x1f")
         if len(set(prompts)) != len(prompts) or len(set(vocab)) != len(vocab):
             raise ValueError("prompts and tokens must be distinct")
         offsets = [0]  # offsets[t]: the first row of the prefixes of length t
@@ -571,35 +524,13 @@ class TokenSequencePolicy(TabularPolicy):
         self.eos = eos
         self._offsets = tuple(offsets)
         self._width = len(vocab)
-        self._prompt_index = {p: i for i, p in enumerate(self.prompts)}
-        self.states = _Contexts(self.prompts, self.vocab, self._offsets)
+        self._state_index = {p: i for i, p in enumerate(self.prompts)}
         actions = self.vocab if eos is None else self.vocab + (eos,)
         self._init_tables(actions, [(0.0,) * len(actions)] * offsets[-1])
-
-    def _root(self, prompt: str) -> int:
-        if prompt not in self._prompt_index:
-            raise UnknownState(prompt)
-        return self._prompt_index[prompt]
 
     def _child(self, row: int, t: int, action: int) -> int:
         offsets = self._offsets
         return offsets[t + 1] + (row - offsets[t]) * self._width + action
-
-    def state_index(self, state: str) -> int:
-        """The row of a context string: its prompt's root, then one child
-        per prefix token."""
-        if not isinstance(state, str):
-            raise UnknownState(state)
-        prompt, sep, prefix = state.partition(_SEP)
-        if not sep or len(prefix) >= self.max_tokens:
-            raise UnknownState(state)
-        row = self._root(prompt)
-        for t, token in enumerate(prefix):
-            action = self._action_index.get(token, self._width)
-            if action >= self._width:  # not a token, or the stop
-                raise UnknownState(state)
-            row = self._child(row, t, action)
-        return row
 
     def _tokens(self, text: str) -> list[str]:
         toks = list(text)

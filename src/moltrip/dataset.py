@@ -74,8 +74,10 @@ class SplitSpec(NamedTuple):
             raise ValueError(
                 f"ratios needs 3 values (train, val, test), got {len(self.ratios)}"
             )
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("ratios must be non-negative")
+        if not all(r >= 0 for r in self.ratios):  # nan compares false
+            raise ValueError(
+                f"ratios must be non-negative numbers, not {self.ratios!r}"
+            )
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"ratios sum to {sum(self.ratios)!r}, not 1")
 

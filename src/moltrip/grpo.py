@@ -60,10 +60,11 @@ class GrpoConfig(NamedTuple):
     beta: float = DEFAULT_BETA
 
     def _check(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        # each bound is written so that nan fails it
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, not {self.epsilon!r}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be >= 0 and finite, not {self.beta!r}")
 
 
 def group_advantages(rewards: list[float]) -> tuple[list[float], bool]:

@@ -15,6 +15,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import random
 from typing import NamedTuple
 
@@ -62,8 +63,10 @@ class HarnessConfig(NamedTuple):
                 raise ValueError(f"{name} must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be > 0 and finite, not {self.lr!r}")
+        if math.isnan(self.convergence_tol):
+            raise ValueError("convergence_tol must be a number, not nan")
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"reward_mode must be one of {REWARD_MODES}")
 

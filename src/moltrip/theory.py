@@ -90,7 +90,6 @@ class BoundReport(NamedTuple):
     entropy_x: float
     ba_bound: float
     lipschitz_L: float
-    alpha: float
     c_term: float
     mi_lower: float
     holds: bool
@@ -182,7 +181,6 @@ def check_mi_bound(sys: DiscreteSystem) -> BoundReport:
         entropy_x=entropy_x,
         ba_bound=ba,
         lipschitz_L=alpha,
-        alpha=alpha,
         c_term=c_term,
         mi_lower=mi_lower,
         holds=holds,

@@ -19,12 +19,12 @@ budget, which the augmenting-path search must agree with.  The overlap
 removal reference is the package's earlier dedupe, which canonicalises
 every string; the one that canonicalises only within a formula key
 collision must return the same result.  The token policy's contexts are
-the package's earlier eager enumeration of every (prompt, prefix) string,
-with a walk read off a dict from those strings to rows; the policy that
-counts its rows by arithmetic must name the same strings and rows.  The
-longhand reads at the end (a state's log-probabilities, the total GRPO
-objective, a molecule's neighbours and bonds) serve only the tests, so
-the package keeps none of them.
+the package's earlier eager enumeration of every (prompt, prefix) pair,
+with a walk read off a dict from those pairs to rows; the policy that
+counts its rows by arithmetic must walk to the same rows.  The longhand
+reads at the end (a context's log-probabilities, found through that dict,
+the total GRPO objective, a molecule's neighbours and bonds) serve only
+the tests, so the package keeps none of them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from moltrip.chem import (
     parse_smiles,
     scan_smiles,
 )
-from moltrip.adapters import TabularPolicy, _check_group
+from moltrip.adapters import TabularPolicy, TokenSequencePolicy, _check_group
 from moltrip.chem.model import NeighborView, neighbor_view
 from moltrip.chem.valence import analyze, aromatize
 from moltrip.dataset import DedupeResult, PairRecord, SidecarEntry
@@ -1051,16 +1051,16 @@ CHARGED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
 # ---------------------------------------------------------------------------
 # token policy contexts, enumerated eagerly
 
-def eager_contexts(prompts, vocab, max_tokens: int) -> list[str]:
-    """Every context string of a token policy in row order: by prefix
-    length, then prompt, then prefix, each prefix a token longer than the
-    ones before it in the order the tokens come."""
+def eager_contexts(prompts, vocab, max_tokens: int) -> list[tuple[str, str]]:
+    """Every (prompt, prefix) context of a token policy in row order: by
+    prefix length, then prompt, then prefix, each prefix a token longer than
+    the ones before it in the order the tokens come."""
     contexts = []
     prefixes = [""]
     for _ in range(max_tokens):
         for prompt in prompts:
             for prefix in prefixes:
-                contexts.append(prompt + "\x1f" + prefix)
+                contexts.append((prompt, prefix))
         longer = []
         for prefix in prefixes:
             for token in vocab:
@@ -1069,16 +1069,27 @@ def eager_contexts(prompts, vocab, max_tokens: int) -> list[str]:
     return contexts
 
 
-def eager_walk(contexts: list[str], actions, eos, max_tokens: int,
+def context_rows(policy: TabularPolicy) -> dict:
+    """Each context of a policy and its row, enumerated without the
+    policy's own row hooks: a tabular policy's states in the order it was
+    given them, a token policy's eager_contexts."""
+    if isinstance(policy, TokenSequencePolicy):
+        contexts = eager_contexts(policy.prompts, policy.vocab, policy.max_tokens)
+    else:
+        contexts = policy.states
+    return {context: row for row, context in enumerate(contexts)}
+
+
+def eager_walk(contexts: list[tuple[str, str]], actions, eos, max_tokens: int,
                prompt: str, text: str) -> list[tuple[int, int]]:
     """The (row, action) steps of a complete text: each token's row is the
-    row of the string prompt + separator + the tokens before it."""
+    row of the context (prompt, the tokens before it)."""
     rows = {context: row for row, context in enumerate(contexts)}
     tokens = list(text)
     if len(tokens) < max_tokens:
         tokens.append(eos)
     return [
-        (rows[prompt + "\x1f" + text[:t]], list(actions).index(token))
+        (rows[prompt, text[:t]], list(actions).index(token))
         for t, token in enumerate(tokens)
     ]
 
@@ -1086,11 +1097,13 @@ def eager_walk(contexts: list[str], actions, eos, max_tokens: int,
 # ---------------------------------------------------------------------------
 # longhand reads of a policy and a molecule
 
-def log_probs(policy: TabularPolicy, state: str, table: str = "cur") -> list[float]:
-    """A state's log-probabilities in one of the policy's three tables,
-    from the memo that sampling and the gradient read."""
+def log_probs(policy: TabularPolicy, context, table: str = "cur") -> list[float]:
+    """A context's log-probabilities in one of the policy's three tables,
+    from the memo that sampling and the gradient read; the context is a
+    tabular state or a token policy's (prompt, prefix), and its row comes
+    from context_rows."""
     rows = {"cur": policy.logits, "old": policy.old_logits, "ref": policy.ref_logits}
-    return list(policy._dist(rows[table][policy.state_index(state)])[1])
+    return list(policy._dist(rows[table][context_rows(policy)[context]])[1])
 
 
 def tabular_objective(

@@ -44,7 +44,9 @@ from moltrip.fingerprints import stable_hash
 from moltrip.grpo import Completion, GrpoConfig, RolloutGroup, fill_advantages
 from moltrip.toy import TOY_CAPTIONS, TOY_MAX_TOKENS, TOY_VOCAB
 
-from oracles import eager_contexts, eager_walk, log_probs, tabular_objective
+from oracles import (
+    context_rows, eager_contexts, eager_walk, log_probs, tabular_objective,
+)
 from rows import set_logit
 
 
@@ -68,9 +70,30 @@ def test_tabular_policy_shapes_and_rows():
         row = log_probs(policy, state)
         assert sum(math.exp(lp) for lp in row) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UnknownState):
-        log_probs(policy, "missing")
+        policy.state_index("missing")
     with pytest.raises(ValueError):
         TabularPolicy(states=("s",), actions=("a", "b"), logits=[[0.0]])
+    with pytest.raises(ValueError):  # a ragged table past its first row
+        TabularPolicy(states=("s", "t"), actions=("a", "b"),
+                      logits=[[0.0, 0.0], [0.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TabularPolicy.uniform((), ("a",)),
+    lambda: TabularPolicy.uniform(("s",), ()),
+    lambda: TokenSequencePolicy(prompts=(), vocab=("a",), max_tokens=2),
+    lambda: TokenSequencePolicy(prompts=("p",), vocab=(), max_tokens=2),
+], ids=["no-state", "no-action", "no-prompt", "no-token-no-stop"])
+def test_policies_refuse_no_state_or_no_action(build):
+    # these once built, or failed on an index, and then every draw failed
+    with pytest.raises(ValueError, match="at least one state and one action"):
+        build()
+
+
+def test_a_stop_alone_is_an_action():
+    policy = TokenSequencePolicy(prompts=("p",), vocab=(), max_tokens=2, eos="$")
+    assert policy.sample("p", 3, seed=0) == [Sampled("", (0.0,))] * 3
+    assert policy.walk("p", "") == [(0, 0)]
 
 
 def test_unknown_state_is_the_shared_key_error():
@@ -112,16 +135,16 @@ def test_old_and_ref_tables_never_change_when_the_live_table_does():
 
 def test_sequence_snapshots_never_change_when_the_live_table_does():
     policy = TokenSequencePolicy(prompts=("p",), vocab=("a", "b"), max_tokens=2)
-    flat = [(0.0, 0.0) for _ in policy.states]
+    flat = [(0.0, 0.0) for _ in policy.logits]
     with pytest.raises(TypeError):
         policy.logits[0][0] = 1.0
-    for s in range(len(policy.states)):
+    for s in range(len(policy.logits)):
         set_logit(policy, s, 0, 1.0)
     assert policy.old_logits == flat and policy.ref_logits == flat
     policy.snapshot_old()
-    for s in range(len(policy.states)):
+    for s in range(len(policy.logits)):
         set_logit(policy, s, 1, 2.0)
-    assert policy.old_logits == [(1.0, 0.0) for _ in policy.states]
+    assert policy.old_logits == [(1.0, 0.0) for _ in policy.logits]
     assert policy.ref_logits == flat
 
 
@@ -771,16 +794,51 @@ def test_sequence_constructor_validation():
         )
 
 
+def _walk_row(policy, prompt, prefix):
+    """The row walk() names for the token after prefix: the step at
+    position len(prefix) of a completion that starts with prefix."""
+    fill = "".join(policy.vocab[:1]) * (policy.max_tokens - len(prefix))
+    return policy.walk(prompt, prefix + fill)[len(prefix)][0]
+
+
+def _assert_contexts_get_their_own_rows(prompts, vocab, max_tokens):
+    """Repeated prompts or tokens would name one context twice, so the
+    policy refuses them; otherwise walk() sends each (prompt, prefix)
+    context to its own row, and those rows run over the whole table in the
+    order eager_contexts enumerates the contexts."""
+    if len(set(prompts)) < len(prompts) or len(set(vocab)) < len(vocab):
+        with pytest.raises(ValueError, match="distinct"):
+            TokenSequencePolicy(prompts=prompts, vocab=vocab, max_tokens=max_tokens)
+        return
+    policy = TokenSequencePolicy(prompts=prompts, vocab=vocab, max_tokens=max_tokens)
+    contexts = eager_contexts(prompts, vocab, max_tokens)
+    assert len(set(contexts)) == len(contexts)
+    rows = [_walk_row(policy, prompt, prefix) for prompt, prefix in contexts]
+    assert rows == list(range(len(policy.logits)))
+
+
 @pytest.mark.parametrize("prompts, vocab", [
-    (("a", "a\x1f"), ("\x1f", "b")),  # "a\x1f" + "" spells "a" + "\x1f"
+    # "\x1f" is an ordinary character: a prompt "a\x1f" and a token "\x1f"
+    # once spelled one context string with the prompt "a"
+    (("a", "a\x1f"), ("\x1f", "b")),
     (("a\x1fb",), ("b",)),
     (("a",), ("\x1f", "b")),
     (("a", "a"), ("b",)),
     (("a",), ("b", "b")),
 ])
 def test_sequence_refuses_contexts_that_would_share_a_row(prompts, vocab):
-    with pytest.raises(ValueError):
-        TokenSequencePolicy(prompts=prompts, vocab=vocab, max_tokens=2)
+    _assert_contexts_get_their_own_rows(prompts, vocab, max_tokens=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prompts=st.lists(st.text("a\x1f", max_size=3), min_size=1, max_size=4),
+       vocab=st.lists(st.sampled_from("b\x1f"), min_size=1, max_size=3),
+       max_tokens=st.integers(1, 3))
+@example(prompts=["a", "a\x1f"], vocab=["\x1f", "b"], max_tokens=2)
+@example(prompts=["a\x1fb"], vocab=["b"], max_tokens=2)
+@example(prompts=["a"], vocab=["\x1f", "b"], max_tokens=2)
+def test_the_separator_character_is_an_ordinary_character(prompts, vocab, max_tokens):
+    _assert_contexts_get_their_own_rows(tuple(prompts), tuple(vocab), max_tokens)
 
 
 _PROMPT_TEXTS = st.lists(st.text("pq", max_size=2), min_size=1, max_size=3, unique=True)
@@ -797,13 +855,12 @@ def test_sequence_contexts_agree_with_the_eager_enumeration(
         prompts=tuple(prompts), vocab=tuple(vocab), max_tokens=max_tokens, eos=eos,
     )
     contexts = eager_contexts(prompts, vocab, max_tokens)
-    assert len(policy.states) == len(contexts) == len(policy.logits)
-    assert list(policy.states) == contexts
-    assert [policy.states[row] for row in range(len(contexts))] == contexts
-    assert policy.states[-1] == contexts[-1]
-    with pytest.raises(IndexError):
-        policy.states[len(contexts)]
-    assert [policy.state_index(c) for c in contexts] == list(range(len(contexts)))
+    assert [_walk_row(policy, p, prefix) for p, prefix in contexts] == list(
+        range(len(policy.logits))
+    )
+    assert [policy.state_index(p) for p in prompts] == [
+        context_rows(policy)[p, ""] for p in prompts
+    ]
     for prompt in prompts:
         for length in range(max_tokens + 2):
             for tokens in itertools.product(vocab, repeat=length):
@@ -816,15 +873,7 @@ def test_sequence_contexts_agree_with_the_eager_enumeration(
                     with pytest.raises(UnknownState):
                         policy.walk(prompt, text)
     prompt, token = prompts[0], vocab[0]
-    unknown = [
-        "r\x1f",                                         # unknown prompt
-        prompt + "\x1fz",                                # unknown token
-        prompt + "\x1f$",                                # the stop
-        prompt + "\x1f" + token * max_tokens,            # over-long prefix
-        prompt,                                          # no separator
-        prompt + "\x1f\x1f",
-    ]
-    for state in unknown:
+    for state in ("r", prompt + "\x1f", prompt + token):  # prompts only
         with pytest.raises(UnknownState):
             policy.state_index(state)
     for bad_prompt, text in (("r", token * max_tokens), (prompt, "z" * max_tokens)):
@@ -844,7 +893,7 @@ def test_building_the_toy_generator_retains_under_one_mib():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(generator.states) == 17_568  # 12 prompts x (1 + 11 + 11 ** 2 + 11 ** 3)
+    assert len(generator.logits) == 17_568  # 12 prompts x (1 + 11 + 11 ** 2 + 11 ** 3)
     assert retained < 2 ** 20
 
 
@@ -883,16 +932,16 @@ def test_sequence_sampling_deterministic_with_stable_prefix():
 def test_sequence_temperature_zero_walks_argmax_path():
     policy = _sequence_policy()
     # carve a deterministic greedy path: b, then c, then a
+    rows = context_rows(policy)
     for prefix, tok in (("", "b"), ("b", "c"), ("bc", "a")):
-        state = policy.state_index(f"left\x1f{prefix}")
-        set_logit(policy, state, policy.action_index(tok), 5.0)
+        set_logit(policy, rows["left", prefix], policy.action_index(tok), 5.0)
     out = policy.sample("left", 4, seed=0, temperature=0.0)
     assert [s.text for s in out] == ["bca"] * 4
 
 
 def test_sequence_logps_follow_requested_table():
     policy = _sequence_policy()
-    state = policy.state_index("left\x1f")
+    state = policy.state_index("left")
     set_logit(policy, state, 0, policy.logits[state][0] + 1.0)
     # "a" leads with odds e/(e+2), so 64 draws all miss it with odds under
     # 1e-23 whatever the stream
@@ -931,7 +980,7 @@ def test_sequence_gradient_matches_central_finite_differences():
     grad = policy.gradient(groups, cfg)
     h = 1e-5
     worst = 0.0
-    for s in range(len(policy.states)):
+    for s in range(len(policy.logits)):
         dense = grad.get(s, [0.0] * len(policy.actions))
         for a in range(len(policy.actions)):
             kept = policy.logits[s][a]
@@ -952,9 +1001,9 @@ def test_sequence_tabular_gradient_is_the_dense_gradient():
     groups = _sequence_groups(policy, rng, cfg)
     sparse = policy.gradient(groups, cfg)
     width = len(policy.actions)
-    assert sparse and len(sparse) < len(policy.states)
+    assert sparse and len(sparse) < len(policy.logits)
     assert tabular_gradient(policy, groups, cfg) == [
-        sparse.get(s, [0.0] * width) for s in range(len(policy.states))
+        sparse.get(s, [0.0] * width) for s in range(len(policy.logits))
     ]
 
 
@@ -991,11 +1040,11 @@ def test_sequence_step_raises_drawn_token_probability():
         prompt_id="left", completions=completions,
         snapshot_id=policy.old_snapshot_id,
     ))
-    before_root = log_probs(policy, "left\x1f")[policy.action_index("a")]
-    before_next = log_probs(policy, "left\x1fa")[policy.action_index("b")]
+    before_root = log_probs(policy, ("left", ""))[policy.action_index("a")]
+    before_next = log_probs(policy, ("left", "a"))[policy.action_index("b")]
     policy.grpo_step([group], GrpoConfig(beta=0.0), lr=0.5)
-    assert log_probs(policy, "left\x1f")[policy.action_index("a")] > before_root
-    assert log_probs(policy, "left\x1fa")[policy.action_index("b")] > before_next
+    assert log_probs(policy, ("left", ""))[policy.action_index("a")] > before_root
+    assert log_probs(policy, ("left", "a"))[policy.action_index("b")] > before_next
 
 
 def test_sequence_rejects_foreign_completions():
@@ -1083,7 +1132,7 @@ def _reference_sequence_sample(policy, prompt, n, seed, temperature, table):
         key = stable_hash("draw", seed, prompt, i)
         prefix, logps = "", []
         for t in range(policy.max_tokens):
-            row = policy.log_probs(f"{prompt}\x1f{prefix}", table)
+            row = policy.log_probs((prompt, prefix), table)
             chosen = _reference_pick(row, temperature, key, t)
             logps.append(row[chosen])
             token = policy.actions[chosen]
@@ -1149,7 +1198,7 @@ def test_one_token_sequence_policy_draws_and_walks_as_the_tabular_policy(
     temperature, table
 ):
     """A one-token policy without a stop is the tabular policy over the same
-    rows: state p is context p + "\\x1f"."""
+    rows: state p is context (p, "")."""
     sequence = _scrambled(_sequence_policy(max_tokens=1), random.Random(23))
     tabular = TabularPolicy(
         states=sequence.prompts, actions=sequence.actions,
@@ -1161,7 +1210,7 @@ def test_one_token_sequence_policy_draws_and_walks_as_the_tabular_policy(
             set_logit(tabular, s, a, value)
     for prompt in sequence.prompts:
         assert log_probs(tabular, prompt, table) == log_probs(
-            sequence, f"{prompt}\x1f", table
+            sequence, (prompt, ""), table
         )
         for seed in (0, 4242):
             got = sequence.sample(prompt, 30, seed, temperature=temperature, table=table)
@@ -1188,7 +1237,7 @@ def _longhand_gradient(policy, groups, cfg):
     """Dense gradient summed token by token, one softmax row pass per step."""
     eps = cfg.epsilon
     width = len(policy.actions)
-    grad = [[0.0] * width for _ in policy.states]
+    grad = [[0.0] * width for _ in policy.logits]
     for group in groups:
         for completion, advantage in zip(group.completions, group.advantages):
             steps = policy.walk(group.prompt_id, completion.text)
@@ -1260,6 +1309,7 @@ class _Longhand:
 
     def __init__(self, policy):
         self.policy = policy
+        self.rows = context_rows(policy)
         self.actions = policy.actions
         self.eos = getattr(policy, "eos", None)
         self.max_tokens = getattr(policy, "max_tokens", None)
@@ -1267,7 +1317,7 @@ class _Longhand:
     def log_probs(self, state, table):
         p = self.policy
         rows = {"cur": p.logits, "old": p.old_logits, "ref": p.ref_logits}[table]
-        return _reference_log_softmax(rows[p.state_index(state)])
+        return _reference_log_softmax(rows[self.rows[state]])
 
 
 class _Memo(_Longhand):
@@ -1337,7 +1387,8 @@ def test_memoised_rows_never_go_stale(kind, ops):
             assert got == reference(longhand, prompt, 6, seed, temperature, table)
         elif op[0] == "log_probs":
             _, table, k = op
-            state = policy.states[k % len(policy.states)]
+            contexts = list(longhand.rows)
+            state = contexts[k % len(contexts)]
             assert log_probs(policy, state, table) == longhand.log_probs(state, table)
         elif op[0] == "snapshot":
             policy.snapshot_old()
@@ -1359,6 +1410,6 @@ def test_memoised_rows_never_go_stale(kind, ops):
             seen = {}
         else:
             _, s, a, value = op
-            set_logit(policy, s % len(policy.states), a % len(policy.actions), value)
+            set_logit(policy, s % len(policy.logits), a % len(policy.actions), value)
         seen.update(_held_rows(policy))
         assert all(seen.get(key) is entry[0] for key, entry in policy._dists.items())

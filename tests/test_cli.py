@@ -455,6 +455,18 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     assert not (out_dir / "train.tsv.tmp").exists()
 
 
+def test_split_refuses_nan_ratios(tmp_path, capsys):
+    # nan once slipped past the ratio checks and died converting to a count
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCN"])
+    out_dir = tmp_path / "parts"
+    assert main([
+        "split", "--pairs", pairs, "--out-dir", str(out_dir),
+        "--ratios", "0.5", "0.5", "nan",
+    ]) == 1
+    assert "ratios must be non-negative numbers" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_split_refuses_tsv_that_would_not_read_back(tmp_path, capsys):
     pairs = write_pairs_file(
         tmp_path / "pairs.jsonl", ["CCO", "CCN", "CCC"],
@@ -490,6 +502,16 @@ def test_theory_check_seeded_and_exact_text(capsys):
     assert first.strip() == "20/20 bounds hold"
     assert main(["theory", "check", "--systems", "20", "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_theory_check_writes_one_lipschitz_key(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    assert main(["theory", "check", "--systems", "2", "--out", str(out)]) == 0
+    for report in json.loads(out.read_text()):
+        assert list(report) == [
+            "mi", "entropy_x", "ba_bound", "lipschitz_L", "c_term", "mi_lower",
+            "holds",
+        ]
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

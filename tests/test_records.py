@@ -6,6 +6,8 @@ The records are NamedTuples and plain classes rather than dataclasses (see
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from moltrip.adapters import HttpReply, RemoteEndpointConfig, Sampled
@@ -152,6 +154,14 @@ _CHECKED = [
     (RemoteEndpointConfig("http://localhost/v1", "m"), {"timeout": 0.0}, "timeout"),
     (RemoteEndpointConfig("http://localhost/v1", "m"), {"base_url": "file:///x"},
      "base_url"),
+    # nan passes every "< 0" test, so each bound is written to refuse it
+    (SplitSpec(), {"ratios": (0.5, 0.5, math.nan)}, "ratios must be non-negative"),
+    (GrpoConfig(), {"epsilon": math.nan}, "epsilon must be > 0"),
+    (GrpoConfig(), {"beta": math.nan}, "beta must be >= 0 and finite"),
+    (GrpoConfig(), {"beta": math.inf}, "beta must be >= 0 and finite"),
+    (HarnessConfig(), {"lr": math.nan}, "lr must be > 0 and finite"),
+    (HarnessConfig(), {"lr": math.inf}, "lr must be > 0 and finite"),
+    (HarnessConfig(), {"convergence_tol": math.nan}, "convergence_tol"),
 ]
 
 

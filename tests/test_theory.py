@@ -259,7 +259,7 @@ def test_bound_holds_on_seeded_random_systems():
         assert report.holds
         assert report.mi >= report.ba_bound - 1e-9
         assert report.ba_bound >= report.mi_lower - 1e-9
-        assert report.alpha == report.lipschitz_L
+        assert report.lipschitz_L == lipschitz_constant(sys)
 
 
 def test_corrupted_report_fails():
@@ -276,7 +276,6 @@ def test_corrupted_report_fails():
         entropy_x=report.entropy_x,
         ba_bound=report.ba_bound,
         lipschitz_L=report.lipschitz_L,
-        alpha=report.alpha,
         c_term=report.c_term,
         mi_lower=report.mi_lower,
         holds=corrupted >= report.mi_lower - 1e-9
