@@ -10,17 +10,16 @@ Start-up executes only what the command runs.  Importing this module
 executes ``chem``, ``dataset``, ``errors`` and ``records``; ``adapters``,
 ``fingerprints``, ``grpo``, ``harness``, ``metrics`` and ``toy`` are
 registered with a lazy loader, so each is in ``sys.modules`` and bound on
-the package but executes on its first attribute access.  When a
-command's parser first parses, the names the command reads from those
-modules (``_HOMES``) become globals here: ``canon``, ``validate``,
-``split``, ``dedupe`` and ``theory check`` execute none of the six, ``fp``
-only ``fingerprints``, ``score`` only ``metrics`` and ``fingerprints``,
-and ``eval`` and ``filter`` all but ``harness`` and ``toy``.  Each such
-name is also an attribute of this module (PEP 562 ``__getattr__``), and a
-command reads it as a global when it runs, so rebinding
-``moltrip.cli.<name>`` changes what the command calls.  The thread pool
-of --workers, the config parser of --config and the theory module are
-imported where they are used.
+the package and here, but executes on the first read of one of its
+names.  A command reads every such name through its module
+(``metrics.ScoreCache``), so ``canon``, ``validate``, ``split``,
+``dedupe`` and ``theory check`` execute none of the six, ``fp`` only
+``fingerprints``, ``score`` only ``metrics`` and ``fingerprints``, and
+``eval`` and ``filter`` all but ``harness`` and ``toy``.  ``score`` and
+``eval`` call ``reconstruction_score`` as a global of this module, so
+rebinding ``moltrip.cli.reconstruction_score`` changes what they call.
+The thread pool of --workers, the config parser of --config and the
+theory module are imported where they are used.
 """
 
 from __future__ import annotations
@@ -65,47 +64,14 @@ def _defer(modules) -> None:
         spec.loader.exec_module(module)
 
 
-# Every name the commands read from a deferred module, and that module.
-_HOMES = {
-    **dict.fromkeys((
-        "EchoAdapter", "RemoteAdapter", "RemoteClient", "RemoteEndpointConfig",
-        "load_prompts",
-    ), "adapters"),
-    **dict.fromkeys((
-        "DEFAULT_MORGAN_RADIUS", "DEFAULT_PATH_LENGTH", "dump_features",
-        "morgan_features", "path_features", "structural_keys",
-    ), "fingerprints"),
-    **dict.fromkeys(("Completion", "RolloutGroup", "fill_advantages"), "grpo"),
-    **dict.fromkeys(("REWARD_MODES", "TaggedGroup", "export_rollouts"), "harness"),
-    **dict.fromkeys((
-        "InvalidReference", "RoundTripSample", "ScoreCache", "aggregate_report",
-        "reconstruction_score", "round_trip_rate",
-    ), "metrics"),
-    "run_toy": "toy",
-}
-_defer(sorted(set(_HOMES.values())))
+_defer(("adapters", "fingerprints", "grpo", "harness", "metrics", "toy"))
+from . import adapters, fingerprints, grpo, harness, metrics, toy
 
 
-def __getattr__(name: str):
-    """A deferred name: read from its module on first use, then kept as a
-    global of this module."""
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(
-        importlib.import_module(f".{home}", __package__), name,
-    )
-    return value
-
-
-def _bind(modules) -> None:
-    """Make the names of the deferred `modules` globals, which executes
-    those modules; a name already bound, such as a caller's stand-in, is
-    kept."""
-    bound = globals()
-    for name, home in _HOMES.items():
-        if home in modules and name not in bound:
-            __getattr__(name)
+def reconstruction_score(reference: str, candidate: str):
+    """metrics.reconstruction_score, read as a global of this module by
+    `score` and `eval`, so rebinding it here changes what they call."""
+    return metrics.reconstruction_score(reference, candidate)
 
 
 class UsageError(Exception):
@@ -145,8 +111,9 @@ def _pool_map(fn, items, workers: int) -> list:
 
     Every deferred module that fn reaches must have executed before the
     pool starts: Python 3.11's LazyLoader is not thread-safe, and two
-    threads could both execute one module.  A command's modules execute
-    when its parser first parses, before it runs."""
+    threads could both execute one module.  fn calls an adapter's
+    generate, and each command builds its adapter on the main thread,
+    which executes ``adapters``, before it calls this."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -167,6 +134,16 @@ def _emit(args, text: str) -> None:
 def _write_text(path: str, text: str) -> None:
     with atomic_writer(path) as handle:
         handle.write(text)
+
+
+# the characters str.splitlines breaks at, and the sidecar's field separator
+_BREAKS = frozenset("\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _sidecar_field(text: str) -> str:
+    """text, or its JSON string literal (ASCII, so no break) when it holds
+    a tab or a line break."""
+    return json.dumps(text) if _BREAKS.intersection(text) else text
 
 
 def _load(path: str) -> list[PairRecord]:
@@ -225,7 +202,7 @@ def _generator_adapter(args):
             raise UsageError(
                 f"--{name.replace('_', '-')} applies only to --generator remote"
             )
-    return EchoAdapter()
+    return adapters.EchoAdapter()
 
 
 def _check_workers(args) -> None:
@@ -233,7 +210,7 @@ def _check_workers(args) -> None:
         raise UsageError(f"--workers must be >= 1, not {args.workers}")
 
 
-def _remote_adapter(args) -> RemoteAdapter:
+def _remote_adapter(args) -> adapters.RemoteAdapter:
     temperature = args.temperature
     if temperature is not None and not (
         temperature == 0.0 or 0.0 < temperature < math.inf
@@ -247,14 +224,14 @@ def _remote_adapter(args) -> RemoteAdapter:
         name: getattr(args, name) for name in ("timeout", "max_retries")
         if getattr(args, name) is not None
     }
-    client = RemoteClient(RemoteEndpointConfig(
+    client = adapters.RemoteClient(adapters.RemoteEndpointConfig(
         base_url=args.base_url, model=args.model, **limits,
     ))
-    return RemoteAdapter(client, load_prompts(args.prompts))
+    return adapters.RemoteAdapter(client, adapters.load_prompts(args.prompts))
 
 
 def _add_remote_flags(sub) -> None:
-    defaults = RemoteEndpointConfig._field_defaults
+    defaults = adapters.RemoteEndpointConfig._field_defaults
     sub.add_argument("--base-url", default=None)
     sub.add_argument("--model", default=None)
     sub.add_argument("--timeout", type=float, default=None,
@@ -300,14 +277,16 @@ def cmd_fp(args) -> int:
     def one(text: str) -> str:
         mol = parse_smiles(text)
         if args.family == "keys":
-            fs = structural_keys(mol)
+            fs = fingerprints.structural_keys(mol)
         elif args.family == "path":
-            max_len = DEFAULT_PATH_LENGTH if args.max_path is None else args.max_path
-            fs = path_features(mol, max_len=max_len)
+            max_len = (fingerprints.DEFAULT_PATH_LENGTH if args.max_path is None
+                       else args.max_path)
+            fs = fingerprints.path_features(mol, max_len=max_len)
         else:
-            radius = DEFAULT_MORGAN_RADIUS if args.radius is None else args.radius
-            fs = morgan_features(mol, radius=radius)
-        return dump_features(fs)
+            radius = (fingerprints.DEFAULT_MORGAN_RADIUS if args.radius is None
+                      else args.radius)
+            fs = fingerprints.morgan_features(mol, radius=radius)
+        return fingerprints.dump_features(fs)
 
     blocks = [one(text) for text in args.smiles]
     _emit(args, "\n\n".join(blocks))
@@ -338,18 +317,18 @@ def cmd_eval(args) -> int:
     for pair, text in zip(pairs, texts):
         try:
             score = reconstruction_score(pair.smiles, text)
-        except InvalidReference as exc:
-            raise InvalidReference(
+        except metrics.InvalidReference as exc:
+            raise metrics.InvalidReference(
                 f"pair {pair.id or f'line {pair.line_no}'}: {exc}"
             ) from exc
-        samples.append(RoundTripSample(
+        samples.append(metrics.RoundTripSample(
             original=pair.smiles,
             caption=pair.caption,
             reconstruction=text,
             score=score,
         ))
-    report = aggregate_report(samples)
-    rate = round_trip_rate(samples)
+    report = metrics.aggregate_report(samples)
+    rate = metrics.round_trip_rate(samples)
     lines = [f"samples {report.samples}"]
     for name in ("exact_pct", "validity_pct", "sim_keys", "sim_path", "sim_morgan"):
         lines.append(f"{name} {getattr(report, name)}")
@@ -384,7 +363,8 @@ def cmd_dedupe(args) -> int:
     write_pairs(list(result.kept), args.out, fmt=args.fmt)
     if args.sidecar:
         _write_text(args.sidecar, "".join(
-            f"{e.line_no}\t{e.content}\t{e.reason}\n" for e in result.sidecar
+            f"{e.line_no}\t{_sidecar_field(e.content)}\t{e.reason}\n"
+            for e in result.sidecar
         ))
     print(f"kept {len(result.kept)}")
     print(f"removed {len(result.removed)}")
@@ -408,7 +388,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    result = run_toy(
+    result = toy.run_toy(
         seed=args.seed, max_steps=args.max_steps, reward_mode=args.reward_mode,
     )
     log = result.log
@@ -435,24 +415,24 @@ def cmd_annotate(args) -> int:
         lambda pair: adapter.generate(pair.caption, args.n, args.temperature),
         pairs, args.workers,
     )
-    tagged: list[TaggedGroup] = []
+    tagged: list[harness.TaggedGroup] = []
     for j, (pair, group_draws) in enumerate(zip(pairs, draws)):
-        cache = ScoreCache()  # per pair, so memory stays flat over the file
+        cache = metrics.ScoreCache()  # per pair, so memory stays flat over the file
         texts = [d.text for d in group_draws]
         completions = tuple(
-            Completion(text=text, reward=breakdown.total)
+            grpo.Completion(text=text, reward=breakdown.total)
             for text, breakdown in zip(texts, cache.score_all(pair.smiles, texts))
         )
-        tagged.append(TaggedGroup(
+        tagged.append(harness.TaggedGroup(
             group_id=f"annotate-{args.seed}-{pair.id or j}",
             phase="generator",
             reference=pair.smiles,
-            group=fill_advantages(RolloutGroup(
+            group=grpo.fill_advantages(grpo.RolloutGroup(
                 prompt_id=pair.caption, completions=completions,
             )),
         ))
     completions_total = sum(len(t.group.completions) for t in tagged)
-    export_rollouts(tagged, args.out)
+    harness.export_rollouts(tagged, args.out)
     print(f"groups {len(tagged)}")
     print(f"completions {completions_total}")
     print(f"rollouts {args.out}")
@@ -502,8 +482,7 @@ class _CommandParser(argparse.ArgumentParser):
 def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     """The moltrip parser; each command's own parser is filed in `commands`.
     A command's arguments are added by the function named after it, when
-    its parser first parses; the names of the deferred modules it `uses`
-    are bound then too."""
+    its parser first parses."""
     parser = argparse.ArgumentParser(
         prog="moltrip",
         description="Round-trip molecule-text alignment toolkit",
@@ -512,12 +491,11 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_CommandParser,
     )
 
-    def sub(name: str, func, add_arguments, uses: tuple[str, ...] = (),
-            group=subs, command: str | None = None, **kwargs) -> None:
+    def sub(name: str, func, add_arguments, group=subs,
+            command: str | None = None, **kwargs) -> None:
         command = command or name
 
         def add(p) -> None:
-            _bind(uses)  # before the arguments, whose help may read them
             p.add_argument("--config", default=None,
                            help=f"key = value file; its [{command}] section overrides flags")
             add_arguments(p)
@@ -534,10 +512,10 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     def fp(p) -> None:
         p.add_argument("smiles", nargs="+")
         p.add_argument("--family", choices=("keys", "path", "morgan"), required=True)
-        p.add_argument("--radius", type=int, default=None,
-                       help=f"morgan only (default {DEFAULT_MORGAN_RADIUS})")
-        p.add_argument("--max-path", type=int, default=None,
-                       help=f"path only (default {DEFAULT_PATH_LENGTH})")
+        p.add_argument("--radius", type=int, default=None, help=(
+            f"morgan only (default {fingerprints.DEFAULT_MORGAN_RADIUS})"))
+        p.add_argument("--max-path", type=int, default=None, help=(
+            f"path only (default {fingerprints.DEFAULT_PATH_LENGTH})"))
         p.add_argument("--out", default=None)
 
     def score(p) -> None:
@@ -584,7 +562,8 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     def train_toy(p) -> None:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-steps", type=int, default=200)
-        p.add_argument("--reward-mode", choices=REWARD_MODES, default="shaped")
+        p.add_argument("--reward-mode", choices=harness.REWARD_MODES,
+                       default="shaped")
         p.add_argument("--out", default=None)
 
     def annotate(p) -> None:
@@ -604,18 +583,14 @@ def _build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
 
     sub("canon", cmd_canon, canon, help="canonicalize SMILES strings")
     sub("validate", cmd_validate, canon, help="run the validity gate")
-    sub("fp", cmd_fp, fp, ("fingerprints",), help="dump fingerprint features")
-    sub("score", cmd_score, score, ("metrics",),
-        help="reconstruction score of hyp against ref")
-    sub("eval", cmd_eval, eval_, ("adapters", "metrics"),
-        help="batch round-trip evaluation report")
+    sub("fp", cmd_fp, fp, help="dump fingerprint features")
+    sub("score", cmd_score, score, help="reconstruction score of hyp against ref")
+    sub("eval", cmd_eval, eval_, help="batch round-trip evaluation report")
     sub("split", cmd_split, split_, help="seeded train/val/test split")
     sub("dedupe", cmd_dedupe, dedupe, help="drop canonical duplicates of a reference")
-    sub("filter", cmd_filter, filter_, ("adapters",),
-        help="round-trip diagnostic filter")
-    sub("train-toy", cmd_train_toy, train_toy, ("harness", "toy"),
-        help="desk-scale coupled training run")
-    sub("annotate", cmd_annotate, annotate, ("adapters", "grpo", "harness", "metrics"),
+    sub("filter", cmd_filter, filter_, help="round-trip diagnostic filter")
+    sub("train-toy", cmd_train_toy, train_toy, help="desk-scale coupled training run")
+    sub("annotate", cmd_annotate, annotate,
         help="remote reward annotation and rollout export")
     theory = subs.add_parser("theory", help="bound verification")
     theory_subs = theory.add_subparsers(dest="theory_command", required=True)

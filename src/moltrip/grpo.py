@@ -90,8 +90,8 @@ def fill_advantages(group: RolloutGroup) -> RolloutGroup:
 
 def ppo_clip(ratio: float, advantage: float, epsilon: float) -> float:
     """min{r*A, max{min{r, 1+eps}, 1-eps}*A}, exactly as stated."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not epsilon > 0:  # nan too, which would clip nothing
+        raise ValueError(f"epsilon must be > 0, not {epsilon!r}")
     clamped = max(min(ratio, 1.0 + epsilon), 1.0 - epsilon)
     return min(ratio * advantage, clamped * advantage)
 

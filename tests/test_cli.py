@@ -392,6 +392,28 @@ def test_dedupe_sidecar_names_file_lines(tmp_path, capsys):
     assert "kept 2" in capsys.readouterr().out
 
 
+def test_dedupe_sidecar_keeps_each_entry_on_one_line(tmp_path):
+    # a string holding a tab or a line break is written as its JSON string
+    # literal; any other string as it is
+    spelled = ["C\nC\tO", "C\u2028C", "C\rC\x85", "C1CC", "C(\u00e9"]
+    target = tmp_path / "t.jsonl"
+    target.write_text("".join(
+        json.dumps({"smiles": smiles, "caption": "x"}) + "\n" for smiles in spelled
+    ), encoding="utf-8")
+    reference = write_pairs_file(tmp_path / "r.jsonl", ["CCO"])
+    sidecar = tmp_path / "sidecar.tsv"
+    assert main([
+        "dedupe", "--target", str(target), "--reference", reference,
+        "--out", str(tmp_path / "kept.jsonl"), "--sidecar", str(sidecar),
+    ]) == 0
+    lines = sidecar.read_text(encoding="utf-8").splitlines()
+    assert [line.count("\t") for line in lines] == [2] * 5
+    assert [line.split("\t")[1] for line in lines] == [
+        '"C\\nC\\tO"', '"C\\u2028C"', '"C\\rC\\u0085"', "C1CC", "C(\u00e9",
+    ]
+    assert [json.loads(line.split("\t")[1]) for line in lines[:3]] == spelled[:3]
+
+
 def test_dedupe_and_score_answer_for_a_molecule_too_large_to_canonicalise(
     snake_ladder, tmp_path, capsys,
 ):
@@ -669,15 +691,42 @@ def test_each_command_executes_only_the_modules_it_runs(argv, executed, tmp_path
     assert set(ran) == executed
 
 
-def test_every_deferred_cli_name_is_the_object_of_its_home_module():
-    # in a fresh interpreter, each deferred module is also bound on the package
+def test_each_deferred_module_is_one_object_that_import_does_not_run():
+    # in a fresh interpreter: the module cli binds, the package attribute
+    # and the sys.modules entry are one object, and it has not executed
     out = _fresh_python(
-        "import moltrip, moltrip.cli as cli\n"
-        "print(sorted(name for name, home in cli._HOMES.items()\n"
-        "             if getattr(cli, name) is not getattr(getattr(moltrip, home), name)))\n"
-        "print(sorted(set(cli._HOMES.values())))\n"
+        "import sys, types, moltrip, moltrip.cli as cli\n"
+        "for name in %r:\n"
+        "    module = sys.modules['moltrip.' + name]\n"
+        "    print(name, getattr(cli, name) is module is getattr(moltrip, name),\n"
+        "          type(module) is types.ModuleType)\n" % (LAZY_MODULES,)
     ).splitlines()
-    assert out == ["[]", repr(sorted(LAZY_MODULES))]
+    assert out == [f"{name} True False" for name in LAZY_MODULES]
+
+
+POOL_AFTER_ADAPTERS = """
+import contextlib, io, sys, types
+import moltrip.cli as cli
+
+pool_map, starts = cli._pool_map, []
+
+def watched_pool_map(fn, items, workers):
+    starts.append(type(sys.modules["moltrip.adapters"]) is types.ModuleType)
+    return pool_map(fn, items, workers)
+
+cli._pool_map = watched_pool_map
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, starts)
+"""
+
+
+def test_adapters_has_run_before_a_pool_starts(tmp_path):
+    # 3.11's LazyLoader is not thread-safe: two pool threads reaching a
+    # lazy module first could both execute it
+    pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO", "CCN", "c1ccccc1"])
+    out = _fresh_python(POOL_AFTER_ADAPTERS, "eval", "--pairs", pairs, "--workers", "2")
+    assert out.strip() == "0 [True]"
 
 
 FRESH_DEFERRED_PATHS = """
@@ -918,17 +967,17 @@ def test_echo_generator_refuses_remote_only_flags(command, flag, value, via, tmp
 ])
 def test_remote_commands_keep_the_endpoint_defaults(command, temperature, tmp_path, monkeypatch):
     import moltrip.adapters as adapters
-    import moltrip.cli as cli
 
     monkeypatch.setenv("RTMOL_API_KEY", "sekrit")
     session = RecordingSession()
     configs = []
+    remote_client = adapters.RemoteClient  # the patch below replaces it
 
     def recording_client(config):
         configs.append(config)
-        return adapters.RemoteClient(config, session=session)
+        return remote_client(config, session=session)
 
-    monkeypatch.setattr(cli, "RemoteClient", recording_client)
+    monkeypatch.setattr(adapters, "RemoteClient", recording_client)
     pairs = write_pairs_file(tmp_path / "pairs.jsonl", ["CCO"])
     endpoint = ["--base-url", "https://api.example.test/v1", "--model", "toy"]
     for limits in ([], ["--timeout", "5", "--max-retries", "1"]):

@@ -127,6 +127,12 @@ def test_clip_rejects_bad_epsilon():
         ppo_clip(1.0, 1.0, 0.0)
 
 
+def test_clip_rejects_a_nan_epsilon():
+    # nan > 0 and nan <= 0 are both false; unchecked, nan clips nothing
+    with pytest.raises(ValueError, match="epsilon must be > 0, not nan"):
+        ppo_clip(1.5, 1.0, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # KL estimator
 
